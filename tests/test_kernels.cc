@@ -14,7 +14,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -524,6 +527,40 @@ TEST(Dispatch, ParseKernelIsaStrict)
                  std::invalid_argument);
     EXPECT_THROW(kernels::parseKernelIsa("AVX2"),
                  std::invalid_argument);
+}
+
+/**
+ * The kernel pool reads SE_THREADS itself, for library callers that
+ * never go through RuntimeOptions::fromEnv. A value that is not a
+ * whole in-range integer must refuse the first pool() use with
+ * std::invalid_argument, not silently build a one-thread pool. Each
+ * case runs in a freshly exec'd child so pool() really is first.
+ */
+TEST(KernelsDeathTest, PoolRejectsMalformedSeThreads)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (const char *bad : {"four", "4294967296", "-9999999999", "3x",
+                            ""}) {
+        EXPECT_EXIT(
+            {
+                ::setenv("SE_THREADS", bad, 1);
+                try {
+                    kernels::pool();
+                } catch (const std::invalid_argument &e) {
+                    std::fprintf(stderr, "rejected: %s\n", e.what());
+                    std::_Exit(3);
+                }
+                std::_Exit(0);
+            },
+            ::testing::ExitedWithCode(3), "rejected: SE_THREADS")
+            << "SE_THREADS='" << bad << "'";
+    }
+    EXPECT_EXIT(
+        {
+            ::setenv("SE_THREADS", "3", 1);
+            std::_Exit((int)kernels::pool().threadCount());
+        },
+        ::testing::ExitedWithCode(3), "");
 }
 
 TEST(Dispatch, ForcedSelectionSticks)

@@ -9,10 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "base/hash.hh"
 #include "base/random.hh"
+#include "core/apply.hh"
 #include "core/smart_exchange.hh"
+#include "kernels/dispatch.hh"
 #include "linalg/linalg.hh"
+#include "models/zoo.hh"
 
 namespace se {
 namespace {
@@ -219,6 +224,102 @@ INSTANTIATE_TEST_SUITE_P(
                       GeomParam{192, 3}, GeomParam{25, 5},
                       GeomParam{175, 5}, GeomParam{49, 7},
                       GeomParam{196, 4}, GeomParam{512, 3}));
+
+/**
+ * Digest wall: decomposeMatrix must keep producing the same bytes —
+ * Ce, B, the alphabet, the iteration count, reconRelError and the
+ * Fig. 9 trace — for a fixed corpus, under every compiled kernel
+ * ISA. The corpus is every planCompression unit of VGG19-sim and
+ * VGG11-sim (base width 12, 8x8 inputs) plus random m x n shapes with
+ * n in 1..8; the option variant cycles coefBits 2..6, refineOnSupport
+ * on/off, three vector thresholds and a sparsity floor. The expected
+ * digest was recorded before the decomposition loop was rewritten
+ * for speed, so any rounding change in the loop shows up here.
+ */
+core::SeOptions
+digestVariant(size_t i)
+{
+    static const double kThetas[] = {4e-3, 0.01, 0.2};
+    core::SeOptions o;
+    o.coefBits = 2 + (int)(i % 5);
+    o.refineOnSupport = (i / 5) % 2 == 1;
+    o.vectorThreshold = kThetas[i % 3];
+    o.minVectorSparsity = i % 7 == 3 ? 0.3 : 0.0;
+    return o;
+}
+
+uint64_t
+hashDoubles(const std::vector<double> &v, uint64_t h)
+{
+    return v.empty() ? h : fnv1a(v.data(), v.size() * sizeof(double), h);
+}
+
+uint64_t
+hashDecomposition(const SeMatrix &se, uint64_t h)
+{
+    h = hashTensor(se.ce, h);
+    h = hashTensor(se.basis, h);
+    h = hashValue(se.alphabet.expMax, h);
+    h = hashValue(se.alphabet.numLevels, h);
+    h = hashValue(se.iterations, h);
+    return hashValue(se.reconRelError, h);
+}
+
+std::vector<Tensor>
+digestCorpus()
+{
+    std::vector<Tensor> corpus;
+    for (models::ModelId id :
+         {models::ModelId::VGG19, models::ModelId::VGG11}) {
+        models::SimConfig cfg;
+        cfg.baseWidth = 12;
+        cfg.inHeight = cfg.inWidth = 8;
+        cfg.seed = 1000 + (uint64_t)id;
+        auto net = models::buildSim(id, cfg);
+        core::CompressionPlan plan =
+            core::planCompression(*net, SeOptions{}, core::ApplyOptions{});
+        for (const core::DecompUnit &u : plan.units)
+            corpus.push_back(u.matrix);
+    }
+    Rng rng(2024);
+    for (int64_t n = 1; n <= 8; ++n)
+        for (int64_t m : {n, n + 1, 3 * n + 2, (int64_t)41, (int64_t)150})
+            corpus.push_back(randn({m, n}, rng, 0.0f, 0.1f));
+    return corpus;
+}
+
+uint64_t
+corpusDigest(const std::vector<Tensor> &corpus)
+{
+    uint64_t h = kFnvOffsetBasis;
+    for (size_t i = 0; i < corpus.size(); ++i) {
+        const SeOptions opts = digestVariant(i);
+        // Trace every fourth run so the Fig. 9 bookkeeping is pinned
+        // too without paying for it on the whole corpus.
+        SeTrace trace;
+        const SeMatrix se =
+            decomposeMatrix(corpus[i], opts, i % 4 == 0 ? &trace : nullptr);
+        h = hashDecomposition(se, h);
+        h = hashDoubles(trace.reconError, h);
+        h = hashDoubles(trace.vectorSparsity, h);
+        h = hashDoubles(trace.basisDrift, h);
+    }
+    return h;
+}
+
+TEST(SmartExchange, DecompositionDigestIsPinnedUnderEveryIsa)
+{
+    const std::vector<Tensor> corpus = digestCorpus();
+    ASSERT_GT(corpus.size(), 200u);
+    const kernels::KernelIsa prev = kernels::activeIsa();
+    for (kernels::KernelIsa isa : kernels::supportedIsas()) {
+        kernels::setActiveIsa(isa);
+        EXPECT_EQ(corpusDigest(corpus), 14218884675328427468ULL)
+            << "decomposeMatrix output moved under "
+            << kernels::isaName(isa);
+    }
+    kernels::setActiveIsa(prev);
+}
 
 } // namespace
 } // namespace se
