@@ -6,6 +6,7 @@
 #include <memory>
 #include <vector>
 
+#include "base/env.hh"
 #include "base/logging.hh"
 #include "base/mutex.hh"
 
@@ -19,11 +20,12 @@ std::atomic<ConvImpl> g_impl{convImplFromEnv()};
 int
 threadsFromEnv()
 {
-    // The RuntimeOptions convention: 0 = serial, negative/unset = one
-    // worker per core.
+    // The RuntimeOptions convention and parser: 0 = serial,
+    // negative/unset = one worker per core, anything that is not a
+    // whole in-range integer throws std::invalid_argument.
     int threads = -1;
     if (const char *t = std::getenv("SE_THREADS"))
-        threads = std::atoi(t);
+        threads = base::envIntNarrow("SE_THREADS", t);
     if (threads < 0) {
         const unsigned hc = std::thread::hardware_concurrency();
         threads = hc > 0 ? (int)hc : 1;

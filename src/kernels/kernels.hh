@@ -17,7 +17,9 @@
  *             bit-identical, gx agrees to ~1e-4 relative (col2im
  *             re-associates the scatter-add).
  *  - SE_THREADS: kernel pool width. 0 => serial, negative or unset
- *      => one worker per core (the same convention as RuntimeOptions).
+ *      => one worker per core (the same convention and the same
+ *      strict parser as RuntimeOptions: a malformed value makes the
+ *      first pool() call throw std::invalid_argument).
  *
  * Every kernel is deterministic and thread-count invariant: each
  * output element is accumulated by exactly one worker in a fixed
@@ -70,7 +72,8 @@ bool useBitIdenticalFastPath(ConvImpl impl);
 bool useReassociatingFastPath(ConvImpl impl);
 
 /**
- * The shared kernel pool, lazily built with SE_THREADS workers.
+ * The shared kernel pool, lazily built with SE_THREADS workers
+ * (throws std::invalid_argument while SE_THREADS is malformed).
  * Distinct from the serve/pipeline pools: those fan out whole tasks
  * (requests, per-matrix decompositions) and their workers block on
  * this pool's GEMM panels only through the nested-parallelism guard

@@ -6,9 +6,6 @@
 #ifndef SE_RUNTIME_OPTIONS_HH
 #define SE_RUNTIME_OPTIONS_HH
 
-#include <cerrno>
-#include <climits>
-#include <cmath>
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
@@ -17,50 +14,13 @@
 #include <string>
 #include <thread>
 
+#include "base/env.hh"
 #include "base/failpoint.hh"
 #include "kernels/dispatch.hh"
 #include "kernels/kernels.hh"
 
 namespace se {
 namespace runtime {
-
-namespace detail {
-
-/**
- * Strict env-var parsers: every SE_* knob either parses completely or
- * the run refuses to start. The old atoi/atof plumbing silently
- * mapped typos to 0 — SE_THREADS=four used to select the legacy
- * serial path instead of failing, which is the worst possible way to
- * "honor" a perf knob.
- */
-inline long long
-envInt(const char *name, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const long long out = std::strtoll(value, &end, 10);
-    if (end == value || *end != '\0' || errno == ERANGE)
-        throw std::invalid_argument(std::string(name) +
-                                    " must be an integer, got '" +
-                                    value + "'");
-    return out;
-}
-
-inline double
-envDouble(const char *name, const char *value)
-{
-    char *end = nullptr;
-    errno = 0;
-    const double out = std::strtod(value, &end);
-    if (end == value || *end != '\0' || errno == ERANGE ||
-        !std::isfinite(out))
-        throw std::invalid_argument(std::string(name) +
-                                    " must be a finite number, got '" +
-                                    value + "'");
-    return out;
-}
-
-} // namespace detail
 
 /**
  * Weight storage the serve drivers hand to the serve layer
@@ -237,16 +197,8 @@ struct RuntimeOptions
     {
         RuntimeOptions ro;
         ro.threads = -1;
-        if (const char *t = std::getenv("SE_THREADS")) {
-            const long long v = detail::envInt("SE_THREADS", t);
-            // Reject before narrowing: SE_THREADS=4294967296 must
-            // not wrap to 0 and silently select the serial path.
-            if (v < INT_MIN || v > INT_MAX)
-                throw std::invalid_argument(
-                    "SE_THREADS out of range: '" + std::string(t) +
-                    "'");
-            ro.threads = (int)v;
-        }
+        if (const char *t = std::getenv("SE_THREADS"))
+            ro.threads = base::envIntNarrow("SE_THREADS", t);
         ro.cacheCapacity = cache_capacity;
         ro.convImpl = kernels::convImplFromEnv();
         // parseKernelIsa throws std::invalid_argument on anything it
@@ -255,7 +207,7 @@ struct RuntimeOptions
             ro.kernelIsa = kernels::parseKernelIsa(isa);
         if (const char *c = std::getenv("SE_SERVE_QUEUE_CAP")) {
             const long long cap =
-                detail::envInt("SE_SERVE_QUEUE_CAP", c);
+                base::envInt("SE_SERVE_QUEUE_CAP", c);
             if (cap < 0)
                 throw std::invalid_argument(
                     "SE_SERVE_QUEUE_CAP must be >= 0, got '" +
@@ -264,7 +216,7 @@ struct RuntimeOptions
         }
         if (const char *d = std::getenv("SE_SERVE_DEADLINE_MS"))
             ro.serveDeadlineMs =
-                detail::envDouble("SE_SERVE_DEADLINE_MS", d);
+                base::envDouble("SE_SERVE_DEADLINE_MS", d);
         if (const char *w = std::getenv("SE_SERVE_WEIGHT_SOURCE")) {
             if (!std::strcmp(w, "dense"))
                 ro.serveWeightSource = ServeWeightSource::Dense;
@@ -277,7 +229,7 @@ struct RuntimeOptions
                     std::string(w) + "'");
         }
         if (const char *f = std::getenv("SE_MODEL_FORMAT")) {
-            const long long v = detail::envInt("SE_MODEL_FORMAT", f);
+            const long long v = base::envInt("SE_MODEL_FORMAT", f);
             if (v != 2 && v != 3 && v != 4)
                 throw std::invalid_argument(
                     "SE_MODEL_FORMAT must be 2, 3 or 4, got '" +
@@ -306,7 +258,7 @@ struct RuntimeOptions
         }
         if (const char *d = std::getenv("SE_PREFETCH_DEPTH")) {
             const long long v =
-                detail::envInt("SE_PREFETCH_DEPTH", d);
+                base::envInt("SE_PREFETCH_DEPTH", d);
             if (v < 0)
                 throw std::invalid_argument(
                     "SE_PREFETCH_DEPTH must be >= 0, got '" +
