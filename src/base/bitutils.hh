@@ -7,8 +7,8 @@
 #ifndef SE_BASE_BITUTILS_HH
 #define SE_BASE_BITUTILS_HH
 
-#include <cmath>
 #include <cstdint>
+#include <cstring>
 
 namespace se {
 
@@ -56,28 +56,49 @@ ceilDiv(int64_t a, int64_t b)
 }
 
 /**
- * Round |x| to the nearest power of two exponent, i.e. the p minimizing
- * | |x| - 2^p |. Returns the exponent; caller handles sign and zero.
+ * Exponent p of the power of two nearest to |x| in linear distance,
+ * i.e. the p minimizing | |x| - 2^p |. The caller handles sign and
+ * zero; x must be finite and non-zero (zero maps to the smallest
+ * denormal exponent, and non-finite input is out of contract).
  *
- * Rounding in log domain: p = round(log2|x|), then the neighbour check
- * fixes the one-off cases where linear distance disagrees with log
- * distance (e.g. 3.0 is closer to 4 than to 2 linearly).
+ * Exact rule, no log2/lround: write |x| = 1.f * 2^e, normalizing
+ * denormals first. The only candidates are 2^e and 2^(e+1), and
+ * 2^(e+1) is the nearer one exactly when the mantissa 1.f >= 1.5
+ * (ties round up), i.e. when the top fraction bit is set. Hence
+ * p = e + (top fraction bit). For a float argument this is the same
+ * value the double overload returns for its exact promotion.
  */
+inline int
+nearestPow2Exp(float x)
+{
+    uint32_t u;
+    std::memcpy(&u, &x, sizeof u);
+    const int biased = (int)((u >> 23) & 0xffu);
+    const uint32_t frac = u & 0x7fffffu;
+    if (biased != 0)
+        return biased - 127 + (int)(frac >> 22);
+    // Denormal: |x| = frac * 2^-149. Its leading set bit k gives
+    // e = k - 149, and the bit below it is the "mantissa >= 1.5" bit.
+    int k = 22;
+    while (k > 0 && !(frac >> k))
+        --k;
+    return k - 149 + (k > 0 ? (int)((frac >> (k - 1)) & 1u) : 0);
+}
+
+/** nearestPow2Exp for a double argument (same rule, 52-bit fraction). */
 inline int
 nearestPow2Exp(double x)
 {
-    double ax = std::abs(x);
-    int p = (int)std::lround(std::log2(ax));
-    // Linear-distance neighbour correction.
-    double best = std::abs(ax - std::ldexp(1.0, p));
-    for (int dp : {-1, 1}) {
-        double cand = std::abs(ax - std::ldexp(1.0, p + dp));
-        if (cand < best) {
-            best = cand;
-            p += dp;
-        }
-    }
-    return p;
+    uint64_t u;
+    std::memcpy(&u, &x, sizeof u);
+    const int biased = (int)((u >> 52) & 0x7ffu);
+    const uint64_t frac = u & ((1ull << 52) - 1);
+    if (biased != 0)
+        return biased - 1023 + (int)(frac >> 51);
+    int k = 51;
+    while (k > 0 && !(frac >> k))
+        --k;
+    return k - 1074 + (k > 0 ? (int)((frac >> (k - 1)) & 1u) : 0);
 }
 
 } // namespace se

@@ -13,90 +13,104 @@ namespace {
 /**
  * Normalize each column of ce to unit L2 norm, scaling the matching row
  * of basis so the product Ce * B is unchanged. Zero columns are left
- * alone.
+ * alone. `norms` is caller-owned scratch of r doubles; every column's
+ * norm is still accumulated in ascending row order.
  */
 void
-normalizeColumns(Tensor &ce, Tensor &basis)
+normalizeColumns(Tensor &ce, Tensor &basis, std::vector<double> &norms)
 {
     const int64_t m = ce.dim(0), r = ce.dim(1), n = basis.dim(1);
-    for (int64_t j = 0; j < r; ++j) {
-        double norm = 0.0;
-        for (int64_t i = 0; i < m; ++i)
-            norm += (double)ce.at(i, j) * ce.at(i, j);
-        norm = std::sqrt(norm);
-        if (norm < 1e-12)
-            continue;
-        for (int64_t i = 0; i < m; ++i)
-            ce.at(i, j) = (float)(ce.at(i, j) / norm);
-        for (int64_t k = 0; k < n; ++k)
-            basis.at(j, k) = (float)(basis.at(j, k) * norm);
-    }
+    float *c = ce.data();
+    float *b = basis.data();
+    std::fill(norms.begin(), norms.end(), 0.0);
+    for (int64_t i = 0; i < m; ++i)
+        for (int64_t j = 0; j < r; ++j)
+            norms[(size_t)j] += (double)c[i * r + j] * c[i * r + j];
+    for (int64_t j = 0; j < r; ++j)
+        norms[(size_t)j] = std::sqrt(norms[(size_t)j]);
+    for (int64_t i = 0; i < m; ++i)
+        for (int64_t j = 0; j < r; ++j)
+            if (!(norms[(size_t)j] < 1e-12))
+                c[i * r + j] = (float)(c[i * r + j] / norms[(size_t)j]);
+    for (int64_t j = 0; j < r; ++j)
+        if (!(norms[(size_t)j] < 1e-12))
+            for (int64_t k = 0; k < n; ++k)
+                b[j * n + k] = (float)(b[j * n + k] * norms[(size_t)j]);
 }
+
+/** Caller-owned buffers of sparsifyRows, sized once per matrix. */
+struct SparsifyScratch
+{
+    explicit SparsifyScratch(int64_t m)
+        : rowMag((size_t)m), order((size_t)m), mask((size_t)m)
+    {
+    }
+    std::vector<double> rowMag;
+    std::vector<int64_t> order;
+    std::vector<uint8_t> mask;  ///< the pass's row mask (1 = kept)
+};
 
 /**
  * Zero rows of ce whose max |element| is below theta; also honour a
  * minimum vector-sparsity floor by pruning the smallest-norm rows.
  * At least `min_keep` rows (the basis rank) always survive so no
  * filter is zeroed outright — the paper's per-layer manual Sc control
- * implies the same safeguard. Returns the row mask (1 = kept).
+ * implies the same safeguard. Leaves the row mask in scratch.mask.
  */
-std::vector<bool>
+void
 sparsifyRows(Tensor &ce, double theta, double min_vector_sparsity,
-             int64_t min_keep)
+             int64_t min_keep, SparsifyScratch &scratch)
 {
     const int64_t m = ce.dim(0), r = ce.dim(1);
-    std::vector<double> row_mag((size_t)m, 0.0);
+    float *c = ce.data();
+    std::vector<double> &row_mag = scratch.rowMag;
+    std::vector<uint8_t> &keep = scratch.mask;
     for (int64_t i = 0; i < m; ++i) {
         double mx = 0.0;
         for (int64_t j = 0; j < r; ++j)
-            mx = std::max(mx, (double)std::abs(ce.at(i, j)));
+            mx = std::max(mx, (double)std::abs(c[i * r + j]));
         row_mag[(size_t)i] = mx;
     }
 
-    std::vector<bool> keep((size_t)m, true);
     int64_t zeroed = 0;
-    for (int64_t i = 0; i < m; ++i)
-        if (row_mag[(size_t)i] < theta) {
-            keep[(size_t)i] = false;
-            ++zeroed;
-        }
+    for (int64_t i = 0; i < m; ++i) {
+        keep[(size_t)i] = !(row_mag[(size_t)i] < theta);
+        zeroed += !keep[(size_t)i];
+    }
 
     // Enforce the sparsity floor by dropping the weakest extra rows,
     // but never below min_keep survivors.
     const int64_t want = std::min(
         (int64_t)std::ceil(min_vector_sparsity * m),
         std::max<int64_t>(0, m - min_keep));
+    int64_t *order = scratch.order.data();
     if (zeroed < want) {
-        std::vector<int64_t> order;
+        int64_t count = 0;
         for (int64_t i = 0; i < m; ++i)
             if (keep[(size_t)i])
-                order.push_back(i);
-        std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+                order[count++] = i;
+        std::sort(order, order + count, [&](int64_t a, int64_t b) {
             return row_mag[(size_t)a] < row_mag[(size_t)b];
         });
-        for (int64_t k = 0; k < want - zeroed &&
-                            k < (int64_t)order.size(); ++k)
-            keep[(size_t)order[(size_t)k]] = false;
+        for (int64_t k = 0; k < want - zeroed && k < count; ++k)
+            keep[(size_t)order[k]] = 0;
     } else if (zeroed > m - min_keep) {
         // Threshold pruning went too far: resurrect the strongest
         // pruned rows (their values return on the next Ce refit).
-        std::vector<int64_t> order;
+        int64_t count = 0;
         for (int64_t i = 0; i < m; ++i)
             if (!keep[(size_t)i])
-                order.push_back(i);
-        std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
+                order[count++] = i;
+        std::sort(order, order + count, [&](int64_t a, int64_t b) {
             return row_mag[(size_t)a] > row_mag[(size_t)b];
         });
-        for (int64_t k = 0; k < zeroed - (m - min_keep) &&
-                            k < (int64_t)order.size(); ++k)
-            keep[(size_t)order[(size_t)k]] = true;
+        for (int64_t k = 0; k < zeroed - (m - min_keep) && k < count; ++k)
+            keep[(size_t)order[k]] = 1;
     }
 
     for (int64_t i = 0; i < m; ++i)
         if (!keep[(size_t)i])
-            for (int64_t j = 0; j < r; ++j)
-                ce.at(i, j) = 0.0f;
-    return keep;
+            std::fill(c + i * r, c + (i + 1) * r, 0.0f);
 }
 
 double
@@ -161,17 +175,30 @@ decomposeMatrix(const Tensor &w, const SeOptions &opts, SeTrace *trace)
     SE_ASSERT(w.ndim() == 2, "decomposeMatrix needs a 2-D weight");
     const int64_t m = w.dim(0), n = w.dim(1);
     SE_ASSERT(n <= m, "expected tall matrix (m >= n); got ", m, "x", n);
+    for (int64_t i = 0; i < w.size(); ++i)
+        SE_ASSERT(std::isfinite(w[i]), "decomposeMatrix needs finite "
+                  "weights; got non-finite ", w[i], " at (", i / n,
+                  ", ", i % n, ")");
 
     const double w_norm = std::max(linalg::frobNorm(w), 1e-30);
 
     SeMatrix out;
-    // Paper initialization: Ce = W, B = I (r = n).
+    // Paper initialization: Ce = W, B = I (r = n). out.ce / out.basis
+    // are the loop's work buffers: every step below updates them in
+    // place, so an iteration allocates nothing.
     out.ce = w;
     out.basis = eye(n);
-    const Tensor identity = eye(n);
-    const double id_norm = linalg::frobNorm(identity);
+    linalg::AlsSolver als(w, n, opts.ridge);
+    std::vector<double> col_norms((size_t)n);
+    SparsifyScratch scratch(m);
+    std::vector<uint8_t> keep((size_t)m, 1);
 
-    std::vector<bool> keep((size_t)m, true);
+    Tensor identity;
+    double id_norm = 0.0;
+    if (trace) {
+        identity = eye(n);
+        id_norm = linalg::frobNorm(identity);
+    }
     auto record = [&]() {
         if (!trace)
             return;
@@ -187,32 +214,32 @@ decomposeMatrix(const Tensor &w, const SeOptions &opts, SeTrace *trace)
     for (int iter = 0; iter < opts.maxIterations; ++iter) {
         ++out.iterations;
         // Step 1: normalize columns, choose Omega_P, quantize Ce.
-        normalizeColumns(out.ce, out.basis);
+        normalizeColumns(out.ce, out.basis, col_norms);
         out.alphabet = quant::choosePow2Alphabet(out.ce, opts.coefBits);
         const double delta =
-            quant::pow2Distance(out.ce, out.alphabet) / (double)(m * n);
-        out.ce = quant::projectPow2(out.ce, out.alphabet);
+            quant::projectPow2InPlace(out.ce, out.alphabet) /
+            (double)(m * n);
 
         // Step 2: fit B to the quantized Ce. The trace records this
         // state — quantized coefficients with a fitted basis — which
         // is the solution quality Fig. 9 plots.
-        out.basis = linalg::fitBasis(w, out.ce, opts.ridge);
+        als.fitBasis(out.ce.data(), out.basis.data());
         record();
 
         // ... then refit Ce freely for the next round.
-        out.ce = linalg::fitCoefficients(w, out.basis, opts.ridge);
+        als.fitCoefficients(out.basis.data(), out.ce.data());
 
         // Step 3: vector-wise sparsification (monotone: once a row is
         // pruned it stays pruned, mirroring the hard-threshold
         // practice in the paper).
+        float *ce = out.ce.data();
         for (int64_t i = 0; i < m; ++i)
             if (!keep[(size_t)i])
-                for (int64_t j = 0; j < n; ++j)
-                    out.ce.at(i, j) = 0.0f;
-        auto mask = sparsifyRows(out.ce, opts.vectorThreshold,
-                                 opts.minVectorSparsity, n);
+                std::fill(ce + i * n, ce + (i + 1) * n, 0.0f);
+        sparsifyRows(out.ce, opts.vectorThreshold, opts.minVectorSparsity,
+                     n, scratch);
         for (int64_t i = 0; i < m; ++i)
-            keep[(size_t)i] = keep[(size_t)i] && mask[(size_t)i];
+            keep[(size_t)i] = keep[(size_t)i] && scratch.mask[(size_t)i];
 
         if (delta < opts.tol)
             break;
@@ -229,10 +256,10 @@ decomposeMatrix(const Tensor &w, const SeOptions &opts, SeTrace *trace)
     }
 
     // Conclusion: re-quantize Ce and re-fit B on the final support.
-    normalizeColumns(out.ce, out.basis);
+    normalizeColumns(out.ce, out.basis, col_norms);
     out.alphabet = quant::choosePow2Alphabet(out.ce, opts.coefBits);
-    out.ce = quant::projectPow2(out.ce, out.alphabet);
-    out.basis = linalg::fitBasis(w, out.ce, opts.ridge);
+    quant::projectPow2InPlace(out.ce, out.alphabet);
+    als.fitBasis(out.ce.data(), out.basis.data());
     record();
 
     out.reconRelError =

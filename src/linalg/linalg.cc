@@ -1,5 +1,6 @@
 #include "linalg/linalg.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "kernels/gemm.hh"
@@ -73,86 +74,129 @@ choleskySolve(Tensor a, Tensor b)
               "choleskySolve needs a square A");
     const int64_t n = a.dim(0), m = b.dim(1);
     SE_ASSERT(b.dim(0) == n, "choleskySolve RHS row mismatch");
+    choleskySolveInPlace(a.data(), n, b.data(), m, m, 1);
+    return b;
+}
 
+void
+choleskySolveInPlace(float *a, int64_t n, float *x, int64_t count,
+                     int64_t row_stride, int64_t col_stride)
+{
     // In-place lower-triangular Cholesky: A = L L^T.
     for (int64_t j = 0; j < n; ++j) {
-        double d = a.at(j, j);
+        float *aj = a + j * n;
+        double d = aj[j];
         for (int64_t k = 0; k < j; ++k)
-            d -= (double)a.at(j, k) * a.at(j, k);
+            d -= (double)aj[k] * aj[k];
         SE_ASSERT(d > 0.0, "matrix not positive definite (d=", d, ")");
         const double ljj = std::sqrt(d);
-        a.at(j, j) = (float)ljj;
+        aj[j] = (float)ljj;
         for (int64_t i = j + 1; i < n; ++i) {
-            double s = a.at(i, j);
+            float *ai = a + i * n;
+            double s = ai[j];
             for (int64_t k = 0; k < j; ++k)
-                s -= (double)a.at(i, k) * a.at(j, k);
-            a.at(i, j) = (float)(s / ljj);
+                s -= (double)ai[k] * aj[k];
+            ai[j] = (float)(s / ljj);
         }
     }
 
-    // Forward substitution L Y = B, then backward L^T X = Y, per column.
-    Tensor x = b;
-    for (int64_t c = 0; c < m; ++c) {
+    // Forward substitution L Y = B, then backward L^T X = Y, per
+    // right-hand side.
+    for (int64_t c = 0; c < count; ++c) {
+        float *xc = x + c * col_stride;
         for (int64_t i = 0; i < n; ++i) {
-            double s = x.at(i, c);
+            const float *ai = a + i * n;
+            double s = xc[i * row_stride];
             for (int64_t k = 0; k < i; ++k)
-                s -= (double)a.at(i, k) * x.at(k, c);
-            x.at(i, c) = (float)(s / a.at(i, i));
+                s -= (double)ai[k] * xc[k * row_stride];
+            xc[i * row_stride] = (float)(s / ai[i]);
         }
         for (int64_t i = n - 1; i >= 0; --i) {
-            double s = x.at(i, c);
+            double s = xc[i * row_stride];
             for (int64_t k = i + 1; k < n; ++k)
-                s -= (double)a.at(k, i) * x.at(k, c);
-            x.at(i, c) = (float)(s / a.at(i, i));
+                s -= (double)a[k * n + i] * xc[k * row_stride];
+            xc[i * row_stride] = (float)(s / a[i * n + i]);
         }
     }
-    return x;
 }
 
 namespace {
 
 /**
- * Add a ridge scaled to the Gram matrix magnitude so rank-deficient
- * systems (fully-pruned coefficient columns, duplicated power-of-2
- * columns) stay numerically positive definite.
+ * Add a ridge scaled to the Gram matrix magnitude (r x r, row-major)
+ * so rank-deficient systems (fully-pruned coefficient columns,
+ * duplicated power-of-2 columns) stay numerically positive definite.
  */
 void
-addAdaptiveRidge(Tensor &gram, double ridge)
+addAdaptiveRidge(float *gram, int64_t r, double ridge)
 {
     float max_diag = 0.0f;
-    for (int64_t i = 0; i < gram.dim(0); ++i)
-        max_diag = std::max(max_diag, gram.at(i, i));
+    for (int64_t i = 0; i < r; ++i)
+        max_diag = std::max(max_diag, gram[i * r + i]);
     // The 1e-5 * max_diag term dominates float32 round-off in the
     // Gram accumulation, keeping the factorization positive definite
     // even for rank-deficient (heavily pruned) coefficient matrices.
     const float eps = (float)(ridge + 1e-5 * (double)max_diag) + 1e-7f;
-    for (int64_t i = 0; i < gram.dim(0); ++i)
-        gram.at(i, i) += eps;
+    for (int64_t i = 0; i < r; ++i)
+        gram[i * r + i] += eps;
 }
 
 } // namespace
 
+AlsSolver::AlsSolver(const Tensor &w, int64_t r, double ridge)
+    : w_(w.data()), m_(w.dim(0)), n_(w.dim(1)), r_(r), ridge_(ridge),
+      cet_((size_t)(r * w.dim(0))), gram_((size_t)(r * r)),
+      rhs_((size_t)(r * w.dim(0)))
+{
+    SE_ASSERT(w.ndim() == 2 && r > 0, "AlsSolver needs a 2-D W, r > 0");
+}
+
+// Both updates keep linalg::matmul's float-chain rounding sequence
+// (kernels::sgemm / sgemmABt: ascending inner index, zero entries of
+// the left operand skipped), so they match the Tensor formulation
+// (transpose, matmul, choleskySolve) bit for bit.
+
+void
+AlsSolver::fitBasis(const float *ce, float *basis)
+{
+    kernels::transposeF(ce, m_, r_, cet_.data());
+    kernels::sgemm(cet_.data(), ce, gram_.data(), r_, m_, r_, false);
+    addAdaptiveRidge(gram_.data(), r_, ridge_);
+    kernels::sgemm(cet_.data(), w_, basis, r_, m_, n_, false);
+    choleskySolveInPlace(gram_.data(), r_, basis, n_, n_, 1);
+}
+
+void
+AlsSolver::fitCoefficients(const float *basis, float *ce)
+{
+    // B B^T and B W^T straight from row-major B and W (sgemmABt takes
+    // the right operand transposed); the r x m solution is written
+    // out transposed, so each Ce row is one contiguous system.
+    kernels::sgemmABt(basis, basis, gram_.data(), r_, n_, r_, false);
+    addAdaptiveRidge(gram_.data(), r_, ridge_);
+    kernels::sgemmABt(basis, w_, rhs_.data(), r_, n_, m_, false);
+    kernels::transposeF(rhs_.data(), r_, m_, ce);
+    choleskySolveInPlace(gram_.data(), r_, ce, m_, 1, r_);
+}
+
 Tensor
 fitBasis(const Tensor &w, const Tensor &ce, double ridge)
 {
-    // Normal equations: (Ce^T Ce + ridge I) B = Ce^T W.
-    Tensor cet = transpose(ce);
-    Tensor gram = matmul(cet, ce);
-    addAdaptiveRidge(gram, ridge);
-    Tensor rhs = matmul(cet, w);
-    return choleskySolve(gram, rhs);
+    SE_ASSERT(ce.ndim() == 2 && ce.dim(0) == w.dim(0),
+              "fitBasis: Ce rows must match W rows");
+    Tensor b({ce.dim(1), w.dim(1)});
+    AlsSolver(w, ce.dim(1), ridge).fitBasis(ce.data(), b.data());
+    return b;
 }
 
 Tensor
 fitCoefficients(const Tensor &w, const Tensor &b, double ridge)
 {
-    // argmin_Ce ||W - Ce B|| -> (B B^T + ridge I) Ce^T = B W^T.
-    Tensor bt = transpose(b);
-    Tensor gram = matmul(b, bt);
-    addAdaptiveRidge(gram, ridge);
-    Tensor rhs = matmul(b, transpose(w));
-    Tensor cet = choleskySolve(gram, rhs);
-    return transpose(cet);
+    SE_ASSERT(b.ndim() == 2 && b.dim(1) == w.dim(1),
+              "fitCoefficients: B columns must match W columns");
+    Tensor ce({w.dim(0), b.dim(0)});
+    AlsSolver(w, b.dim(0), ridge).fitCoefficients(b.data(), ce.data());
+    return ce;
 }
 
 Tensor

@@ -12,6 +12,8 @@
 #ifndef SE_LINALG_LINALG_HH
 #define SE_LINALG_LINALG_HH
 
+#include <vector>
+
 #include "tensor/tensor.hh"
 
 namespace se {
@@ -30,7 +32,7 @@ double frobNorm(const Tensor &a);
 double frobDiff(const Tensor &a, const Tensor &b);
 
 /**
- * Solve the SPD system A * X = B in-place via Cholesky factorization.
+ * Solve the SPD system A * X = B via Cholesky factorization.
  *
  * A is n x n symmetric positive definite (a small ridge may be added by
  * the caller), B is n x m. Returns X (n x m).
@@ -38,19 +40,56 @@ double frobDiff(const Tensor &a, const Tensor &b);
 Tensor choleskySolve(Tensor a, Tensor b);
 
 /**
- * Least-squares update of the basis: argmin_B || W - Ce * B ||_F.
- *
- * Solves the normal equations (Ce^T Ce + ridge I) B = Ce^T W. The ridge
- * keeps the solve well-posed when Ce has zero columns (fully pruned
- * coefficients), which the SmartExchange sparsifier produces routinely.
+ * choleskySolve on raw storage, in place: a (n x n, row-major) is
+ * overwritten by its lower Cholesky factor and the `count`
+ * right-hand sides in x by their solutions. Element i of right-hand
+ * side c lives at x[i * row_stride + c * col_stride], so a Tensor RHS
+ * (row_stride = count, col_stride = 1) and one system per row
+ * (row_stride = 1, col_stride = n) both solve without a transpose,
+ * with the same operation order and therefore the same bits.
  */
-Tensor fitBasis(const Tensor &w, const Tensor &ce, double ridge = 1e-8);
+void choleskySolveInPlace(float *a, int64_t n, float *x, int64_t count,
+                          int64_t row_stride, int64_t col_stride);
 
 /**
- * Least-squares update of the coefficients:
- * argmin_Ce || W - Ce * B ||_F, i.e. the transposed problem
- * (B B^T + ridge I) Ce^T = B W^T.
+ * The two alternating least-squares factor updates for W ~= Ce * B,
+ * with W (m x n) fixed and Ce m x r, B r x n. The work buffers are
+ * sized once, so the ALS loop of Algorithm 1 allocates nothing per
+ * iteration. W must outlive the solver.
  */
+class AlsSolver
+{
+  public:
+    AlsSolver(const Tensor &w, int64_t r, double ridge = 1e-8);
+
+    /**
+     * basis = argmin_B || W - Ce * B ||_F: solves the normal
+     * equations (Ce^T Ce + ridge I) B = Ce^T W. The ridge keeps the
+     * solve well-posed when Ce has zero columns (fully pruned
+     * coefficients), which the SmartExchange sparsifier produces
+     * routinely.
+     */
+    void fitBasis(const float *ce, float *basis);
+
+    /**
+     * ce = argmin_Ce || W - Ce * B ||_F, the transposed problem
+     * (B B^T + ridge I) Ce^T = B W^T, solved one Ce row at a time.
+     */
+    void fitCoefficients(const float *basis, float *ce);
+
+  private:
+    const float *w_;
+    int64_t m_, n_, r_;
+    double ridge_;
+    std::vector<float> cet_;   ///< Ce^T (r x m)
+    std::vector<float> gram_;  ///< r x r normal matrix
+    std::vector<float> rhs_;   ///< B W^T (r x m)
+};
+
+/** AlsSolver::fitBasis for one Ce (m x r); returns B (r x n). */
+Tensor fitBasis(const Tensor &w, const Tensor &ce, double ridge = 1e-8);
+
+/** AlsSolver::fitCoefficients for one B (r x n); returns Ce (m x r). */
 Tensor fitCoefficients(const Tensor &w, const Tensor &b,
                        double ridge = 1e-8);
 

@@ -2,26 +2,66 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "base/bitutils.hh"
 
 namespace se {
 namespace quant {
 
+namespace {
+
+/** 2^p as a float, identical to std::ldexp(1.0f, p) for every p. */
+inline float
+pow2f(int p)
+{
+    if (p < -126 || p > 127)  // denormal, underflow to 0, or inf
+        return std::ldexp(1.0f, p);
+    const uint32_t u = (uint32_t)(p + 127) << 23;
+    float f;
+    std::memcpy(&f, &u, sizeof f);
+    return f;
+}
+
+/**
+ * The projection of Pow2Alphabet::project with its per-alphabet
+ * constants hoisted: the exponent range and the bit pattern of the
+ * "collapse to zero" threshold, half the smallest level. For
+ * non-negative floats the IEEE bit patterns order like the values, so
+ * the threshold test is one integer compare.
+ */
+struct Pow2Projector
+{
+    int expMin, expMax;
+    uint32_t halfBits;
+
+    explicit Pow2Projector(const Pow2Alphabet &a)
+        : expMin(a.expMin()), expMax(a.expMax)
+    {
+        const float half = std::ldexp(1.0f, expMin) * 0.5f;
+        std::memcpy(&halfBits, &half, sizeof halfBits);
+    }
+
+    float
+    operator()(float x) const
+    {
+        uint32_t u;
+        std::memcpy(&u, &x, sizeof u);
+        const uint32_t mag = u & 0x7fffffffu;
+        if (mag == 0 || mag < halfBits)
+            return 0.0f;
+        const float v =
+            pow2f(std::clamp(nearestPow2Exp(x), expMin, expMax));
+        return x > 0 ? v : -v;
+    }
+};
+
+} // namespace
+
 float
 Pow2Alphabet::project(float x) const
 {
-    if (x == 0.0f)
-        return 0.0f;
-    int p = nearestPow2Exp(x);
-    p = std::clamp(p, expMin(), expMax);
-    float mag = std::ldexp(1.0f, p);
-    // Values whose magnitude is closer to zero than to the smallest
-    // representable power collapse to zero.
-    float smallest = std::ldexp(1.0f, expMin());
-    if (std::abs(x) < smallest * 0.5f)
-        return 0.0f;
-    return x > 0 ? mag : -mag;
+    return Pow2Projector(*this)(x);
 }
 
 bool
@@ -57,17 +97,21 @@ Tensor
 projectPow2(const Tensor &t, const Pow2Alphabet &alpha)
 {
     Tensor out = t;
-    for (int64_t i = 0; i < out.size(); ++i)
-        out[i] = alpha.project(out[i]);
+    projectPow2InPlace(out, alpha);
     return out;
 }
 
 double
-pow2Distance(const Tensor &t, const Pow2Alphabet &alpha)
+projectPow2InPlace(Tensor &t, const Pow2Alphabet &alpha)
 {
+    const Pow2Projector project(alpha);
+    float *x = t.data();
     double d = 0.0;
-    for (int64_t i = 0; i < t.size(); ++i)
-        d += std::abs((double)t[i] - alpha.project(t[i]));
+    for (int64_t i = 0; i < t.size(); ++i) {
+        const float q = project(x[i]);
+        d += std::abs((double)x[i] - q);
+        x[i] = q;
+    }
     return d;
 }
 

@@ -33,7 +33,14 @@ struct Pow2Alphabet
 
     int expMin() const { return expMax - numLevels + 1; }
 
-    /** Project one value onto {0, +-2^p}: nearest in linear distance. */
+    /**
+     * Project one value onto {0, +-2^p}: nearest in linear distance.
+     * Exact rule: 0 and every |x| below half the smallest level
+     * 2^expMin() go to +0; otherwise |x| = 1.f * 2^e rounds to
+     * 2^(e+1) when the mantissa 1.f >= 1.5 (ties up) and to 2^e
+     * below, and that exponent is clamped to [expMin(), expMax].
+     * The sign is kept. x must be finite.
+     */
     float project(float x) const;
 
     /** True when x is exactly representable (0 or +-2^p, p in P). */
@@ -65,8 +72,14 @@ Pow2Alphabet choosePow2Alphabet(const Tensor &t, int bits = 4);
 /** Project every element of t onto the alphabet (returns a copy). */
 Tensor projectPow2(const Tensor &t, const Pow2Alphabet &alpha);
 
-/** Sum |t - projectPow2(t)| distance, the delta(Ce) of Algorithm 1. */
-double pow2Distance(const Tensor &t, const Pow2Alphabet &alpha);
+/**
+ * Project every element of t onto the alphabet in place (the
+ * Pow2Alphabet::project rule) and return the distance it moved,
+ * sum_i |t_i - project(t_i)| accumulated in double in ascending index
+ * order: the (unnormalized) delta(Ce) of Algorithm 1, computed in the
+ * same pass as the projection.
+ */
+double projectPow2InPlace(Tensor &t, const Pow2Alphabet &alpha);
 
 /**
  * Symmetric linear quantizer mapping floats to signed integers of a
