@@ -5,7 +5,8 @@
  * sweep three ways — legacy serial path, N-thread CompressionPipeline,
  * and a cache-warm re-run — plus a batched accelerator sweep through
  * SimDriver. Future PRs diff these numbers to track the perf
- * trajectory.
+ * trajectory. Each pipeline thread count is warmed up once and then
+ * timed over several passes (median and min reported).
  *
  * Usage: ./bench_runtime [--smoke] [max_threads]
  *
@@ -100,13 +101,12 @@ main(int argc, char **argv)
     std::printf("  \"serial_ms\": %.2f,\n", serial_ms);
 
     // --- kernel layer: the same serial sweep, legacy vs blocked ----
-    // The ALS loops inside decomposeMatrix funnel through
-    // linalg::matmul AND linalg::fitCoefficientsMasked — both are
-    // kernel-lowered under Auto (blocked GEMM / precomputed Gram) and
-    // both fall back to the legacy loops under Naive, bit-identically.
-    // Since the masked refit was the dominant ALS cost, this column
-    // now shows a real end-to-end compression speedup where it used
-    // to sit at ~1x. RuntimeOptions carries the programmatic override.
+    // The ALS refits inside decomposeMatrix run on the kernels'
+    // float chains under either setting (linalg::AlsSolver); what
+    // Naive still switches back to the legacy loops is
+    // linalg::fitCoefficientsMasked (refineOnSupport) and the trace /
+    // conclusion matmuls, bit-identically. RuntimeOptions carries the
+    // programmatic override.
     bool e2e_identical = false;
     double e2e_speedup = 0.0;
     {
@@ -201,26 +201,48 @@ main(int argc, char **argv)
     }
 
     // --- pipeline at 1..max_threads ---------------------------------
+    // One untimed warm-up pass per thread count (pool spin-up, page
+    // faults, allocator growth), then kPipelinePasses timed passes,
+    // each on a fresh subject and a fresh cold-cache pipeline. The
+    // median and min carry the spread; "speedup" is against the
+    // serial reference above, "scaling" against the 1-thread median.
+    constexpr int kPipelinePasses = 5;
     std::printf("  \"pipeline\": [\n");
     std::vector<int> thread_counts;
     for (int t = 1; t <= max_threads; t *= 2)
         thread_counts.push_back(t);
     if (thread_counts.back() != max_threads)
         thread_counts.push_back(max_threads);
+    double one_thread_median_ms = 0.0;
     for (size_t i = 0; i < thread_counts.size(); ++i) {
         const int threads = thread_counts[i];
         runtime::RuntimeOptions ro;
         ro.threads = threads;
-        runtime::CompressionPipeline pipe(ro);
-        auto net = makeSubject();
-        t0 = Clock::now();
-        pipe.run(*net, se_opts, apply_opts);
-        const double ms = msSince(t0);
-        const bool identical = weightDigest(*net) == serial_digest;
+        std::vector<double> samples;
+        size_t units = 0;
+        bool identical = true;
+        for (int pass = -1; pass < kPipelinePasses; ++pass) {
+            runtime::CompressionPipeline pipe(ro);
+            auto net = makeSubject();
+            t0 = Clock::now();
+            pipe.run(*net, se_opts, apply_opts);
+            const double ms = msSince(t0);
+            identical = identical && weightDigest(*net) == serial_digest;
+            units = pipe.stats().units;
+            if (pass >= 0)
+                samples.push_back(ms);
+        }
+        std::sort(samples.begin(), samples.end());
+        const double median_ms = samples[samples.size() / 2];
+        if (threads == 1)
+            one_thread_median_ms = median_ms;
         std::printf("    {\"threads\": %d, \"units\": %zu, "
-                    "\"ms\": %.2f, \"speedup\": %.2f, "
-                    "\"bit_identical\": %s}%s\n",
-                    threads, pipe.stats().units, ms, serial_ms / ms,
+                    "\"passes\": %d, \"median_ms\": %.2f, "
+                    "\"min_ms\": %.2f, \"speedup\": %.2f, "
+                    "\"scaling\": %.2f, \"bit_identical\": %s}%s\n",
+                    threads, units, kPipelinePasses, median_ms,
+                    samples.front(), serial_ms / median_ms,
+                    one_thread_median_ms / median_ms,
                     bench::jsonBool(identical),
                     bench::jsonSep(i, thread_counts.size()));
     }

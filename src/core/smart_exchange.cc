@@ -26,16 +26,19 @@ normalizeColumns(Tensor &ce, Tensor &basis, std::vector<double> &norms)
     for (int64_t i = 0; i < m; ++i)
         for (int64_t j = 0; j < r; ++j)
             norms[(size_t)j] += (double)c[i * r + j] * c[i * r + j];
-    for (int64_t j = 0; j < r; ++j)
-        norms[(size_t)j] = std::sqrt(norms[(size_t)j]);
+    // A skipped (near-zero) column divides and multiplies by 1.0
+    // instead, which leaves every float exactly as it was, so the
+    // scaling loops need no branch.
+    for (int64_t j = 0; j < r; ++j) {
+        const double norm = std::sqrt(norms[(size_t)j]);
+        norms[(size_t)j] = norm < 1e-12 ? 1.0 : norm;
+    }
     for (int64_t i = 0; i < m; ++i)
         for (int64_t j = 0; j < r; ++j)
-            if (!(norms[(size_t)j] < 1e-12))
-                c[i * r + j] = (float)(c[i * r + j] / norms[(size_t)j]);
+            c[i * r + j] = (float)(c[i * r + j] / norms[(size_t)j]);
     for (int64_t j = 0; j < r; ++j)
-        if (!(norms[(size_t)j] < 1e-12))
-            for (int64_t k = 0; k < n; ++k)
-                b[j * n + k] = (float)(b[j * n + k] * norms[(size_t)j]);
+        for (int64_t k = 0; k < n; ++k)
+            b[j * n + k] = (float)(b[j * n + k] * norms[(size_t)j]);
 }
 
 /** Caller-owned buffers of sparsifyRows, sized once per matrix. */

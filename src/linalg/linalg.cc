@@ -100,22 +100,28 @@ choleskySolveInPlace(float *a, int64_t n, float *x, int64_t count,
         }
     }
 
-    // Forward substitution L Y = B, then backward L^T X = Y, per
-    // right-hand side.
-    for (int64_t c = 0; c < count; ++c) {
-        float *xc = x + c * col_stride;
-        for (int64_t i = 0; i < n; ++i) {
-            const float *ai = a + i * n;
+    // Forward substitution L Y = B, then backward L^T X = Y. Each
+    // right-hand side's element sequence is the textbook one; the
+    // right-hand sides are swept innermost so their independent
+    // divide chains overlap instead of running back to back.
+    for (int64_t i = 0; i < n; ++i) {
+        const float *ai = a + i * n;
+        for (int64_t c = 0; c < count; ++c) {
+            float *xc = x + c * col_stride;
             double s = xc[i * row_stride];
             for (int64_t k = 0; k < i; ++k)
                 s -= (double)ai[k] * xc[k * row_stride];
             xc[i * row_stride] = (float)(s / ai[i]);
         }
-        for (int64_t i = n - 1; i >= 0; --i) {
+    }
+    for (int64_t i = n - 1; i >= 0; --i) {
+        const float lii = a[i * n + i];
+        for (int64_t c = 0; c < count; ++c) {
+            float *xc = x + c * col_stride;
             double s = xc[i * row_stride];
             for (int64_t k = i + 1; k < n; ++k)
                 s -= (double)a[k * n + i] * xc[k * row_stride];
-            xc[i * row_stride] = (float)(s / a[i * n + i]);
+            xc[i * row_stride] = (float)(s / lii);
         }
     }
 }
@@ -170,13 +176,13 @@ void
 AlsSolver::fitCoefficients(const float *basis, float *ce)
 {
     // B B^T and B W^T straight from row-major B and W (sgemmABt takes
-    // the right operand transposed); the r x m solution is written
-    // out transposed, so each Ce row is one contiguous system.
+    // the right operand transposed). The r x m solution Ce^T is
+    // solved with its m systems side by side, then transposed out.
     kernels::sgemmABt(basis, basis, gram_.data(), r_, n_, r_, false);
     addAdaptiveRidge(gram_.data(), r_, ridge_);
     kernels::sgemmABt(basis, w_, rhs_.data(), r_, n_, m_, false);
+    choleskySolveInPlace(gram_.data(), r_, rhs_.data(), m_, m_, 1);
     kernels::transposeF(rhs_.data(), r_, m_, ce);
-    choleskySolveInPlace(gram_.data(), r_, ce, m_, 1, r_);
 }
 
 Tensor
@@ -227,6 +233,7 @@ fitCoefficientsMasked(const Tensor &w, const Tensor &b, const Tensor &mask,
 
         std::vector<int64_t> idx;
         idx.reserve((size_t)r);
+        std::vector<float> gram((size_t)(r * r)), rhs((size_t)r);
         for (int64_t i = 0; i < m; ++i) {
             idx.clear();
             for (int64_t j = 0; j < r; ++j)
@@ -235,18 +242,16 @@ fitCoefficientsMasked(const Tensor &w, const Tensor &b, const Tensor &mask,
             if (idx.empty())
                 continue;
             const int64_t q = (int64_t)idx.size();
-            Tensor gram({q, q});
-            Tensor rhs({q, (int64_t)1});
             for (int64_t u = 0; u < q; ++u) {
                 for (int64_t v = 0; v < q; ++v)
-                    gram.at(u, v) = gram_full.at(idx[(size_t)u],
-                                                 idx[(size_t)v]);
-                gram.at(u, u) += (float)ridge + 1e-7f;
-                rhs.at(u, 0) = rhs_full.at(i, idx[(size_t)u]);
+                    gram[(size_t)(u * q + v)] =
+                        gram_full.at(idx[(size_t)u], idx[(size_t)v]);
+                gram[(size_t)(u * q + u)] += (float)ridge + 1e-7f;
+                rhs[(size_t)u] = rhs_full.at(i, idx[(size_t)u]);
             }
-            Tensor sol = choleskySolve(gram, rhs);
+            choleskySolveInPlace(gram.data(), q, rhs.data(), 1, 1, 1);
             for (int64_t u = 0; u < q; ++u)
-                ce.at(i, idx[(size_t)u]) = sol.at(u, 0);
+                ce.at(i, idx[(size_t)u]) = rhs[(size_t)u];
         }
         return ce;
     }
@@ -255,6 +260,7 @@ fitCoefficientsMasked(const Tensor &w, const Tensor &b, const Tensor &mask,
     // independent least-squares problem over the subset of basis rows
     // allowed by the mask, with the Gram dots recomputed per row —
     // the reference the lowering above is diffed against.
+    std::vector<float> gram((size_t)(r * r)), rhs((size_t)r);
     for (int64_t i = 0; i < m; ++i) {
         std::vector<int64_t> idx;
         for (int64_t j = 0; j < r; ++j)
@@ -263,25 +269,23 @@ fitCoefficientsMasked(const Tensor &w, const Tensor &b, const Tensor &mask,
         if (idx.empty())
             continue;
         const int64_t q = (int64_t)idx.size();
-        Tensor gram({q, q});
-        Tensor rhs({q, (int64_t)1});
         for (int64_t u = 0; u < q; ++u) {
             for (int64_t v = 0; v < q; ++v) {
                 double s = 0.0;
                 for (int64_t t = 0; t < n; ++t)
                     s += (double)b.at(idx[(size_t)u], t) *
                          b.at(idx[(size_t)v], t);
-                gram.at(u, v) = (float)s;
+                gram[(size_t)(u * q + v)] = (float)s;
             }
-            gram.at(u, u) += (float)ridge + 1e-7f;
+            gram[(size_t)(u * q + u)] += (float)ridge + 1e-7f;
             double s = 0.0;
             for (int64_t t = 0; t < n; ++t)
                 s += (double)b.at(idx[(size_t)u], t) * w.at(i, t);
-            rhs.at(u, 0) = (float)s;
+            rhs[(size_t)u] = (float)s;
         }
-        Tensor sol = choleskySolve(gram, rhs);
+        choleskySolveInPlace(gram.data(), q, rhs.data(), 1, 1, 1);
         for (int64_t u = 0; u < q; ++u)
-            ce.at(i, idx[(size_t)u]) = sol.at(u, 0);
+            ce.at(i, idx[(size_t)u]) = rhs[(size_t)u];
     }
     return ce;
 }

@@ -6,11 +6,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cstdio>
 #include <sstream>
+#include <vector>
 
 #include "base/bitutils.hh"
 #include "base/random.hh"
 #include "base/table.hh"
+#include "pow2_oracle.hh"
 
 namespace se {
 namespace {
@@ -60,15 +64,57 @@ TEST(BitUtils, NearestPow2ExpExactPowers)
 
 TEST(BitUtils, NearestPow2ExpLinearDistance)
 {
-    // 3.0 is at distance 1 from both 2 and 4; log rounding picks one,
-    // and either is a valid nearest neighbour. 2.9 is closer to 2.
-    const int e3 = nearestPow2Exp(3.0);
-    EXPECT_TRUE(e3 == 1 || e3 == 2);
+    // 3.0 is at distance 1 from both 2 and 4: ties round up (mantissa
+    // 1.5 >= 1.5). 2.9 is closer to 2.
+    EXPECT_EQ(nearestPow2Exp(3.0), 2);
+    EXPECT_EQ(nearestPow2Exp(3.0f), 2);
     EXPECT_EQ(nearestPow2Exp(2.9), 1);
     EXPECT_EQ(nearestPow2Exp(3.1), 2);
     // 1.4 closer to 1; 1.6 closer to 2.
     EXPECT_EQ(nearestPow2Exp(1.4), 0);
     EXPECT_EQ(nearestPow2Exp(1.6), 1);
+}
+
+/**
+ * Exact-projection wall: the bit-level rule must agree with the
+ * log2/lround oracle on every float exponent (denormals included) and
+ * on the double range, within 64 ulps of the mantissas where the
+ * answer changes (1.0, sqrt(2), 1.5, max), for both signs.
+ */
+TEST(BitUtils, NearestPow2ExpMatchesLog2Oracle)
+{
+    std::vector<float> fs;
+    for (int e = -149; e <= 127; ++e)
+        oracle::appendNeighbourhoods(fs, e, 64);
+    ASSERT_GT(fs.size(), 250000u);
+    for (float x : fs) {
+        const int want = oracle::nearestPow2Exp(x);
+        ASSERT_EQ(nearestPow2Exp(x), want) << std::hexfloat << x;
+        ASSERT_EQ(nearestPow2Exp((double)x), want) << std::hexfloat << x;
+    }
+
+    std::vector<double> ds;
+    for (int e = -1074; e <= 1022; ++e)
+        oracle::appendNeighbourhoods(ds, e, 64);
+    for (double x : ds)
+        ASSERT_EQ(nearestPow2Exp(x), oracle::nearestPow2Exp(x))
+            << std::hexfloat << x;
+}
+
+TEST(BitUtils, NearestPow2ExpAtTheEdgesOfTheRange)
+{
+    // Smallest denormals: 2^-149 itself, and 3 * 2^-149 (mantissa 1.5,
+    // ties up to 2^-147).
+    EXPECT_EQ(nearestPow2Exp(std::ldexp(1.0f, -149)), -149);
+    EXPECT_EQ(nearestPow2Exp(std::ldexp(3.0f, -149)), -147);
+    EXPECT_EQ(nearestPow2Exp(std::ldexp(1.0, -1074)), -1074);
+    EXPECT_EQ(nearestPow2Exp(FLT_MAX), 128);
+    // Beyond the float range the rule keeps going where the log2
+    // oracle cannot: 2^1024 is not a finite double, so the oracle's
+    // distance compare keeps 1023 for DBL_MAX. No caller reaches this
+    // range (alphabets are chosen from float magnitudes).
+    EXPECT_EQ(nearestPow2Exp(DBL_MAX), 1024);
+    EXPECT_EQ(nearestPow2Exp(std::ldexp(1.25, 1023)), 1023);
 }
 
 TEST(Rng, Deterministic)

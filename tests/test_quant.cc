@@ -7,9 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <set>
+#include <vector>
 
 #include "base/random.hh"
+#include "pow2_oracle.hh"
 #include "quant/quant.hh"
 
 namespace se {
@@ -23,6 +28,7 @@ using quant::FixedPointQuantizer;
 using quant::measureBitSparsity;
 using quant::Pow2Alphabet;
 using quant::projectPow2;
+using quant::projectPow2InPlace;
 
 TEST(Pow2Alphabet, ProjectsExactPowers)
 {
@@ -59,6 +65,63 @@ TEST(Pow2Alphabet, ContainsMembershipIsExact)
     EXPECT_FALSE(a.contains(0.3f));
     EXPECT_FALSE(a.contains(2.0f));   // exponent out of range
     EXPECT_FALSE(a.contains(0.0625f));
+}
+
+/**
+ * Exact-projection wall: Pow2Alphabet::project and the fused
+ * projectPow2InPlace must match the log2/lround oracle bit for bit
+ * (signed zeros included) for every expMax in [-150, 127] and 1, 7
+ * and 31 levels, and the fused pass's distance must equal the
+ * oracle's sum |x - project(x)| taken in index order. Inputs are the
+ * 64-ulp neighbourhoods of oracle::appendNeighbourhoods for every
+ * exponent from two below the alphabet to two above it — outside that
+ * window values only collapse to zero or clamp — plus the extreme
+ * exponents, both signs and +-0.
+ */
+TEST(Pow2Alphabet, ProjectionMatchesLog2OracleBitForBit)
+{
+    for (int levels : {1, 7, 31}) {
+        for (int exp_max = -150; exp_max <= 127; ++exp_max) {
+            const Pow2Alphabet a{exp_max, levels};
+            std::set<int> exps = {-149, -126, 0, 127};
+            for (int e = std::max(-149, a.expMin() - 2);
+                 e <= std::min(127, exp_max + 2); ++e)
+                exps.insert(e);
+            std::vector<float> xs = {0.0f, -0.0f};
+            for (int e : exps)
+                oracle::appendNeighbourhoods(xs, e, 64);
+
+            Tensor t({(int64_t)xs.size()}, xs);
+            const double delta = projectPow2InPlace(t, a);
+            double want_delta = 0.0;
+            for (size_t i = 0; i < xs.size(); ++i) {
+                const float want = oracle::project(a, xs[i]);
+                want_delta += std::abs((double)xs[i] - want);
+                ASSERT_EQ(oracle::bitsOf(a.project(xs[i])),
+                          oracle::bitsOf(want))
+                    << std::hexfloat << xs[i] << " expMax " << exp_max
+                    << " levels " << levels;
+                ASSERT_EQ(oracle::bitsOf(t[(int64_t)i]),
+                          oracle::bitsOf(want))
+                    << std::hexfloat << xs[i] << " expMax " << exp_max
+                    << " levels " << levels;
+            }
+            ASSERT_EQ(delta, want_delta)
+                << "expMax " << exp_max << " levels " << levels;
+        }
+    }
+}
+
+TEST(Pow2Alphabet, ProjectPow2CopyMatchesInPlace)
+{
+    Rng rng(3);
+    Tensor t = randn({300}, rng, 0.0f, 2.0f);
+    const Pow2Alphabet a = choosePow2Alphabet(t, 4);
+    const Tensor copy = projectPow2(t, a);
+    Tensor in_place = t;
+    projectPow2InPlace(in_place, a);
+    for (int64_t i = 0; i < t.size(); ++i)
+        EXPECT_EQ(oracle::bitsOf(copy[i]), oracle::bitsOf(in_place[i]));
 }
 
 TEST(Pow2Alphabet, ProjectionIsIdempotent)

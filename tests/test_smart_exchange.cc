@@ -177,6 +177,18 @@ TEST(SmartExchange, RejectsWideMatrices)
     EXPECT_DEATH(decomposeMatrix(w, SeOptions{}), "tall");
 }
 
+TEST(SmartExchange, RejectsNonFiniteWeights)
+{
+    // A NaN or Inf would otherwise surface far away, as a "not
+    // positive definite" Cholesky failure; it must be named at entry.
+    for (float bad : {std::nanf(""), INFINITY, -INFINITY}) {
+        Tensor w = randomWeight(12, 3, 12);
+        w.at(7, 2) = bad;
+        EXPECT_DEATH(decomposeMatrix(w, SeOptions{}),
+                     "non-finite .* at \\(7, 2\\)");
+    }
+}
+
 TEST(SmartExchange, CoefBitsControlAlphabetSize)
 {
     Tensor w = randomWeight(60, 3, 11);
