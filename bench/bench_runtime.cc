@@ -204,8 +204,8 @@ main(int argc, char **argv)
     // One untimed warm-up pass per thread count (pool spin-up, page
     // faults, allocator growth), then kPipelinePasses timed passes,
     // each on a fresh subject and a fresh cold-cache pipeline. The
-    // median and min carry the spread; "speedup" is against the
-    // serial reference above, "scaling" against the 1-thread median.
+    // median and min carry the spread; "speedup" is the serial
+    // reference above over the median.
     constexpr int kPipelinePasses = 5;
     std::printf("  \"pipeline\": [\n");
     std::vector<int> thread_counts;
@@ -213,7 +213,6 @@ main(int argc, char **argv)
         thread_counts.push_back(t);
     if (thread_counts.back() != max_threads)
         thread_counts.push_back(max_threads);
-    double one_thread_median_ms = 0.0;
     for (size_t i = 0; i < thread_counts.size(); ++i) {
         const int threads = thread_counts[i];
         runtime::RuntimeOptions ro;
@@ -234,15 +233,12 @@ main(int argc, char **argv)
         }
         std::sort(samples.begin(), samples.end());
         const double median_ms = samples[samples.size() / 2];
-        if (threads == 1)
-            one_thread_median_ms = median_ms;
         std::printf("    {\"threads\": %d, \"units\": %zu, "
                     "\"passes\": %d, \"median_ms\": %.2f, "
                     "\"min_ms\": %.2f, \"speedup\": %.2f, "
-                    "\"scaling\": %.2f, \"bit_identical\": %s}%s\n",
+                    "\"bit_identical\": %s}%s\n",
                     threads, units, kPipelinePasses, median_ms,
                     samples.front(), serial_ms / median_ms,
-                    one_thread_median_ms / median_ms,
                     bench::jsonBool(identical),
                     bench::jsonSep(i, thread_counts.size()));
     }

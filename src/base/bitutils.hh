@@ -59,33 +59,15 @@ ceilDiv(int64_t a, int64_t b)
  * Exponent p of the power of two nearest to |x| in linear distance,
  * i.e. the p minimizing | |x| - 2^p |. The caller handles sign and
  * zero; x must be finite and non-zero (zero maps to the smallest
- * denormal exponent, and non-finite input is out of contract).
+ * denormal exponent, and non-finite input is out of contract). Float
+ * arguments promote exactly, so they get the same answer.
  *
  * Exact rule, no log2/lround: write |x| = 1.f * 2^e, normalizing
  * denormals first. The only candidates are 2^e and 2^(e+1), and
  * 2^(e+1) is the nearer one exactly when the mantissa 1.f >= 1.5
  * (ties round up), i.e. when the top fraction bit is set. Hence
- * p = e + (top fraction bit). For a float argument this is the same
- * value the double overload returns for its exact promotion.
+ * p = e + (top fraction bit).
  */
-inline int
-nearestPow2Exp(float x)
-{
-    uint32_t u;
-    std::memcpy(&u, &x, sizeof u);
-    const int biased = (int)((u >> 23) & 0xffu);
-    const uint32_t frac = u & 0x7fffffu;
-    if (biased != 0)
-        return biased - 127 + (int)(frac >> 22);
-    // Denormal: |x| = frac * 2^-149. Its leading set bit k gives
-    // e = k - 149, and the bit below it is the "mantissa >= 1.5" bit.
-    int k = 22;
-    while (k > 0 && !(frac >> k))
-        --k;
-    return k - 149 + (k > 0 ? (int)((frac >> (k - 1)) & 1u) : 0);
-}
-
-/** nearestPow2Exp for a double argument (same rule, 52-bit fraction). */
 inline int
 nearestPow2Exp(double x)
 {
@@ -95,6 +77,8 @@ nearestPow2Exp(double x)
     const uint64_t frac = u & ((1ull << 52) - 1);
     if (biased != 0)
         return biased - 1023 + (int)(frac >> 51);
+    // Denormal: |x| = frac * 2^-1074. Its leading set bit k gives
+    // e = k - 1074, and the bit below it is the "mantissa >= 1.5" bit.
     int k = 51;
     while (k > 0 && !(frac >> k))
         --k;

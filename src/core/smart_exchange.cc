@@ -44,9 +44,9 @@ normalizeColumns(Tensor &ce, Tensor &basis, std::vector<double> &norms)
 /** Caller-owned buffers of sparsifyRows, sized once per matrix. */
 struct SparsifyScratch
 {
-    explicit SparsifyScratch(int64_t m)
-        : rowMag((size_t)m), order((size_t)m), mask((size_t)m)
+    explicit SparsifyScratch(int64_t m) : rowMag((size_t)m), mask((size_t)m)
     {
+        order.reserve((size_t)m);
     }
     std::vector<double> rowMag;
     std::vector<int64_t> order;
@@ -86,29 +86,30 @@ sparsifyRows(Tensor &ce, double theta, double min_vector_sparsity,
     const int64_t want = std::min(
         (int64_t)std::ceil(min_vector_sparsity * m),
         std::max<int64_t>(0, m - min_keep));
-    int64_t *order = scratch.order.data();
+    std::vector<int64_t> &order = scratch.order;
+    order.clear();
     if (zeroed < want) {
-        int64_t count = 0;
         for (int64_t i = 0; i < m; ++i)
             if (keep[(size_t)i])
-                order[count++] = i;
-        std::sort(order, order + count, [&](int64_t a, int64_t b) {
+                order.push_back(i);
+        std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
             return row_mag[(size_t)a] < row_mag[(size_t)b];
         });
-        for (int64_t k = 0; k < want - zeroed && k < count; ++k)
-            keep[(size_t)order[k]] = 0;
+        for (int64_t k = 0; k < want - zeroed &&
+                            k < (int64_t)order.size(); ++k)
+            keep[(size_t)order[(size_t)k]] = 0;
     } else if (zeroed > m - min_keep) {
         // Threshold pruning went too far: resurrect the strongest
         // pruned rows (their values return on the next Ce refit).
-        int64_t count = 0;
         for (int64_t i = 0; i < m; ++i)
             if (!keep[(size_t)i])
-                order[count++] = i;
-        std::sort(order, order + count, [&](int64_t a, int64_t b) {
+                order.push_back(i);
+        std::sort(order.begin(), order.end(), [&](int64_t a, int64_t b) {
             return row_mag[(size_t)a] > row_mag[(size_t)b];
         });
-        for (int64_t k = 0; k < zeroed - (m - min_keep) && k < count; ++k)
-            keep[(size_t)order[k]] = 1;
+        for (int64_t k = 0; k < zeroed - (m - min_keep) &&
+                            k < (int64_t)order.size(); ++k)
+            keep[(size_t)order[(size_t)k]] = 1;
     }
 
     for (int64_t i = 0; i < m; ++i)

@@ -74,13 +74,12 @@ choleskySolve(Tensor a, Tensor b)
               "choleskySolve needs a square A");
     const int64_t n = a.dim(0), m = b.dim(1);
     SE_ASSERT(b.dim(0) == n, "choleskySolve RHS row mismatch");
-    choleskySolveInPlace(a.data(), n, b.data(), m, m, 1);
+    choleskySolveInPlace(a.data(), n, b.data(), m);
     return b;
 }
 
 void
-choleskySolveInPlace(float *a, int64_t n, float *x, int64_t count,
-                     int64_t row_stride, int64_t col_stride)
+choleskySolveInPlace(float *a, int64_t n, float *x, int64_t count)
 {
     // In-place lower-triangular Cholesky: A = L L^T.
     for (int64_t j = 0; j < n; ++j) {
@@ -107,21 +106,19 @@ choleskySolveInPlace(float *a, int64_t n, float *x, int64_t count,
     for (int64_t i = 0; i < n; ++i) {
         const float *ai = a + i * n;
         for (int64_t c = 0; c < count; ++c) {
-            float *xc = x + c * col_stride;
-            double s = xc[i * row_stride];
+            double s = x[i * count + c];
             for (int64_t k = 0; k < i; ++k)
-                s -= (double)ai[k] * xc[k * row_stride];
-            xc[i * row_stride] = (float)(s / ai[i]);
+                s -= (double)ai[k] * x[k * count + c];
+            x[i * count + c] = (float)(s / ai[i]);
         }
     }
     for (int64_t i = n - 1; i >= 0; --i) {
         const float lii = a[i * n + i];
         for (int64_t c = 0; c < count; ++c) {
-            float *xc = x + c * col_stride;
-            double s = xc[i * row_stride];
+            double s = x[i * count + c];
             for (int64_t k = i + 1; k < n; ++k)
-                s -= (double)a[k * n + i] * xc[k * row_stride];
-            xc[i * row_stride] = (float)(s / lii);
+                s -= (double)a[k * n + i] * x[k * count + c];
+            x[i * count + c] = (float)(s / lii);
         }
     }
 }
@@ -151,8 +148,7 @@ addAdaptiveRidge(float *gram, int64_t r, double ridge)
 
 AlsSolver::AlsSolver(const Tensor &w, int64_t r, double ridge)
     : w_(w.data()), m_(w.dim(0)), n_(w.dim(1)), r_(r), ridge_(ridge),
-      cet_((size_t)(r * w.dim(0))), gram_((size_t)(r * r)),
-      rhs_((size_t)(r * w.dim(0)))
+      gram_((size_t)(r * r)), staged_((size_t)(r * w.dim(0)))
 {
     SE_ASSERT(w.ndim() == 2 && r > 0, "AlsSolver needs a 2-D W, r > 0");
 }
@@ -165,44 +161,23 @@ AlsSolver::AlsSolver(const Tensor &w, int64_t r, double ridge)
 void
 AlsSolver::fitBasis(const float *ce, float *basis)
 {
-    kernels::transposeF(ce, m_, r_, cet_.data());
-    kernels::sgemm(cet_.data(), ce, gram_.data(), r_, m_, r_, false);
+    kernels::transposeF(ce, m_, r_, staged_.data());
+    kernels::sgemm(staged_.data(), ce, gram_.data(), r_, m_, r_, false);
     addAdaptiveRidge(gram_.data(), r_, ridge_);
-    kernels::sgemm(cet_.data(), w_, basis, r_, m_, n_, false);
-    choleskySolveInPlace(gram_.data(), r_, basis, n_, n_, 1);
+    kernels::sgemm(staged_.data(), w_, basis, r_, m_, n_, false);
+    choleskySolveInPlace(gram_.data(), r_, basis, n_);
 }
 
 void
 AlsSolver::fitCoefficients(const float *basis, float *ce)
 {
     // B B^T and B W^T straight from row-major B and W (sgemmABt takes
-    // the right operand transposed). The r x m solution Ce^T is
-    // solved with its m systems side by side, then transposed out.
+    // the right operand transposed); the r x m solution is Ce^T.
     kernels::sgemmABt(basis, basis, gram_.data(), r_, n_, r_, false);
     addAdaptiveRidge(gram_.data(), r_, ridge_);
-    kernels::sgemmABt(basis, w_, rhs_.data(), r_, n_, m_, false);
-    choleskySolveInPlace(gram_.data(), r_, rhs_.data(), m_, m_, 1);
-    kernels::transposeF(rhs_.data(), r_, m_, ce);
-}
-
-Tensor
-fitBasis(const Tensor &w, const Tensor &ce, double ridge)
-{
-    SE_ASSERT(ce.ndim() == 2 && ce.dim(0) == w.dim(0),
-              "fitBasis: Ce rows must match W rows");
-    Tensor b({ce.dim(1), w.dim(1)});
-    AlsSolver(w, ce.dim(1), ridge).fitBasis(ce.data(), b.data());
-    return b;
-}
-
-Tensor
-fitCoefficients(const Tensor &w, const Tensor &b, double ridge)
-{
-    SE_ASSERT(b.ndim() == 2 && b.dim(1) == w.dim(1),
-              "fitCoefficients: B columns must match W columns");
-    Tensor ce({w.dim(0), b.dim(0)});
-    AlsSolver(w, b.dim(0), ridge).fitCoefficients(b.data(), ce.data());
-    return ce;
+    kernels::sgemmABt(basis, w_, staged_.data(), r_, n_, m_, false);
+    choleskySolveInPlace(gram_.data(), r_, staged_.data(), m_);
+    kernels::transposeF(staged_.data(), r_, m_, ce);
 }
 
 Tensor
@@ -249,7 +224,7 @@ fitCoefficientsMasked(const Tensor &w, const Tensor &b, const Tensor &mask,
                 gram[(size_t)(u * q + u)] += (float)ridge + 1e-7f;
                 rhs[(size_t)u] = rhs_full.at(i, idx[(size_t)u]);
             }
-            choleskySolveInPlace(gram.data(), q, rhs.data(), 1, 1, 1);
+            choleskySolveInPlace(gram.data(), q, rhs.data(), 1);
             for (int64_t u = 0; u < q; ++u)
                 ce.at(i, idx[(size_t)u]) = rhs[(size_t)u];
         }
@@ -283,7 +258,7 @@ fitCoefficientsMasked(const Tensor &w, const Tensor &b, const Tensor &mask,
                 s += (double)b.at(idx[(size_t)u], t) * w.at(i, t);
             rhs[(size_t)u] = (float)s;
         }
-        choleskySolveInPlace(gram.data(), q, rhs.data(), 1, 1, 1);
+        choleskySolveInPlace(gram.data(), q, rhs.data(), 1);
         for (int64_t u = 0; u < q; ++u)
             ce.at(i, idx[(size_t)u]) = rhs[(size_t)u];
     }

@@ -4,9 +4,11 @@
  * matrix multiplication, norms, Cholesky-based SPD solves, and the two
  * alternating least-squares factor updates for W ~= Ce * B.
  *
- * All matrices are 2-D Tensors in row-major layout. Problem sizes are
- * tiny (B is SxS with S in {1,3,5,7}; Ce has at most a few thousand
- * rows), so clarity is favoured over blocking/vectorization.
+ * All matrices are row-major, as 2-D Tensors or, on the ALS hot path
+ * (AlsSolver, choleskySolveInPlace), raw buffers the caller sizes
+ * once. Problem sizes are tiny (B is SxS with S in {1,3,5,7}; Ce has
+ * at most a few thousand rows), so the products stay on the kernels'
+ * float chains and no blocking beyond theirs is attempted.
  */
 
 #ifndef SE_LINALG_LINALG_HH
@@ -40,16 +42,11 @@ double frobDiff(const Tensor &a, const Tensor &b);
 Tensor choleskySolve(Tensor a, Tensor b);
 
 /**
- * choleskySolve on raw storage, in place: a (n x n, row-major) is
- * overwritten by its lower Cholesky factor and the `count`
- * right-hand sides in x by their solutions. Element i of right-hand
- * side c lives at x[i * row_stride + c * col_stride], so a Tensor RHS
- * (row_stride = count, col_stride = 1) and one system per row
- * (row_stride = 1, col_stride = n) both solve without a transpose,
- * with the same operation order and therefore the same bits.
+ * choleskySolve on raw row-major storage, in place: a (n x n) is
+ * overwritten by its lower Cholesky factor and x (n x count, one
+ * right-hand side per column) by the solution X.
  */
-void choleskySolveInPlace(float *a, int64_t n, float *x, int64_t count,
-                          int64_t row_stride, int64_t col_stride);
+void choleskySolveInPlace(float *a, int64_t n, float *x, int64_t count);
 
 /**
  * The two alternating least-squares factor updates for W ~= Ce * B,
@@ -72,8 +69,8 @@ class AlsSolver
     void fitBasis(const float *ce, float *basis);
 
     /**
-     * ce = argmin_Ce || W - Ce * B ||_F, the transposed problem
-     * (B B^T + ridge I) Ce^T = B W^T, solved one Ce row at a time.
+     * ce = argmin_Ce || W - Ce * B ||_F, i.e. the transposed problem
+     * (B B^T + ridge I) Ce^T = B W^T.
      */
     void fitCoefficients(const float *basis, float *ce);
 
@@ -81,17 +78,11 @@ class AlsSolver
     const float *w_;
     int64_t m_, n_, r_;
     double ridge_;
-    std::vector<float> cet_;   ///< Ce^T (r x m)
-    std::vector<float> gram_;  ///< r x r normal matrix
-    std::vector<float> rhs_;   ///< B W^T (r x m)
+    std::vector<float> gram_;   ///< r x r normal matrix
+    /** r x m: Ce^T in fitBasis; B W^T, solved into Ce^T, in
+     *  fitCoefficients. */
+    std::vector<float> staged_;
 };
-
-/** AlsSolver::fitBasis for one Ce (m x r); returns B (r x n). */
-Tensor fitBasis(const Tensor &w, const Tensor &ce, double ridge = 1e-8);
-
-/** AlsSolver::fitCoefficients for one B (r x n); returns Ce (m x r). */
-Tensor fitCoefficients(const Tensor &w, const Tensor &b,
-                       double ridge = 1e-8);
 
 /**
  * Least-squares refit of Ce restricted to its current support: zero

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <vector>
 
@@ -32,14 +33,93 @@ class ScopedImpl
     kernels::ConvImpl prev_;
 };
 
+using linalg::AlsSolver;
 using linalg::choleskySolve;
-using linalg::fitBasis;
-using linalg::fitCoefficients;
 using linalg::fitCoefficientsMasked;
 using linalg::frobDiff;
 using linalg::frobNorm;
 using linalg::matmul;
 using linalg::transpose;
+
+/** B = argmin ||W - Ce B|| for one Ce, through AlsSolver. */
+Tensor
+fitBasis(const Tensor &w, const Tensor &ce, double ridge = 1e-8)
+{
+    Tensor b({ce.dim(1), w.dim(1)});
+    AlsSolver(w, ce.dim(1), ridge).fitBasis(ce.data(), b.data());
+    return b;
+}
+
+/** Ce = argmin ||W - Ce B|| for one B, through AlsSolver. */
+Tensor
+fitCoefficients(const Tensor &w, const Tensor &b, double ridge = 1e-8)
+{
+    Tensor ce({w.dim(0), b.dim(0)});
+    AlsSolver(w, b.dim(0), ridge).fitCoefficients(b.data(), ce.data());
+    return ce;
+}
+
+/** The adaptive ridge AlsSolver adds to its Gram matrices. */
+void
+addReferenceRidge(Tensor &gram, double ridge)
+{
+    float max_diag = 0.0f;
+    for (int64_t i = 0; i < gram.dim(0); ++i)
+        max_diag = std::max(max_diag, gram.at(i, i));
+    const float eps = (float)(ridge + 1e-5 * (double)max_diag) + 1e-7f;
+    for (int64_t i = 0; i < gram.dim(0); ++i)
+        gram.at(i, i) += eps;
+}
+
+bool
+sameBits(const Tensor &a, const Tensor &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(),
+                       (size_t)a.size() * sizeof(float)) == 0;
+}
+
+/**
+ * AlsSolver works on raw buffers with strided solves; it must equal
+ * the plain Tensor formulation of the normal equations bit for bit,
+ * under both the blocked and the legacy matmul, including Ce with
+ * zero entries and fully zero columns.
+ */
+TEST(Linalg, AlsSolverMatchesTensorFormulationBitForBit)
+{
+    for (kernels::ConvImpl impl :
+         {kernels::ConvImpl::Auto, kernels::ConvImpl::Naive}) {
+        ScopedImpl scoped(impl);
+        for (int64_t r : {1, 3, 5, 8}) {
+            for (int64_t m : {r, 2 * r + 1, (int64_t)97}) {
+                Rng rng(200 + (uint64_t)(m * 10 + r));
+                Tensor w = randn({m, r}, rng);
+                Tensor ce = randn({m, r}, rng);
+                for (int64_t i = 0; i < ce.size(); ++i)
+                    if (rng.chance(0.3) || i % r == r - 1)
+                        ce[i] = 0.0f;
+                Tensor b = randn({r, r}, rng);
+                for (int64_t i = 0; i < r; ++i)
+                    b.at(i, i) += 2.0f;
+
+                Tensor cet = transpose(ce);
+                Tensor gram = matmul(cet, ce);
+                addReferenceRidge(gram, 1e-8);
+                const Tensor want_b =
+                    choleskySolve(gram, matmul(cet, w));
+                EXPECT_TRUE(sameBits(fitBasis(w, ce), want_b))
+                    << "fitBasis m=" << m << " r=" << r;
+
+                Tensor bgram = matmul(b, transpose(b));
+                addReferenceRidge(bgram, 1e-8);
+                const Tensor want_ce = transpose(
+                    choleskySolve(bgram, matmul(b, transpose(w))));
+                EXPECT_TRUE(sameBits(fitCoefficients(w, b), want_ce))
+                    << "fitCoefficients m=" << m << " r=" << r;
+            }
+        }
+    }
+}
 
 TEST(Linalg, MatmulSmall)
 {
