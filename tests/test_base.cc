@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cfloat>
-#include <cstdio>
+#include <cmath>
 #include <sstream>
 #include <vector>
 
