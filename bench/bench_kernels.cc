@@ -15,11 +15,12 @@
  * counts and exits non-zero unless the single-threaded im2col+GEMM
  * path beats naive and matches it bit-exactly — the CI regression
  * gate for this subsystem. The isa_dispatch section (every compiled
- * micro-kernel ISA variant vs the scalar reference) and the
- * gemm_ce_fused section (fused Ce-code decode-in-GEMM vs the staged
- * panel-decode baseline) run in smoke mode too, and feed the same
- * gate: any bit-divergence or a fused kernel slower than the staged
- * one fails the run.
+ * micro-kernel ISA variant on a raw sgemm against the scalar
+ * reference, and on two conv forward shapes that run the double-chain
+ * panel against the naive conv loop) and the gemm_ce_fused section
+ * (fused Ce-code decode-in-GEMM vs the staged panel-decode baseline)
+ * run in smoke mode too, and feed the same gate: any bit-divergence
+ * or a fused kernel slower than the staged one fails the run.
  */
 
 #include <algorithm>
@@ -369,6 +370,54 @@ main(int argc, char **argv)
                 kernels::isaName(isas[i]), ms, flops / ms / 1e6,
                 bench::jsonBool(identical),
                 bench::jsonSep(i, isas.size()));
+        }
+        std::printf("    ],\n");
+
+        // Conv forward per variant, which lowers onto the double-chain
+        // panel: VGG19-sim's last stage (3x3 on 2x2 maps, batch 8, so
+        // n = 4 columns per image GEMM) and the ResNet 3x3 shape.
+        struct IsaConv
+        {
+            ConvCase cc;
+            int64_t batch;
+            int reps;
+        };
+        const IsaConv conv_shapes[] = {
+            {{"vgg19_sim_layer17", 48, 48, 3, 1, 1, 1, 1, 2, 2}, 8,
+             smoke ? 20 : 100},
+            {convCases()[0], 2, smoke ? 2 : 5},
+        };
+        std::printf("    \"conv_forward\": [\n");
+        const size_t conv_rows = 2 * isas.size();
+        size_t row = 0;
+        for (const IsaConv &sc : conv_shapes) {
+            const ConvCase &cc = sc.cc;
+            Rng crng(23);
+            nn::Conv2d conv(cc.c, cc.m, cc.k, cc.stride, cc.pad,
+                            cc.groups, crng, /*bias=*/true, cc.dil);
+            Tensor x = randn({sc.batch, cc.c, cc.h, cc.w}, crng);
+            kernels::setDefaultConvImpl(kernels::ConvImpl::Naive);
+            const uint64_t want = hashTensor(conv.forward(x, false));
+            kernels::setDefaultConvImpl(kernels::ConvImpl::Im2colGemm);
+            const double cflops = (double)sc.batch * convFlops(cc);
+            for (kernels::KernelIsa isa : isas) {
+                kernels::setActiveIsa(isa);
+                const bool identical =
+                    hashTensor(conv.forward(x, false)) == want;
+                ok = ok && identical;
+                const double ms = bestMs(3, sc.reps, [&] {
+                    Tensor y = conv.forward(x, false);
+                    (void)y;
+                });
+                std::printf(
+                    "      {\"shape\": \"%s\", \"batch\": %lld, "
+                    "\"isa\": \"%s\", \"ms\": %.3f, "
+                    "\"gflops\": %.2f, \"bit_identical\": %s}%s\n",
+                    cc.name, (long long)sc.batch, kernels::isaName(isa),
+                    ms, cflops / ms / 1e6, bench::jsonBool(identical),
+                    bench::jsonSep(row++, conv_rows));
+            }
+            kernels::setDefaultConvImpl(kernels::ConvImpl::Auto);
         }
         kernels::setActiveIsa(prev_isa);
         std::printf("    ]\n  },\n");

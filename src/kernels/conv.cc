@@ -25,8 +25,8 @@ deriveDims(const Tensor &x, const ConvSpec &sp)
     d.h = x.dim(2);
     d.w = x.dim(3);
     const int64_t kext = sp.dil * (sp.kern - 1) + 1;
-    d.oh = (d.h + 2 * sp.pad - kext) / sp.stride + 1;
-    d.ow = (d.w + 2 * sp.pad - kext) / sp.stride + 1;
+    d.oh = windowOutExtent(d.h, sp.pad, kext, sp.stride);
+    d.ow = windowOutExtent(d.w, sp.pad, kext, sp.stride);
     d.cpg = sp.inCh / sp.groups;
     d.mpg = sp.outCh / sp.groups;
     d.patch = d.cpg * sp.kern * sp.kern;
@@ -35,6 +35,14 @@ deriveDims(const Tensor &x, const ConvSpec &sp)
 }
 
 } // namespace
+
+int64_t
+windowOutExtent(int64_t in, int64_t pad, int64_t kext, int64_t stride)
+{
+    SE_ASSERT(in + 2 * pad >= kext, "input extent ", in, " with pad ",
+              pad, " is smaller than the ", kext, "-wide window");
+    return (in + 2 * pad - kext) / stride + 1;
+}
 
 Tensor
 conv2dForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias,

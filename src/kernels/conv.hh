@@ -39,6 +39,15 @@ struct ConvSpec
 };
 
 /**
+ * Output extent (in + 2 pad - kext) / stride + 1 of one spatial dim
+ * under a window spanning kext inputs (dilation included). Panics,
+ * naming the shape, when the padded input is smaller than the window:
+ * the division would truncate toward zero and return a bogus size.
+ */
+int64_t windowOutExtent(int64_t in, int64_t pad, int64_t kext,
+                        int64_t stride);
+
+/**
  * y = conv(x, w) + bias for x (N, C, H, W) and w (M, C/g, R, S);
  * bias (M) may be null. Scratch holds the reused column buffer.
  */

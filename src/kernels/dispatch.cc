@@ -172,7 +172,8 @@ gemmCePanelScalar(const uint8_t *row_mask, const uint8_t *nibbles,
 }
 
 const KernelOps kScalarOps{sgemmPanelScalar, sgemmABtPanelScalar,
-                           gemmCePanelScalar};
+                           gemmCePanelScalar,
+                           detail::gemmRowBiasDPanelScalar};
 
 bool
 cpuHasIsa(KernelIsa isa)
@@ -213,6 +214,80 @@ activeIsaSlot()
 }
 
 } // namespace
+
+// ----------------------------------------- scalar double-chain panel
+//
+// Per output element: start from the bias, add (double)a * (double)b
+// in ascending p, round to float once on store. No zero-skip.
+
+void
+detail::gemmRowBiasDPanelScalar(const float *__restrict a,
+                                const float *__restrict b,
+                                const float *row_bias,
+                                const float *col_bias,
+                                float *__restrict c, int64_t m,
+                                int64_t k, int64_t n, int64_t j0,
+                                int64_t j1)
+{
+    auto bias = [&](int64_t i, int64_t j) {
+        return row_bias ? (double)row_bias[i]
+                        : col_bias ? (double)col_bias[j] : 0.0;
+    };
+    // Two A rows per pass halve the B-panel traffic.
+    int64_t jt = j0;
+    for (; jt + kNr <= j1; jt += kNr) {
+        int64_t i = 0;
+        for (; i + 2 <= m; i += 2) {
+            const float *a0 = a + i * k;
+            const float *a1 = a0 + k;
+            double acc0[kNr], acc1[kNr];
+            for (int jj = 0; jj < kNr; ++jj) {
+                acc0[jj] = bias(i, jt + jj);
+                acc1[jj] = bias(i + 1, jt + jj);
+            }
+            const float *bp = b + jt;
+            for (int64_t p = 0; p < k; ++p, bp += n) {
+                const double av0 = a0[p];
+                const double av1 = a1[p];
+                for (int jj = 0; jj < kNr; ++jj) {
+                    const double bv = bp[jj];
+                    acc0[jj] += av0 * bv;
+                    acc1[jj] += av1 * bv;
+                }
+            }
+            float *c0 = c + i * n + jt;
+            float *c1 = c0 + n;
+            for (int jj = 0; jj < kNr; ++jj) {
+                c0[jj] = (float)acc0[jj];
+                c1[jj] = (float)acc1[jj];
+            }
+        }
+        if (i < m) {
+            const float *ai = a + i * k;
+            double acc[kNr];
+            for (int jj = 0; jj < kNr; ++jj)
+                acc[jj] = bias(i, jt + jj);
+            const float *bp = b + jt;
+            for (int64_t p = 0; p < k; ++p, bp += n) {
+                const double av = ai[p];
+                for (int jj = 0; jj < kNr; ++jj)
+                    acc[jj] += av * (double)bp[jj];
+            }
+            float *ci = c + i * n + jt;
+            for (int jj = 0; jj < kNr; ++jj)
+                ci[jj] = (float)acc[jj];
+        }
+    }
+    for (; jt < j1; ++jt) {
+        for (int64_t i = 0; i < m; ++i) {
+            const float *ai = a + i * k;
+            double acc = bias(i, jt);
+            for (int64_t p = 0; p < k; ++p)
+                acc += (double)ai[p] * (double)b[p * n + jt];
+            c[i * n + jt] = (float)acc;
+        }
+    }
+}
 
 const char *
 isaName(KernelIsa isa)

@@ -1,20 +1,25 @@
 /**
  * @file
- * Runtime CPU-feature dispatch for the float-chain micro-kernels.
+ * Runtime CPU-feature dispatch for the float- and double-chain
+ * micro-kernels.
  *
- * The sgemm/sgemmABt column-panel kernels and the fused Ce-code panel
- * kernel exist in up to three explicitly register-tiled variants —
- * scalar (the reference, byte-for-byte the legacy rounding sequence),
- * SSE2 (4-lane tiles) and AVX2 (8-lane, 2x16 register tiles). The
- * best variant the CPU supports is detected once, and every variant
- * preserves the bit-identity contract: each output element is still
- * accumulated over the inner dimension in ascending order with a
- * round after every multiply-add (SIMD lanes are *different output
- * elements*, never partial sums of one element), and zero entries of
- * A keep the legacy skip so signed zeros and NaN propagation cannot
- * diverge. Fused multiply-add is deliberately never emitted — the
- * AVX2 translation unit is compiled with AVX2 but *not* FMA, because
- * a fused mul+add rounds once where the contract rounds twice.
+ * The sgemm/sgemmABt column-panel kernels, the fused Ce-code panel
+ * kernel and the conv/Linear-forward double-chain panel exist in up to
+ * three explicitly register-tiled variants — scalar (the reference,
+ * byte-for-byte the legacy rounding sequence), SSE2 (4-lane tiles)
+ * and AVX2 (8 floats or 4 doubles per YMM). The best variant the CPU
+ * supports is detected once, and every variant preserves the
+ * bit-identity contract: SIMD lanes are *different output elements*,
+ * never partial sums of one element, so each element is still
+ * accumulated over the inner dimension in ascending order. Float
+ * chains round after every multiply and every add, and zero entries
+ * of A keep the legacy skip so signed zeros and NaN propagation
+ * cannot diverge. The double chain adds float products widened to
+ * double, which are exact (24 + 24 significand bits fit in 53), and
+ * rounds to float once on store. Fused multiply-add is deliberately
+ * never emitted — the AVX2 translation unit is compiled with AVX2 but
+ * *not* FMA, because a fused mul+add rounds once where the float
+ * chain rounds twice.
  *
  * Selection order: SE_KERNEL_ISA (scalar | sse2 | avx2 | auto) if
  * set — rejected loudly when unrecognized or not supported by the
@@ -77,8 +82,9 @@ void setActiveIsa(KernelIsa isa);
 
 /**
  * One micro-kernel variant: the column-panel bodies dispatched by
- * sgemm / sgemmABt / gemmCeB. Panels are [j0, j1) output-column
- * ranges; every variant computes bit-identical bytes.
+ * sgemm / sgemmABt / gemmCeB / gemmRowBiasD / gemmColBiasD. Panels
+ * are [j0, j1) output-column ranges; every variant computes
+ * bit-identical bytes.
  */
 struct KernelOps
 {
@@ -100,6 +106,18 @@ struct KernelOps
                         int64_t m, int64_t r, const float *basis,
                         int64_t n, const float *lut, float *out,
                         int64_t j0, int64_t j1);
+    /**
+     * Double-chain body: c(m x n) = (float)(bias + sum_p a[i][p] *
+     * b[p][j]) over [j0,j1), accumulated in double in ascending p and
+     * rounded once on store. The bias is row_bias[i] (conv forward)
+     * or col_bias[j] (batched Linear forward); at most one of the two
+     * is non-null, and with neither the chain starts from zero.
+     */
+    void (*gemmRowBiasDPanel)(const float *a, const float *b,
+                              const float *row_bias,
+                              const float *col_bias, float *c,
+                              int64_t m, int64_t k, int64_t n,
+                              int64_t j0, int64_t j1);
 };
 
 /** The variant table for one level (throws if unsupported). */

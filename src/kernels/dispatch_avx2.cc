@@ -2,7 +2,9 @@
  * @file
  * AVX2 micro-kernel variants: 256-bit register tiles (16 columns as
  * two YMM accumulators, two A rows per pass — 4 live accumulator
- * registers plus broadcasts and B loads, sized for FMA-class cores).
+ * registers plus broadcasts and B loads, sized for FMA-class cores)
+ * for the float chains, and 4 A rows x 8 columns of double
+ * accumulators (8 YMM) for the double chain.
  *
  * This TU is compiled with -mavx2 and deliberately WITHOUT -mfma:
  * a fused multiply-add rounds once where the bit-identity contract
@@ -10,7 +12,8 @@
  * so with the FMA ISA masked off the compiler cannot contract the
  * mul+add pairs below and every byte matches the scalar reference.
  * Lanes are distinct output elements accumulated in ascending-k
- * order, and the A-side zero-skip is kept per row.
+ * order, and the float chains keep the A-side zero-skip per row (the
+ * double chain has none, like its scalar reference).
  *
  * When the build lacks -mavx2 support (non-x86 target, old compiler),
  * avx2Ops() returns nullptr and dispatch falls back to SSE2/scalar.
@@ -277,8 +280,104 @@ gemmCePanelAvx2(const uint8_t *row_mask, const uint8_t *nibbles,
     }
 }
 
+// ------------------------------------------------ double chain
+//
+// Each lane holds one output element's double accumulator. The
+// product of two floats widened to double is exact, so mul then add
+// rounds once per step, in ascending p — the scalar chain exactly.
+
+constexpr int kRowsD = 4;  // A rows per double-chain register tile
+
+/**
+ * Rows [i, i + R) x columns [jt, jt + 4V) of the double chain: R x V
+ * YMM accumulators of 4 doubles, seeded from the bias, narrowed to
+ * float once on store.
+ */
+template <int R, int V>
+inline void
+biasDTile(const float *a, const float *b, const float *row_bias,
+          const float *col_bias, float *c, int64_t i, int64_t k,
+          int64_t n, int64_t jt)
+{
+    __m256d acc[R][V];
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v)
+            acc[r][v] =
+                row_bias ? _mm256_set1_pd((double)row_bias[i + r])
+                : col_bias
+                    ? _mm256_cvtps_pd(_mm_loadu_ps(col_bias + jt + 4 * v))
+                    : _mm256_setzero_pd();
+    const float *bp = b + jt;
+    for (int64_t p = 0; p < k; ++p, bp += n) {
+        __m256d bv[V];
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v)
+            bv[v] = _mm256_cvtps_pd(_mm_loadu_ps(bp + 4 * v));
+#pragma GCC unroll 4
+        for (int r = 0; r < R; ++r) {
+            const __m256d va =
+                _mm256_set1_pd((double)a[(i + r) * k + p]);
+#pragma GCC unroll 2
+            for (int v = 0; v < V; ++v)
+                acc[r][v] =
+                    _mm256_add_pd(acc[r][v], _mm256_mul_pd(va, bv[v]));
+        }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r)
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v)
+            _mm_storeu_ps(c + (i + r) * n + jt + 4 * v,
+                          _mm256_cvtpd_ps(acc[r][v]));
+}
+
+/** Every row of columns [jt, jt + 4V): 4-row tiles, then 1-row. */
+template <int V>
+inline void
+biasDColumns(const float *a, const float *b, const float *row_bias,
+             const float *col_bias, float *c, int64_t m, int64_t k,
+             int64_t n, int64_t jt)
+{
+    int64_t i = 0;
+    for (; i + kRowsD <= m; i += kRowsD)
+        biasDTile<kRowsD, V>(a, b, row_bias, col_bias, c, i, k, n, jt);
+    for (; i < m; ++i)
+        biasDTile<1, V>(a, b, row_bias, col_bias, c, i, k, n, jt);
+}
+
+void
+gemmRowBiasDPanelAvx2(const float *__restrict a,
+                      const float *__restrict b, const float *row_bias,
+                      const float *col_bias, float *__restrict c,
+                      int64_t m, int64_t k, int64_t n, int64_t j0,
+                      int64_t j1)
+{
+    int64_t jt = j0;
+    for (; jt + 8 <= j1; jt += 8)
+        biasDColumns<2>(a, b, row_bias, col_bias, c, m, k, n, jt);
+    // A single-YMM stage, so 2x2 and 4x4 feature maps (n = 4, 16)
+    // never reach the scalar tail.
+    if (jt + 4 <= j1) {
+        biasDColumns<1>(a, b, row_bias, col_bias, c, m, k, n, jt);
+        jt += 4;
+    }
+    for (; jt < j1; ++jt) {  // the scalar reference tail verbatim
+        for (int64_t i = 0; i < m; ++i) {
+            const float *ai = a + i * k;
+            double acc = row_bias   ? (double)row_bias[i]
+                         : col_bias ? (double)col_bias[jt]
+                                    : 0.0;
+            for (int64_t p = 0; p < k; ++p)
+                acc += (double)ai[p] * (double)b[p * n + jt];
+            c[i * n + jt] = (float)acc;
+        }
+    }
+}
+
 const KernelOps kAvx2Ops{sgemmPanelAvx2, sgemmABtPanelAvx2,
-                         gemmCePanelAvx2};
+                         gemmCePanelAvx2, gemmRowBiasDPanelAvx2};
 
 } // namespace
 

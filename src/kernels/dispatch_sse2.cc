@@ -239,7 +239,7 @@ gemmCePanelSse2(const uint8_t *row_mask, const uint8_t *nibbles,
 }
 
 const KernelOps kSse2Ops{sgemmPanelSse2, sgemmABtPanelSse2,
-                         gemmCePanelSse2};
+                         gemmCePanelSse2, gemmRowBiasDPanelScalar};
 
 } // namespace
 

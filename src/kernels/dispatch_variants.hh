@@ -22,6 +22,13 @@ const KernelOps *sse2Ops();
 /** AVX2 variant table, or nullptr when not compiled in. */
 const KernelOps *avx2Ops();
 
+/** Scalar KernelOps::gemmRowBiasDPanel, shared by the SSE2 table. */
+void gemmRowBiasDPanelScalar(const float *a, const float *b,
+                             const float *row_bias,
+                             const float *col_bias, float *c,
+                             int64_t m, int64_t k, int64_t n,
+                             int64_t j0, int64_t j1);
+
 } // namespace detail
 } // namespace kernels
 } // namespace se

@@ -10,141 +10,8 @@ namespace kernels {
 
 namespace {
 
-/** Register-tile width of the double-chain panels below. */
+/** Register-tile width of gemmABtColBiasDPanel. */
 constexpr int64_t kNr = 8;
-
-/**
- * gemmRowBiasD over [j0, j1): the conv-forward micro-kernel. Two A
- * rows per pass halve the B-panel traffic; the double accumulators
- * round once on store, exactly like the legacy loop's `double acc`.
- */
-void
-gemmRowBiasDPanel(const float *__restrict a, const float *__restrict b,
-                  const float *row_bias, float *__restrict c, int64_t m,
-                  int64_t k, int64_t n, int64_t j0, int64_t j1)
-{
-    int64_t jt = j0;
-    for (; jt + kNr <= j1; jt += kNr) {
-        int64_t i = 0;
-        for (; i + 2 <= m; i += 2) {
-            const float *a0 = a + i * k;
-            const float *a1 = a0 + k;
-            const double bias0 = row_bias ? (double)row_bias[i] : 0.0;
-            const double bias1 =
-                row_bias ? (double)row_bias[i + 1] : 0.0;
-            double acc0[kNr], acc1[kNr];
-            for (int jj = 0; jj < kNr; ++jj) {
-                acc0[jj] = bias0;
-                acc1[jj] = bias1;
-            }
-            const float *bp = b + jt;
-            for (int64_t p = 0; p < k; ++p, bp += n) {
-                const double av0 = a0[p];
-                const double av1 = a1[p];
-                for (int jj = 0; jj < kNr; ++jj) {
-                    const double bv = bp[jj];
-                    acc0[jj] += av0 * bv;
-                    acc1[jj] += av1 * bv;
-                }
-            }
-            float *c0 = c + i * n + jt;
-            float *c1 = c0 + n;
-            for (int jj = 0; jj < kNr; ++jj) {
-                c0[jj] = (float)acc0[jj];
-                c1[jj] = (float)acc1[jj];
-            }
-        }
-        if (i < m) {
-            const float *ai = a + i * k;
-            const double bias = row_bias ? (double)row_bias[i] : 0.0;
-            double acc[kNr];
-            for (int jj = 0; jj < kNr; ++jj)
-                acc[jj] = bias;
-            const float *bp = b + jt;
-            for (int64_t p = 0; p < k; ++p, bp += n) {
-                const double av = ai[p];
-                for (int jj = 0; jj < kNr; ++jj)
-                    acc[jj] += av * (double)bp[jj];
-            }
-            float *ci = c + i * n + jt;
-            for (int jj = 0; jj < kNr; ++jj)
-                ci[jj] = (float)acc[jj];
-        }
-    }
-    for (; jt < j1; ++jt) {
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * k;
-            double acc = row_bias ? (double)row_bias[i] : 0.0;
-            for (int64_t p = 0; p < k; ++p)
-                acc += (double)ai[p] * (double)b[p * n + jt];
-            c[i * n + jt] = (float)acc;
-        }
-    }
-}
-
-/** gemmColBiasD over [j0, j1): gemmRowBiasD with per-column bias. */
-void
-gemmColBiasDPanel(const float *__restrict a, const float *__restrict b,
-                  const float *col_bias, float *__restrict c, int64_t m,
-                  int64_t k, int64_t n, int64_t j0, int64_t j1)
-{
-    int64_t jt = j0;
-    for (; jt + kNr <= j1; jt += kNr) {
-        double bias[kNr];
-        for (int jj = 0; jj < kNr; ++jj)
-            bias[jj] = col_bias ? (double)col_bias[jt + jj] : 0.0;
-        int64_t i = 0;
-        for (; i + 2 <= m; i += 2) {
-            const float *a0 = a + i * k;
-            const float *a1 = a0 + k;
-            double acc0[kNr], acc1[kNr];
-            for (int jj = 0; jj < kNr; ++jj) {
-                acc0[jj] = bias[jj];
-                acc1[jj] = bias[jj];
-            }
-            const float *bp = b + jt;
-            for (int64_t p = 0; p < k; ++p, bp += n) {
-                const double av0 = a0[p];
-                const double av1 = a1[p];
-                for (int jj = 0; jj < kNr; ++jj) {
-                    const double bv = bp[jj];
-                    acc0[jj] += av0 * bv;
-                    acc1[jj] += av1 * bv;
-                }
-            }
-            float *c0 = c + i * n + jt;
-            float *c1 = c0 + n;
-            for (int jj = 0; jj < kNr; ++jj) {
-                c0[jj] = (float)acc0[jj];
-                c1[jj] = (float)acc1[jj];
-            }
-        }
-        if (i < m) {
-            const float *ai = a + i * k;
-            double acc[kNr];
-            for (int jj = 0; jj < kNr; ++jj)
-                acc[jj] = bias[jj];
-            const float *bp = b + jt;
-            for (int64_t p = 0; p < k; ++p, bp += n) {
-                const double av = ai[p];
-                for (int jj = 0; jj < kNr; ++jj)
-                    acc[jj] += av * (double)bp[jj];
-            }
-            float *ci = c + i * n + jt;
-            for (int jj = 0; jj < kNr; ++jj)
-                ci[jj] = (float)acc[jj];
-        }
-    }
-    for (; jt < j1; ++jt) {
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * k;
-            double acc = col_bias ? (double)col_bias[jt] : 0.0;
-            for (int64_t p = 0; p < k; ++p)
-                acc += (double)ai[p] * (double)b[p * n + jt];
-            c[i * n + jt] = (float)acc;
-        }
-    }
-}
 
 /** gemmABtColBiasD over the B-row range [j0, j1). */
 void
@@ -213,8 +80,10 @@ void
 gemmRowBiasD(const float *a, const float *b, const float *row_bias,
              float *c, int64_t m, int64_t k, int64_t n)
 {
+    const KernelOps &o = ops();
     forEachColumnPanel(n, m * k * n, [&](int64_t j0, int64_t j1) {
-        gemmRowBiasDPanel(a, b, row_bias, c, m, k, n, j0, j1);
+        o.gemmRowBiasDPanel(a, b, row_bias, nullptr, c, m, k, n, j0,
+                            j1);
     });
 }
 
@@ -231,8 +100,10 @@ void
 gemmColBiasD(const float *a, const float *b, const float *col_bias,
              float *c, int64_t m, int64_t k, int64_t n)
 {
+    const KernelOps &o = ops();
     forEachColumnPanel(n, m * k * n, [&](int64_t j0, int64_t j1) {
-        gemmColBiasDPanel(a, b, col_bias, c, m, k, n, j0, j1);
+        o.gemmRowBiasDPanel(a, b, nullptr, col_bias, c, m, k, n, j0,
+                            j1);
     });
 }
 

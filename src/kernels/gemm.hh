@@ -12,6 +12,12 @@
  * is — so the fast paths are bit-identical to the naive ones and
  * thread-count invariant (goldens do not move).
  *
+ * Dispatch: the float-chain kernels (sgemm, sgemmABt) and the
+ * double-chain kernels gemmRowBiasD / gemmColBiasD run their column
+ * panels through the ISA-selected KernelOps table (dispatch.hh), so
+ * both chains follow SE_KERNEL_ISA and every variant is bit-identical.
+ * gemmABtColBiasD stays a single scalar panel.
+ *
  * Parallelism: the output columns are split into register-tile-aligned
  * panels fanned over kernels::pool() once a matrix is big enough to
  * amortize the task plumbing. Small systems (the ALS solves, Ce*B

@@ -56,8 +56,8 @@ Conv2d::forwardNaive(const Tensor &x) const
 {
     const int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
     const int64_t kext = dil * (kern - 1) + 1;
-    const int64_t oh = (h + 2 * pad_ - kext) / strd + 1;
-    const int64_t ow = (w + 2 * pad_ - kext) / strd + 1;
+    const int64_t oh = kernels::windowOutExtent(h, pad_, kext, strd);
+    const int64_t ow = kernels::windowOutExtent(w, pad_, kext, strd);
     const int64_t cpg = inCh / grps;
     const int64_t mpg = outCh / grps;
 
@@ -425,8 +425,8 @@ Tensor
 MaxPool2d::forward(const Tensor &x, bool train)
 {
     const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
-    const int64_t oh = (h - kern) / strd + 1;
-    const int64_t ow = (w - kern) / strd + 1;
+    const int64_t oh = kernels::windowOutExtent(h, 0, kern, strd);
+    const int64_t ow = kernels::windowOutExtent(w, 0, kern, strd);
     inShape = x.shape();
     Tensor y({n, c, oh, ow});
     if (train)

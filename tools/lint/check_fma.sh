@@ -39,6 +39,13 @@ count_ymm() {
     objdump -d "$1" | grep -c '%ymm' || true
 }
 
+# Second sanity gate: the double-chain panel's ymm double-precision
+# multiplies must be in the scanned object too — otherwise that panel
+# moved out of this TU (or compiled away) and escaped the FMA scan.
+count_ymm_mulpd() {
+    objdump -d "$1" | grep -E 'vmulpd' | grep -c '%ymm' || true
+}
+
 compile() {
     # $1 = output object, rest = extra flags
     out="$1"; shift
@@ -74,6 +81,14 @@ for flags in "-O2 -mavx2" "-O2 -DNDEBUG -mavx2" "-O3 -DNDEBUG -mavx2"; do
         status=1
         continue
     fi
+    mulpd=$(count_ymm_mulpd "$WORK/gate.o")
+    if [ "$mulpd" -eq 0 ]; then
+        echo "check_fma: [$flags] produced no ymm vmulpd — the" \
+             "double-chain panel is not in $TU, so it was not" \
+             "checked" >&2
+        status=1
+        continue
+    fi
     n=$(count_fma "$WORK/gate.o")
     if [ "$n" -ne 0 ]; then
         echo "check_fma: [$flags] emitted $n fused multiply-add" \
@@ -82,7 +97,8 @@ for flags in "-O2 -mavx2" "-O2 -DNDEBUG -mavx2" "-O3 -DNDEBUG -mavx2"; do
         objdump -d "$WORK/gate.o" | grep -E "$FMA_RE" | head -5 >&2
         status=1
     else
-        echo "check_fma: [$flags] clean ($ymm ymm refs, 0 fused)"
+        echo "check_fma: [$flags] clean ($ymm ymm refs," \
+             "$mulpd ymm vmulpd, 0 fused)"
     fi
 done
 exit $status
