@@ -1,8 +1,9 @@
 /**
  * @file
  * Kernel-layer GFLOP/s tracker. Emits one JSON object timing the hot
- * compute paths three ways — legacy naive loops, im2col+GEMM on one
- * thread, and im2col+GEMM over the kernel pool — across
+ * compute paths three ways — the legacy naive loops of
+ * tests/reference, im2col+GEMM on one thread, and im2col+GEMM over
+ * the kernel pool — across
  * ResNet/DeepLab-representative conv shapes (reduced spatial scale,
  * paper kernel geometry), a depth-wise shape, a classifier-head
  * Linear and raw square/skinny GEMMs. Every fast result is also
@@ -18,7 +19,7 @@
  * micro-kernel ISA variant on a raw sgemm against the scalar
  * reference, and on two conv forward shapes that run the double-chain
  * panel against the naive conv loop) and the gemm_ce_fused section
- * (fused Ce-code decode-in-GEMM vs the staged panel-decode baseline)
+ * (fused Ce-code decode-in-GEMM vs the staged panel-decode reference)
  * run in smoke mode too, and feed the same gate: any bit-divergence
  * or a fused kernel slower than the staged one fails the run.
  */
@@ -42,8 +43,8 @@
 #include "kernels/gemm.hh"
 #include "kernels/kernels.hh"
 #include "kernels/scratch.hh"
-#include "linalg/linalg.hh"
 #include "nn/layers.hh"
+#include "reference/reference.hh"
 
 namespace {
 
@@ -85,17 +86,28 @@ convFlops(const ConvCase &cc)
            cc.k;
 }
 
-/** Wall-clock one conv forward configuration; returns ms/call. */
+/** Wall-clock `reps` calls of forward(), after one warm-up call. */
+template <typename F>
 double
-timeConv(nn::Conv2d &conv, const Tensor &x, int reps)
+timeForward(F &&forward, int reps)
 {
-    conv.forward(x, false);  // warm caches and scratch
+    forward();  // warm caches and scratch
     const auto t0 = SteadyClock::now();
     for (int r = 0; r < reps; ++r) {
-        Tensor y = conv.forward(x, false);
+        Tensor y = forward();
         (void)y;
     }
     return msSince(t0) / reps;
+}
+
+/** The reference conv loop over a layer's weights and bias. */
+Tensor
+naiveConv(nn::Conv2d &conv, const ConvCase &cc, const Tensor &x)
+{
+    const kernels::ConvSpec spec{cc.c,   cc.m,      cc.k,  cc.stride,
+                                 cc.pad, cc.groups, cc.dil};
+    return reference::conv2dForward(x, conv.weightTensor(),
+                                     &conv.biasTensor(), spec);
 }
 
 struct ConvResult
@@ -112,32 +124,17 @@ runConvCase(const ConvCase &cc, int reps, int pool_threads)
                     rng, /*bias=*/true, cc.dil);
     Tensor x = randn({2, cc.c, cc.h, cc.w}, rng);
 
+    auto naive = [&] { return naiveConv(conv, cc, x); };
+    auto gemm = [&] { return conv.forward(x, false); };
     ConvResult res;
-    kernels::setDefaultConvImpl(kernels::ConvImpl::Naive);
-    Tensor y_naive = conv.forward(x, false);
-    res.naive_ms = timeConv(conv, x, reps);
-
-    kernels::setDefaultConvImpl(kernels::ConvImpl::Im2colGemm);
-    Tensor y_gemm = conv.forward(x, false);
-    res.identical = hashTensor(y_naive) == hashTensor(y_gemm);
+    res.naive_ms = timeForward(naive, reps);
+    res.identical = hashTensor(naive()) == hashTensor(gemm());
 
     kernels::configureThreads(1);
-    res.gemm1_ms = timeConv(conv, x, reps * 4) ;
+    res.gemm1_ms = timeForward(gemm, reps * 4);
     kernels::configureThreads(pool_threads);
-    res.gemmN_ms = timeConv(conv, x, reps * 4);
-    kernels::setDefaultConvImpl(kernels::ConvImpl::Auto);
+    res.gemmN_ms = timeForward(gemm, reps * 4);
     return res;
-}
-
-/** linalg::matmul forced onto the legacy loop (the GEMM reference). */
-Tensor
-naiveMatmul(const Tensor &a, const Tensor &b)
-{
-    const kernels::ConvImpl prev = kernels::defaultConvImpl();
-    kernels::setDefaultConvImpl(kernels::ConvImpl::Naive);
-    Tensor c = linalg::matmul(a, b);
-    kernels::setDefaultConvImpl(prev);
-    return c;
 }
 
 /** Best-of-`rounds` ms/call — robust against scheduler noise. */
@@ -256,10 +253,10 @@ main(int argc, char **argv)
             Tensor b = randn({gc.k, gc.n}, rng);
             const int reps = 5;
 
-            Tensor c_ref = naiveMatmul(a, b);
+            Tensor c_ref = reference::matmul(a, b);
             auto t0 = SteadyClock::now();
             for (int r = 0; r < reps; ++r)
-                naiveMatmul(a, b);
+                reference::matmul(a, b);
             const double naive_ms = msSince(t0) / reps;
 
             kernels::configureThreads(1);
@@ -299,14 +296,16 @@ main(int argc, char **argv)
             Tensor x = randn({16, 512}, rng);
             const int reps = 20;
 
-            kernels::setDefaultConvImpl(kernels::ConvImpl::Naive);
-            Tensor y_ref = fc.forward(x, false);
+            auto naive = [&] {
+                return reference::linearForward(x, fc.weightTensor(),
+                                                &fc.biasTensor());
+            };
+            Tensor y_ref = naive();
             auto t0 = SteadyClock::now();
             for (int r = 0; r < reps; ++r)
-                fc.forward(x, false);
+                naive();
             const double naive_ms = msSince(t0) / reps;
 
-            kernels::setDefaultConvImpl(kernels::ConvImpl::Auto);
             Tensor y_fast = fc.forward(x, false);
             const bool identical =
                 hashTensor(y_ref) == hashTensor(y_fast);
@@ -396,9 +395,7 @@ main(int argc, char **argv)
             nn::Conv2d conv(cc.c, cc.m, cc.k, cc.stride, cc.pad,
                             cc.groups, crng, /*bias=*/true, cc.dil);
             Tensor x = randn({sc.batch, cc.c, cc.h, cc.w}, crng);
-            kernels::setDefaultConvImpl(kernels::ConvImpl::Naive);
-            const uint64_t want = hashTensor(conv.forward(x, false));
-            kernels::setDefaultConvImpl(kernels::ConvImpl::Im2colGemm);
+            const uint64_t want = hashTensor(naiveConv(conv, cc, x));
             const double cflops = (double)sc.batch * convFlops(cc);
             for (kernels::KernelIsa isa : isas) {
                 kernels::setActiveIsa(isa);
@@ -417,13 +414,12 @@ main(int argc, char **argv)
                     ms, cflops / ms / 1e6, bench::jsonBool(identical),
                     bench::jsonSep(row++, conv_rows));
             }
-            kernels::setDefaultConvImpl(kernels::ConvImpl::Auto);
         }
         kernels::setActiveIsa(prev_isa);
         std::printf("    ]\n  },\n");
     }
 
-    // --- fused Ce-code GEMM vs the staged panel-decode baseline ---
+    // --- fused Ce-code GEMM vs the staged panel-decode reference --
     double fused_speedup = 0.0;
     bool fused_identical = true;
     {
@@ -442,10 +438,10 @@ main(int argc, char **argv)
         kernels::ScratchArena arena;
 
         Tensor staged({m, n});
-        kernels::gemmCeBPanelDecode(packed.rowMask.data(),
-                                    packed.nibbles.data(), m, r,
-                                    basis.data(), n, alpha,
-                                    staged.data(), arena);
+        reference::gemmCeBPanelDecode(packed.rowMask.data(),
+                                      packed.nibbles.data(), m, r,
+                                      basis.data(), n, alpha,
+                                      staged.data(), arena);
         Tensor fused({m, n});
         kernels::gemmCeB(packed.rowMask.data(), packed.nibbles.data(),
                          m, r, basis.data(), n, alpha, fused.data(),
@@ -454,7 +450,7 @@ main(int argc, char **argv)
         ok = ok && fused_identical;
 
         const double staged_ms = bestMs(3, reps, [&] {
-            kernels::gemmCeBPanelDecode(
+            reference::gemmCeBPanelDecode(
                 packed.rowMask.data(), packed.nibbles.data(), m, r,
                 basis.data(), n, alpha, staged.data(), arena);
         });

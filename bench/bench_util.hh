@@ -47,7 +47,7 @@ jsonSep(size_t index, size_t count)
 
 /**
  * Runtime options for the bench drivers: SE_THREADS in the environment
- * overrides (0 = legacy serial path); the default is one worker per
+ * overrides (0 = serial); the default is one worker per
  * core. Sweep results are bit-identical either way — the knob only
  * moves wall-clock.
  */

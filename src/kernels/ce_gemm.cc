@@ -1,11 +1,6 @@
 #include "kernels/ce_gemm.hh"
 
-#include <algorithm>
-#include <cmath>
-
-#include "base/logging.hh"
 #include "kernels/dispatch.hh"
-#include "kernels/gemm.hh"
 
 namespace se {
 namespace kernels {
@@ -13,30 +8,9 @@ namespace kernels {
 namespace {
 
 /**
- * Rows decoded per panel in the staged variant. Big enough that the
- * sgemm call amortizes, small enough that a panel of typical Ce ranks
- * (3..9 columns) stays resident in L1 next to the basis tile.
- */
-constexpr int64_t kPanelRows = 128;
-
-inline float
-decodeNibble(uint8_t nib, int exp_min)
-{
-    const int code = nib & 0x7;
-    if (code == 0) {
-        // Nibble 0x8 (sign with a zero exponent code) never leaves
-        // packCe / the v3 loader; rejecting it here would put a
-        // branch in the hot loop for a can't-happen input.
-        SE_ASSERT(nib == 0, "invalid packed Ce nibble");
-        return 0.0f;
-    }
-    return quant::pow2CodeValue(exp_min, code, (nib & 0x8) != 0);
-}
-
-/**
  * The 16-entry nibble -> float table the fused kernels index with the
- * raw nibble. Built from the same pow2CodeValue rule decodeNibble
- * uses, so a lookup and a decode are the same bits. The two zero
+ * raw nibble. Built from the pow2CodeValue rule the dense path
+ * stores, so a lookup and a decode are the same bits. The two zero
  * encodings (0x0, and the 0x8 sign-on-zero pattern packCe never
  * emits) both map to +0.0f, which the kernels then skip exactly like
  * a decoded zero.
@@ -71,44 +45,6 @@ gemmCeB(const uint8_t *row_mask, const uint8_t *nibbles, int64_t m,
         o.gemmCePanel(row_mask, nibbles, m, r, basis, n, lut, out, j0,
                       j1);
     });
-}
-
-void
-gemmCeBPanelDecode(const uint8_t *row_mask, const uint8_t *nibbles,
-                   int64_t m, int64_t r, const float *basis, int64_t n,
-                   const quant::Pow2Alphabet &alpha, float *out,
-                   ScratchArena &arena)
-{
-    if (m <= 0 || n <= 0)
-        return;
-    const int exp_min = alpha.expMin();
-    int64_t nz_seen = 0;  // non-zero rows before the current row
-    for (int64_t row0 = 0; row0 < m; row0 += kPanelRows) {
-        const int64_t pr = std::min(kPanelRows, m - row0);
-        float *panel = arena.colBuffer(pr * r);
-        for (int64_t i = 0; i < pr; ++i) {
-            const int64_t row = row0 + i;
-            float *dst = panel + i * r;
-            if (!(row_mask[row >> 3] & (1u << (row & 7)))) {
-                std::fill(dst, dst + r, 0.0f);
-                continue;
-            }
-            const int64_t code0 = nz_seen * r;
-            for (int64_t j = 0; j < r; ++j) {
-                const int64_t k = code0 + j;
-                uint8_t nib = nibbles[k >> 1];
-                nib = (k & 1) ? (uint8_t)(nib >> 4)
-                              : (uint8_t)(nib & 0xF);
-                dst[j] = decodeNibble(nib, exp_min);
-            }
-            ++nz_seen;
-        }
-        // Panel rows are disjoint output rows: sgemm accumulates each
-        // element over the full inner dimension in ascending order,
-        // so the split is invisible in the results.
-        sgemm(panel, basis, out + row0 * n, pr, r, n,
-              /*accumulate=*/false);
-    }
 }
 
 } // namespace kernels

@@ -16,7 +16,8 @@
  * element still accumulates over the inner dimension in ascending
  * order with the zero-code skip. gemmCeB is therefore bit-identical
  * to sgemm(decode(Ce), B) — and hence to SeMatrix::reconstruct() —
- * at every ISA level.
+ * at every ISA level. The staged decode-then-sgemm baseline it is
+ * gated against lives in tests/reference.
  *
  * Model-file v4 (adaptive per-column bit widths) feeds this kernel
  * through a transcode shim rather than a second decode path: the v4
@@ -44,23 +45,14 @@ namespace kernels {
  * bytes); `nibbles` packs the non-zero rows' codes two per byte, low
  * nibble first (nibble = 0 for zero, else sign bit 0x8 | exponent
  * code 1..alpha.numLevels — the core::PackedCe layout). Rows absent
- * from the mask decode to zero. The arena is unused by the fused
- * path and kept for call-site compatibility with the staged variant.
+ * from the mask decode to zero. The fused path stages nothing, so
+ * the arena is unused; it stays in the signature for existing
+ * callers.
  */
 void gemmCeB(const uint8_t *row_mask, const uint8_t *nibbles,
              int64_t m, int64_t r, const float *basis, int64_t n,
              const quant::Pow2Alphabet &alpha, float *out,
              ScratchArena &arena);
-
-/**
- * The PR-5 staged variant: decode 128-row panels into the arena and
- * feed sgemm. Kept as the differential/bench baseline the fused
- * kernel is gated against; bit-identical to gemmCeB by construction.
- */
-void gemmCeBPanelDecode(const uint8_t *row_mask, const uint8_t *nibbles,
-                        int64_t m, int64_t r, const float *basis,
-                        int64_t n, const quant::Pow2Alphabet &alpha,
-                        float *out, ScratchArena &arena);
 
 } // namespace kernels
 } // namespace se

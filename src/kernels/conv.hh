@@ -1,20 +1,17 @@
 /**
  * @file
- * Convolution lowering: conv2d forward/backward as im2col + blocked
- * GEMM, supporting stride, zero padding, dilation and groups (so
- * depth-wise convolutions too).
+ * Convolution forward lowering: conv2d as im2col + blocked GEMM,
+ * supporting stride, zero padding, dilation and groups (so depth-wise
+ * convolutions too).
  *
- * Numerics:
- *  - forward is bit-identical to the legacy 7-deep NCHW loop: the
- *    column matrix enumerates the patch in the loop's (channel, kr,
- *    ks) order, padding taps contribute exact zeros, and the GEMM
- *    carries the same per-output double accumulator (bias first,
- *    round once on store);
- *  - backward reproduces gradW/gradB bit-identically (same ascending
- *    (batch, e, f) float chains), while gx goes through col2im, whose
- *    scatter-add re-associates the naive loop's interleaved float
- *    sums — gx agrees to ~1e-4 relative, which is why ConvImpl::Auto
- *    keeps the legacy backward for the golden-pinned retrain benches.
+ * The forward is bit-identical to the legacy 7-deep NCHW loop (kept
+ * as the oracle in tests/reference): the column matrix enumerates
+ * the patch in the loop's (channel, kr, ks) order, padding taps
+ * contribute exact zeros, and the GEMM carries the same per-output
+ * double accumulator (bias first, round once on store). The backward
+ * stays on nn::Conv2d's legacy loop: a col2im scatter-add would
+ * re-associate its interleaved gx sums, which the golden-pinned
+ * retrain benches cannot absorb.
  */
 
 #ifndef SE_KERNELS_CONV_HH
@@ -54,17 +51,6 @@ int64_t windowOutExtent(int64_t in, int64_t pad, int64_t kext,
 Tensor conv2dForwardGemm(const Tensor &x, const Tensor &w,
                          const Tensor *bias, const ConvSpec &spec,
                          ScratchArena &scratch);
-
-/**
- * Backward pass against the cached input: accumulates into gradW
- * (and gradB when non-null) exactly like the legacy loop, and writes
- * the input gradient into gx (which must come in zero-filled, shaped
- * like x).
- */
-void conv2dBackwardGemm(const Tensor &x, const Tensor &w,
-                        const Tensor &gy, const ConvSpec &spec,
-                        ScratchArena &scratch, Tensor &gradW,
-                        Tensor *gradB, Tensor &gx);
 
 } // namespace kernels
 } // namespace se

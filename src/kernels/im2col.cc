@@ -53,34 +53,5 @@ im2col(const float *x, int64_t c, int64_t h, int64_t w, int64_t r,
     }
 }
 
-void
-col2imAdd(const float *col, int64_t c, int64_t h, int64_t w, int64_t r,
-          int64_t s, int64_t stride, int64_t pad, int64_t dil,
-          int64_t oh, int64_t ow, float *x)
-{
-    for (int64_t ci = 0; ci < c; ++ci) {
-        float *xc = x + ci * h * w;
-        for (int64_t kr = 0; kr < r; ++kr) {
-            for (int64_t ks = 0; ks < s; ++ks) {
-                const float *row =
-                    col + (((ci * r) + kr) * s + ks) * oh * ow;
-                const int64_t woff = ks * dil - pad;
-                for (int64_t e = 0; e < oh; ++e) {
-                    const int64_t ih = e * stride + kr * dil - pad;
-                    if (ih < 0 || ih >= h)
-                        continue;
-                    float *xr = xc + ih * w;
-                    const float *src = row + e * ow;
-                    for (int64_t f = 0; f < ow; ++f) {
-                        const int64_t iw = f * stride + woff;
-                        if (iw >= 0 && iw < w)
-                            xr[iw] += src[f];
-                    }
-                }
-            }
-        }
-    }
-}
-
 } // namespace kernels
 } // namespace se

@@ -1,7 +1,7 @@
 /**
  * @file
- * im2col / col2im: lower a convolution's sliding-window geometry onto
- * a dense matrix so conv forward/backward become single GEMMs.
+ * im2col: lower a convolution's sliding-window geometry onto a dense
+ * matrix so the conv forward becomes a single GEMM.
  *
  * Layout contract (shared with the conv lowering and the naive loop's
  * accumulation order): the column matrix is (c*r*s) x (oh*ow) with row
@@ -27,15 +27,6 @@ namespace kernels {
 void im2col(const float *x, int64_t c, int64_t h, int64_t w, int64_t r,
             int64_t s, int64_t stride, int64_t pad, int64_t dil,
             int64_t oh, int64_t ow, float *col);
-
-/**
- * Scatter-add the column-space gradient back into image space:
- * x += fold(col). The inverse geometry of im2col; out-of-image taps
- * are dropped.
- */
-void col2imAdd(const float *col, int64_t c, int64_t h, int64_t w,
-               int64_t r, int64_t s, int64_t stride, int64_t pad,
-               int64_t dil, int64_t oh, int64_t ow, float *x);
 
 } // namespace kernels
 } // namespace se

@@ -1,21 +1,16 @@
 #include "kernels/kernels.hh"
 
-#include <atomic>
 #include <cstdlib>
-#include <cstring>
+#include <map>
 #include <memory>
-#include <vector>
 
 #include "base/env.hh"
-#include "base/logging.hh"
 #include "base/mutex.hh"
 
 namespace se {
 namespace kernels {
 
 namespace {
-
-std::atomic<ConvImpl> g_impl{convImplFromEnv()};
 
 int
 threadsFromEnv()
@@ -34,17 +29,24 @@ threadsFromEnv()
 }
 
 base::Mutex g_pool_mu;
-/** The live pool. Only the pointer is guarded: pool() hands out a
- *  reference that callers use off-lock, which is safe because a pool
- *  is never destroyed mid-process — configureThreads() retires the
- *  old one into g_retired_pools instead of deleting it under a
- *  caller still fanning work onto it. */
-std::unique_ptr<ThreadPool> g_pool SE_GUARDED_BY(g_pool_mu);
-/** Replaced pools, kept alive until exit (see above). A test suite
- *  reconfiguring thread counts leaks a handful of idle workers at
- *  most; correctness beats that footprint. */
-std::vector<std::unique_ptr<ThreadPool>> g_retired_pools
+/** Every pool ever built, one per width. pool() hands out a
+ *  reference that callers use off-lock, so a pool is never destroyed
+ *  mid-process: configureThreads() only re-points g_pool. Keeping
+ *  one pool per width bounds the workers at the sum of the distinct
+ *  widths requested, however often a caller switches between them. */
+std::map<int, std::unique_ptr<ThreadPool>> g_pools
     SE_GUARDED_BY(g_pool_mu);
+/** The live pool, owned by g_pools. */
+ThreadPool *g_pool SE_GUARDED_BY(g_pool_mu) = nullptr;
+
+ThreadPool &
+poolOfWidth(int threads) SE_REQUIRES(g_pool_mu)
+{
+    std::unique_ptr<ThreadPool> &p = g_pools[threads];
+    if (!p)
+        p = std::make_unique<ThreadPool>(threads);
+    return *p;
+}
 
 bool &
 serialFlag()
@@ -55,51 +57,12 @@ serialFlag()
 
 } // namespace
 
-ConvImpl
-convImplFromEnv()
-{
-    const char *s = std::getenv("SE_CONV_IMPL");
-    if (!s || !*s)
-        return ConvImpl::Auto;
-    if (!std::strcmp(s, "auto"))
-        return ConvImpl::Auto;
-    if (!std::strcmp(s, "naive"))
-        return ConvImpl::Naive;
-    if (!std::strcmp(s, "gemm"))
-        return ConvImpl::Im2colGemm;
-    SE_FATAL("SE_CONV_IMPL must be auto|naive|gemm, got '", s, "'");
-}
-
-ConvImpl
-defaultConvImpl()
-{
-    return g_impl.load(std::memory_order_relaxed);
-}
-
-void
-setDefaultConvImpl(ConvImpl impl)
-{
-    g_impl.store(impl, std::memory_order_relaxed);
-}
-
-bool
-useBitIdenticalFastPath(ConvImpl impl)
-{
-    return impl != ConvImpl::Naive;
-}
-
-bool
-useReassociatingFastPath(ConvImpl impl)
-{
-    return impl == ConvImpl::Im2colGemm;
-}
-
 ThreadPool &
 pool()
 {
     base::LockGuard lk(g_pool_mu);
     if (!g_pool)
-        g_pool = std::make_unique<ThreadPool>(threadsFromEnv());
+        g_pool = &poolOfWidth(threadsFromEnv());
     return *g_pool;
 }
 
@@ -107,14 +70,12 @@ void
 configureThreads(int threads)
 {
     base::LockGuard lk(g_pool_mu);
-    // Retire, don't destroy: a concurrent parallelFor() may hold the
-    // reference pool() returned before this call took the lock, and
-    // destroying the pool under it would join workers mid-submit (a
-    // use-after-free TSan catches). The old pool drains naturally and
-    // idles until process exit.
-    if (g_pool)
-        g_retired_pools.push_back(std::move(g_pool));
-    g_pool = std::make_unique<ThreadPool>(threads < 1 ? 1 : threads);
+    // Re-select, don't destroy: a concurrent parallelFor() may hold
+    // the reference pool() returned before this call took the lock,
+    // and destroying the pool under it would join workers mid-submit
+    // (a use-after-free TSan catches). The previous pool drains
+    // naturally and idles until it is selected again.
+    g_pool = &poolOfWidth(threads < 1 ? 1 : threads);
 }
 
 SerialScope::SerialScope() : prev_(serialFlag())

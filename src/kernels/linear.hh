@@ -1,11 +1,11 @@
 /**
  * @file
- * Linear (fully-connected) lowering onto the blocked GEMM. Both
- * directions are bit-identical to the legacy loops: forward carries
- * the same per-output double accumulator over ascending input
- * features, backward continues the same ascending-batch /
- * ascending-output float chains — so ConvImpl::Auto takes the fast
- * path for Linear in training and serving alike.
+ * Linear (fully-connected) lowering onto the blocked GEMM, nn::Linear's
+ * only execution path in training and serving alike. Both directions
+ * are bit-identical to the legacy loops (kept as the oracle in
+ * tests/reference): forward carries the same per-output double
+ * accumulator over ascending input features, backward continues the
+ * same ascending-batch / ascending-output float chains.
  */
 
 #ifndef SE_KERNELS_LINEAR_HH

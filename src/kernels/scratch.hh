@@ -3,12 +3,12 @@
  * Grow-only scratch arena for the kernel lowerings.
  *
  * Each Conv2d/Linear layer owns one arena, so the im2col column
- * buffer, weight-transpose buffer and column-space gradient are
- * allocated once at the layer's steady-state sizes and reused across
- * every subsequent forward/backward call — the per-call allocation
- * churn of the original loops. Not thread-safe: an arena belongs to
- * exactly one layer instance, which the nn layer contract already
- * restricts to one caller at a time.
+ * buffer and the Linear transpose buffer are allocated once at the
+ * layer's steady-state sizes and reused across every subsequent
+ * forward/backward call — the per-call allocation churn of the
+ * original loops. Not thread-safe: an arena belongs to exactly one
+ * layer instance, which the nn layer contract already restricts to
+ * one caller at a time.
  */
 
 #ifndef SE_KERNELS_SCRATCH_HH
@@ -31,25 +31,18 @@ class ScratchArena
         return grow(col_, floats);
     }
 
-    /** Transposed weights for the gx GEMM. */
+    /** Transposed Linear weights for batched forward inputs. */
     float *
     transposeBuffer(int64_t floats)
     {
         return grow(wt_, floats);
     }
 
-    /** Column-space gradient (col2im input). */
-    float *
-    gradBuffer(int64_t floats)
-    {
-        return grow(grad_, floats);
-    }
-
     /** Total floats currently reserved (observability/tests). */
     size_t
     floatsReserved() const
     {
-        return col_.size() + wt_.size() + grad_.size();
+        return col_.size() + wt_.size();
     }
 
     /** Drop every buffer (e.g. after a model is torn down). */
@@ -60,8 +53,6 @@ class ScratchArena
         col_.shrink_to_fit();
         wt_.clear();
         wt_.shrink_to_fit();
-        grad_.clear();
-        grad_.shrink_to_fit();
     }
 
   private:
@@ -73,7 +64,7 @@ class ScratchArena
         return v.data();
     }
 
-    std::vector<float> col_, wt_, grad_;
+    std::vector<float> col_, wt_;
 };
 
 } // namespace kernels

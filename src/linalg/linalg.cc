@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "kernels/gemm.hh"
-#include "kernels/kernels.hh"
 
 namespace se {
 namespace linalg {
@@ -12,27 +11,11 @@ namespace linalg {
 Tensor
 matmul(const Tensor &a, const Tensor &b)
 {
-    SE_ASSERT(a.ndim() == 2 && b.ndim() == 2, "matmul needs 2-D inputs");
-    const int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-    SE_ASSERT(b.dim(0) == k, "matmul inner dim mismatch: ", k, " vs ",
-              b.dim(0));
-    // The blocked kernel reproduces this loop's rounding sequence
-    // (ascending-k float chain per element, zero rows of A skipped)
-    // exactly; SE_CONV_IMPL=naive keeps the legacy loop selectable
-    // for differential tests.
-    if (kernels::useBitIdenticalFastPath(kernels::defaultConvImpl()))
-        return kernels::gemm(a, b);
-    Tensor c({m, n});
-    for (int64_t i = 0; i < m; ++i) {
-        for (int64_t p = 0; p < k; ++p) {
-            const float av = a.at(i, p);
-            if (av == 0.0f)
-                continue;
-            for (int64_t j = 0; j < n; ++j)
-                c.at(i, j) += av * b.at(p, j);
-        }
-    }
-    return c;
+    // The blocked kernel (which checks the shapes) keeps the textbook
+    // rounding sequence — ascending-k float chain per element, zero
+    // entries of A skipped — of the loop tests/reference diffs it
+    // against.
+    return kernels::gemm(a, b);
 }
 
 Tensor
@@ -189,55 +172,26 @@ fitCoefficientsMasked(const Tensor &w, const Tensor &b, const Tensor &mask,
     const int64_t m = w.dim(0), r = b.dim(0), n = b.dim(1);
     Tensor ce({m, r});
 
-    if (kernels::useBitIdenticalFastPath(kernels::defaultConvImpl())) {
-        // GEMM-backed lowering. Every per-row Gram entry is a dot
-        // product of two full basis rows — independent of the mask —
-        // so the r x r Gram B B^T and the m x r right-hand side W B^T
-        // are each computed ONCE through kernels::gemmABtColBiasD
-        // (the double-chain ascending-t kernel, the exact rounding
-        // sequence of the legacy per-row dots), and each row's solve
-        // just gathers its masked submatrix. This replaces the legacy
-        // O(m * q^2 * n) per-row dot products with O(r^2 * n + m*r*n)
-        // GEMM work; outputs are bit-identical.
-        Tensor gram_full({r, r});
-        kernels::gemmABtColBiasD(b.data(), b.data(), nullptr,
-                                 gram_full.data(), r, n, r);
-        Tensor rhs_full({m, r});
-        kernels::gemmABtColBiasD(w.data(), b.data(), nullptr,
-                                 rhs_full.data(), m, n, r);
+    // Every per-row Gram entry is a dot product of two full basis
+    // rows — independent of the mask — so the r x r Gram B B^T and
+    // the m x r right-hand side W B^T are each computed ONCE through
+    // kernels::gemmABtColBiasD (the double-chain ascending-t kernel,
+    // the exact rounding sequence of the per-row dots the
+    // tests/reference oracle recomputes), and each row's solve just
+    // gathers its masked submatrix: O(r^2 * n + m*r*n) GEMM work in
+    // place of O(m * q^2 * n) dot products, bit-identically.
+    Tensor gram_full({r, r});
+    kernels::gemmABtColBiasD(b.data(), b.data(), nullptr,
+                             gram_full.data(), r, n, r);
+    Tensor rhs_full({m, r});
+    kernels::gemmABtColBiasD(w.data(), b.data(), nullptr,
+                             rhs_full.data(), m, n, r);
 
-        std::vector<int64_t> idx;
-        idx.reserve((size_t)r);
-        std::vector<float> gram((size_t)(r * r)), rhs((size_t)r);
-        for (int64_t i = 0; i < m; ++i) {
-            idx.clear();
-            for (int64_t j = 0; j < r; ++j)
-                if (mask.at(i, j) != 0.0f)
-                    idx.push_back(j);
-            if (idx.empty())
-                continue;
-            const int64_t q = (int64_t)idx.size();
-            for (int64_t u = 0; u < q; ++u) {
-                for (int64_t v = 0; v < q; ++v)
-                    gram[(size_t)(u * q + v)] =
-                        gram_full.at(idx[(size_t)u], idx[(size_t)v]);
-                gram[(size_t)(u * q + u)] += (float)ridge + 1e-7f;
-                rhs[(size_t)u] = rhs_full.at(i, idx[(size_t)u]);
-            }
-            choleskySolveInPlace(gram.data(), q, rhs.data(), 1);
-            for (int64_t u = 0; u < q; ++u)
-                ce.at(i, idx[(size_t)u]) = rhs[(size_t)u];
-        }
-        return ce;
-    }
-
-    // Legacy path (SE_CONV_IMPL=naive): each row of Ce is an
-    // independent least-squares problem over the subset of basis rows
-    // allowed by the mask, with the Gram dots recomputed per row —
-    // the reference the lowering above is diffed against.
+    std::vector<int64_t> idx;
+    idx.reserve((size_t)r);
     std::vector<float> gram((size_t)(r * r)), rhs((size_t)r);
     for (int64_t i = 0; i < m; ++i) {
-        std::vector<int64_t> idx;
+        idx.clear();
         for (int64_t j = 0; j < r; ++j)
             if (mask.at(i, j) != 0.0f)
                 idx.push_back(j);
@@ -245,18 +199,11 @@ fitCoefficientsMasked(const Tensor &w, const Tensor &b, const Tensor &mask,
             continue;
         const int64_t q = (int64_t)idx.size();
         for (int64_t u = 0; u < q; ++u) {
-            for (int64_t v = 0; v < q; ++v) {
-                double s = 0.0;
-                for (int64_t t = 0; t < n; ++t)
-                    s += (double)b.at(idx[(size_t)u], t) *
-                         b.at(idx[(size_t)v], t);
-                gram[(size_t)(u * q + v)] = (float)s;
-            }
+            for (int64_t v = 0; v < q; ++v)
+                gram[(size_t)(u * q + v)] =
+                    gram_full.at(idx[(size_t)u], idx[(size_t)v]);
             gram[(size_t)(u * q + u)] += (float)ridge + 1e-7f;
-            double s = 0.0;
-            for (int64_t t = 0; t < n; ++t)
-                s += (double)b.at(idx[(size_t)u], t) * w.at(i, t);
-            rhs[(size_t)u] = (float)s;
+            rhs[(size_t)u] = rhs_full.at(i, idx[(size_t)u]);
         }
         choleskySolveInPlace(gram.data(), q, rhs.data(), 1);
         for (int64_t u = 0; u < q; ++u)

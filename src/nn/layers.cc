@@ -5,7 +5,6 @@
 
 #include "base/random.hh"
 #include "kernels/conv.hh"
-#include "kernels/kernels.hh"
 #include "kernels/linear.hh"
 
 namespace se {
@@ -38,83 +37,19 @@ Conv2d::Conv2d(int64_t in_ch, int64_t out_ch, int64_t kernel,
 Tensor
 Conv2d::forward(const Tensor &x, bool train)
 {
-    SE_ASSERT(x.ndim() == 4 && x.dim(1) == inCh,
-              "conv input shape mismatch");
     if (train)
         cachedX = x;
-    if (kernels::useBitIdenticalFastPath(kernels::defaultConvImpl())) {
-        const kernels::ConvSpec spec{inCh, outCh, kern, strd,
-                                     pad_,  grps,  dil};
-        return kernels::conv2dForwardGemm(
-            x, weight, hasBias ? &bias_ : nullptr, spec, scratch_);
-    }
-    return forwardNaive(x);
-}
-
-Tensor
-Conv2d::forwardNaive(const Tensor &x) const
-{
-    const int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
-    const int64_t kext = dil * (kern - 1) + 1;
-    const int64_t oh = kernels::windowOutExtent(h, pad_, kext, strd);
-    const int64_t ow = kernels::windowOutExtent(w, pad_, kext, strd);
-    const int64_t cpg = inCh / grps;
-    const int64_t mpg = outCh / grps;
-
-    Tensor y({n, outCh, oh, ow});
-    for (int64_t b = 0; b < n; ++b) {
-        for (int64_t g = 0; g < grps; ++g) {
-            for (int64_t mo = 0; mo < mpg; ++mo) {
-                const int64_t m = g * mpg + mo;
-                for (int64_t e = 0; e < oh; ++e) {
-                    for (int64_t f = 0; f < ow; ++f) {
-                        double acc = hasBias ? bias_[m] : 0.0;
-                        for (int64_t ci = 0; ci < cpg; ++ci) {
-                            const int64_t c = g * cpg + ci;
-                            for (int64_t kr = 0; kr < kern; ++kr) {
-                                const int64_t ih =
-                                    e * strd + kr * dil - pad_;
-                                if (ih < 0 || ih >= h)
-                                    continue;
-                                for (int64_t ks = 0; ks < kern; ++ks) {
-                                    const int64_t iw =
-                                        f * strd + ks * dil - pad_;
-                                    if (iw < 0 || iw >= w)
-                                        continue;
-                                    acc += (double)weight.at(m, ci, kr,
-                                                             ks) *
-                                           x.at(b, c, ih, iw);
-                                }
-                            }
-                        }
-                        y.at(b, m, e, f) = (float)acc;
-                    }
-                }
-            }
-        }
-    }
-    return y;
+    const kernels::ConvSpec spec{inCh, outCh, kern, strd,
+                                 pad_,  grps,  dil};
+    return kernels::conv2dForwardGemm(x, weight,
+                                      hasBias ? &bias_ : nullptr, spec,
+                                      scratch_);
 }
 
 Tensor
 Conv2d::backward(const Tensor &gy)
 {
     SE_ASSERT(!cachedX.empty(), "backward without cached forward");
-    if (kernels::useReassociatingFastPath(kernels::defaultConvImpl())) {
-        const kernels::ConvSpec spec{inCh, outCh, kern, strd,
-                                     pad_,  grps,  dil};
-        Tensor gx(cachedX.shape());
-        kernels::conv2dBackwardGemm(cachedX, weight, gy, spec,
-                                    scratch_, gradW,
-                                    hasBias ? &gradB : nullptr, gx);
-        return gx;
-    }
-    return backwardNaive(gy);
-}
-
-Tensor
-Conv2d::backwardNaive(const Tensor &gy)
-{
     const Tensor &x = cachedX;
     const int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
     const int64_t oh = gy.dim(2), ow = gy.dim(3);
@@ -189,67 +124,20 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng &rng,
 Tensor
 Linear::forward(const Tensor &x, bool train)
 {
-    SE_ASSERT(x.ndim() == 2 && x.dim(1) == inF,
-              "linear input shape mismatch");
     if (train)
         cachedX = x;
-    if (kernels::useBitIdenticalFastPath(kernels::defaultConvImpl()))
-        return kernels::linearForwardGemm(
-            x, weight, hasBias ? &bias_ : nullptr, scratch_);
-    return forwardNaive(x);
-}
-
-Tensor
-Linear::forwardNaive(const Tensor &x) const
-{
-    const int64_t n = x.dim(0);
-    Tensor y({n, outF});
-    for (int64_t b = 0; b < n; ++b) {
-        for (int64_t o = 0; o < outF; ++o) {
-            double acc = hasBias ? bias_[o] : 0.0;
-            for (int64_t i = 0; i < inF; ++i)
-                acc += (double)weight.at(o, i) * x.at(b, i);
-            y.at(b, o) = (float)acc;
-        }
-    }
-    return y;
+    return kernels::linearForwardGemm(x, weight,
+                                      hasBias ? &bias_ : nullptr,
+                                      scratch_);
 }
 
 Tensor
 Linear::backward(const Tensor &gy)
 {
     SE_ASSERT(!cachedX.empty(), "backward without cached forward");
-    // Both gradient GEMMs continue the legacy float chains exactly,
-    // so (unlike Conv2d) Auto lowers the backward pass too.
-    if (kernels::useBitIdenticalFastPath(kernels::defaultConvImpl())) {
-        Tensor gx(cachedX.shape());
-        kernels::linearBackwardGemm(cachedX, weight, gy, scratch_,
-                                    gradW, hasBias ? &gradB : nullptr,
-                                    gx);
-        return gx;
-    }
-    return backwardNaive(gy);
-}
-
-Tensor
-Linear::backwardNaive(const Tensor &gy)
-{
-    const Tensor &x = cachedX;
-    const int64_t n = x.dim(0);
-    Tensor gx(x.shape());
-    for (int64_t b = 0; b < n; ++b) {
-        for (int64_t o = 0; o < outF; ++o) {
-            const float gv = gy.at(b, o);
-            if (gv == 0.0f)
-                continue;
-            if (hasBias)
-                gradB[o] += gv;
-            for (int64_t i = 0; i < inF; ++i) {
-                gradW.at(o, i) += gv * x.at(b, i);
-                gx.at(b, i) += gv * weight.at(o, i);
-            }
-        }
-    }
+    Tensor gx(cachedX.shape());
+    kernels::linearBackwardGemm(cachedX, weight, gy, scratch_, gradW,
+                                hasBias ? &gradB : nullptr, gx);
     return gx;
 }
 

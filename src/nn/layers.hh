@@ -19,11 +19,11 @@ namespace nn {
  * 2-D convolution in NCHW with square kernels, zero padding and groups.
  * groups == inChannels == outChannels gives a depth-wise convolution.
  *
- * Execution is dispatched through kernels::defaultConvImpl(): the
- * default lowers forward onto im2col + blocked GEMM (bit-identical to
- * the legacy loop, with a per-layer scratch arena instead of per-call
- * buffers) and keeps the legacy backward; SE_CONV_IMPL selects naive
- * or full-GEMM execution (see kernels/kernels.hh).
+ * Forward lowers onto im2col + blocked GEMM (bit-identical to the
+ * legacy loop in tests/reference, with a per-layer scratch arena
+ * instead of per-call buffers). Backward is the legacy loop itself:
+ * the golden-pinned retrain benches depend on its float accumulation
+ * order, which no GEMM lowering reproduces for gx.
  */
 class Conv2d : public Layer
 {
@@ -51,9 +51,6 @@ class Conv2d : public Layer
     int64_t dilationLen() const { return dil; }
 
   private:
-    Tensor forwardNaive(const Tensor &x) const;
-    Tensor backwardNaive(const Tensor &gy);
-
     int64_t inCh, outCh, kern, strd, pad_, grps, dil;
     bool hasBias;
     Tensor weight, bias_, gradW, gradB;
@@ -62,9 +59,9 @@ class Conv2d : public Layer
 };
 
 /**
- * Fully-connected layer y = x W^T + b, x is (N, C). Dispatched like
- * Conv2d; both directions of the GEMM lowering are bit-identical to
- * the legacy loops, so Auto takes the fast path everywhere.
+ * Fully-connected layer y = x W^T + b, x is (N, C). Both directions
+ * run on the blocked GEMM, bit-identical to the legacy loops in
+ * tests/reference.
  */
 class Linear : public Layer
 {
@@ -87,9 +84,6 @@ class Linear : public Layer
     int64_t outFeatures() const { return outF; }
 
   private:
-    Tensor forwardNaive(const Tensor &x) const;
-    Tensor backwardNaive(const Tensor &gy);
-
     int64_t inF, outF;
     bool hasBias;
     Tensor weight, bias_, gradW, gradB;

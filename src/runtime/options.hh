@@ -17,7 +17,6 @@
 #include "base/env.hh"
 #include "base/failpoint.hh"
 #include "kernels/dispatch.hh"
-#include "kernels/kernels.hh"
 
 namespace se {
 namespace runtime {
@@ -37,29 +36,18 @@ enum class ServeWeightSource
 struct RuntimeOptions
 {
     /**
-     * Worker threads. 0 selects the legacy serial path (no pool, no
-     * task plumbing, cache bypassed — byte-for-byte the pre-runtime
-     * behaviour); negative means "one per hardware core".
+     * Worker threads. 0 and 1 both run every unit serially on the
+     * calling thread (no pool); negative means "one per hardware
+     * core". Results are bit-identical for any value.
      */
     int threads = 0;
     /**
      * Decomposition-cache capacity in entries; 0 disables caching.
      * Repeated sweeps (ablations, design-space scans) with identical
-     * (weights, options) inputs then skip the ALS loop entirely.
-     * Ignored on the legacy path (threads = 0).
+     * (weights, options) inputs then skip the ALS loop entirely, at
+     * any thread count.
      */
     size_t cacheCapacity = 0;
-    /**
-     * Which conv/GEMM lowering the nn layers use (SE_CONV_IMPL in the
-     * environment: auto | naive | gemm). Results never depend on Auto
-     * vs Naive — the fast forward paths are bit-identical — so like
-     * `threads` this knob only moves wall-clock. Unlike `threads`,
-     * this field is NOT consumed by the pipeline/serve constructors:
-     * kernel dispatch is process-wide, already initialized from
-     * SE_CONV_IMPL, and a *programmatic* override takes effect only
-     * through applyKernelConfig() (see bench_runtime's impl column).
-     */
-    kernels::ConvImpl convImpl = kernels::ConvImpl::Auto;
     /**
      * Which micro-kernel ISA variant the GEMM layer runs
      * (SE_KERNEL_ISA = auto | scalar | sse2 | avx2). Empty (the
@@ -146,14 +134,10 @@ struct RuntimeOptions
      */
     std::string failpoints;
 
-    /**
-     * Install convImpl (and, when set, kernelIsa) as the process-wide
-     * kernel defaults.
-     */
+    /** Install kernelIsa, when set, as the process-wide default. */
     void
     applyKernelConfig() const
     {
-        kernels::setDefaultConvImpl(convImpl);
         if (kernelIsa)
             kernels::setActiveIsa(*kernelIsa);
     }
@@ -183,13 +167,11 @@ struct RuntimeOptions
     /**
      * The convention every driver binary shares: one worker per core
      * and a warm cache, with SE_THREADS in the environment overriding
-     * the thread count (0 = legacy serial path) and SE_CONV_IMPL the
-     * kernel lowering. Results never depend on either value — they
-     * only move wall-clock.
+     * the thread count (0 = serial). Results never depend on the
+     * value — it only moves wall-clock.
      *
      * Every SE_* knob is parsed strictly: a value that is not fully
-     * recognized throws std::invalid_argument (SE_CONV_IMPL keeps
-     * its own fatal rejection in convImplFromEnv) instead of being
+     * recognized throws std::invalid_argument instead of being
      * silently coerced to a default.
      */
     static RuntimeOptions
@@ -200,7 +182,6 @@ struct RuntimeOptions
         if (const char *t = std::getenv("SE_THREADS"))
             ro.threads = base::envIntNarrow("SE_THREADS", t);
         ro.cacheCapacity = cache_capacity;
-        ro.convImpl = kernels::convImplFromEnv();
         // parseKernelIsa throws std::invalid_argument on anything it
         // does not recognize, matching the other knobs' strictness.
         if (const char *isa = std::getenv("SE_KERNEL_ISA"))

@@ -13,12 +13,6 @@ CompressionPipeline::run(nn::Sequential &net,
     stats_ = PipelineStats{};
 
     const int threads = opts_.resolvedThreads();
-    if (threads == 0) {
-        // Legacy serial path, untouched (the cache is bypassed too:
-        // threads = 0 means "exactly the pre-runtime code").
-        return core::applySmartExchange(net, se_opts, apply_opts);
-    }
-
     core::CompressionPlan plan =
         core::planCompression(net, se_opts, apply_opts);
     std::vector<core::SeMatrix> results(plan.units.size());

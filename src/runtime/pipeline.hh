@@ -7,9 +7,8 @@
  * fixed-size thread pool, optionally through the decomposition cache,
  * and reassembles the CompressionReport deterministically. Because
  * decomposeMatrix is deterministic and every slice is independent, the
- * parallel result is bit-identical to the serial one; with
- * RuntimeOptions{threads = 0} the pipeline literally calls the legacy
- * serial path.
+ * result is bit-identical to applySmartExchange's at any thread count;
+ * threads = 0 or 1 runs the same units serially on the calling thread.
  */
 
 #ifndef SE_RUNTIME_PIPELINE_HH
@@ -30,7 +29,7 @@ struct PipelineStats
 {
     size_t units = 0;       ///< decomposition tasks executed
     size_t cacheHits = 0;   ///< tasks answered from the cache
-    int threadsUsed = 0;    ///< pool width (0 = legacy serial path)
+    int threadsUsed = 0;    ///< pool width (0 or 1 = serial)
 };
 
 class CompressionPipeline

@@ -20,11 +20,10 @@
 namespace {
 
 std::string
-runBench(const std::string &name, const std::string &extra_env = "")
+runBench(const std::string &name)
 {
-    const std::string cmd = "SE_THREADS=2 " + extra_env +
-                            (extra_env.empty() ? "" : " ") +
-                            SE_BENCH_DIR "/" + name + " 2>/dev/null";
+    const std::string cmd =
+        "SE_THREADS=2 " SE_BENCH_DIR "/" + name + " 2>/dev/null";
     FILE *pipe = popen(cmd.c_str(), "r");
     if (!pipe) {
         ADD_FAILURE() << "cannot launch " << cmd;
@@ -56,10 +55,9 @@ readGolden(const std::string &name)
 
 /** Byte-exact comparison with a line-level report on mismatch. */
 void
-expectGolden(const std::string &bench, const std::string &golden_file,
-             const std::string &extra_env = "")
+expectGolden(const std::string &bench, const std::string &golden_file)
 {
-    const std::string got = runBench(bench, extra_env);
+    const std::string got = runBench(bench);
     const std::string want = readGolden(golden_file);
     if (got == want)
         return;
@@ -110,16 +108,6 @@ TEST(Golden, DISABLED_Table2RetrainedCompressionFull)
 TEST(Golden, Fig11DramAccesses)
 {
     expectGolden("bench_fig11", "bench_fig11.txt");
-}
-
-TEST(Golden, Fig11InvariantUnderConvImpl)
-{
-    // The kernel lowering must never leak into paper figures: the
-    // same pinned bytes under the naive loops and the full GEMM path.
-    expectGolden("bench_fig11", "bench_fig11.txt",
-                 "SE_CONV_IMPL=naive");
-    expectGolden("bench_fig11", "bench_fig11.txt",
-                 "SE_CONV_IMPL=gemm");
 }
 
 TEST(Golden, Fig12Speedup)

@@ -12,26 +12,11 @@
 #include <vector>
 
 #include "base/random.hh"
-#include "kernels/kernels.hh"
 #include "linalg/linalg.hh"
+#include "reference/reference.hh"
 
 namespace se {
 namespace {
-
-/** Flip the process-wide kernel lowering for one scope. */
-class ScopedImpl
-{
-  public:
-    explicit ScopedImpl(kernels::ConvImpl impl)
-        : prev_(kernels::defaultConvImpl())
-    {
-        kernels::setDefaultConvImpl(impl);
-    }
-    ~ScopedImpl() { kernels::setDefaultConvImpl(prev_); }
-
-  private:
-    kernels::ConvImpl prev_;
-};
 
 using linalg::AlsSolver;
 using linalg::choleskySolve;
@@ -82,14 +67,13 @@ sameBits(const Tensor &a, const Tensor &b)
 /**
  * AlsSolver works on raw buffers with strided solves; it must equal
  * the plain Tensor formulation of the normal equations bit for bit,
- * under both the blocked and the legacy matmul, including Ce with
- * zero entries and fully zero columns.
+ * with the formulation's products on either the blocked matmul or
+ * the reference loop, including Ce with zero entries and fully zero
+ * columns.
  */
 TEST(Linalg, AlsSolverMatchesTensorFormulationBitForBit)
 {
-    for (kernels::ConvImpl impl :
-         {kernels::ConvImpl::Auto, kernels::ConvImpl::Naive}) {
-        ScopedImpl scoped(impl);
+    for (auto matmul : {&linalg::matmul, &reference::matmul}) {
         for (int64_t r : {1, 3, 5, 8}) {
             for (int64_t m : {r, 2 * r + 1, (int64_t)97}) {
                 Rng rng(200 + (uint64_t)(m * 10 + r));
@@ -286,8 +270,8 @@ TEST(Linalg, MaskedFitGemmLoweringBitIdenticalToLegacy)
 {
     // The GEMM-backed masked refit (B B^T and W B^T precomputed once
     // through kernels::gemmABtColBiasD, per-row masked gather) must
-    // reproduce the legacy per-row-dot path to the last bit — same
-    // contract as matmul's Auto-vs-Naive split. Sweep shapes across
+    // reproduce the reference per-row-dot loop to the last bit — the
+    // same contract matmul keeps with its reference. Sweep shapes across
     // ranks and mask densities, including empty rows and a full mask.
     Rng rng(11);
     for (const auto &dims : std::vector<std::vector<int64_t>>{
@@ -302,15 +286,9 @@ TEST(Linalg, MaskedFitGemmLoweringBitIdenticalToLegacy)
             for (int64_t i = 0; i < mask.size(); ++i)
                 if (!rng.chance(density))
                     mask[i] = 0.0f;
-            Tensor fast, slow;
-            {
-                ScopedImpl impl(kernels::ConvImpl::Auto);
-                fast = fitCoefficientsMasked(w, b, mask);
-            }
-            {
-                ScopedImpl impl(kernels::ConvImpl::Naive);
-                slow = fitCoefficientsMasked(w, b, mask);
-            }
+            const Tensor fast = fitCoefficientsMasked(w, b, mask);
+            const Tensor slow =
+                reference::fitCoefficientsMasked(w, b, mask);
             ASSERT_EQ(fast.shape(), slow.shape());
             EXPECT_EQ(std::memcmp(fast.data(), slow.data(),
                                   (size_t)fast.size() * sizeof(float)),

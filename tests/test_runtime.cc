@@ -105,7 +105,7 @@ TEST(RuntimeOptions, FromEnvParsesPipelineKnobs)
 TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
 {
     // Regression: these used to be atoi/atof'd — SE_THREADS=four
-    // silently selected the legacy serial path (0) instead of
+    // silently selected the serial path (0) instead of
     // failing. Every SE_* knob now rejects unrecognized values.
     const std::vector<std::pair<const char *, const char *>> bad{
         {"SE_THREADS", "four"},
@@ -584,8 +584,11 @@ TEST(CompressionPipeline, ParallelMatchesSerialBitForBit)
     expectIdenticalReports(report_serial, report_parallel);
 }
 
-TEST(CompressionPipeline, ZeroThreadsIsTheLegacySerialPath)
+TEST(CompressionPipeline, ZeroThreadsMatchesTheLegacySerialPath)
 {
+    // threads = 0 runs the pipeline's units serially (through the
+    // cache when one is configured); applySmartExchange is the
+    // reference it must reproduce.
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
 
@@ -593,10 +596,14 @@ TEST(CompressionPipeline, ZeroThreadsIsTheLegacySerialPath)
     auto report_serial = core::applySmartExchange(
         *serial_net, se_opts, core::ApplyOptions{});
 
-    runtime::CompressionPipeline pipe;  // threads = 0
+    runtime::RuntimeOptions ro;  // threads = 0
+    ro.cacheCapacity = 64;
+    runtime::CompressionPipeline pipe(ro);
     auto fallback_net = makeCnn(78);
     auto report_fallback =
         pipe.run(*fallback_net, se_opts, core::ApplyOptions{});
+    EXPECT_EQ(pipe.stats().threadsUsed, 0);
+    EXPECT_GT(pipe.stats().units, 0u);
 
     expectIdenticalWeights(*serial_net, *fallback_net);
     expectIdenticalReports(report_serial, report_fallback);

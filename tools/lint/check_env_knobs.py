@@ -8,7 +8,10 @@ tests is one refactor away from both. This check makes the four
 surfaces agree by construction:
 
   1. every `getenv("SE_*")` knob in src/ is parsed (strictly) in
-     RuntimeOptions::fromEnv (src/runtime/options.hh);
+     RuntimeOptions::fromEnv (src/runtime/options.hh), and no driver
+     (bench/*.cc, bench/*.hh, examples/*.cpp) calls getenv("SE_*")
+     itself -- drivers take their knobs from fromEnv, so none can
+     parse one more loosely than the library does;
   2. every knob is exercised by at least one tests/*.cc;
   3. every knob is documented in README.md;
   4. every SE_* token README documents is a real knob (allowlist for
@@ -72,6 +75,9 @@ def collect(root=ROOT):
     src = sorted((root / "src").rglob("*.cc")) + sorted(
         (root / "src").rglob("*.hh"))
     tests = sorted((root / "tests").glob("*.cc"))
+    drivers = (sorted((root / "bench").glob("*.cc")) +
+               sorted((root / "bench").glob("*.hh")) +
+               sorted((root / "examples").glob("*.cpp")))
     readme = read(root / "README.md")
     src_text = {p: read(p) for p in src}
     tests_text = "\n".join(read(p) for p in tests)
@@ -87,6 +93,8 @@ def collect(root=ROOT):
         "knobs": knobs,
         "sites": sites,
         "from_env": from_env,
+        "drivers_text": {p.relative_to(root).as_posix(): read(p)
+                         for p in drivers},
         "tests_text": tests_text,
         "readme": readme,
     }
@@ -105,6 +113,11 @@ def check(reg):
             bad.append(f"knob {knob}: not exercised by any tests/*.cc")
         if knob not in reg["readme"]:
             bad.append(f"knob {knob}: not documented in README.md")
+    for path, text in sorted(reg["drivers_text"].items()):
+        for knob in sorted(set(GETENV_RE.findall(text))):
+            bad.append(
+                f"{path}: driver reads {knob} with getenv; take it "
+                f"from RuntimeOptions::fromEnv (src/runtime/options.hh)")
 
     documented = set(README_TOKEN_RE.findall(reg["readme"]))
     for token in sorted(documented - knobs - KNOB_ALLOWLIST):
@@ -156,6 +169,11 @@ def self_test():
     expect("unparsed knob",
            lambda r: r["knobs"].add("SE_SELFTEST_BOGUS"),
            "SE_SELFTEST_BOGUS")
+    expect("driver-side getenv",
+           lambda r: r["drivers_text"].update(
+               {"bench/selftest.cc":
+                'int t = atoi(std::getenv("SE_SELFTEST_DRIVER"));'}),
+           "SE_SELFTEST_DRIVER")
     expect("undocumented README token",
            lambda r: r.update(
                readme=r["readme"] + "\n`SE_SELFTEST_STALE` doc\n"),
@@ -174,7 +192,7 @@ def self_test():
         for f in failures:
             print("  " + f, file=sys.stderr)
         return 1
-    print("check_env_knobs self-test OK: all 4 seeded violation "
+    print("check_env_knobs self-test OK: all 5 seeded violation "
           "classes detected")
     return 0
 
