@@ -21,7 +21,10 @@
  * panel against the naive conv loop) and the gemm_ce_fused section
  * (fused Ce-code decode-in-GEMM vs the staged panel-decode reference)
  * run in smoke mode too, and feed the same gate: any bit-divergence
- * or a fused kernel slower than the staged one fails the run.
+ * or a fused kernel slower than the staged one fails the run. So do
+ * the gemm_ceb rows (every ISA at the serve pieces' real shapes,
+ * r = n = 3 and 4): their bit-identity joins the gate, their timings
+ * do not.
  */
 
 #include <algorithm>
@@ -29,6 +32,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -470,6 +474,68 @@ main(int argc, char **argv)
             (long long)m, (int)r, (int)n, staged_ms, fused_ms,
             flops / fused_ms / 1e6, fused_speedup,
             bench::jsonBool(fused_identical));
+    }
+
+    // --- gemmCeB at the serve pieces' real shapes, per ISA -------
+    //
+    // A 3x3 conv piece is (Cg*3) x 3 with rank 3, an FC piece
+    // ceil(C/4) x 4 with rank 4: these rows time the small-n panel
+    // those shapes route to. Bit-identity against the staged
+    // reference joins all_bit_identical; no speed gate reads them.
+    {
+        struct RealShape
+        {
+            int64_t m, rn;
+        };
+        const RealShape shapes[] = {{48, 3}, {144, 3}, {48, 4}, {144, 4}};
+        const int reps = smoke ? 2000 : 20000;
+        const kernels::KernelIsa prev_isa = kernels::activeIsa();
+        const auto isas = kernels::supportedIsas();
+        const size_t rows = std::size(shapes) * isas.size();
+        size_t row = 0;
+        std::printf("  \"gemm_ceb\": [\n");
+        for (const RealShape &sh : shapes) {
+            const int64_t m = sh.m, r = sh.rn, n = sh.rn;
+            Rng rng(29);
+            quant::Pow2Alphabet alpha;
+            alpha.expMax = 0;
+            alpha.numLevels = 7;
+            Tensor ce = randomCe(rng, m, r, alpha);
+            Tensor basis = randn({r, n}, rng);
+            const auto packed = core::packCe(ce, alpha);
+            kernels::ScratchArena arena;
+            Tensor want({m, n});
+            reference::gemmCeBPanelDecode(packed.rowMask.data(),
+                                          packed.nibbles.data(), m, r,
+                                          basis.data(), n, alpha,
+                                          want.data(), arena);
+            const uint64_t want_hash = hashTensor(want);
+            Tensor got({m, n});
+            auto run = [&] {
+                kernels::gemmCeB(packed.rowMask.data(),
+                                 packed.nibbles.data(), m, r,
+                                 basis.data(), n, alpha, got.data(),
+                                 arena);
+            };
+            for (kernels::KernelIsa isa : isas) {
+                kernels::setActiveIsa(isa);
+                run();
+                const bool identical = hashTensor(got) == want_hash;
+                ok = ok && identical;
+                const double ms = bestMs(3, reps, run);
+                std::printf(
+                    "    {\"isa\": \"%s\", \"m\": %lld, \"r\": %lld, "
+                    "\"n\": %lld, \"us\": %.4f, \"gflops\": %.2f, "
+                    "\"bit_identical\": %s}%s\n",
+                    kernels::isaName(isa), (long long)m, (long long)r,
+                    (long long)n, ms * 1e3,
+                    2.0 * m * r * n / ms / 1e6,
+                    bench::jsonBool(identical),
+                    bench::jsonSep(row++, rows));
+            }
+        }
+        kernels::setActiveIsa(prev_isa);
+        std::printf("  ],\n");
     }
 
     std::printf("  \"all_bit_identical\": %s", bench::jsonBool(ok));

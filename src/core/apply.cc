@@ -367,6 +367,32 @@ planCompression(nn::Sequential &net, const SeOptions &se_opts,
     return plan;
 }
 
+SliceRow
+sliceRow(const PlannedLayer &pl, int64_t filter, int64_t row)
+{
+    const int64_t s = pl.kernelS;
+    if (pl.convKxK)
+        return {filter * (pl.weight->size() / pl.weight->dim(0)) +
+                    row * s,
+                s};
+    // FC rule (Linear or 1x1 conv): both store row f contiguously at
+    // flat offset f * rowLength.
+    return {filter * pl.rowLength + row * s,
+            std::min(s, pl.rowLength - row * s)};
+}
+
+void
+writeSlice(const PlannedLayer &pl, int64_t filter, int64_t row_offset,
+           const Tensor &recon)
+{
+    const int64_t n = recon.dim(1);
+    for (int64_t i = 0; i < recon.dim(0); ++i) {
+        const SliceRow at = sliceRow(pl, filter, row_offset + i);
+        const float *src = recon.data() + i * n;
+        std::copy(src, src + at.cols, pl.weight->data() + at.offset);
+    }
+}
+
 CompressionReport
 finishCompression(const CompressionPlan &plan,
                   std::vector<SeMatrix> results, const SeOptions &se_opts)
@@ -381,28 +407,7 @@ finishCompression(const CompressionPlan &plan,
         const DecompUnit &u = plan.units[ui];
         const PlannedLayer &pl = plan.layers[u.layerIndex];
         SE_ASSERT(pl.weight, "unit for an undecomposed layer");
-        Tensor &w = *pl.weight;
-        Tensor recon = results[ui].reconstruct();
-        if (pl.convKxK) {
-            const int64_t r = pl.kernelR, s = pl.kernelS;
-            for (int64_t i = 0; i < recon.dim(0); ++i) {
-                const int64_t g = u.rowOffset + i;
-                for (int64_t ks = 0; ks < s; ++ks)
-                    w.at(u.filter, g / r, g % r, ks) = recon.at(i, ks);
-            }
-        } else {
-            // FC rule (Linear or 1x1 conv): both store row f
-            // contiguously at flat offset f * rowLength.
-            const int64_t s = pl.kernelS, c = pl.rowLength;
-            for (int64_t i = 0; i < recon.dim(0); ++i) {
-                const int64_t g = u.rowOffset + i;
-                for (int64_t k = 0; k < s; ++k) {
-                    const int64_t j = g * s + k;
-                    if (j < c)
-                        w[u.filter * c + j] = recon.at(i, k);
-                }
-            }
-        }
+        writeSlice(pl, u.filter, u.rowOffset, results[ui].reconstruct());
     }
 
     // Assemble the report: units are grouped by layer in plan order.

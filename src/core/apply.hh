@@ -140,6 +140,29 @@ CompressionPlan planCompression(nn::Sequential &net,
                                 const ApplyOptions &apply_opts);
 
 /**
+ * Where row `row` of filter `filter`'s reshaped matrix lives in
+ * *pl.weight: its flat offset, and how many of its columns exist
+ * there. Conv rows sit at filter*Cg*R*S + row*S, FC / 1x1 rows at
+ * filter*C + row*s, so a slice's rows are contiguous with stride
+ * kernelS; only the zero-padded last row of an FC reshape (C % s != 0)
+ * has fewer than kernelS columns.
+ */
+struct SliceRow
+{
+    int64_t offset = 0;
+    int64_t cols = 0;
+};
+SliceRow sliceRow(const PlannedLayer &pl, int64_t filter, int64_t row);
+
+/**
+ * Write one reconstructed slice (rows x kernelS, first row
+ * `row_offset` of filter `filter`) into *pl.weight, dropping the FC
+ * zero padding.
+ */
+void writeSlice(const PlannedLayer &pl, int64_t filter,
+                int64_t row_offset, const Tensor &recon);
+
+/**
  * Write decomposed pieces back into the network and assemble the
  * report. `results[i]` must be decomposeMatrix(plan.units[i].matrix).
  */

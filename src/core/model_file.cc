@@ -1425,10 +1425,19 @@ matchRecordsToPlan(const CompressionPlan &plan,
         for (size_t k = 0; k < unit_count; ++k) {
             const SeMatrix &p = rec.pieces[k];
             const Tensor &m = plan.units[ui + k].matrix;
-            if (p.ce.dim(0) != m.dim(0) || p.basis.dim(1) != m.dim(1))
+            if (p.ce.ndim() != 2 || p.basis.ndim() != 2 ||
+                p.ce.dim(0) != m.dim(0) || p.basis.dim(1) != m.dim(1))
                 throw ModelFileError(
                     "piece shape mismatch in record '" + rec.name +
                     "'");
+            // The Ce*B kernels read ce.dim(1) basis rows: a rank
+            // mismatch would read past the basis.
+            if (p.ce.dim(1) != p.basis.dim(0))
+                throw ModelFileError(
+                    "piece rank mismatch in record '" + rec.name +
+                    "': Ce has " + std::to_string(p.ce.dim(1)) +
+                    " columns, basis " + std::to_string(p.basis.dim(0)) +
+                    " rows");
         }
         bindings.push_back({li, ui, unit_count, &rec});
         ui += unit_count;

@@ -358,7 +358,8 @@ struct RecordBinding
 /**
  * Match shipped records against a re-derived compression plan,
  * validating full congruence (layer names, piece counts, slice
- * shapes). Throws ModelFileError on any mismatch. Shared by
+ * shapes, and each piece's Ce rank against its basis rows). Throws
+ * ModelFileError on any mismatch. Shared by
  * installLayerRecords and serve::InferenceSession.
  */
 std::vector<RecordBinding> matchRecordsToPlan(

@@ -1,22 +1,14 @@
 #include "kernels/ce_gemm.hh"
 
+#include <algorithm>
+
 #include "kernels/dispatch.hh"
 
 namespace se {
 namespace kernels {
 
-namespace {
-
-/**
- * The 16-entry nibble -> float table the fused kernels index with the
- * raw nibble. Built from the pow2CodeValue rule the dense path
- * stores, so a lookup and a decode are the same bits. The two zero
- * encodings (0x0, and the 0x8 sign-on-zero pattern packCe never
- * emits) both map to +0.0f, which the kernels then skip exactly like
- * a decoded zero.
- */
 void
-buildDecodeLut(const quant::Pow2Alphabet &alpha, float *lut)
+buildCeDecodeLut(const quant::Pow2Alphabet &alpha, float *lut)
 {
     const int exp_min = alpha.expMin();
     lut[0] = 0.0f;
@@ -26,8 +18,6 @@ buildDecodeLut(const quant::Pow2Alphabet &alpha, float *lut)
         lut[8 | code] = quant::pow2CodeValue(exp_min, code, true);
     }
 }
-
-} // namespace
 
 void
 gemmCeB(const uint8_t *row_mask, const uint8_t *nibbles, int64_t m,
@@ -39,12 +29,49 @@ gemmCeB(const uint8_t *row_mask, const uint8_t *nibbles, int64_t m,
     if (m <= 0 || n <= 0)
         return;
     float lut[16];
-    buildDecodeLut(alpha, lut);
+    buildCeDecodeLut(alpha, lut);
     const KernelOps &o = ops();
+    if (n <= kCeSmallN) {
+        o.gemmCeSmallN(row_mask, nibbles, m, r, basis, n, lut, out,
+                       nullptr);
+        return;
+    }
     forEachColumnPanel(n, m * r * n, [&](int64_t j0, int64_t j1) {
         o.gemmCePanel(row_mask, nibbles, m, r, basis, n, lut, out, j0,
                       j1);
     });
+}
+
+void
+gemmCeBLayer(const CeBPiece *pieces, size_t count, float *weight)
+{
+    const KernelOps &o = ops();
+    float last[kCeSmallN];  // the padded last row of a small-n piece
+    for (size_t k = 0; k < count; ++k) {
+        const CeBPiece &pc = pieces[k];
+        if (pc.rows <= 0 || pc.cols <= 0)
+            continue;
+        float *out = weight + pc.offset;
+        const bool padded = pc.lastRowCols < pc.cols;
+        if (pc.cols <= kCeSmallN) {
+            o.gemmCeSmallN(pc.rowMask, pc.nibbles, pc.rows, pc.rank,
+                           pc.basis, pc.cols, pc.lut, out,
+                           padded ? last : nullptr);
+            if (padded)
+                std::copy(last, last + pc.lastRowCols,
+                          out + (pc.rows - 1) * pc.cols);
+            continue;
+        }
+        // A wide piece takes the column-panel body. Padded, its
+        // columns before lastRowCols run over every row and the rest
+        // over all rows but the last (a row prefix keeps its codes).
+        o.gemmCePanel(pc.rowMask, pc.nibbles, pc.rows, pc.rank, pc.basis,
+                      pc.cols, pc.lut, out, 0, pc.lastRowCols);
+        if (padded)
+            o.gemmCePanel(pc.rowMask, pc.nibbles, pc.rows - 1, pc.rank,
+                          pc.basis, pc.cols, pc.lut, out,
+                          pc.lastRowCols, pc.cols);
+    }
 }
 
 } // namespace kernels

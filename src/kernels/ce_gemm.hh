@@ -19,6 +19,27 @@
  * at every ISA level. The staged decode-then-sgemm baseline it is
  * gated against lives in tests/reference.
  *
+ * Real pieces are narrow: every (Cg*R) x S conv slice has n = S (3 for
+ * a 3x3 conv) and every FC slice n = fcGroupSize (4). For n <=
+ * kCeSmallN the kernel takes KernelOps::gemmCeSmallN, which decodes
+ * each row's r codes once and accumulates all n columns in one
+ * register tile (one YMM on AVX2, two XMM on SSE2, acc[8] on scalar);
+ * the column-panel body would run such widths in its per-column
+ * scalar tail, decoding every code once per column. Wider outputs
+ * keep the column-panel body. Both are bit-identical to the same
+ * reference.
+ *
+ * gemmCeBLayer is the serve rebuild's entry: one call per layer writes
+ * every piece straight into the layer's weight tensor. A piece's rows
+ * are contiguous there — a conv piece at filter*Cg*R*S + rowOffset*S,
+ * an FC / 1x1 piece at filter*C + rowOffset*s — so no per-piece output
+ * tensor or scatter exists. The one exception is the zero-padded last
+ * row of an FC piece when s does not divide C: only its leading
+ * columns belong to the weight, so that row alone is staged and its
+ * valid prefix copied in (a piece wider than kCeSmallN instead skips
+ * the row in its trailing column panel). Decode LUTs are built once
+ * by the caller (buildCeDecodeLut) and reused across calls.
+ *
  * Model-file v4 (adaptive per-column bit widths) feeds this kernel
  * through a transcode shim rather than a second decode path: the v4
  * loader decodes a piece to SeMatrix once, and serve's CeDirect bind
@@ -30,6 +51,7 @@
 #ifndef SE_KERNELS_CE_GEMM_HH
 #define SE_KERNELS_CE_GEMM_HH
 
+#include <cstddef>
 #include <cstdint>
 
 #include "kernels/scratch.hh"
@@ -46,13 +68,45 @@ namespace kernels {
  * nibble first (nibble = 0 for zero, else sign bit 0x8 | exponent
  * code 1..alpha.numLevels — the core::PackedCe layout). Rows absent
  * from the mask decode to zero. The fused path stages nothing, so
- * the arena is unused; it stays in the signature for existing
- * callers.
+ * the arena is unused. It stays in the signature because perfbench's
+ * per-piece rebuild probe (perfbench/src/probes.cc), which changes
+ * only together with the benchmark, calls this exact form.
  */
 void gemmCeB(const uint8_t *row_mask, const uint8_t *nibbles,
              int64_t m, int64_t r, const float *basis, int64_t n,
              const quant::Pow2Alphabet &alpha, float *out,
              ScratchArena &arena);
+
+/**
+ * The 16-entry nibble -> float table the fused kernels index with the
+ * raw nibble, built from the pow2CodeValue rule the dense path
+ * stores. Both zero encodings (0x0, and the 0x8 sign-on-zero pattern
+ * packCe never emits) map to +0.0f, which the kernels skip.
+ */
+void buildCeDecodeLut(const quant::Pow2Alphabet &alpha, float *lut);
+
+/** One piece of a per-layer rebuild (see gemmCeBLayer). */
+struct CeBPiece
+{
+    const uint8_t *rowMask = nullptr;  ///< core::PackedCe::rowMask
+    const uint8_t *nibbles = nullptr;  ///< core::PackedCe::nibbles
+    int64_t rows = 0;                  ///< m
+    int64_t rank = 0;                  ///< r
+    const float *basis = nullptr;      ///< rank x cols
+    int64_t cols = 0;                  ///< n (row stride in the weight)
+    const float *lut = nullptr;        ///< buildCeDecodeLut table
+    int64_t offset = 0;  ///< first output element, from the layer base
+    /** Columns of row rows - 1 that belong to the weight (<= cols). */
+    int64_t lastRowCols = 0;
+};
+
+/**
+ * Rebuild every piece of one layer into `weight`: piece k's rows
+ * land at weight + pieces[k].offset with stride cols, its last row
+ * cut to lastRowCols. Bytes equal per-piece gemmCeB calls scattered
+ * into place.
+ */
+void gemmCeBLayer(const CeBPiece *pieces, size_t count, float *weight);
 
 } // namespace kernels
 } // namespace se

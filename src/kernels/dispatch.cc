@@ -115,13 +115,7 @@ sgemmABtPanelScalar(const float *__restrict a, const float *__restrict b,
     }
 }
 
-/** Extract packed nibble `idx` (two codes per byte, low first). */
-inline uint8_t
-nibbleAt(const uint8_t *nibbles, int64_t idx)
-{
-    const uint8_t byte = nibbles[idx >> 1];
-    return (idx & 1) ? (uint8_t)(byte >> 4) : (uint8_t)(byte & 0xF);
-}
+using detail::nibbleAt;
 
 /**
  * Fused Ce-code panel: the sgemm row body with the A-side element
@@ -138,7 +132,7 @@ gemmCePanelScalar(const uint8_t *row_mask, const uint8_t *nibbles,
     int64_t nz_seen = 0;  // non-zero rows before the current row
     for (int64_t row = 0; row < m; ++row) {
         float *crow = out + row * n;
-        if (!(row_mask[row >> 3] & (1u << (row & 7)))) {
+        if (!detail::ceRowSet(row_mask, row)) {
             std::fill(crow + j0, crow + j1, 0.0f);
             continue;
         }
@@ -171,8 +165,36 @@ gemmCePanelScalar(const uint8_t *row_mask, const uint8_t *nibbles,
     }
 }
 
+/**
+ * Small-n fused Ce-code body: each row's codes are decoded once and
+ * applied to all n <= kCeSmallN columns of acc[] — the row body of
+ * gemmCePanelScalar's 8-column tile, cut to n columns.
+ */
+void
+gemmCeSmallNScalar(const uint8_t *row_mask, const uint8_t *nibbles,
+                   int64_t m, int64_t r, const float *__restrict basis,
+                   int64_t n, const float *__restrict lut, float *out,
+                   float *last_row)
+{
+    detail::forEachCeRow(
+        row_mask, m, r, n, out, last_row,
+        [&](float *crow) { std::fill(crow, crow + n, 0.0f); },
+        [&](float *crow, int64_t code) {
+            float acc[kCeSmallN] = {};
+            const float *bp = basis;
+            for (int64_t p = 0; p < r; ++p, bp += n) {
+                const float av = lut[nibbleAt(nibbles, code + p)];
+                if (av == 0.0f)
+                    continue;
+                for (int64_t jj = 0; jj < n; ++jj)
+                    acc[jj] += av * bp[jj];
+            }
+            std::copy(acc, acc + n, crow);
+        });
+}
+
 const KernelOps kScalarOps{sgemmPanelScalar, sgemmABtPanelScalar,
-                           gemmCePanelScalar,
+                           gemmCePanelScalar, gemmCeSmallNScalar,
                            detail::gemmRowBiasDPanelScalar};
 
 bool

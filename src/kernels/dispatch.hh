@@ -3,8 +3,8 @@
  * Runtime CPU-feature dispatch for the float- and double-chain
  * micro-kernels.
  *
- * The sgemm/sgemmABt column-panel kernels, the fused Ce-code panel
- * kernel and the conv/Linear-forward double-chain panel exist in up to
+ * The sgemm/sgemmABt column-panel kernels, the fused Ce-code panels
+ * and the conv/Linear-forward double-chain panel exist in up to
  * three explicitly register-tiled variants — scalar (the reference,
  * byte-for-byte the legacy rounding sequence), SSE2 (4-lane tiles)
  * and AVX2 (8 floats or 4 doubles per YMM). The best variant the CPU
@@ -80,6 +80,9 @@ KernelIsa activeIsa();
  */
 void setActiveIsa(KernelIsa isa);
 
+/** Widest Ce*B output KernelOps::gemmCeSmallN handles (one YMM). */
+constexpr int64_t kCeSmallN = 8;
+
 /**
  * One micro-kernel variant: the column-panel bodies dispatched by
  * sgemm / sgemmABt / gemmCeB / gemmRowBiasD / gemmColBiasD. Panels
@@ -106,6 +109,20 @@ struct KernelOps
                         int64_t m, int64_t r, const float *basis,
                         int64_t n, const float *lut, float *out,
                         int64_t j0, int64_t j1);
+    /**
+     * Small-n fused Ce-code body (n <= kCeSmallN): the whole m x n
+     * output, one Ce row per step. A row's r codes are decoded once
+     * for all n columns, which accumulate side by side in one
+     * register tile; the zero-code skip (a branch or a blend, never a
+     * multiply by zero), the ascending-p order and every stored byte
+     * match gemmCePanel. Row m - 1 goes to `last_row` when it is
+     * non-null (the staging row of a padded FC piece), else to its
+     * place in `out`. Nothing past column n of a row is stored.
+     */
+    void (*gemmCeSmallN)(const uint8_t *row_mask, const uint8_t *nibbles,
+                         int64_t m, int64_t r, const float *basis,
+                         int64_t n, const float *lut, float *out,
+                         float *last_row);
     /**
      * Double-chain body: c(m x n) = (float)(bias + sum_p a[i][p] *
      * b[p][j]) over [j0,j1), accumulated in double in ascending p and

@@ -3,8 +3,9 @@
  * AVX2 micro-kernel variants: 256-bit register tiles (16 columns as
  * two YMM accumulators, two A rows per pass — 4 live accumulator
  * registers plus broadcasts and B loads, sized for FMA-class cores)
- * for the float chains, and 4 A rows x 8 columns of double
- * accumulators (8 YMM) for the double chain.
+ * for the float chains, one YMM per Ce row for the small-n Ce panel
+ * (n <= 8), and 4 A rows x 8 columns of double accumulators (8 YMM)
+ * for the double chain.
  *
  * This TU is compiled with -mavx2 and deliberately WITHOUT -mfma:
  * a fused multiply-add rounds once where the bit-identity contract
@@ -215,13 +216,6 @@ sgemmABtPanelAvx2(const float *__restrict a, const float *__restrict b,
     }
 }
 
-inline uint8_t
-nibbleAt(const uint8_t *nibbles, int64_t idx)
-{
-    const uint8_t byte = nibbles[idx >> 1];
-    return (idx & 1) ? (uint8_t)(byte >> 4) : (uint8_t)(byte & 0xF);
-}
-
 void
 gemmCePanelAvx2(const uint8_t *row_mask, const uint8_t *nibbles,
                 int64_t m, int64_t r, const float *__restrict basis,
@@ -231,7 +225,7 @@ gemmCePanelAvx2(const uint8_t *row_mask, const uint8_t *nibbles,
     int64_t nz_seen = 0;
     for (int64_t row = 0; row < m; ++row) {
         float *crow = out + row * n;
-        if (!(row_mask[row >> 3] & (1u << (row & 7)))) {
+        if (!ceRowSet(row_mask, row)) {
             std::fill(crow + j0, crow + j1, 0.0f);
             continue;
         }
@@ -277,6 +271,79 @@ gemmCePanelAvx2(const uint8_t *row_mask, const uint8_t *nibbles,
             }
             crow[jt] = acc;
         }
+    }
+}
+
+/**
+ * Small-n fused Ce-code body: one Ce row per step, its n <= 8 output
+ * columns side by side in one YMM. Masked loads keep every basis read
+ * inside the r x n matrix and masked stores keep every write inside
+ * the row. The zero-code skip is a blend that keeps the old
+ * accumulator, so a zero code never multiplies (0 * Inf) or adds
+ * (-0 + +0) anything. With the rank R fixed at compile time the R
+ * basis rows stay in registers for the whole piece, and a row's R
+ * codes are read as one two-byte word: for R = 3 they span exactly
+ * two bytes from either nibble, and R = 4 rows start on an even code.
+ * R == 0 reads the rank from r and reloads rows and codes per step.
+ */
+template <int R>
+void
+ceSmallNAvx2(const uint8_t *row_mask, const uint8_t *nibbles, int64_t m,
+             int64_t r, const float *__restrict basis, int64_t n,
+             const float *__restrict lut, float *out, float *last_row)
+{
+    static_assert(R == 0 || R == 3 || R == 4,
+                  "the two-byte code word needs R = 3 or 4");
+    const __m256i cols =
+        _mm256_cmpgt_epi32(_mm256_set1_epi32((int)n),
+                           _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m256 zero = _mm256_setzero_ps();
+    __m256 held[R > 0 ? R : 1];
+    for (int p = 0; p < R; ++p)
+        held[p] = _mm256_maskload_ps(basis + p * n, cols);
+    const int64_t rank = R > 0 ? R : r;
+    forEachCeRow(
+        row_mask, m, r, n, out, last_row,
+        [&](float *crow) { _mm256_maskstore_ps(crow, cols, zero); },
+        [&](float *crow, int64_t code) {
+            const uint8_t *nb = nibbles + (code >> 1);
+            const unsigned word =
+                R > 0 ? (nb[0] | (unsigned)nb[1] << 8) >> ((code & 1) << 2)
+                      : 0u;
+            __m256 acc = zero;
+#pragma GCC unroll 8
+            for (int64_t p = 0; p < rank; ++p) {
+                const __m256 bp =
+                    R > 0 ? held[p]
+                          : _mm256_maskload_ps(basis + p * n, cols);
+                const __m256 va = _mm256_set1_ps(
+                    lut[R > 0 ? (word >> (4 * p)) & 0xFu
+                              : nibbleAt(nibbles, code + p)]);
+                const __m256 sum =
+                    _mm256_add_ps(acc, _mm256_mul_ps(va, bp));
+                acc = _mm256_blendv_ps(
+                    acc, sum, _mm256_cmp_ps(va, zero, _CMP_NEQ_OQ));
+            }
+            _mm256_maskstore_ps(crow, cols, acc);
+        });
+}
+
+/** Rank 3 (3x3 conv pieces) and 4 (FC pieces) keep B in registers. */
+void
+gemmCeSmallNAvx2(const uint8_t *row_mask, const uint8_t *nibbles,
+                 int64_t m, int64_t r, const float *basis, int64_t n,
+                 const float *lut, float *out, float *last_row)
+{
+    switch (r) {
+    case 3:
+        return ceSmallNAvx2<3>(row_mask, nibbles, m, r, basis, n, lut,
+                               out, last_row);
+    case 4:
+        return ceSmallNAvx2<4>(row_mask, nibbles, m, r, basis, n, lut,
+                               out, last_row);
+    default:
+        return ceSmallNAvx2<0>(row_mask, nibbles, m, r, basis, n, lut,
+                               out, last_row);
     }
 }
 
@@ -377,7 +444,8 @@ gemmRowBiasDPanelAvx2(const float *__restrict a,
 }
 
 const KernelOps kAvx2Ops{sgemmPanelAvx2, sgemmABtPanelAvx2,
-                         gemmCePanelAvx2, gemmRowBiasDPanelAvx2};
+                         gemmCePanelAvx2, gemmCeSmallNAvx2,
+                         gemmRowBiasDPanelAvx2};
 
 } // namespace
 

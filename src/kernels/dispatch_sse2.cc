@@ -1,12 +1,12 @@
 /**
  * @file
  * SSE2 micro-kernel variants: 128-bit register tiles (8 columns as
- * two XMM accumulators, two A rows per pass). Lanes are distinct
- * output elements, each still accumulated in ascending-k order with a
- * round after every add, and the A-side zero-skip is kept per row —
- * so every byte matches the scalar reference. No FMA exists at this
- * ISA level, so the mul-round-add-round contract holds by
- * construction.
+ * two XMM accumulators, two A rows per pass; one Ce row per pass in
+ * the small-n Ce panel). Lanes are distinct output elements, each
+ * still accumulated in ascending-k order with a round after every
+ * add, and the A-side zero-skip is kept per row — so every byte
+ * matches the scalar reference. No FMA exists at this ISA level, so
+ * the mul-round-add-round contract holds by construction.
  */
 
 #include "kernels/dispatch_variants.hh"
@@ -186,13 +186,6 @@ sgemmABtPanelSse2(const float *__restrict a, const float *__restrict b,
     }
 }
 
-inline uint8_t
-nibbleAt(const uint8_t *nibbles, int64_t idx)
-{
-    const uint8_t byte = nibbles[idx >> 1];
-    return (idx & 1) ? (uint8_t)(byte >> 4) : (uint8_t)(byte & 0xF);
-}
-
 void
 gemmCePanelSse2(const uint8_t *row_mask, const uint8_t *nibbles,
                 int64_t m, int64_t r, const float *__restrict basis,
@@ -202,7 +195,7 @@ gemmCePanelSse2(const uint8_t *row_mask, const uint8_t *nibbles,
     int64_t nz_seen = 0;
     for (int64_t row = 0; row < m; ++row) {
         float *crow = out + row * n;
-        if (!(row_mask[row >> 3] & (1u << (row & 7)))) {
+        if (!ceRowSet(row_mask, row)) {
             std::fill(crow + j0, crow + j1, 0.0f);
             continue;
         }
@@ -238,8 +231,92 @@ gemmCePanelSse2(const uint8_t *row_mask, const uint8_t *nibbles,
     }
 }
 
+/** Load k in [1, 4] floats into the low lanes (the rest zero). */
+inline __m128
+loadCols(const float *p, int64_t k)
+{
+    switch (k) {
+    case 1:
+        return _mm_load_ss(p);
+    case 2:
+        return _mm_loadl_pi(_mm_setzero_ps(), (const __m64 *)p);
+    case 3:
+        return _mm_movelh_ps(
+            _mm_loadl_pi(_mm_setzero_ps(), (const __m64 *)p),
+            _mm_load_ss(p + 2));
+    default:
+        return _mm_loadu_ps(p);
+    }
+}
+
+/** Store the low k in [1, 4] lanes of v, and nothing past them. */
+inline void
+storeCols(float *p, __m128 v, int64_t k)
+{
+    switch (k) {
+    case 1:
+        _mm_store_ss(p, v);
+        break;
+    case 2:
+        _mm_storel_pi((__m64 *)p, v);
+        break;
+    case 3:
+        _mm_storel_pi((__m64 *)p, v);
+        _mm_store_ss(p + 2, _mm_movehl_ps(v, v));
+        break;
+    default:
+        _mm_storeu_ps(p, v);
+    }
+}
+
+/** acc + va * b where va != 0, else acc untouched (the zero skip). */
+inline __m128
+ceStep(__m128 acc, __m128 va, __m128 skip, __m128 b)
+{
+    const __m128 sum = _mm_add_ps(acc, _mm_mul_ps(va, b));
+    return _mm_or_ps(_mm_and_ps(skip, acc), _mm_andnot_ps(skip, sum));
+}
+
+/**
+ * Small-n fused Ce-code body: one Ce row per step, its n <= 8 output
+ * columns in two XMM (the second only when n > 4). Loads and stores
+ * are cut to the row's n columns, and the zero-code skip is a
+ * bitwise select that keeps the old accumulator.
+ */
+void
+gemmCeSmallNSse2(const uint8_t *row_mask, const uint8_t *nibbles,
+                 int64_t m, int64_t r, const float *__restrict basis,
+                 int64_t n, const float *__restrict lut, float *out,
+                 float *last_row)
+{
+    const int64_t n0 = std::min<int64_t>(n, 4), n1 = n - n0;
+    const __m128 zero = _mm_setzero_ps();
+    auto store = [&](float *crow, __m128 lo, __m128 hi) {
+        storeCols(crow, lo, n0);
+        if (n1 > 0)
+            storeCols(crow + 4, hi, n1);
+    };
+    forEachCeRow(
+        row_mask, m, r, n, out, last_row,
+        [&](float *crow) { store(crow, zero, zero); },
+        [&](float *crow, int64_t code) {
+            __m128 acc0 = zero, acc1 = zero;
+            const float *bp = basis;
+            for (int64_t p = 0; p < r; ++p, bp += n) {
+                const __m128 va =
+                    _mm_set1_ps(lut[nibbleAt(nibbles, code + p)]);
+                const __m128 skip = _mm_cmpeq_ps(va, zero);
+                acc0 = ceStep(acc0, va, skip, loadCols(bp, n0));
+                if (n1 > 0)
+                    acc1 = ceStep(acc1, va, skip, loadCols(bp + 4, n1));
+            }
+            store(crow, acc0, acc1);
+        });
+}
+
 const KernelOps kSse2Ops{sgemmPanelSse2, sgemmABtPanelSse2,
-                         gemmCePanelSse2, gemmRowBiasDPanelScalar};
+                         gemmCePanelSse2, gemmCeSmallNSse2,
+                         gemmRowBiasDPanelScalar};
 
 } // namespace
 

@@ -10,11 +10,64 @@
 #ifndef SE_KERNELS_DISPATCH_VARIANTS_HH
 #define SE_KERNELS_DISPATCH_VARIANTS_HH
 
+#include <cstdint>
+
 #include "kernels/dispatch.hh"
 
 namespace se {
 namespace kernels {
 namespace detail {
+
+// The helpers below are compiled into every variant TU, each with its
+// own ISA flags. Internal linkage keeps the linker from folding, say,
+// the AVX2 TU's copy into the scalar table.
+namespace {
+
+/** Packed Ce code `idx` (two codes per byte, low nibble first). */
+inline unsigned
+nibbleAt(const uint8_t *nibbles, int64_t idx)
+{
+    return (nibbles[idx >> 1] >> ((idx & 1) << 2)) & 0xFu;
+}
+
+/** True when Ce row `row` is set in the LSB-first row mask. */
+inline bool
+ceRowSet(const uint8_t *row_mask, int64_t row)
+{
+    return (row_mask[row >> 3] >> (row & 7)) & 1u;
+}
+
+/**
+ * The row walk of every gemmCeSmallN variant over an m-row piece with
+ * n columns. Per 8-row mask byte, `zero_row(crow)` runs for each
+ * clear row, then `set_row(crow, code)` for each set row in ascending
+ * order, with `code` the index of its first of r packed codes. Row
+ * m - 1 goes to `last_row` when it is non-null. Walking the bits of
+ * each byte costs one loop exit per byte where a test per row would
+ * mispredict on every random zero row.
+ */
+template <class ZeroRow, class SetRow>
+inline void
+forEachCeRow(const uint8_t *row_mask, int64_t m, int64_t r, int64_t n,
+             float *out, float *last_row, ZeroRow &&zero_row,
+             SetRow &&set_row)
+{
+    auto rowOut = [&](int64_t row) {
+        return last_row && row == m - 1 ? last_row : out + row * n;
+    };
+    int64_t code = 0;  // first code of the next set row
+    for (int64_t row0 = 0; row0 < m; row0 += 8) {
+        const unsigned live =
+            m - row0 >= 8 ? 0xFFu : (1u << (m - row0)) - 1u;
+        const unsigned set = row_mask[row0 >> 3] & live;
+        for (unsigned b = live & ~set; b; b &= b - 1)
+            zero_row(rowOut(row0 + __builtin_ctz(b)));
+        for (unsigned b = set; b; b &= b - 1, code += r)
+            set_row(rowOut(row0 + __builtin_ctz(b)), code);
+    }
+}
+
+} // namespace
 
 /** SSE2 variant table, or nullptr when not compiled in. */
 const KernelOps *sse2Ops();

@@ -5,7 +5,6 @@
 #include "base/clock.hh"
 #include "kernels/ce_gemm.hh"
 #include "kernels/kernels.hh"
-#include "kernels/scratch.hh"
 
 namespace se {
 namespace serve {
@@ -25,11 +24,8 @@ sampleShape(const Tensor &t)
 /** One decomposed layer bound to its shipped pieces. */
 struct InferenceSession::BoundLayer
 {
-    Tensor *weight = nullptr;  ///< live tensor inside net_
-    bool convKxK = false;
-    int64_t kernelR = 1;
-    int64_t kernelS = 1;
-    int64_t rowLength = 0;
+    /** Live weight inside net_ and its slice write-back geometry. */
+    core::PlannedLayer geom;
 
     struct BoundUnit
     {
@@ -38,18 +34,16 @@ struct InferenceSession::BoundLayer
         int64_t rowOffset = 0;
         /** 4-bit storage form; filled only under CeDirect. */
         core::PackedCe packed;
+        /** packed's decode table, built once at bind (CeDirect). */
+        float lut[16] = {};
     };
     std::vector<BoundUnit> units;
+    /** CeDirect: the units as one gemmCeBLayer call into the weight. */
+    std::vector<kernels::CeBPiece> cePieces;
 
     bool stale = true;
     bool cacheValid = false;
     Tensor cache;  ///< assembled dense weight (warm-rebuild source)
-    /**
-     * CeDirect decode-panel scratch. Per layer, not per session:
-     * cold rebuild-all fans the disjoint layers over the kernel
-     * pool, so a shared arena would race.
-     */
-    kernels::ScratchArena arena;
 };
 
 InferenceSession::InferenceSession(
@@ -72,15 +66,11 @@ InferenceSession::InferenceSession(
          core::matchRecordsToPlan(plan, *model_)) {
         const core::PlannedLayer &pl = plan.layers[b.layerIndex];
         BoundLayer bl;
-        bl.weight = pl.weight;
-        bl.convKxK = pl.convKxK;
-        bl.kernelR = pl.kernelR;
-        bl.kernelS = pl.kernelS;
-        bl.rowLength = pl.rowLength;
+        bl.geom = pl;
         for (size_t k = 0; k < b.unitCount; ++k) {
             const core::DecompUnit &u = plan.units[b.unitBegin + k];
             bl.units.push_back(
-                {&b.record->pieces[k], u.filter, u.rowOffset, {}});
+                {&b.record->pieces[k], u.filter, u.rowOffset, {}, {}});
         }
         layers_.push_back(std::move(bl));
     }
@@ -93,7 +83,7 @@ InferenceSession::InferenceSession(
         std::vector<const Tensor *> decomposed;
         decomposed.reserve(layers_.size());
         for (const BoundLayer &bl : layers_)
-            decomposed.push_back(bl.weight);
+            decomposed.push_back(bl.geom.weight);
         core::installDenseState(*net_, *opts_.denseState, decomposed);
     }
 
@@ -110,7 +100,7 @@ InferenceSession::InferenceSession(
         for (size_t c = 0; c < net_->size(); ++c)
             for (const nn::Param &p : net_->layer(c)->params())
                 for (size_t i = 0; i < layers_.size(); ++i)
-                    if (p.value == layers_[i].weight)
+                    if (p.value == layers_[i].geom.weight)
                         childOf_[i] = (int)c;
         for (int c : childOf_)
             if (c < 0)
@@ -122,13 +112,28 @@ InferenceSession::InferenceSession(
     // CeDirect: keep each piece at the accelerator's storage width.
     // Packing is exact (codes are codes), so this is a one-time
     // transcode, not a quantization step; its cost is the CeDirect
-    // cold-start price and lands in stats().packMs.
+    // cold-start price and lands in stats().packMs. Each piece's
+    // decode LUT and its place in the weight are fixed here too, so a
+    // rebuild is one gemmCeBLayer call per layer.
     if (opts_.weightSource == WeightSource::CeDirect) {
         const auto t0 = SteadyClock::now();
-        for (BoundLayer &bl : layers_)
-            for (auto &bu : bl.units)
+        for (BoundLayer &bl : layers_) {
+            for (auto &bu : bl.units) {
                 bu.packed =
                     core::packCe(bu.piece->ce, bu.piece->alphabet);
+                kernels::buildCeDecodeLut(bu.packed.alphabet, bu.lut);
+                const core::PackedCe &p = bu.packed;
+                const Tensor &basis = bu.piece->basis;
+                bl.cePieces.push_back(
+                    {p.rowMask.data(), p.nibbles.data(), p.rows, p.cols,
+                     basis.data(), basis.dim(1), bu.lut,
+                     core::sliceRow(bl.geom, bu.filter, bu.rowOffset)
+                         .offset,
+                     core::sliceRow(bl.geom, bu.filter,
+                                    bu.rowOffset + p.rows - 1)
+                         .cols});
+            }
+        }
         stats_.packMs = msSince(t0);
     }
 }
@@ -146,48 +151,22 @@ InferenceSession::rebuildLayer(BoundLayer &bl)
 {
     bool cold;
     if (bl.cacheValid && opts_.cacheRebuiltWeights) {
-        *bl.weight = bl.cache;  // warm: one dense copy
+        *bl.geom.weight = bl.cache;  // warm: one dense copy
         cold = false;
     } else {
-        // Cold: reconstruct every Ce*B slice and write it back, the
-        // same geometry as core::finishCompression. Under CeDirect
-        // the fused gemmCeB decodes the packed 4-bit codes inside the
-        // micro-kernel — no staged float panels, the arena stays cold
-        // (bit-identical to the dense reconstruct at every ISA).
-        Tensor &w = *bl.weight;
-        for (const auto &bu : bl.units) {
-            Tensor recon;
-            if (opts_.weightSource == WeightSource::CeDirect) {
-                const core::PackedCe &p = bu.packed;
-                const int64_t cols = bu.piece->basis.dim(1);
-                recon = Tensor({p.rows, cols});
-                kernels::gemmCeB(p.rowMask.data(), p.nibbles.data(),
-                                 p.rows, p.cols,
-                                 bu.piece->basis.data(), cols,
-                                 p.alphabet, recon.data(), bl.arena);
-            } else {
-                recon = bu.piece->reconstruct();
-            }
-            if (bl.convKxK) {
-                const int64_t r = bl.kernelR, s = bl.kernelS;
-                for (int64_t i = 0; i < recon.dim(0); ++i) {
-                    const int64_t g = bu.rowOffset + i;
-                    for (int64_t ks = 0; ks < s; ++ks)
-                        w.at(bu.filter, g / r, g % r, ks) =
-                            recon.at(i, ks);
-                }
-            } else {
-                const int64_t s = bl.kernelS, c = bl.rowLength;
-                for (int64_t i = 0; i < recon.dim(0); ++i) {
-                    const int64_t g = bu.rowOffset + i;
-                    for (int64_t k = 0; k < s; ++k) {
-                        const int64_t j = g * s + k;
-                        if (j < c)
-                            w[bu.filter * c + j] = recon.at(i, k);
-                    }
-                }
-            }
-        }
+        // Cold: rebuild every Ce*B slice into its place in the weight.
+        // Under CeDirect one fused gemmCeBLayer call decodes the
+        // packed 4-bit codes inside the micro-kernel and writes each
+        // piece's rows straight into the tensor (bit-identical to the
+        // dense reconstruct at every ISA).
+        Tensor &w = *bl.geom.weight;
+        if (opts_.weightSource == WeightSource::CeDirect)
+            kernels::gemmCeBLayer(bl.cePieces.data(), bl.cePieces.size(),
+                                  w.data());
+        else
+            for (const auto &bu : bl.units)
+                core::writeSlice(bl.geom, bu.filter, bu.rowOffset,
+                                 bu.piece->reconstruct());
         if (opts_.cacheRebuiltWeights) {
             bl.cache = w;
             bl.cacheValid = true;
@@ -201,39 +180,22 @@ InferenceSession::rebuildLayer(BoundLayer &bl)
 void
 InferenceSession::ensureRebuilt()
 {
-    std::vector<size_t> stale;
-    for (size_t i = 0; i < layers_.size(); ++i)
-        if (layers_[i].stale)
-            stale.push_back(i);
-    if (stale.empty())
-        return;
-
-    // Layers are disjoint (each owns its weight tensor and cache), so
-    // cold rebuild-all fans out over the kernel pool. The per-slice
-    // Ce*B GEMMs are tiny, so each worker runs its layer serially;
-    // stats are folded in index order afterwards, keeping counters
-    // and outputs identical for any worker count.
-    std::vector<char> cold(stale.size(), 0);
+    // Layers rebuild inline, one after another: a CeDirect layer is
+    // one small-n gemmCeBLayer call, too short to pay for a fan-out
+    // over the kernel pool the other replicas share.
     const auto t0 = SteadyClock::now();
-    if (stale.size() > 1 && !kernels::serialScopeActive()) {
-        kernels::parallelFor(
-            (int64_t)stale.size(), [&](int64_t i) {
-                kernels::SerialScope serial;
-                cold[(size_t)i] =
-                    rebuildLayer(layers_[stale[(size_t)i]]);
-            });
-    } else {
-        for (size_t i = 0; i < stale.size(); ++i)
-            cold[i] = rebuildLayer(layers_[stale[i]]);
-    }
-    for (char c : cold) {
-        if (c)
+    bool rebuilt = false;
+    for (BoundLayer &bl : layers_) {
+        if (!bl.stale)
+            continue;
+        rebuilt = true;
+        if (rebuildLayer(bl))
             ++stats_.coldRebuilds;
         else
             ++stats_.warmRebuilds;
     }
-    // Wall-clock, not a sum of per-layer times: with a parallel
-    // rebuild the layers overlap.
+    if (!rebuilt)
+        return;
     const double ms = msSince(t0);
     stats_.rebuildMs += ms;
     // An inline rebuild blocks the forward that triggered it for its

@@ -20,9 +20,8 @@
  *    on-chip rebuild buffer).
  *
  * A session is single-threaded by design — forward() mutates layer
- * caches. ServeEngine owns one replica per worker. (Internally a
- * cold rebuild-all fans the disjoint layers over the kernel pool;
- * results and counters stay identical for any worker count.)
+ * caches. ServeEngine owns one replica per worker. Stale layers are
+ * rebuilt inline, one after another, on the calling thread.
  *
  * Pipelined rebuild (SessionOptions::pipelineRebuild): instead of
  * rebuilding every stale layer before the first GEMM, forward() walks
@@ -34,10 +33,10 @@
  * Sequential::forward runs and each layer's weight is complete before
  * its forward starts, so responses are bit-identical to the serial
  * path; only SessionStats::decodeStallMs (time forward actually
- * blocked on a rebuild) moves. Layer scratch stays race-free because
- * every BoundLayer owns its arena and weight tensor — the lane writes
- * layer k+1's buffers while compute reads layer k's, a double-buffer
- * by construction.
+ * blocked on a rebuild) moves. The lane stays race-free because
+ * every BoundLayer owns its weight tensor — the lane writes layer
+ * k+1's weight while compute reads layer k's, a double-buffer by
+ * construction.
  */
 
 #ifndef SE_SERVE_SESSION_HH
@@ -67,12 +66,13 @@ Shape sampleShape(const Tensor &t);
  *
  *  - Dense: each piece's decoded float Ce matrix (the v2-era path).
  *  - CeDirect: the packed 4-bit codes (core::PackedCe — the model
- *    file v3 wire form), decoded per panel into a scratch arena by
- *    kernels::gemmCeB. The stored datapath width reaches the hot
- *    loop, mirroring the accelerator. Responses are bit-identical to
- *    Dense: nibble decode is exact (powers of two) and the panel
- *    split preserves every element's accumulation order, so no
- *    tolerance is needed. Requires a 4-bit alphabet (numLevels <= 7,
+ *    file v3 wire form), decoded inside the micro-kernel by one
+ *    kernels::gemmCeBLayer call per layer that writes every piece
+ *    straight into the live weight. The stored datapath width reaches
+ *    the hot loop, mirroring the accelerator. Responses are
+ *    bit-identical to Dense: nibble decode is exact (powers of two)
+ *    and every element keeps its accumulation order, so no tolerance
+ *    is needed. Requires a 4-bit alphabet (numLevels <= 7,
  *    i.e. SeOptions::coefBits == 4); binding a wider model throws
  *    core::ModelFileError.
  *
@@ -204,10 +204,8 @@ class InferenceSession
     struct BoundLayer;
 
     /**
-     * Whether one layer rebuild was cold (folded into stats_ by
-     * ensureRebuilt, which also owns the wall-clock timing — layers
-     * overlap under the parallel rebuild, so per-layer times would
-     * not sum to anything meaningful).
+     * Whether one layer rebuild was cold (folded into stats_ by its
+     * caller, which also owns the wall-clock timing).
      */
     bool rebuildLayer(BoundLayer &bl);
     void ensureRebuilt();

@@ -819,6 +819,202 @@ TEST(Dispatch, GemmCeBEveryIsaBitIdenticalToScalarAndPanelDecode)
     }
 }
 
+/**
+ * Hand-built packed Ce for the small-n wall: a row mask of the given
+ * pattern (0 random, 1 all zero, 2 all set, 3 alternating) and random
+ * nibbles over all 16 codes, including the 0x8 sign-on-zero pattern
+ * packCe never emits.
+ */
+struct RawCe
+{
+    std::vector<uint8_t> mask, nibbles;
+};
+
+RawCe
+rawCe(Rng &rng, int64_t m, int64_t r, int pattern)
+{
+    RawCe ce;
+    ce.mask.assign((size_t)((m + 7) / 8), 0);
+    int64_t set = 0;
+    for (int64_t row = 0; row < m; ++row) {
+        const bool on = pattern == 0   ? rng.chance(0.6)
+                        : pattern == 1 ? false
+                        : pattern == 2 ? true
+                                       : (row & 1) != 0;
+        if (on) {
+            ce.mask[(size_t)(row >> 3)] |= (uint8_t)(1u << (row & 7));
+            ++set;
+        }
+    }
+    ce.nibbles.resize((size_t)((set * r + 1) / 2));
+    for (uint8_t &b : ce.nibbles)
+        b = (uint8_t)rng.integer(0, 255);
+    return ce;
+}
+
+/** A basis with +-0, +-Inf and (hardware-generated) NaN entries. */
+Tensor
+specialBasis(Rng &rng, int64_t r, int64_t n)
+{
+    volatile float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {0.0f, -0.0f, inf, -inf, inf - inf};
+    Tensor t = randn({r, n}, rng);
+    for (int64_t i = 0; i < t.size(); ++i)
+        if (rng.chance(0.15))
+            t[i] = specials[rng.integer(0, 4)];
+    return t;
+}
+
+TEST(Dispatch, GemmCeSmallNEveryIsaBitIdenticalToScalarPanel)
+{
+    Rng rng(206);
+    quant::Pow2Alphabet a;
+    a.expMax = 1;
+    a.numLevels = 7;  // every exponent code 1..7 decodes
+    float lut[16];
+    kernels::buildCeDecodeLut(a, lut);
+    const float sentinel = -12345.0f;
+    bool seen[16] = {};
+    for (int64_t n = 1; n <= 9; ++n)
+        for (int64_t r = 1; r <= 9; ++r)
+            for (int64_t m : {1, 7, 13, 67})
+                for (int pattern = 0; pattern < 4; ++pattern) {
+                    const RawCe ce = rawCe(rng, m, r, pattern);
+                    for (uint8_t b : ce.nibbles)
+                        seen[b & 0xF] = seen[b >> 4] = true;
+                    const Tensor basis = specialBasis(rng, r, n);
+                    const std::string where =
+                        std::to_string(m) + "x" + std::to_string(r) +
+                        "x" + std::to_string(n) + " mask " +
+                        std::to_string(pattern);
+
+                    Tensor want({m, n});
+                    kernels::opsFor(kernels::KernelIsa::Scalar)
+                        .gemmCePanel(ce.mask.data(), ce.nibbles.data(),
+                                     m, r, basis.data(), n, lut,
+                                     want.data(), 0, n);
+                    // The staged reference decodes 0x8 as invalid;
+                    // the kernels treat it as the 0x0 it stands for.
+                    std::vector<uint8_t> canon = ce.nibbles;
+                    for (uint8_t &b : canon) {
+                        if ((b & 0xF) == 0x8)
+                            b &= 0xF0;
+                        if ((b >> 4) == 0x8)
+                            b &= 0x0F;
+                    }
+                    Tensor staged({m, n});
+                    kernels::ScratchArena arena;
+                    reference::gemmCeBPanelDecode(
+                        ce.mask.data(), canon.data(), m, r, basis.data(),
+                        n, a, staged.data(), arena);
+                    EXPECT_TRUE(bitEqual(want, staged)) << where;
+
+                    for (kernels::KernelIsa isa :
+                         kernels::supportedIsas()) {
+                        const std::string at =
+                            std::string(kernels::isaName(isa)) + " " +
+                            where;
+                        {
+                            ScopedIsa forced(isa);
+                            Tensor got({m, n});
+                            kernels::gemmCeB(ce.mask.data(),
+                                             ce.nibbles.data(), m, r,
+                                             basis.data(), n, a,
+                                             got.data(), arena);
+                            EXPECT_TRUE(bitEqual(want, got)) << at;
+                        }
+                        if (n > kernels::kCeSmallN)
+                            continue;
+                        // The panel itself, with the last row sent to
+                        // a staging row: nothing may land past column
+                        // n of any row, nor in the last row's place.
+                        std::vector<float> out((size_t)(m * n + 8),
+                                               sentinel);
+                        std::vector<float> last(8, sentinel);
+                        kernels::opsFor(isa).gemmCeSmallN(
+                            ce.mask.data(), ce.nibbles.data(), m, r,
+                            basis.data(), n, lut, out.data(),
+                            last.data());
+                        const size_t body = (size_t)((m - 1) * n);
+                        EXPECT_EQ(std::memcmp(out.data(), want.data(),
+                                              body * sizeof(float)),
+                                  0)
+                            << at;
+                        EXPECT_EQ(std::memcmp(last.data(),
+                                              want.data() + body,
+                                              (size_t)n * sizeof(float)),
+                                  0)
+                            << at;
+                        for (size_t i = body; i < out.size(); ++i)
+                            EXPECT_EQ(out[i], sentinel) << at;
+                        for (size_t i = (size_t)n; i < last.size(); ++i)
+                            EXPECT_EQ(last[i], sentinel) << at;
+                    }
+                }
+    for (int code = 0; code < 16; ++code)
+        EXPECT_TRUE(seen[code]) << "nibble code " << code;
+}
+
+TEST(Dispatch, GemmCeBLayerMatchesPerPieceCalls)
+{
+    // One layer of pieces written straight into a weight buffer —
+    // conv-like (full rows), FC-like with a padded last row, and a
+    // wide padded piece past the small-n panel — must equal per-piece
+    // gemmCeB outputs copied into place, and touch nothing else.
+    Rng rng(207);
+    quant::Pow2Alphabet a;
+    a.expMax = 0;
+    a.numLevels = 7;
+    float lut[16];
+    kernels::buildCeDecodeLut(a, lut);
+    struct Spec
+    {
+        int64_t m, r, n, lastRowCols;
+    };
+    const std::vector<Spec> specs{
+        {9, 3, 3, 3}, {13, 3, 3, 3}, {5, 4, 4, 2},
+        {6, 4, 4, 4}, {4, 9, 9, 5},  {3, 2, 8, 1},
+    };
+    std::vector<RawCe> ces;
+    std::vector<Tensor> bases;
+    for (const Spec &sp : specs) {
+        ces.push_back(rawCe(rng, sp.m, sp.r, 0));
+        bases.push_back(specialBasis(rng, sp.r, sp.n));
+    }
+    std::vector<kernels::CeBPiece> pieces;
+    int64_t at = 7;  // pieces start off the buffer's first element
+    for (size_t k = 0; k < specs.size(); ++k) {
+        const Spec &sp = specs[k];
+        pieces.push_back({ces[k].mask.data(), ces[k].nibbles.data(),
+                          sp.m, sp.r, bases[k].data(), sp.n, lut, at,
+                          sp.lastRowCols});
+        at += sp.m * sp.n + 2;  // a 2-float gap between pieces
+    }
+    for (kernels::KernelIsa isa : kernels::supportedIsas()) {
+        ScopedIsa forced(isa);
+        const float sentinel = 777.0f;
+        std::vector<float> want((size_t)at, sentinel);
+        kernels::ScratchArena arena;
+        for (size_t k = 0; k < specs.size(); ++k) {
+            const Spec &sp = specs[k];
+            Tensor piece({sp.m, sp.n});
+            kernels::gemmCeB(ces[k].mask.data(), ces[k].nibbles.data(),
+                             sp.m, sp.r, bases[k].data(), sp.n, a,
+                             piece.data(), arena);
+            const int64_t cut =
+                (sp.m - 1) * sp.n + sp.lastRowCols;
+            std::copy(piece.data(), piece.data() + cut,
+                      want.begin() + pieces[k].offset);
+        }
+        std::vector<float> got((size_t)at, sentinel);
+        kernels::gemmCeBLayer(pieces.data(), pieces.size(), got.data());
+        EXPECT_EQ(std::memcmp(want.data(), got.data(),
+                              want.size() * sizeof(float)),
+                  0)
+            << kernels::isaName(isa);
+    }
+}
+
 TEST(Dispatch, SerialScopeKeepsFusedGemmOffThePool)
 {
     // A fused Ce GEMM big enough to clear the parallel threshold

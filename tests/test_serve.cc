@@ -20,6 +20,7 @@
 #include "base/hash.hh"
 #include "base/random.hh"
 #include "core/stream_loader.hh"
+#include "kernels/dispatch.hh"
 #include "nn/blocks.hh"
 #include "serve/engine.hh"
 #include "serve/front.hh"
@@ -735,6 +736,133 @@ TEST(InferenceSession, CeDirectBitIdenticalToDense)
                               (size_t)yd.size() * sizeof(float)),
                   0)
             << "request " << i;
+    }
+}
+
+/**
+ * A net whose decomposed pieces exercise the write-back geometry
+ * makeServeCnn does not: with maxSliceRows = 10 the second 3x3 conv's
+ * 24-row filters split into slices at row offsets 8 and 16, and three
+ * FC-rule layers have row lengths that fcGroupSize (4) does not divide
+ * — a 1x1 conv over 18 channels and a Linear over 18 features (one
+ * piece each, last row padded) and a Linear over 42 features (11 rows,
+ * sliced at row 6, last slice padded).
+ */
+std::unique_ptr<nn::Sequential>
+makeGeometryNet(uint64_t seed)
+{
+    Rng rng(seed);
+    auto net = std::make_unique<nn::Sequential>();
+    net->add<nn::Conv2d>(kInC, 8, 3, 1, 1, 1, rng, false);
+    net->add<nn::BatchNorm2d>(8);
+    net->add<nn::ReLU>();
+    net->add<nn::Conv2d>(8, 8, 3, 1, 1, 1, rng, false);
+    net->add<nn::ReLU>();
+    net->add<nn::Conv2d>(8, 18, 1, 1, 0, 1, rng, false);  // stays dense
+    net->add<nn::ReLU>();
+    net->add<nn::Conv2d>(18, 8, 1, 1, 0, 1, rng, false);
+    net->add<nn::ReLU>();
+    net->add<nn::GlobalAvgPool>();
+    net->add<nn::Flatten>();
+    net->add<nn::Linear>(8, 18, rng, false);  // stays dense
+    net->add<nn::ReLU>();
+    net->add<nn::Linear>(18, 42, rng, false);
+    net->add<nn::ReLU>();
+    net->add<nn::Linear>(42, kClasses, rng, false);
+    return net;
+}
+
+TEST(InferenceSession, CeDirectWritesSlicedAndPaddedPiecesInPlace)
+{
+    core::SeOptions se_opts;
+    se_opts.vectorThreshold = 0.01;
+    core::ApplyOptions apply_opts;
+    apply_opts.maxSliceRows = 10;
+    auto reference = makeGeometryNet(101);
+    auto records = std::make_shared<std::vector<core::SeLayerRecord>>(
+        core::compressToRecords(*reference, se_opts, apply_opts)
+            .records);
+
+    // The plan really has both geometries this test is about.
+    auto probe = makeGeometryNet(101);
+    const core::CompressionPlan plan =
+        core::planCompression(*probe, se_opts, apply_opts);
+    bool conv_offset = false;
+    int padded_layers = 0;
+    for (const core::DecompUnit &u : plan.units)
+        conv_offset |= plan.layers[u.layerIndex].convKxK && u.rowOffset > 0;
+    for (const core::PlannedLayer &pl : plan.layers)
+        padded_layers += pl.weight && !pl.convKxK &&
+                         pl.rowLength % pl.kernelS != 0;
+    ASSERT_TRUE(conv_offset);
+    ASSERT_EQ(padded_layers, 3);
+
+    serve::InferenceSession dense(makeGeometryNet(101), records, se_opts,
+                                  apply_opts);
+    serve::SessionOptions ce_opts;
+    ce_opts.weightSource = serve::WeightSource::CeDirect;
+    ce_opts.cacheRebuiltWeights = false;
+    ce_opts.rebuildPerCall = true;
+    serve::InferenceSession ce(makeGeometryNet(101), records, se_opts,
+                               apply_opts, ce_opts);
+    const kernels::KernelIsa prev = kernels::activeIsa();
+    for (kernels::KernelIsa isa : kernels::supportedIsas()) {
+        kernels::setActiveIsa(isa);
+        Tensor x = makeInput(600, 3);
+        Tensor yd = dense.forward(x);
+        Tensor yc = ce.forward(x);
+        Tensor yr = reference->forward(x, false);
+        ASSERT_EQ(yd.shape(), yc.shape());
+        EXPECT_EQ(std::memcmp(yd.data(), yc.data(),
+                              (size_t)yd.size() * sizeof(float)),
+                  0)
+            << kernels::isaName(isa);
+        EXPECT_EQ(std::memcmp(yr.data(), yc.data(),
+                              (size_t)yr.size() * sizeof(float)),
+                  0)
+            << kernels::isaName(isa);
+        // Every parameter, rebuilt or not, matches byte for byte.
+        const auto pd = dense.net().params();
+        const auto pc = ce.net().params();
+        ASSERT_EQ(pd.size(), pc.size());
+        for (size_t i = 0; i < pd.size(); ++i)
+            EXPECT_EQ(std::memcmp(pd[i].value->data(),
+                                  pc[i].value->data(),
+                                  (size_t)pd[i].value->size() *
+                                      sizeof(float)),
+                      0)
+                << kernels::isaName(isa) << " param " << i;
+    }
+    kernels::setActiveIsa(prev);
+}
+
+TEST(InferenceSession, RejectsPieceWhoseCeRankDisagreesWithBasis)
+{
+    // An in-memory record whose Ce has r columns but whose basis has
+    // r +- 1 rows must be refused at bind: the Ce*B kernels would
+    // read r basis rows.
+    auto shipped = shipModel(102);
+    for (int64_t delta : {-1, 1}) {
+        auto records = std::make_shared<std::vector<core::SeLayerRecord>>(
+            *shipped.records);
+        core::SeMatrix &piece = records->front().pieces.front();
+        const int64_t rank = piece.ce.dim(1);
+        ASSERT_EQ(piece.basis.dim(0), rank);
+        Tensor basis({rank + delta, piece.basis.dim(1)});
+        for (int64_t i = 0; i < std::min(rank, rank + delta); ++i)
+            for (int64_t j = 0; j < basis.dim(1); ++j)
+                basis.at(i, j) = piece.basis.at(i, j);
+        piece.basis = basis;
+        for (serve::WeightSource src : {serve::WeightSource::Dense,
+                                        serve::WeightSource::CeDirect}) {
+            serve::SessionOptions opts;
+            opts.weightSource = src;
+            EXPECT_THROW(serve::InferenceSession(makeServeCnn(102), records,
+                                                 shipped.seOpts,
+                                                 shipped.applyOpts, opts),
+                         core::ModelFileError)
+                << "rank delta " << delta;
+        }
     }
 }
 
