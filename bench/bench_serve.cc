@@ -26,10 +26,9 @@
  *    completed+shed == offered conservation check;
  *  - flush policy: Deadline vs Full p99 at equal paced offered load
  *    (the latency/throughput knob made visible);
- *  - pipelined streaming execution: the streamed-v4 CeDirect bundle
- *    served by the serial one-request loop vs the stage-decoupled
- *    engine with prefetch/pipelining off and on, with decode-stall,
- *    prefetch hit/miss and pipeline-occupancy counters;
+ *  - stream prefetch: the streamed-v4 CeDirect bundle served by the
+ *    serial one-request loop vs the engine with the prefetch lane
+ *    off and on, with decode-stall and prefetch hit/miss counters;
  *  - engine latency percentiles.
  *
  * Usage: ./bench_serve [--smoke] [threads] [requests]
@@ -37,18 +36,15 @@
  * --smoke shrinks the run and turns the noise-tolerant invariants
  * into exit gates (batched >= serial, deadline p99 < full p99,
  * v3 <= 60% of v2 bytes, v4 <= 90% of v3 bytes, lazy v4 cold start
- * < eager, pipelined >= 1.15x the serial loop with a shrinking
- * rebuild stall and ~0 prefetched decode stall) on top of the
+ * < eager, ~0 prefetched decode stall) on top of the
  * always-gated bit-identity/warm<cold checks — the Release CI job
  * runs it on every PR.
  *
  * SE_SERVE_QUEUE_CAP / SE_SERVE_DEADLINE_MS / SE_SERVE_WEIGHT_SOURCE
  * / SE_MODEL_FORMAT (via RuntimeOptions::fromEnv) override the
  * admission cap, deadline, serving weight source and reported save
- * format used by the respective sections. SE_PIPELINE switches the
- * per-call engine section to the stage-decoupled loop (responses
- * must not change) and SE_PREFETCH_DEPTH sets the lookahead the
- * pipeline section's prefetch lane uses.
+ * format used by the respective sections, and SE_PREFETCH_DEPTH sets
+ * the lookahead the stream-prefetch section's lane uses.
  *
  * SE_FAILPOINTS=<spec> switches the whole run into a fault drill:
  * the perf sections are skipped (faults would corrupt their timings)
@@ -649,14 +645,10 @@ main(int argc, char **argv)
             serve::ServeOptions opts;
             opts.threads = thread_counts[ti];
             opts.maxBatch = 16;
-            // SE_PIPELINE flips this section's engines to the
-            // stage-decoupled loop; responses must stay identical.
-            opts.pipeline = run_opts.servePipeline;
             opts.session.rebuildPerCall = true;
             opts.session.cacheRebuiltWeights = false;
             opts.session.weightSource = weight_source;
             opts.session.denseState = dense;
-            opts.session.pipelineRebuild = run_opts.servePipeline;
             serve::ServeEngine engine(records, factory, se_opts,
                                       apply_opts, opts);
             auto t0 = Clock::now();
@@ -677,13 +669,11 @@ main(int argc, char **argv)
             auto st = engine.stats();
             std::printf(
                 "    {\"threads\": %d, \"max_batch\": 16, "
-                "\"pipeline\": %s, "
                 "\"ms\": %.2f, \"rps\": %.1f, "
                 "\"mean_batch\": %.1f, \"p50_ms\": %.2f, "
                 "\"p95_ms\": %.2f, \"p99_ms\": %.2f, "
                 "\"bit_identical\": %s}%s\n",
-                thread_counts[ti],
-                bench::jsonBool(run_opts.servePipeline), ms, rps,
+                thread_counts[ti], ms, rps,
                 st.meanBatchSize, st.p50Ms, st.p95Ms, st.p99Ms,
                 bench::jsonBool(digest == serial_digest),
                 bench::jsonSep(ti, thread_counts.size()));
@@ -1088,19 +1078,13 @@ main(int argc, char **argv)
             full_p99 / deadline_p99);
     }
 
-    // --- pipelined streaming execution -----------------------------
-    // The v4 bundle served CeDirect at three rungs of the same work:
-    // the serial one-request-at-a-time loop (every request pays a
-    // full inline rebuild), the stage-decoupled engine with
-    // everything off, and with everything on — prefetch lane decoding
-    // pieces ahead of the consumer, the session rebuilding layer
-    // group g+1 while group g's GEMMs run, and the engine's
-    // admit -> form -> execute -> complete stages overlapped.
-    // Responses must be bit-identical on all three rungs; --smoke
-    // additionally gates pipelined >= 1.15x the serial loop and the
-    // rebuild stall shrinking against the serial-stage engine.
+    // --- stream prefetch -------------------------------------------
+    // The v4 bundle served CeDirect three ways: the serial
+    // one-request-at-a-time loop (every request pays a full inline
+    // rebuild), then the engine with the prefetch lane off and on.
+    // Responses must be bit-identical on all three; --smoke
+    // additionally gates the prefetched piece-decode stall at ~0.
     bool pipe_identical, prefetch_clean;
-    double pipe_speedup, pipe_stall_ms[2];
     double stream_stall_inline_ms, stream_stall_lane_ms;
     {
         const int pipe_n = std::min(requests, 64);
@@ -1139,7 +1123,7 @@ main(int argc, char **argv)
             lane_hits = lane_sm.streamStats().prefetchHits;
         }
 
-        // Rung 1: serial one-at-a-time loop on the streamed bundle.
+        // The serial one-at-a-time loop on the streamed bundle.
         double serial_loop_rps;
         uint64_t pipe_digest[3];
         {
@@ -1170,25 +1154,21 @@ main(int argc, char **argv)
             pipe_digest[0] = digest;
         }
 
-        // Rungs 2 and 3: the engine with SE_PIPELINE off, then on.
-        double mode_rps[2], mode_occ[2];
+        // The engine with the prefetch lane off, then on.
+        double mode_rps[2], mode_stall[2];
         double mode_form[2], mode_exec[2], mode_complete[2];
-        uint64_t mode_overlapped[2];
         uint64_t mode_hits[2], mode_misses[2], mode_errors[2];
         for (int v = 0; v < 2; ++v) {
-            const bool on = v == 1;
             core::StreamLoaderOptions lo;
-            lo.prefetchDepth = on ? depth : 0;
+            lo.prefetchDepth = v == 1 ? depth : 0;
             core::StreamedModel sm(path, lo);
             serve::ServeOptions opts;
-            opts.pipeline = on;
             opts.threads = max_threads;
             opts.maxBatch = 16;
             opts.session.rebuildPerCall = true;
             opts.session.cacheRebuiltWeights = false;
             opts.session.weightSource =
                 serve::WeightSource::CeDirect;
-            opts.session.pipelineRebuild = on;
             opts.session.denseState = std::make_shared<
                 const std::vector<core::DenseTensor>>(sm.dense());
             serve::ServeEngine engine(sm.records(), factory,
@@ -1210,9 +1190,7 @@ main(int argc, char **argv)
             const auto ss = sm.streamStats();
             mode_rps[v] = 1000.0 * pipe_n / ms;
             pipe_digest[v + 1] = digest;
-            pipe_stall_ms[v] = st.decodeStallMs;
-            mode_occ[v] = st.pipelineOccupancy;
-            mode_overlapped[v] = st.overlappedBatches;
+            mode_stall[v] = st.decodeStallMs;
             mode_form[v] = st.formMs;
             mode_exec[v] = st.execMs;
             mode_complete[v] = st.completeMs;
@@ -1229,43 +1207,31 @@ main(int argc, char **argv)
                          mode_errors[1] == 0 &&
                          mode_hits[1] + mode_misses[1] ==
                              (uint64_t)pieces;
-        pipe_speedup = mode_rps[1] / serial_loop_rps;
 
         std::printf(
-            "  \"pipeline\": {\"env_pipeline\": \"%s\", "
-            "\"prefetch_depth\": %zu, \"requests\": %d, "
+            "  \"stream_prefetch\": {\"prefetch_depth\": %zu, "
+            "\"requests\": %d, "
             "\"stream_decode\": {\"pieces\": %zu, "
             "\"inline_stall_ms\": %.3f, \"lane_stall_ms\": %.3f, "
             "\"lane_hits\": %" PRIu64 "}, "
             "\"serial_loop_rps\": %.1f,\n"
             "    \"engine\": [\n",
-            run_opts.servePipeline ? "on" : "off", depth, pipe_n,
-            pieces, stream_stall_inline_ms, stream_stall_lane_ms,
-            lane_hits, serial_loop_rps);
+            depth, pipe_n, pieces, stream_stall_inline_ms,
+            stream_stall_lane_ms, lane_hits, serial_loop_rps);
         for (int v = 0; v < 2; ++v)
             std::printf(
-                "      {\"pipeline\": %s, \"rps\": %.1f, "
-                "\"decode_stall_ms\": %.3f, \"form_ms\": %.3f, "
+                "      {\"prefetch\": %s, \"rps\": %.1f, "
+                "\"rebuild_ms\": %.3f, \"form_ms\": %.3f, "
                 "\"exec_ms\": %.3f, \"complete_ms\": %.3f, "
-                "\"overlapped_batches\": %" PRIu64 ", "
-                "\"occupancy\": %.2f, "
                 "\"prefetch_hits\": %" PRIu64 ", "
                 "\"prefetch_misses\": %" PRIu64 ", "
                 "\"prefetch_errors\": %" PRIu64 "}%s\n",
-                bench::jsonBool(v == 1), mode_rps[v],
-                pipe_stall_ms[v], mode_form[v], mode_exec[v],
-                mode_complete[v], mode_overlapped[v], mode_occ[v],
+                bench::jsonBool(v == 1), mode_rps[v], mode_stall[v],
+                mode_form[v], mode_exec[v], mode_complete[v],
                 mode_hits[v], mode_misses[v], mode_errors[v],
                 bench::jsonSep((size_t)v, 2));
-        std::printf(
-            "    ],\n"
-            "    \"pipelined_speedup_vs_serial_loop\": %.2f, "
-            "\"stall_reduction\": %.2f, \"bit_identical\": %s},\n",
-            pipe_speedup,
-            pipe_stall_ms[1] > 0.0
-                ? pipe_stall_ms[0] / pipe_stall_ms[1]
-                : 0.0,
-            bench::jsonBool(pipe_identical));
+        std::printf("    ],\n    \"bit_identical\": %s},\n",
+                    bench::jsonBool(pipe_identical));
     }
 
     std::printf("  \"responses_bit_identical\": %s\n",
@@ -1292,8 +1258,7 @@ main(int argc, char **argv)
         pass = pass && best_percall_rps >= serial_percall_rps &&
                deadline_p99 < full_p99 && v3_over_v2 <= 0.60 &&
                v4_over_v3 <= 0.90 && v4_lazy_faster &&
-               hot_reload_ok && pipe_speedup >= 1.15 &&
-               pipe_stall_ms[1] < pipe_stall_ms[0] &&
+               hot_reload_ok &&
                stream_stall_lane_ms <=
                    std::max(0.25 * stream_stall_inline_ms, 0.1);
     return pass ? 0 : 1;

@@ -19,8 +19,6 @@
  * SE_MODEL_FORMAT picks the bundle format shipped through /tmp
  * (3 = packed 4-bit + dense residual, 2 = legacy records-only), and
  * SE_SERVE_WEIGHT_SOURCE=ce serves from the packed codes directly.
- * SE_PIPELINE=on overlaps the engines' form/execute/complete stages
- * (stage and stall counters are printed per model) and
  * SE_PREFETCH_DEPTH>0 arms the v4 stream's async decode lane.
  */
 
@@ -115,11 +113,6 @@ main(int argc, char **argv)
         serve_opts.flush = serve::FlushPolicy::Deadline;
         serve_opts.flushDeadlineMs = run_opts.serveDeadlineMs;
     }
-    // SE_PIPELINE=on overlaps form/execute/complete in every engine
-    // and rebuilds layer groups concurrently with the forward;
-    // responses are bit-identical either way.
-    serve_opts.pipeline = run_opts.servePipeline;
-    serve_opts.session.pipelineRebuild = run_opts.servePipeline;
     serve_opts.expectedSample = {cfg.inChannels, cfg.inHeight,
                                  cfg.inWidth};
 
@@ -236,16 +229,6 @@ main(int argc, char **argv)
                     (unsigned long long)st.batches, st.meanBatchSize,
                     st.meanLatencyMs, st.p50Ms, st.p95Ms, st.p99Ms,
                     st.maxMs, (unsigned long long)digest);
-        if (serve_opts.pipeline)
-            std::printf("[%s] pipeline: decode stall %.3f ms, "
-                        "stages ms form %.3f exec %.3f complete "
-                        "%.3f, overlapped %llu/%llu batches "
-                        "(occupancy %.2f)\n",
-                        names[m].c_str(), st.decodeStallMs,
-                        st.formMs, st.execMs, st.completeMs,
-                        (unsigned long long)st.overlappedBatches,
-                        (unsigned long long)st.batches,
-                        st.pipelineOccupancy);
         if (streams[m]) {
             streams[m]->drainPrefetch();
             const auto ss = streams[m]->streamStats();

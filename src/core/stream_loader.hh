@@ -96,7 +96,7 @@ struct StreamStats
     uint64_t prefetchErrors = 0;
     /** Wall-clock consumers spent blocked on piece decode — inline
      *  decodes plus waits on an in-flight lane decode. The number the
-     *  pipelined serve path drives toward ~0. */
+     *  prefetch lane drives toward ~0. */
     double decodeStallMs = 0.0;
 };
 

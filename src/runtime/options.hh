@@ -99,14 +99,7 @@ struct RuntimeOptions
      * (and ignored) for v2/v3 bundles.
      */
     bool streamEager = false;
-    /**
-     * Pipelined streaming execution in the serve drivers
-     * (SE_PIPELINE = on | off). On, engines run the stage-decoupled
-     * dispatch loop (form / execute / complete overlap) and sessions
-     * rebuild weights on a lane concurrent with compute. Responses
-     * are bit-identical either way — the knob moves wall-clock and
-     * the stage/occupancy stats, never values.
-     */
+    /** Kept only for the benchmark driver; always false. */
     bool servePipeline = false;
     /**
      * Streaming-loader lookahead window (SE_PREFETCH_DEPTH >= 0):
@@ -226,16 +219,6 @@ struct RuntimeOptions
                 throw std::invalid_argument(
                     "SE_STREAM_LOADER must be mmap|eager, got '" +
                     std::string(s) + "'");
-        }
-        if (const char *p = std::getenv("SE_PIPELINE")) {
-            if (!std::strcmp(p, "on"))
-                ro.servePipeline = true;
-            else if (!std::strcmp(p, "off"))
-                ro.servePipeline = false;
-            else
-                throw std::invalid_argument(
-                    "SE_PIPELINE must be on|off, got '" +
-                    std::string(p) + "'");
         }
         if (const char *d = std::getenv("SE_PREFETCH_DEPTH")) {
             const long long v =

@@ -37,6 +37,16 @@ ServeEngine::ServeEngine(
     : opts_(opts), expected_(opts.expectedSample),
       latency_(opts.latencyReservoirCap)
 {
+    if (opts_.pipeline || opts_.session.pipelineRebuild)
+        throw std::invalid_argument(
+            "ServeEngine: pipeline and session.pipelineRebuild are "
+            "unsupported and must be false");
+    // Written as !(x <= cap) so NaN is rejected too; an uncapped
+    // value would overflow the deadline's integer-nanosecond cast.
+    if (!(opts_.flushDeadlineMs <= kMaxFlushDeadlineMs))
+        throw std::invalid_argument(
+            "ServeEngine: flushDeadlineMs must be a number of ms no "
+            "larger than one hour");
     if (opts_.maxBatch < 1)
         opts_.maxBatch = 1;
     if (opts_.flushDeadlineMs < 0.0)
@@ -49,16 +59,9 @@ ServeEngine::ServeEngine(
             factory(), model, se_opts, apply_opts, opts_.session));
     for (size_t i = 0; i < replicas_.size(); ++i)
         freeReplicas_.push_back(i);
-    if (opts_.pipelineDepth < 1)
-        opts_.pipelineDepth = 1;
     if (threads > 0)
         pool_ = std::make_unique<ThreadPool>(threads);
-    if (opts_.pipeline) {
-        completer_ = std::thread([this] { completerLoop(); });
-        dispatcher_ = std::thread([this] { pipelinedDispatchLoop(); });
-    } else {
-        dispatcher_ = std::thread([this] { dispatchLoop(); });
-    }
+    dispatcher_ = std::thread([this] { dispatchLoop(); });
 }
 
 ServeEngine::~ServeEngine()
@@ -77,11 +80,6 @@ ServeEngine::stop()
     cv_.notifyAll();
     if (dispatcher_.joinable())
         dispatcher_.join();
-    // Pipelined mode: the completer exits once the dispatcher is done
-    // AND every in-flight execute has published (the exec tasks run
-    // on the still-alive pool below and notify as they land).
-    if (completer_.joinable())
-        completer_.join();
     // The pool destructor runs every already-submitted batch; it must
     // happen here, while the queue/stats members the batches touch
     // are still alive.
@@ -263,11 +261,10 @@ ServeEngine::runBatch(size_t replica, std::vector<Request> &batch)
         const double formMs = msSince(f0);
 
         const auto e0 = Clock::now();
-        const double stall0 =
-            replicas_[replica]->stats().decodeStallMs;
+        const double stall0 = replicas_[replica]->stats().rebuildMs;
         Tensor out = replicas_[replica]->forward(in);
         const double stallDelta =
-            replicas_[replica]->stats().decodeStallMs - stall0;
+            replicas_[replica]->stats().rebuildMs - stall0;
         const double execMs = msSince(e0);
         if (out.ndim() < 1 || out.dim(0) != (int64_t)n)
             throw std::runtime_error(
@@ -328,293 +325,6 @@ ServeEngine::runBatch(size_t replica, std::vector<Request> &batch)
 }
 
 void
-ServeEngine::formBatch(FormedBatch &fb, Tensor staging)
-{
-    // Admission already rejected mismatched shapes; this is an
-    // internal invariant, not a reachable request-error path.
-    const size_t n = fb.reqs.size();
-    const Shape sample = sampleShape(fb.reqs[0].input);
-    const int64_t sample_elems = numel(sample);
-    for (const Request &r : fb.reqs)
-        if (sampleShape(r.input) != sample)
-            throw std::logic_error(
-                "mixed sample shapes leaked into one serve batch");
-
-    Shape in_shape;
-    in_shape.push_back((int64_t)n);
-    in_shape.insert(in_shape.end(), sample.begin(), sample.end());
-    // Reuse a recycled staging tensor when the shape matches (all
-    // full batches of one engine do) — the pipeline's double buffer:
-    // this stage writes one buffer while the execute stage reads
-    // another.
-    if (staging.shape() == in_shape)
-        fb.input = std::move(staging);
-    else
-        fb.input = Tensor(in_shape);
-    for (size_t i = 0; i < n; ++i)
-        std::memcpy(fb.input.data() + (int64_t)i * sample_elems,
-                    fb.reqs[i].input.data(),
-                    (size_t)sample_elems * sizeof(float));
-}
-
-void
-ServeEngine::launchLocked()
-{
-    while (!formed_.empty() && !freeReplicas_.empty()) {
-        const size_t replica = freeReplicas_.back();
-        freeReplicas_.pop_back();
-        ++executing_;
-        pool_->submit([this, replica,
-                       fb = std::move(formed_.front())]() mutable {
-            execBatch(replica, fb);
-        });
-        formed_.pop_front();
-    }
-}
-
-void
-ServeEngine::execBatch(size_t replica, FormedBatch &fb)
-{
-    // Replicas already occupy one core each; keep the kernel layer
-    // from fanning GEMM panels out under them and doubling up.
-    kernels::SerialScope serial;
-    DoneBatch d;
-    d.reqs = std::move(fb.reqs);
-    const size_t n = d.reqs.size();
-    const auto e0 = Clock::now();
-    try {
-        // Injected faults take the same path as a throwing model
-        // forward: the batch lands in done_ carrying the error and
-        // the completer fails its requests; the replica survives.
-        SE_FAILPOINT("serve_batch_exec");
-        const double stall0 =
-            replicas_[replica]->stats().decodeStallMs;
-        d.out = replicas_[replica]->forward(fb.input);
-        d.stallDelta =
-            replicas_[replica]->stats().decodeStallMs - stall0;
-        if (d.out.ndim() < 1 || d.out.dim(0) != (int64_t)n)
-            throw std::runtime_error(
-                "model output lost the batch dimension");
-    } catch (...) {
-        d.err = std::current_exception();
-    }
-    d.execMs = msSince(e0);
-    {
-        base::LockGuard lk(mu_);
-        // Recycle the input tensor for a future form stage.
-        if (stagePool_.size() <
-            opts_.pipelineDepth + replicas_.size())
-            stagePool_.push_back(std::move(fb.input));
-        done_.push_back(std::move(d));
-        freeReplicas_.push_back(replica);
-        --executing_;
-        if (pool_)
-            launchLocked();
-    }
-    cv_.notifyAll();
-}
-
-void
-ServeEngine::publishBatch(DoneBatch &d)
-{
-    const auto c0 = Clock::now();
-    const size_t n = d.reqs.size();
-    size_t fulfilled = 0;  // promises already satisfied
-    if (!d.err) {
-        try {
-            Shape out_sample(d.out.shape().begin() + 1,
-                             d.out.shape().end());
-            if (out_sample.empty())
-                out_sample.push_back(1);
-            const int64_t out_elems = numel(out_sample);
-
-            // Commit stats BEFORE fulfilling any promise — the same
-            // ordering contract as the serial path: a caller that has
-            // seen its future become ready must also see itself in
-            // stats().
-            {
-                base::LockGuard lk(stats_mu_);
-                for (size_t i = 0; i < n; ++i)
-                    latency_.add(msSince(d.reqs[i].enqueued));
-                ++batches_;
-                batchedRequests_ += n;
-                execMs_ += d.execMs;
-                stallMs_ += d.stallDelta;
-            }
-            for (size_t i = 0; i < n; ++i) {
-                Tensor resp(out_sample);
-                std::memcpy(resp.data(),
-                            d.out.data() + (int64_t)i * out_elems,
-                            (size_t)out_elems * sizeof(float));
-                d.reqs[i].promise.set_value(std::move(resp));
-                ++fulfilled;
-            }
-            if (failpoint::evaluate("serve_publish_delay"))
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(1));
-        } catch (...) {
-            d.err = std::current_exception();
-        }
-    }
-    if (d.err) {
-        // Fail only the requests whose promise is still pending —
-        // set_exception on a satisfied promise would itself throw.
-        for (size_t i = fulfilled; i < n; ++i)
-            d.reqs[i].promise.set_exception(d.err);
-        base::LockGuard lk(stats_mu_);
-        failed_ += n - fulfilled;
-    }
-    {
-        base::LockGuard lk(stats_mu_);
-        completeMs_ += msSince(c0);
-    }
-}
-
-void
-ServeEngine::pipelinedDispatchLoop()
-{
-    for (;;) {
-        std::vector<Request> reqs;
-        Tensor staging;
-        {
-            base::LockGuard lk(mu_);
-            for (;;) {
-                if (queue_.empty()) {
-                    if (stopping_) {
-                        dispatcherDone_ = true;
-                        cv_.notifyAll();  // release the completer
-                        return;
-                    }
-                    cv_.wait(lk);
-                    continue;
-                }
-                if (formed_.size() >= opts_.pipelineDepth) {
-                    // Backpressure: the execute stage drains formed_
-                    // and notifies.
-                    cv_.wait(lk);
-                    continue;
-                }
-                if (stopping_ || drainers_ > 0 ||
-                    opts_.flush == FlushPolicy::Greedy ||
-                    queue_.size() >= opts_.maxBatch)
-                    break;
-                if (opts_.flush == FlushPolicy::Deadline) {
-                    const auto flushAt =
-                        queue_.front().enqueued +
-                        std::chrono::duration_cast<Clock::duration>(
-                            std::chrono::duration<double,
-                                                  std::milli>(
-                                opts_.flushDeadlineMs));
-                    if (Clock::now() >= flushAt)
-                        break;
-                    cv_.waitUntil(lk, flushAt);
-                    continue;
-                }
-                cv_.wait(lk);  // Full: hold for a complete batch
-            }
-            const size_t k =
-                std::min(queue_.size(), opts_.maxBatch);
-            reqs.reserve(k);
-            for (size_t i = 0; i < k; ++i) {
-                reqs.push_back(std::move(queue_.front()));
-                queue_.pop_front();
-            }
-            if (!stagePool_.empty()) {
-                staging = std::move(stagePool_.back());
-                stagePool_.pop_back();
-            }
-        }
-
-        // Form OFF-lock: batch t+1 assembles while batch t executes
-        // and batch t-1 publishes.
-        FormedBatch fb;
-        fb.reqs = std::move(reqs);
-        std::exception_ptr formErr;
-        const auto f0 = Clock::now();
-        try {
-            formBatch(fb, std::move(staging));
-        } catch (...) {
-            formErr = std::current_exception();
-        }
-        const double formMs = msSince(f0);
-
-        bool overlapped = false;
-        bool inlineRun = false;
-        size_t replica = 0;
-        FormedBatch inlineFb;
-        {
-            base::LockGuard lk(mu_);
-            if (formErr) {
-                // A failed form skips execute; the completer fails
-                // its requests (and keeps publish ordering).
-                DoneBatch d;
-                d.reqs = std::move(fb.reqs);
-                d.err = formErr;
-                done_.push_back(std::move(d));
-            } else {
-                overlapped = executing_ > 0 || !done_.empty();
-                formed_.push_back(std::move(fb));
-                if (pool_) {
-                    launchLocked();
-                } else {
-                    // threads == 0: execute inline on the dispatcher
-                    // (its only replica is free by construction — the
-                    // dispatcher itself returned it); the completer
-                    // still overlaps publish with the next form.
-                    replica = freeReplicas_.back();
-                    freeReplicas_.pop_back();
-                    ++executing_;
-                    inlineFb = std::move(formed_.front());
-                    formed_.pop_front();
-                    inlineRun = true;
-                }
-            }
-        }
-        cv_.notifyAll();
-        {
-            base::LockGuard sk(stats_mu_);
-            formMs_ += formMs;
-            if (overlapped)
-                ++overlapped_;
-        }
-        // Schedule-perturbation failpoint for the race wall: armed,
-        // the form stage stalls 1ms between hand-offs, shifting every
-        // stage boundary relative to stop()/drain() callers.
-        if (failpoint::evaluate("pipeline_stage_delay"))
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        if (inlineRun)
-            execBatch(replica, inlineFb);
-    }
-}
-
-void
-ServeEngine::completerLoop()
-{
-    for (;;) {
-        DoneBatch d;
-        {
-            base::LockGuard lk(mu_);
-            for (;;) {
-                if (!done_.empty())
-                    break;
-                if (dispatcherDone_ && executing_ == 0 &&
-                    formed_.empty())
-                    return;  // fully drained, stop in progress
-                cv_.wait(lk);
-            }
-            d = std::move(done_.front());
-            done_.pop_front();
-        }
-        publishBatch(d);
-        {
-            base::LockGuard lk(mu_);
-            pending_ -= d.reqs.size();
-        }
-        cv_.notifyAll();
-    }
-}
-
-void
 ServeEngine::drain()
 {
     base::LockGuard lk(mu_);
@@ -650,10 +360,6 @@ ServeEngine::stats() const
         s.execMs = execMs_;
         s.completeMs = completeMs_;
         s.decodeStallMs = stallMs_;
-        s.overlappedBatches = overlapped_;
-        s.pipelineOccupancy =
-            batches_ > 0 ? (double)overlapped_ / (double)batches_
-                         : 0.0;
     }
     s.p50Ms = percentile(lat, 0.50);
     s.p95Ms = percentile(lat, 0.95);

@@ -20,23 +20,6 @@
  * off at serving time: in rebuild-per-call sessions the Ce*B rebuild
  * cost is paid once per batch, not once per request.
  *
- * Pipelined mode (ServeOptions::pipeline, SE_PIPELINE in the
- * drivers) decouples the serial admit -> form -> execute -> complete
- * loop into overlapping stages: the dispatcher assembles batch t+1's
- * input tensor (form) while batch t runs its forward on a pool worker
- * (execute) and a dedicated completer thread slices and publishes
- * batch t-1's responses (complete). Form staging tensors are recycled
- * through a bounded pool (double-buffered by the pipeline depth), and
- * up to pipelineDepth formed batches queue ahead of the replicas.
- * Per-sample arithmetic is independent of batch composition and each
- * batch still runs on exactly one replica, so responses stay
- * bit-identical to the serial loop; stats-commit-before-publish and
- * the stop()/drain() contracts are preserved (the completer commits a
- * batch's stats before fulfilling its promises, and drain() waits on
- * the same pending_ counter, now decremented at publish). The
- * `pipeline_stage_delay` failpoint perturbs the stage hand-off
- * schedule for race-hunting tests.
- *
  * Failure semantics (nothing in here panics the process):
  *  - malformed request (bad batch dim, or a per-sample shape that
  *    differs from the engine's locked shape): the returned future
@@ -100,6 +83,9 @@ enum class FlushPolicy
     Deadline,
 };
 
+/** Largest accepted ServeOptions::flushDeadlineMs: one hour. */
+constexpr double kMaxFlushDeadlineMs = 3.6e6;
+
 /** Engine configuration. */
 struct ServeOptions
 {
@@ -111,7 +97,11 @@ struct ServeOptions
     /** Micro-batch size cap. */
     size_t maxBatch = 8;
     FlushPolicy flush = FlushPolicy::Greedy;
-    /** Oldest-request age that closes a batch under Deadline. */
+    /**
+     * Oldest-request age that closes a batch under Deadline.
+     * Negative clamps to 0; above kMaxFlushDeadlineMs (or NaN) the
+     * constructor throws std::invalid_argument.
+     */
     double flushDeadlineMs = 5.0;
     /**
      * Admission cap on queued-but-undispatched requests; submit()
@@ -129,19 +119,8 @@ struct ServeOptions
      * default) locks to the first well-formed submitted sample.
      */
     Shape expectedSample;
-    /**
-     * Stage-decoupled execution (see the class comment): form,
-     * execute and complete overlap instead of running serially on
-     * the dispatcher. Bit-identical responses; only wall-clock and
-     * the stage/occupancy stats move.
-     */
+    /** Kept only for the benchmark driver; true throws. */
     bool pipeline = false;
-    /**
-     * Formed-batch lookahead under `pipeline`: how many assembled
-     * batches may queue ahead of the replicas before the form stage
-     * applies backpressure (clamped to >= 1).
-     */
-    size_t pipelineDepth = 2;
     /** Rebuild policy handed to every replica. */
     SessionOptions session;
     /**
@@ -177,22 +156,15 @@ struct ServeStats
     double p99Ms = 0.0;
     double maxMs = 0.0;  ///< exact running max
 
-    // Stage accounting (both modes; overlap metrics move only under
-    // ServeOptions::pipeline).
+    // Stage accounting.
     double formMs = 0.0;      ///< batch-assembly wall-clock
     double execMs = 0.0;      ///< replica-forward wall-clock
     double completeMs = 0.0;  ///< slice-and-publish wall-clock
-    /**
-     * Wall-clock replicas spent blocked on weight rebuild (the fold
-     * of SessionStats::decodeStallMs deltas per batch) — the number
-     * pipelined rebuild drives toward ~0.
-     */
+    /** Wall-clock replicas spent rebuilding weights (the fold of
+     *  SessionStats::rebuildMs deltas per batch). */
     double decodeStallMs = 0.0;
-    /** Batches formed while another batch was executing/publishing. */
+    /** Kept only for the benchmark driver; always 0. */
     uint64_t overlappedBatches = 0;
-    /** overlappedBatches / batches — 1.0 means the form stage never
-     *  found the pipeline empty. */
-    double pipelineOccupancy = 0.0;
 };
 
 /** Builds one architecture instance per replica (deterministic). */
@@ -201,6 +173,11 @@ using NetFactory = std::function<std::unique_ptr<nn::Sequential>()>;
 class ServeEngine
 {
   public:
+    /**
+     * Throws std::invalid_argument if flushDeadlineMs is NaN or above
+     * kMaxFlushDeadlineMs, or if pipeline / session.pipelineRebuild
+     * is set.
+     */
     ServeEngine(
         std::shared_ptr<const std::vector<core::SeLayerRecord>> model,
         const NetFactory &factory, const core::SeOptions &se_opts,
@@ -245,37 +222,10 @@ class ServeEngine
         std::chrono::steady_clock::time_point enqueued;
     };
 
-    /** One formed (input-assembled) batch awaiting a replica. */
-    struct FormedBatch
-    {
-        std::vector<Request> reqs;
-        Tensor input;
-    };
-
-    /** One executed batch awaiting publish by the completer. */
-    struct DoneBatch
-    {
-        std::vector<Request> reqs;
-        Tensor out;
-        std::exception_ptr err;
-        double execMs = 0.0;
-        double stallDelta = 0.0;  ///< replica decode-stall delta
-    };
-
     void dispatchLoop() SE_EXCLUDES(mu_);
     void runBatch(size_t replica, std::vector<Request> &batch)
         SE_EXCLUDES(mu_, stats_mu_);
     void releaseReplica(size_t idx) SE_EXCLUDES(mu_);
-
-    // Pipelined mode.
-    void pipelinedDispatchLoop() SE_EXCLUDES(mu_, stats_mu_);
-    void completerLoop() SE_EXCLUDES(mu_, stats_mu_);
-    /** Hand formed batches to free replicas (pool mode). */
-    void launchLocked() SE_REQUIRES(mu_);
-    void formBatch(FormedBatch &fb, Tensor staging);
-    void execBatch(size_t replica, FormedBatch &fb)
-        SE_EXCLUDES(mu_, stats_mu_);
-    void publishBatch(DoneBatch &d) SE_EXCLUDES(mu_, stats_mu_);
 
     ServeOptions opts_;
     /** Immutable after construction; each replica is used by at most
@@ -302,17 +252,6 @@ class ServeEngine
     bool stopping_ SE_GUARDED_BY(mu_) = false;
     std::vector<size_t> freeReplicas_ SE_GUARDED_BY(mu_);
 
-    // Pipelined-mode stage queues (empty and idle in serial mode).
-    std::deque<FormedBatch> formed_ SE_GUARDED_BY(mu_);
-    std::deque<DoneBatch> done_ SE_GUARDED_BY(mu_);
-    /** Batches currently in their execute stage. */
-    size_t executing_ SE_GUARDED_BY(mu_) = 0;
-    /** The pipelined dispatcher exited (stop in progress). */
-    bool dispatcherDone_ SE_GUARDED_BY(mu_) = false;
-    /** Recycled form-stage staging tensors (bounded by depth +
-     *  replica count — the pipeline's double buffers). */
-    std::vector<Tensor> stagePool_ SE_GUARDED_BY(mu_);
-
     mutable base::Mutex stats_mu_ SE_ACQUIRED_AFTER(mu_);
     LatencyReservoir latency_ SE_GUARDED_BY(stats_mu_);
     uint64_t batches_ SE_GUARDED_BY(stats_mu_) = 0;
@@ -324,10 +263,8 @@ class ServeEngine
     double execMs_ SE_GUARDED_BY(stats_mu_) = 0.0;
     double completeMs_ SE_GUARDED_BY(stats_mu_) = 0.0;
     double stallMs_ SE_GUARDED_BY(stats_mu_) = 0.0;
-    uint64_t overlapped_ SE_GUARDED_BY(stats_mu_) = 0;
 
     std::thread dispatcher_;  ///< set in ctor, joined under stop_mu_
-    std::thread completer_;   ///< pipelined mode only
 };
 
 } // namespace serve

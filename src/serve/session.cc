@@ -4,7 +4,6 @@
 
 #include "base/clock.hh"
 #include "kernels/ce_gemm.hh"
-#include "kernels/kernels.hh"
 
 namespace se {
 namespace serve {
@@ -53,6 +52,10 @@ InferenceSession::InferenceSession(
     const core::ApplyOptions &apply_opts, SessionOptions opts)
     : net_(std::move(net)), model_(std::move(model)), opts_(opts)
 {
+    if (opts_.pipelineRebuild)
+        throw std::invalid_argument(
+            "InferenceSession: pipelineRebuild is unsupported and "
+            "must be false");
     // Re-derive the slice geometry from the live architecture, with
     // pruning disabled (its effect is baked into the coefficients).
     core::ApplyOptions plan_opts = apply_opts;
@@ -85,28 +88,6 @@ InferenceSession::InferenceSession(
         for (const BoundLayer &bl : layers_)
             decomposed.push_back(bl.geom.weight);
         core::installDenseState(*net_, *opts_.denseState, decomposed);
-    }
-
-    // Pipelined rebuild: map every bound layer to the top-level net
-    // child owning its weight tensor, so the stepped forward knows
-    // when a lane rebuild must have completed. Matching is by Param
-    // pointer (params() recurses into composite children, so a conv
-    // nested in a Residual maps to the Residual's child index). An
-    // unmappable weight disables pipelining rather than risking a
-    // forward through a half-rebuilt layer.
-    if (opts_.pipelineRebuild) {
-        childOf_.assign(layers_.size(), -1);
-        pipelineOk_ = !layers_.empty();
-        for (size_t c = 0; c < net_->size(); ++c)
-            for (const nn::Param &p : net_->layer(c)->params())
-                for (size_t i = 0; i < layers_.size(); ++i)
-                    if (p.value == layers_[i].geom.weight)
-                        childOf_[i] = (int)c;
-        for (int c : childOf_)
-            if (c < 0)
-                pipelineOk_ = false;
-        if (pipelineOk_)
-            lane_ = std::make_unique<ThreadPool>(1);
     }
 
     // CeDirect: keep each piece at the accelerator's storage width.
@@ -194,115 +175,8 @@ InferenceSession::ensureRebuilt()
         else
             ++stats_.warmRebuilds;
     }
-    if (!rebuilt)
-        return;
-    const double ms = msSince(t0);
-    stats_.rebuildMs += ms;
-    // An inline rebuild blocks the forward that triggered it for its
-    // whole duration — that is exactly the decode stall the pipelined
-    // path exists to hide.
-    stats_.decodeStallMs += ms;
-}
-
-bool
-InferenceSession::anyStale() const
-{
-    for (const BoundLayer &bl : layers_)
-        if (bl.stale)
-            return true;
-    return false;
-}
-
-Tensor
-InferenceSession::forwardPipelined(const Tensor &batch)
-{
-    // Group the stale layers by owning net child, in child order:
-    // group g's rebuild is launched on the lane while children before
-    // its child index run their forwards, and waited on just before
-    // that child executes.
-    struct Group
-    {
-        int child = 0;
-        std::vector<size_t> layers;
-    };
-    std::vector<Group> groups;
-    for (size_t i = 0; i < layers_.size(); ++i) {
-        if (!layers_[i].stale)
-            continue;
-        const int c = childOf_[i];
-        auto it = groups.begin();
-        while (it != groups.end() && it->child < c)
-            ++it;
-        if (it == groups.end() || it->child != c)
-            it = groups.insert(it, Group{c, {}});
-        it->layers.push_back(i);
-    }
-
-    std::vector<char> cold(layers_.size(), 0);
-    std::vector<double> groupMs(groups.size(), 0.0);
-    std::future<void> fut;
-    // The lane task captures locals; if a child forward throws while a
-    // rebuild is in flight, the future must be waited before those
-    // locals unwind.
-    struct LaneJoin
-    {
-        std::future<void> *fut;
-        ~LaneJoin()
-        {
-            if (fut->valid())
-                fut->wait();
-        }
-    } join{&fut};
-
-    auto launch = [&](size_t gi) {
-        fut = lane_->submit([this, &groups, &cold, &groupMs, gi] {
-            // The lane already overlaps compute; keep the kernel
-            // layer from fanning the tiny per-slice GEMMs out too.
-            kernels::SerialScope serial;
-            const auto t0 = SteadyClock::now();
-            for (size_t li : groups[gi].layers)
-                cold[li] = rebuildLayer(layers_[li]);
-            groupMs[gi] = msSince(t0);
-        });
-    };
-
-    if (!groups.empty())
-        launch(0);
-    size_t next = 0;  // next group to wait for
-    Tensor h = batch;
-    for (size_t c = 0; c < net_->size(); ++c) {
-        if (next < groups.size() &&
-            groups[next].child == (int)c) {
-            const auto w0 = SteadyClock::now();
-            fut.get();  // rethrows a lane rebuild failure
-            stats_.decodeStallMs += msSince(w0);
-            // Every group after the first (and a first group whose
-            // child is not the entry layer) rebuilt while at least
-            // one forward ran.
-            if (next > 0 || groups[next].child > 0)
-                stats_.overlappedRebuilds +=
-                    groups[next].layers.size();
-            ++next;
-            if (next < groups.size())
-                launch(next);
-        }
-        h = net_->layer(c)->forward(h, /*train=*/false);
-    }
-
-    for (size_t gi = 0; gi < groups.size(); ++gi) {
-        for (size_t li : groups[gi].layers) {
-            if (cold[li])
-                ++stats_.coldRebuilds;
-            else
-                ++stats_.warmRebuilds;
-        }
-        // Lane wall-clock sums to the rebuild work done; the portion
-        // forward actually waited for is decodeStallMs, accumulated
-        // above.
-        stats_.rebuildMs += groupMs[gi];
-    }
-    ++stats_.forwardCalls;
-    return h;
+    if (rebuilt)
+        stats_.rebuildMs += msSince(t0);
 }
 
 Tensor
@@ -310,8 +184,6 @@ InferenceSession::forward(const Tensor &batch)
 {
     if (opts_.rebuildPerCall)
         invalidateWeights();
-    if (lane_ && pipelineOk_ && anyStale())
-        return forwardPipelined(batch);
     ensureRebuilt();
     ++stats_.forwardCalls;
     return net_->forward(batch, /*train=*/false);

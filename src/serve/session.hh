@@ -22,21 +22,6 @@
  * A session is single-threaded by design — forward() mutates layer
  * caches. ServeEngine owns one replica per worker. Stale layers are
  * rebuilt inline, one after another, on the calling thread.
- *
- * Pipelined rebuild (SessionOptions::pipelineRebuild): instead of
- * rebuilding every stale layer before the first GEMM, forward() walks
- * the net child by child while a one-thread rebuild lane
- * re-materializes the NEXT decomposed layer's W = Ce*B concurrently —
- * layer k+1's packed-Ce decode overlaps layer k's compute, the
- * software mirror of the accelerator's rebuild engine streaming ahead
- * of the PE array. The stepped walk is the same plain loop
- * Sequential::forward runs and each layer's weight is complete before
- * its forward starts, so responses are bit-identical to the serial
- * path; only SessionStats::decodeStallMs (time forward actually
- * blocked on a rebuild) moves. The lane stays race-free because
- * every BoundLayer owns its weight tensor — the lane writes layer
- * k+1's weight while compute reads layer k's, a double-buffer by
- * construction.
  */
 
 #ifndef SE_SERVE_SESSION_HH
@@ -45,7 +30,6 @@
 #include <memory>
 #include <vector>
 
-#include "base/thread_pool.hh"
 #include "core/model_file.hh"
 #include "nn/blocks.hh"
 
@@ -103,12 +87,7 @@ struct SessionOptions
     bool cacheRebuiltWeights = true;
     /** Storage the cold rebuild path consumes. */
     WeightSource weightSource = WeightSource::Dense;
-    /**
-     * Overlap weight rebuild with compute: a one-thread rebuild lane
-     * re-materializes the next decomposed layer while the current one
-     * runs its forward (see the class comment). Bit-identical to the
-     * serial rebuild; SE_PIPELINE turns it on in the serve drivers.
-     */
+    /** Kept only for the benchmark driver; true throws. */
     bool pipelineRebuild = false;
     /**
      * Model-file v3 dense residual (BN gamma/beta/running stats,
@@ -127,17 +106,9 @@ struct SessionStats
     uint64_t forwardCalls = 0;
     uint64_t coldRebuilds = 0;  ///< layers assembled from Ce*B pieces
     uint64_t warmRebuilds = 0;  ///< layers restored from the cache
-    double rebuildMs = 0.0;     ///< total wall-clock spent rebuilding
-    /**
-     * Wall-clock forward() actually spent blocked on weight rebuild.
-     * On the serial path this equals the inline rebuild time (every
-     * rebuild blocks compute); under pipelineRebuild only the residue
-     * the lane could not hide remains — the number the pipelined
-     * serve path drives toward ~0.
-     */
-    double decodeStallMs = 0.0;
-    /** Layers whose rebuild ran on the lane concurrently with compute. */
-    uint64_t overlappedRebuilds = 0;
+    /** Total wall-clock spent rebuilding; every rebuild runs inline,
+     *  so forward() blocks on all of it. */
+    double rebuildMs = 0.0;
     /**
      * One-time CeDirect bind cost: wall-clock spent packing the
      * records' Ce matrices to 4-bit form at construction (the
@@ -170,6 +141,8 @@ class InferenceSession
      *    factory must bit-reproduce the compression-time net's
      *    non-decomposed state (e.g. the same seeded builder), and no
      *    congruence check can catch a drift there.
+     *
+     * Throws std::invalid_argument if opts.pipelineRebuild is set.
      */
     InferenceSession(
         std::unique_ptr<nn::Sequential> net,
@@ -209,20 +182,12 @@ class InferenceSession
      */
     bool rebuildLayer(BoundLayer &bl);
     void ensureRebuilt();
-    Tensor forwardPipelined(const Tensor &batch);
-    bool anyStale() const;
 
     std::unique_ptr<nn::Sequential> net_;
     std::shared_ptr<const std::vector<core::SeLayerRecord>> model_;
     SessionOptions opts_;
     std::vector<BoundLayer> layers_;
     SessionStats stats_;
-    /** Top-level net child owning each bound layer's weight (-1 if it
-     *  could not be mapped — pipelining then falls back to serial). */
-    std::vector<int> childOf_;
-    bool pipelineOk_ = false;
-    /** One-thread rebuild lane (pipelineRebuild only). */
-    std::unique_ptr<ThreadPool> lane_;
 };
 
 } // namespace serve

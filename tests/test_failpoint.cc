@@ -565,51 +565,6 @@ TEST_F(ServeInjection, BatchExecFaultFailsFuturesNotTheEngine)
     EXPECT_EQ(engine.stats().requests, 1u);
 }
 
-TEST_F(ServeInjection, PipelineStageDelayPerturbsOnlyTheSchedule)
-{
-    // `pipeline_stage_delay` stalls the form stage between hand-offs
-    // — a pure schedule perturbation. Responses must stay
-    // bit-identical to an unarmed run and nothing may fail.
-    core::SeOptions se_opts;
-    se_opts.vectorThreshold = 0.01;
-    core::ApplyOptions apply_opts;
-    auto net = makeTinyCnn(33);
-    auto compressed =
-        core::compressToRecords(*net, se_opts, apply_opts);
-    auto records =
-        std::make_shared<std::vector<core::SeLayerRecord>>(
-            std::move(compressed.records));
-
-    const int n = 8;
-    std::vector<uint64_t> digests;
-    for (const bool armed : {false, true}) {
-        serve::ServeOptions opts;
-        opts.pipeline = true;
-        opts.pipelineDepth = 2;
-        opts.threads = 1;
-        opts.maxBatch = 3;
-        serve::ServeEngine engine(
-            records, [] { return makeTinyCnn(33); }, se_opts,
-            apply_opts, opts);
-        std::unique_ptr<failpoint::ScopedArm> arm;
-        if (armed)
-            arm = std::make_unique<failpoint::ScopedArm>(
-                "pipeline_stage_delay", "1in2");
-        std::vector<std::future<Tensor>> futs;
-        for (int i = 0; i < n; ++i)
-            futs.push_back(engine.submit(tinyInput((uint64_t)i)));
-        engine.drain();
-        uint64_t digest = kFnvOffsetBasis;
-        for (auto &f : futs)
-            digest = hashTensor(f.get(), digest);
-        digests.push_back(digest);
-        EXPECT_EQ(engine.stats().failed, 0u);
-        EXPECT_EQ(engine.stats().requests, (uint64_t)n);
-    }
-    EXPECT_EQ(digests[0], digests[1])
-        << "a stage delay must never change responses";
-}
-
 TEST_F(ServeInjection, FirstTouchFaultQuarantinesOnlyThatModel)
 {
     const std::string path_a = "/tmp/se_fp_quarantine_a.sexm";

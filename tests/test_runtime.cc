@@ -84,21 +84,15 @@ TEST(RuntimeOptions, FromEnvParsesStreamingKnobs)
     EXPECT_FALSE(ro.streamEager);
 }
 
-TEST(RuntimeOptions, FromEnvParsesPipelineKnobs)
+TEST(RuntimeOptions, FromEnvParsesPrefetchDepth)
 {
     {
-        ScopedEnv p("SE_PIPELINE", "on");
         ScopedEnv d("SE_PREFETCH_DEPTH", "3");
-        const auto ro = runtime::RuntimeOptions::fromEnv();
-        EXPECT_TRUE(ro.servePipeline);
-        EXPECT_EQ(ro.prefetchDepth, 3u);
+        EXPECT_EQ(runtime::RuntimeOptions::fromEnv().prefetchDepth, 3u);
     }
     {
-        ScopedEnv p("SE_PIPELINE", "off");
         ScopedEnv d("SE_PREFETCH_DEPTH", "0");
-        const auto ro = runtime::RuntimeOptions::fromEnv();
-        EXPECT_FALSE(ro.servePipeline);
-        EXPECT_EQ(ro.prefetchDepth, 0u);
+        EXPECT_EQ(runtime::RuntimeOptions::fromEnv().prefetchDepth, 0u);
     }
 }
 
@@ -127,10 +121,6 @@ TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
         {"SE_KERNEL_ISA", "avx512"},
         {"SE_KERNEL_ISA", "fast"},
         {"SE_KERNEL_ISA", "AVX2"},  // case-sensitive like the others
-        {"SE_PIPELINE", "1"},
-        {"SE_PIPELINE", "true"},
-        {"SE_PIPELINE", "ON"},  // case-sensitive like the others
-        {"SE_PIPELINE", ""},
         {"SE_PREFETCH_DEPTH", "-1"},
         {"SE_PREFETCH_DEPTH", "two"},
         {"SE_PREFETCH_DEPTH", "2x"},
@@ -182,7 +172,7 @@ TEST(RuntimeOptions, FromEnvDefaultsWithoutKnobs)
     for (const char *name :
          {"SE_SERVE_QUEUE_CAP", "SE_SERVE_DEADLINE_MS",
           "SE_SERVE_WEIGHT_SOURCE", "SE_MODEL_FORMAT",
-          "SE_STREAM_LOADER", "SE_PIPELINE", "SE_PREFETCH_DEPTH"}) {
+          "SE_STREAM_LOADER", "SE_PREFETCH_DEPTH"}) {
         clear.push_back(std::make_unique<ScopedEnv>(name, "0"));
         ::unsetenv(name);  // ScopedEnv restores any prior value
     }

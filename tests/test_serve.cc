@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <chrono>
 #include <cstring>
 #include <future>
@@ -1473,62 +1474,13 @@ TEST(ServeFrontV4, SubmitVsStopRaceOnColdEntryNoDoubleBuild)
     }
 }
 
-// --------------------------------------- pipelined execution wall
-
-TEST(InferenceSession, PipelinedRebuildBitIdenticalAndCounted)
-{
-    // The rebuild lane re-materializes layer k+1 while layer k's
-    // forward runs; outputs and rebuild counters must match the
-    // serial path exactly, for Dense and CeDirect alike.
-    auto shipped = shipModel(141);
-    for (const auto src :
-         {serve::WeightSource::Dense, serve::WeightSource::CeDirect}) {
-        serve::SessionOptions serial_opts;
-        serial_opts.rebuildPerCall = true;
-        serial_opts.cacheRebuiltWeights = false;
-        serial_opts.weightSource = src;
-        serve::SessionOptions pipe_opts = serial_opts;
-        pipe_opts.pipelineRebuild = true;
-
-        serve::InferenceSession serial(makeServeCnn(141),
-                                       shipped.records,
-                                       shipped.seOpts,
-                                       shipped.applyOpts, serial_opts);
-        serve::InferenceSession piped(makeServeCnn(141),
-                                      shipped.records, shipped.seOpts,
-                                      shipped.applyOpts, pipe_opts);
-        for (int i = 0; i < 4; ++i) {
-            Tensor x = makeInput(1400 + (uint64_t)i, 3);
-            Tensor a = serial.forward(x);
-            Tensor b = piped.forward(x);
-            ASSERT_EQ(a.shape(), b.shape());
-            EXPECT_EQ(std::memcmp(a.data(), b.data(),
-                                  (size_t)a.size() * sizeof(float)),
-                      0)
-                << "call " << i;
-        }
-        EXPECT_EQ(piped.stats().coldRebuilds,
-                  serial.stats().coldRebuilds);
-        EXPECT_EQ(piped.stats().warmRebuilds,
-                  serial.stats().warmRebuilds);
-        EXPECT_EQ(piped.stats().forwardCalls, 4u);
-        // At least the non-entry layers rebuilt concurrently with
-        // compute, and forward never stalled longer than the total
-        // rebuild work.
-        EXPECT_GT(piped.stats().overlappedRebuilds, 0u);
-        EXPECT_GE(piped.stats().decodeStallMs, 0.0);
-        // Serial stall IS the inline rebuild time.
-        EXPECT_DOUBLE_EQ(serial.stats().decodeStallMs,
-                         serial.stats().rebuildMs);
-    }
-}
+// ------------------------------------------ serve bit-identity wall
 
 TEST(ServePipeline, BitIdentityWallAcrossModesThreadsAndPolicies)
 {
-    // SE_PIPELINE's engine-level contract: the stage-decoupled loop
-    // answers every request bit-identically to the serial loop across
-    // thread counts, flush policies, rebuild policies and weight
-    // sources.
+    // The engine answers every request bit-identically to the
+    // uncompressed reference across thread counts, flush policies,
+    // rebuild policies and weight sources.
     auto shipped = shipModel(142);
     const int n = 19;
 
@@ -1541,7 +1493,6 @@ TEST(ServePipeline, BitIdentityWallAcrossModesThreadsAndPolicies)
 
     struct Config
     {
-        bool pipeline;
         int threads;
         size_t maxBatch;
         serve::FlushPolicy flush;
@@ -1549,33 +1500,27 @@ TEST(ServePipeline, BitIdentityWallAcrossModesThreadsAndPolicies)
         serve::WeightSource src;
     };
     const Config configs[] = {
-        {false, 0, 4, serve::FlushPolicy::Greedy, true,
+        {0, 4, serve::FlushPolicy::Greedy, true,
          serve::WeightSource::Dense},
-        {true, 0, 4, serve::FlushPolicy::Greedy, true,
+        {1, 4, serve::FlushPolicy::Greedy, true,
+         serve::WeightSource::CeDirect},
+        {3, 5, serve::FlushPolicy::Greedy, true,
+         serve::WeightSource::CeDirect},
+        {2, 8, serve::FlushPolicy::Full, false,
          serve::WeightSource::Dense},
-        {true, 1, 4, serve::FlushPolicy::Greedy, true,
+        {2, 6, serve::FlushPolicy::Deadline, true,
          serve::WeightSource::CeDirect},
-        {false, 3, 5, serve::FlushPolicy::Greedy, true,
-         serve::WeightSource::CeDirect},
-        {true, 3, 5, serve::FlushPolicy::Greedy, true,
-         serve::WeightSource::CeDirect},
-        {true, 2, 8, serve::FlushPolicy::Full, false,
-         serve::WeightSource::Dense},
-        {true, 2, 6, serve::FlushPolicy::Deadline, true,
-         serve::WeightSource::CeDirect},
-        {true, 4, 3, serve::FlushPolicy::Greedy, false,
+        {4, 3, serve::FlushPolicy::Greedy, false,
          serve::WeightSource::CeDirect},
     };
     size_t idx = 0;
     for (const Config &cfg : configs) {
         serve::ServeOptions opts;
-        opts.pipeline = cfg.pipeline;
         opts.threads = cfg.threads;
         opts.maxBatch = cfg.maxBatch;
         opts.flush = cfg.flush;
         opts.session.rebuildPerCall = cfg.perCall;
         opts.session.weightSource = cfg.src;
-        opts.session.pipelineRebuild = cfg.pipeline;
         serve::ServeEngine engine(
             shipped.records, [] { return makeServeCnn(142); },
             shipped.seOpts, shipped.applyOpts, opts);
@@ -1590,59 +1535,88 @@ TEST(ServePipeline, BitIdentityWallAcrossModesThreadsAndPolicies)
         for (auto &f : futs)
             digest = hashTensor(f.get(), digest);
         EXPECT_EQ(digest, refDigest)
-            << "config " << idx << " diverged from the serial "
-            << "reference";
+            << "config " << idx << " diverged from the reference";
 
         auto st = engine.stats();
         EXPECT_EQ(st.requests, (uint64_t)n) << "config " << idx;
         EXPECT_EQ(st.failed, 0u) << "config " << idx;
-        EXPECT_GE(st.pipelineOccupancy, 0.0);
-        EXPECT_LE(st.pipelineOccupancy, 1.0);
-        if (!cfg.pipeline)
-            EXPECT_EQ(st.overlappedBatches, 0u) << "config " << idx;
+        EXPECT_EQ(st.overlappedBatches, 0u) << "config " << idx;
         ++idx;
     }
 }
 
-TEST(ServePipeline, StopAndDrainSemanticsSurviveStages)
+TEST(ServeEngine, RejectsRemovedPipelineFlags)
 {
-    // stop() answers everything accepted then refuses; drain()
-    // flushes a Full-policy hold; both with the completer thread in
-    // the publish path.
-    auto shipped = shipModel(143);
-    serve::ServeOptions opts;
-    opts.pipeline = true;
-    opts.threads = 2;
-    opts.maxBatch = 8;
-    opts.flush = serve::FlushPolicy::Full;
-    serve::ServeEngine engine(
-        shipped.records, [] { return makeServeCnn(143); },
-        shipped.seOpts, shipped.applyOpts, opts);
+    // pipeline / pipelineRebuild remain only as compatibility fields
+    // for the benchmark driver; setting them must fail loudly rather
+    // than be silently ignored.
+    auto shipped = shipModel(145);
+    serve::ServeOptions engine_pipe;
+    engine_pipe.threads = 0;
+    engine_pipe.pipeline = true;
+    EXPECT_THROW(serve::ServeEngine(
+                     shipped.records, [] { return makeServeCnn(145); },
+                     shipped.seOpts, shipped.applyOpts, engine_pipe),
+                 std::invalid_argument);
 
-    std::vector<std::future<Tensor>> futs;
-    for (int i = 0; i < 5; ++i)  // partial batch under Full
-        futs.push_back(engine.submit(makeInput(1600 + (uint64_t)i)));
-    engine.drain();  // must flush the hold
-    for (auto &f : futs)
-        EXPECT_NO_THROW(f.get());
-    EXPECT_EQ(engine.stats().requests, 5u);
+    serve::ServeOptions session_pipe;
+    session_pipe.threads = 0;
+    session_pipe.session.pipelineRebuild = true;
+    EXPECT_THROW(serve::ServeEngine(
+                     shipped.records, [] { return makeServeCnn(145); },
+                     shipped.seOpts, shipped.applyOpts, session_pipe),
+                 std::invalid_argument);
 
-    for (int i = 0; i < 3; ++i)
-        futs.push_back(engine.submit(makeInput(1700 + (uint64_t)i)));
-    engine.stop();
-    for (size_t i = 5; i < futs.size(); ++i)
-        EXPECT_NO_THROW(futs[i].get());
-    EXPECT_EQ(engine.stats().requests, 8u);
-    EXPECT_THROW(engine.submit(makeInput(1800)),
-                 serve::EngineStoppedError);
+    serve::SessionOptions so;
+    so.pipelineRebuild = true;
+    EXPECT_THROW(serve::InferenceSession(makeServeCnn(145),
+                                         shipped.records,
+                                         shipped.seOpts,
+                                         shipped.applyOpts, so),
+                 std::invalid_argument);
+}
+
+TEST(ServeEngine, FlushDeadlineIsCappedAndNanRejected)
+{
+    // A deadline past the cap would overflow the integer-nanosecond
+    // cast in the dispatcher (UB; in practice a flush time in the
+    // past), and NaN slips through a plain `< 0` clamp.
+    auto shipped = shipModel(146);
+    auto make = [&](double deadline_ms) {
+        serve::ServeOptions opts;
+        opts.threads = 0;
+        opts.flush = serve::FlushPolicy::Deadline;
+        opts.flushDeadlineMs = deadline_ms;
+        return std::make_unique<serve::ServeEngine>(
+            shipped.records, [] { return makeServeCnn(146); },
+            shipped.seOpts, shipped.applyOpts, opts);
+    };
+    EXPECT_THROW(make(std::nan("")), std::invalid_argument);
+    EXPECT_THROW(make(1e300), std::invalid_argument);
+    EXPECT_THROW(make(std::nextafter(serve::kMaxFlushDeadlineMs, 1e9)),
+                 std::invalid_argument);
+    EXPECT_DOUBLE_EQ(serve::kMaxFlushDeadlineMs, 3.6e6);
+
+    // The cap itself is accepted and holds a partial batch: nothing
+    // is answered until drain() flushes it.
+    auto engine = make(serve::kMaxFlushDeadlineMs);
+    auto fut = engine->submit(makeInput(2000));
+    EXPECT_EQ(fut.wait_for(std::chrono::milliseconds(50)),
+              std::future_status::timeout);
+    engine->drain();
+    EXPECT_NO_THROW(fut.get());
+    EXPECT_EQ(engine->stats().requests, 1u);
+
+    // Negative deadlines still clamp to 0 (flush immediately).
+    auto eager = make(-5.0);
+    EXPECT_NO_THROW(eager->submit(makeInput(2001)).get());
 }
 
 TEST(ServePipelineV4, StreamedPrefetchedCeDirectBitIdentical)
 {
-    // End-to-end pipelined streaming: v4 bundle opened with a
-    // prefetch lane, records bound CeDirect, engine pipelined — the
-    // full ROADMAP item 2 path — versus the serial everything-off
-    // path. Identical responses, and the lane's counters add up.
+    // End-to-end streaming: a v4 bundle opened with and without the
+    // prefetch lane, records bound CeDirect, served by the engine.
+    // Identical responses, and the lane's counters add up.
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
@@ -1651,18 +1625,16 @@ TEST(ServePipelineV4, StreamedPrefetchedCeDirectBitIdentical)
     const int n = 12;
 
     std::vector<uint64_t> digests;
-    for (const bool pipelined : {false, true}) {
+    for (const bool prefetch : {false, true}) {
         core::StreamLoaderOptions lo;
-        lo.prefetchDepth = pipelined ? 3 : 0;
+        lo.prefetchDepth = prefetch ? 3 : 0;
         core::StreamedModel sm(path, lo);
         serve::ServeOptions opts;
-        opts.pipeline = pipelined;
         opts.threads = 2;
         opts.maxBatch = 4;
         opts.session.rebuildPerCall = true;
         opts.session.cacheRebuiltWeights = false;
         opts.session.weightSource = serve::WeightSource::CeDirect;
-        opts.session.pipelineRebuild = pipelined;
         opts.session.denseState = std::make_shared<
             const std::vector<core::DenseTensor>>(sm.dense());
         serve::ServeEngine engine(
@@ -1688,18 +1660,18 @@ TEST(ServePipelineV4, StreamedPrefetchedCeDirectBitIdentical)
                   (uint64_t)sm.pieceCount());
         EXPECT_EQ(sm.decodedPieces(), sm.pieceCount());
         EXPECT_EQ(ss.prefetchErrors, 0u);
-        if (!pipelined) {
+        if (!prefetch) {
             EXPECT_EQ(ss.prefetchHits, 0u);
             EXPECT_EQ(ss.prefetchScheduled, 0u);
         }
 
         const auto st = engine.stats();
         EXPECT_EQ(st.requests, (uint64_t)n);
-        EXPECT_GE(st.decodeStallMs, 0.0);
+        EXPECT_GT(st.decodeStallMs, 0.0);  // rebuilt every batch
     }
     ASSERT_EQ(digests.size(), 2u);
     EXPECT_EQ(digests[0], digests[1])
-        << "SE_PIPELINE on/off must not change responses";
+        << "prefetch on/off must not change responses";
 
     // And both match the uncompressed reference.
     uint64_t refDigest = kFnvOffsetBasis;

@@ -633,20 +633,17 @@ TEST(ServeEngineStress, InjectedBatchFaultsUnderLoadNeverHang)
     EXPECT_NO_THROW(after.get());
 }
 
-TEST(ServeEngineStress, PipelinedStopDrainRaceConservesEveryRequest)
+TEST(ServeEngineStress, StopDrainRaceUnderPublishDelayConservesEveryRequest)
 {
-    // The stage-decoupled loop adds two hand-off queues (formed_,
-    // done_) and a completer thread between submit() and the
-    // promise. Hammer that machinery: submitters race drain() and
-    // then stop() while pipeline_stage_delay stretches the admit
-    // stage so requests pile up in every queue. Conservation law:
-    // every accepted future resolves (never hangs), every refused
-    // submit throws EngineStoppedError, and the books balance.
+    // Submitters race drain() and then stop() while
+    // serve_publish_delay stalls workers right after they publish a
+    // batch, so requests pile up in the queue and replicas free late.
+    // Conservation law: every accepted future resolves (never hangs),
+    // every refused submit throws EngineStoppedError, and the books
+    // balance.
     failpoint::disarmAll();
     auto shipped = shipTiny(52);
     serve::ServeOptions opts;
-    opts.pipeline = true;
-    opts.pipelineDepth = 3;
     opts.threads = 2;
     opts.maxBatch = 4;
     serve::ServeEngine engine(
@@ -658,7 +655,7 @@ TEST(ServeEngineStress, PipelinedStopDrainRaceConservesEveryRequest)
     std::vector<std::vector<std::future<Tensor>>> futs(
         (size_t)submitters);
     {
-        failpoint::ScopedArm arm("pipeline_stage_delay", "1in3");
+        failpoint::ScopedArm arm("serve_publish_delay", "1in3");
         std::vector<std::thread> threads;
         threads.reserve(submitters + 1);
         for (int t = 0; t < submitters; ++t)
@@ -692,9 +689,8 @@ TEST(ServeEngineStress, PipelinedStopDrainRaceConservesEveryRequest)
     auto st = engine.stats();
     EXPECT_EQ(st.requests, (uint64_t)accepted.load());
     EXPECT_EQ(st.failed, 0u);
-    EXPECT_LE(st.pipelineOccupancy, 1.0);
 
-    // Stopped means stopped, even with the extra stages.
+    // Stopped means stopped.
     EXPECT_THROW(engine.submit(tinyInput(9)),
                  serve::EngineStoppedError);
 }
