@@ -17,10 +17,12 @@
  * path beats naive and matches it bit-exactly — the CI regression
  * gate for this subsystem. The isa_dispatch section (every compiled
  * micro-kernel ISA variant on a raw sgemm against the scalar
- * reference, and on two conv forward shapes that run the double-chain
- * panel against the naive conv loop) and the gemm_ce_fused section
- * (fused Ce-code decode-in-GEMM vs the staged panel-decode reference)
- * run in smoke mode too, and feed the same gate: any bit-divergence
+ * reference, and on conv forward shapes that run the double-chain
+ * panel against the naive conv loop: the six convs of the served
+ * VGG19-sim at batch 1, 5 and 8, plus the ResNet 3x3 shape; no speed
+ * gate reads their timings) and the gemm_ce_fused section (fused
+ * Ce-code decode-in-GEMM vs the staged panel-decode reference) run
+ * in smoke mode too, and feed the same gate: any bit-divergence
  * or a fused kernel slower than the staged one fails the run. So do
  * the gemm_ceb rows (every ISA at the serve pieces' real shapes,
  * r = n = 3 and 4): their bit-identity joins the gate, their timings
@@ -377,21 +379,31 @@ main(int argc, char **argv)
         std::printf("    ],\n");
 
         // Conv forward per variant, which lowers onto the double-chain
-        // panel: VGG19-sim's last stage (3x3 on 2x2 maps, batch 8, so
-        // n = 4 columns per image GEMM) and the ResNet 3x3 shape.
+        // panel with the batch folded into the GEMM columns: the six
+        // convs of the served VGG19-sim (base width 12 on 8x8 inputs,
+        // so 8x8, 4x4 and 2x2 maps: 1, 4 and 16 samples per 64-column
+        // chunk) at batch 1, 5 and 8, and the ResNet 3x3 shape.
         struct IsaConv
         {
             ConvCase cc;
             int64_t batch;
             int reps;
         };
-        const IsaConv conv_shapes[] = {
-            {{"vgg19_sim_layer17", 48, 48, 3, 1, 1, 1, 1, 2, 2}, 8,
-             smoke ? 20 : 100},
-            {convCases()[0], 2, smoke ? 2 : 5},
+        const ConvCase vgg_convs[] = {
+            {"vgg19_sim_layer0", 3, 12, 3, 1, 1, 1, 1, 8, 8},
+            {"vgg19_sim_layer3", 12, 12, 3, 1, 1, 1, 1, 8, 8},
+            {"vgg19_sim_layer7", 12, 24, 3, 1, 1, 1, 1, 4, 4},
+            {"vgg19_sim_layer10", 24, 24, 3, 1, 1, 1, 1, 4, 4},
+            {"vgg19_sim_layer14", 24, 48, 3, 1, 1, 1, 1, 2, 2},
+            {"vgg19_sim_layer17", 48, 48, 3, 1, 1, 1, 1, 2, 2},
         };
+        std::vector<IsaConv> conv_shapes;
+        for (const ConvCase &cc : vgg_convs)
+            for (int64_t batch : {1, 5, 8})
+                conv_shapes.push_back({cc, batch, smoke ? 20 : 100});
+        conv_shapes.push_back({convCases()[0], 2, smoke ? 2 : 5});
         std::printf("    \"conv_forward\": [\n");
-        const size_t conv_rows = 2 * isas.size();
+        const size_t conv_rows = conv_shapes.size() * isas.size();
         size_t row = 0;
         for (const IsaConv &sc : conv_shapes) {
             const ConvCase &cc = sc.cc;

@@ -1,11 +1,80 @@
 #include "kernels/conv.hh"
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+
 #include "base/logging.hh"
 #include "kernels/gemm.hh"
 #include "kernels/im2col.hh"
+#include "kernels/scratch.hh"
 
 namespace se {
 namespace kernels {
+
+namespace {
+
+/**
+ * True when every in-image tap of output (e, f) multiplies to -0:
+ * x points at the group's first input channel of one sample, wm at
+ * the output channel's filter.
+ */
+bool
+realTapsAllNegZero(const float *x, const float *wm, const ConvSpec &sp,
+                   int64_t ih, int64_t iw, int64_t e, int64_t f)
+{
+    const int64_t k = sp.kern;
+    for (int64_t ci = 0; ci < sp.inCh / sp.groups; ++ci)
+        for (int64_t kr = 0; kr < k; ++kr) {
+            const int64_t r = e * sp.stride + kr * sp.dil - sp.pad;
+            if (r < 0 || r >= ih)
+                continue;
+            for (int64_t ks = 0; ks < k; ++ks) {
+                const int64_t c = f * sp.stride + ks * sp.dil - sp.pad;
+                if (c < 0 || c >= iw)
+                    continue;
+                const double p = (double)wm[(ci * k + kr) * k + ks] *
+                                 x[(ci * ih + r) * iw + c];
+                if (p != 0.0 || !std::signbit(p))
+                    return false;
+            }
+        }
+    return true;
+}
+
+/**
+ * The reference loop skips padding taps; the GEMM adds w * 0 for
+ * them. That changes a result only when a -0 bias keeps the chain at
+ * -0 across every real tap and a padding product of +0 turns it to
+ * +0. Put those outputs back to -0.
+ */
+void
+restoreNegZeroBias(const float *x, const float *w, const float *bias,
+                   const ConvSpec &sp, int64_t n, int64_t ih,
+                   int64_t iw, int64_t oh, int64_t ow, float *y)
+{
+    const int64_t cpg = sp.inCh / sp.groups;
+    const int64_t mpg = sp.outCh / sp.groups;
+    for (int64_t m = 0; m < sp.outCh; ++m) {
+        if (bias[m] != 0.0f || !std::signbit(bias[m]))
+            continue;
+        const float *wm = w + m * cpg * sp.kern * sp.kern;
+        for (int64_t b = 0; b < n; ++b) {
+            const float *xg =
+                x + (b * sp.inCh + (m / mpg) * cpg) * ih * iw;
+            float *ym = y + (b * sp.outCh + m) * oh * ow;
+            for (int64_t e = 0; e < oh; ++e)
+                for (int64_t f = 0; f < ow; ++f) {
+                    float &v = ym[e * ow + f];
+                    if (v == 0.0f && !std::signbit(v) &&
+                        realTapsAllNegZero(xg, wm, sp, ih, iw, e, f))
+                        v = -0.0f;
+                }
+        }
+    }
+}
+
+} // namespace
 
 int64_t
 windowOutExtent(int64_t in, int64_t pad, int64_t kext, int64_t stride)
@@ -17,7 +86,7 @@ windowOutExtent(int64_t in, int64_t pad, int64_t kext, int64_t stride)
 
 Tensor
 conv2dForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias,
-                  const ConvSpec &sp, ScratchArena &scratch)
+                  const ConvSpec &sp)
 {
     SE_ASSERT(x.ndim() == 4 && x.dim(1) == sp.inCh,
               "conv input shape mismatch");
@@ -29,25 +98,55 @@ conv2dForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias,
     const int64_t mpg = sp.outCh / sp.groups;
     const int64_t patch = cpg * sp.kern * sp.kern;
     const int64_t cols = oh * ow;
+    const PaddedWindow win{ih + 2 * sp.pad, iw + 2 * sp.pad, sp.kern,
+                           sp.stride,        sp.dil,          oh,
+                           ow};
+    const int64_t in_floats = sp.inCh * win.hp * win.wp;
 
     Tensor y({n, sp.outCh, oh, ow});
-    float *col = scratch.colBuffer(patch * cols);
+    if (n == 0)
+        return y;
+    // Samples per chunk, and the chunk's three staging blocks.
+    const int64_t per =
+        std::min(n, (kConvFoldCols + cols - 1) / cols);
+    const int64_t pad_floats = sp.pad > 0 ? per * in_floats : 0;
+    const int64_t col_floats = patch * per * cols;
+    const int64_t out_floats = per > 1 ? mpg * per * cols : 0;
+    float *xp = threadScratch().buffer(pad_floats + col_floats +
+                                       out_floats);
+    float *col = xp + pad_floats;
+    float *out = col + col_floats;
+
     const float *xd = x.data();
     const float *wd = w.data();
     const float *bd = bias ? bias->data() : nullptr;
     float *yd = y.data();
-
-    for (int64_t b = 0; b < n; ++b) {
+    for (int64_t b0 = 0; b0 < n; b0 += per) {
+        const int64_t ns = std::min(per, n - b0);
+        const int64_t nc = ns * cols;
+        const float *src = xd + b0 * sp.inCh * ih * iw;
+        if (sp.pad > 0) {
+            padSamples(src, ns, sp.inCh, ih, iw, sp.pad, xp);
+            src = xp;
+        }
         for (int64_t g = 0; g < sp.groups; ++g) {
-            im2col(xd + ((b * sp.inCh + g * cpg) * ih * iw), cpg, ih,
-                   iw, sp.kern, sp.kern, sp.stride, sp.pad, sp.dil, oh,
-                   ow, col);
+            im2col(src + g * cpg * win.hp * win.wp, cpg, ns, in_floats,
+                   win, col);
+            float *yg = yd + (b0 * sp.outCh + g * mpg) * cols;
             gemmRowBiasD(wd + g * mpg * patch, col,
                          bd ? bd + g * mpg : nullptr,
-                         yd + ((b * sp.outCh + g * mpg) * cols), mpg,
-                         patch, cols);
+                         ns == 1 ? yg : out, mpg, patch, nc);
+            if (ns == 1)
+                continue;
+            for (int64_t s = 0; s < ns; ++s)  // scatter into NCHW
+                for (int64_t i = 0; i < mpg; ++i)
+                    std::memcpy(yg + (s * sp.outCh + i) * cols,
+                                out + i * nc + s * cols,
+                                (size_t)cols * sizeof(float));
         }
     }
+    if (bd && sp.pad > 0)
+        restoreNegZeroBias(xd, wd, bd, sp, n, ih, iw, oh, ow, yd);
     return y;
 }
 

@@ -4,24 +4,41 @@
  * supporting stride, zero padding, dilation and groups (so depth-wise
  * convolutions too).
  *
+ * The batch is folded into the GEMM columns. A chunk holds as many
+ * samples as it takes to reach kConvFoldCols columns (1 sample on
+ * 8x8 maps, 4 on 4x4, 16 on 2x2), is padded once, lowered by one
+ * im2col per group and multiplied by one gemmRowBiasD per group; the
+ * result is scattered into NCHW, or written straight into y when the
+ * chunk holds one sample. The padded input, the column matrix and
+ * the GEMM output live in the calling thread's scratch arena.
+ *
  * The forward is bit-identical to the legacy 7-deep NCHW loop (kept
  * as the oracle in tests/reference): the column matrix enumerates
  * the patch in the loop's (channel, kr, ks) order, padding taps
  * contribute exact zeros, and the GEMM carries the same per-output
- * double accumulator (bias first, round once on store). The backward
- * stays on nn::Conv2d's legacy loop: a col2im scatter-add would
- * re-associate its interleaved gx sums, which the golden-pinned
- * retrain benches cannot absorb.
+ * double accumulator (bias first, round once on store). Folding only
+ * changes which columns share a GEMM call. The one place a padding
+ * zero shows is the sign of a zero result under a -0 bias, which the
+ * lowering restores to the reference's. The backward stays on
+ * nn::Conv2d's legacy loop: a col2im scatter-add would re-associate
+ * its interleaved gx sums, which the golden-pinned retrain benches
+ * cannot absorb.
  */
 
 #ifndef SE_KERNELS_CONV_HH
 #define SE_KERNELS_CONV_HH
 
-#include "kernels/scratch.hh"
+#include "kernels/dispatch.hh"
 #include "tensor/tensor.hh"
 
 namespace se {
 namespace kernels {
+
+/**
+ * Columns the conv forward folds samples into one GEMM to reach:
+ * eight tiles of the column panel.
+ */
+constexpr int64_t kConvFoldCols = 8 * kPanelCols;
 
 /** Static geometry of a conv layer (square kernels, NCHW). */
 struct ConvSpec
@@ -46,11 +63,10 @@ int64_t windowOutExtent(int64_t in, int64_t pad, int64_t kext,
 
 /**
  * y = conv(x, w) + bias for x (N, C, H, W) and w (M, C/g, R, S);
- * bias (M) may be null. Scratch holds the reused column buffer.
+ * bias (M) may be null.
  */
 Tensor conv2dForwardGemm(const Tensor &x, const Tensor &w,
-                         const Tensor *bias, const ConvSpec &spec,
-                         ScratchArena &scratch);
+                         const Tensor *bias, const ConvSpec &spec);
 
 } // namespace kernels
 } // namespace se

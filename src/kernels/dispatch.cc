@@ -16,9 +16,6 @@ namespace kernels {
 
 namespace {
 
-/** Register-tile width the column panels are aligned to. */
-constexpr int64_t kNr = 8;
-
 /**
  * Multiply count below which a GEMM stays inline: the task plumbing
  * costs microseconds, so only panels worth >= ~0.5 MFLOP fan out.
@@ -39,22 +36,22 @@ sgemmPanelScalar(const float *__restrict a, const float *__restrict b,
                  bool accumulate, int64_t j0, int64_t j1)
 {
     int64_t jt = j0;
-    for (; jt + kNr <= j1; jt += kNr) {
+    for (; jt + kPanelCols <= j1; jt += kPanelCols) {
         for (int64_t i = 0; i < m; ++i) {
             const float *ai = a + i * k;
             float *ci = c + i * n + jt;
-            float acc[kNr];
-            for (int jj = 0; jj < kNr; ++jj)
+            float acc[kPanelCols];
+            for (int jj = 0; jj < kPanelCols; ++jj)
                 acc[jj] = accumulate ? ci[jj] : 0.0f;
             const float *bp = b + jt;
             for (int64_t p = 0; p < k; ++p, bp += n) {
                 const float av = ai[p];
                 if (av == 0.0f)
                     continue;
-                for (int jj = 0; jj < kNr; ++jj)
+                for (int jj = 0; jj < kPanelCols; ++jj)
                     acc[jj] += av * bp[jj];
             }
-            for (int jj = 0; jj < kNr; ++jj)
+            for (int jj = 0; jj < kPanelCols; ++jj)
                 ci[jj] = acc[jj];
         }
     }
@@ -79,24 +76,24 @@ sgemmABtPanelScalar(const float *__restrict a, const float *__restrict b,
                     bool accumulate, int64_t j0, int64_t j1)
 {
     int64_t jt = j0;
-    for (; jt + kNr <= j1; jt += kNr) {
-        const float *br[kNr];
-        for (int jj = 0; jj < kNr; ++jj)
+    for (; jt + kPanelCols <= j1; jt += kPanelCols) {
+        const float *br[kPanelCols];
+        for (int jj = 0; jj < kPanelCols; ++jj)
             br[jj] = b + (jt + jj) * l;
         for (int64_t i = 0; i < m; ++i) {
             const float *ai = a + i * l;
             float *ci = c + i * n + jt;
-            float acc[kNr];
-            for (int jj = 0; jj < kNr; ++jj)
+            float acc[kPanelCols];
+            for (int jj = 0; jj < kPanelCols; ++jj)
                 acc[jj] = accumulate ? ci[jj] : 0.0f;
             for (int64_t p = 0; p < l; ++p) {
                 const float av = ai[p];
                 if (av == 0.0f)
                     continue;
-                for (int jj = 0; jj < kNr; ++jj)
+                for (int jj = 0; jj < kPanelCols; ++jj)
                     acc[jj] += av * br[jj][p];
             }
-            for (int jj = 0; jj < kNr; ++jj)
+            for (int jj = 0; jj < kPanelCols; ++jj)
                 ci[jj] = acc[jj];
         }
     }
@@ -139,18 +136,18 @@ gemmCePanelScalar(const uint8_t *row_mask, const uint8_t *nibbles,
         const int64_t code0 = nz_seen * r;
         ++nz_seen;
         int64_t jt = j0;
-        for (; jt + kNr <= j1; jt += kNr) {
-            float acc[kNr] = {};
+        for (; jt + kPanelCols <= j1; jt += kPanelCols) {
+            float acc[kPanelCols] = {};
             const float *bp = basis + jt;
             for (int64_t p = 0; p < r; ++p, bp += n) {
                 const float av = lut[nibbleAt(nibbles, code0 + p)];
                 if (av == 0.0f)
                     continue;
-                for (int jj = 0; jj < kNr; ++jj)
+                for (int jj = 0; jj < kPanelCols; ++jj)
                     acc[jj] += av * bp[jj];
             }
             float *ci = crow + jt;
-            for (int jj = 0; jj < kNr; ++jj)
+            for (int jj = 0; jj < kPanelCols; ++jj)
                 ci[jj] = acc[jj];
         }
         for (; jt < j1; ++jt) {
@@ -257,13 +254,13 @@ detail::gemmRowBiasDPanelScalar(const float *__restrict a,
     };
     // Two A rows per pass halve the B-panel traffic.
     int64_t jt = j0;
-    for (; jt + kNr <= j1; jt += kNr) {
+    for (; jt + kPanelCols <= j1; jt += kPanelCols) {
         int64_t i = 0;
         for (; i + 2 <= m; i += 2) {
             const float *a0 = a + i * k;
             const float *a1 = a0 + k;
-            double acc0[kNr], acc1[kNr];
-            for (int jj = 0; jj < kNr; ++jj) {
+            double acc0[kPanelCols], acc1[kPanelCols];
+            for (int jj = 0; jj < kPanelCols; ++jj) {
                 acc0[jj] = bias(i, jt + jj);
                 acc1[jj] = bias(i + 1, jt + jj);
             }
@@ -271,7 +268,7 @@ detail::gemmRowBiasDPanelScalar(const float *__restrict a,
             for (int64_t p = 0; p < k; ++p, bp += n) {
                 const double av0 = a0[p];
                 const double av1 = a1[p];
-                for (int jj = 0; jj < kNr; ++jj) {
+                for (int jj = 0; jj < kPanelCols; ++jj) {
                     const double bv = bp[jj];
                     acc0[jj] += av0 * bv;
                     acc1[jj] += av1 * bv;
@@ -279,24 +276,24 @@ detail::gemmRowBiasDPanelScalar(const float *__restrict a,
             }
             float *c0 = c + i * n + jt;
             float *c1 = c0 + n;
-            for (int jj = 0; jj < kNr; ++jj) {
+            for (int jj = 0; jj < kPanelCols; ++jj) {
                 c0[jj] = (float)acc0[jj];
                 c1[jj] = (float)acc1[jj];
             }
         }
         if (i < m) {
             const float *ai = a + i * k;
-            double acc[kNr];
-            for (int jj = 0; jj < kNr; ++jj)
+            double acc[kPanelCols];
+            for (int jj = 0; jj < kPanelCols; ++jj)
                 acc[jj] = bias(i, jt + jj);
             const float *bp = b + jt;
             for (int64_t p = 0; p < k; ++p, bp += n) {
                 const double av = ai[p];
-                for (int jj = 0; jj < kNr; ++jj)
+                for (int jj = 0; jj < kPanelCols; ++jj)
                     acc[jj] += av * (double)bp[jj];
             }
             float *ci = c + i * n + jt;
-            for (int jj = 0; jj < kNr; ++jj)
+            for (int jj = 0; jj < kPanelCols; ++jj)
                 ci[jj] = (float)acc[jj];
         }
     }
@@ -430,18 +427,18 @@ forEachColumnPanel(int64_t n, int64_t mults,
 {
     int64_t chunks = 1;
     if (mults >= kParallelMults && !serialScopeActive()) {
-        const int64_t tiles = (n + kNr - 1) / kNr;
+        const int64_t tiles = (n + kPanelCols - 1) / kPanelCols;
         chunks = std::min<int64_t>((int64_t)pool().threadCount(), tiles);
     }
     if (chunks <= 1) {
         panel(0, n);
         return;
     }
-    const int64_t tiles = (n + kNr - 1) / kNr;
+    const int64_t tiles = (n + kPanelCols - 1) / kPanelCols;
     const int64_t per = (tiles + chunks - 1) / chunks;
     parallelFor(chunks, [&](int64_t ci) {
-        const int64_t j0 = ci * per * kNr;
-        const int64_t j1 = std::min(n, j0 + per * kNr);
+        const int64_t j0 = ci * per * kPanelCols;
+        const int64_t j1 = std::min(n, j0 + per * kPanelCols);
         if (j0 < j1)
             panel(j0, j1);
     });

@@ -80,6 +80,9 @@ KernelIsa activeIsa();
  */
 void setActiveIsa(KernelIsa isa);
 
+/** Register-tile width the GEMM column panels are aligned to. */
+constexpr int64_t kPanelCols = 8;
+
 /** Widest Ce*B output KernelOps::gemmCeSmallN handles (one YMM). */
 constexpr int64_t kCeSmallN = 8;
 

@@ -1,56 +1,70 @@
 #include "kernels/im2col.hh"
 
-#include <algorithm>
 #include <cstring>
 
 namespace se {
 namespace kernels {
 
-void
-im2col(const float *x, int64_t c, int64_t h, int64_t w, int64_t r,
-       int64_t s, int64_t stride, int64_t pad, int64_t dil, int64_t oh,
-       int64_t ow, float *col)
+namespace {
+
+/**
+ * dst[0, n) = src[0, n) for the short rows of a conv chunk (often 2
+ * to 8 floats): four floats per fixed-size copy, which compiles to a
+ * 16-byte move instead of a library call per row.
+ */
+inline void
+copyRow(const float *src, int64_t n, float *dst)
 {
-    for (int64_t ci = 0; ci < c; ++ci) {
-        const float *xc = x + ci * h * w;
-        for (int64_t kr = 0; kr < r; ++kr) {
-            for (int64_t ks = 0; ks < s; ++ks) {
-                float *row = col + (((ci * r) + kr) * s + ks) * oh * ow;
-                const int64_t woff = ks * dil - pad;
-                for (int64_t e = 0; e < oh; ++e) {
-                    const int64_t ih = e * stride + kr * dil - pad;
-                    float *dst = row + e * ow;
-                    if (ih < 0 || ih >= h) {
-                        std::memset(dst, 0,
-                                    (size_t)ow * sizeof(float));
-                        continue;
-                    }
-                    const float *xr = xc + ih * w;
-                    if (stride == 1) {
-                        // Contiguous middle span; zero the pad edges.
-                        const int64_t f0 =
-                            std::max<int64_t>(0, -woff);
-                        const int64_t f1 = std::min(ow, w - woff);
-                        for (int64_t f = 0; f < std::min(f0, ow); ++f)
-                            dst[f] = 0.0f;
-                        if (f1 > f0)
-                            std::memcpy(dst + f0, xr + f0 + woff,
-                                        (size_t)(f1 - f0) *
-                                            sizeof(float));
-                        for (int64_t f = std::max(f1, (int64_t)0);
-                             f < ow; ++f)
-                            dst[f] = 0.0f;
-                    } else {
-                        for (int64_t f = 0; f < ow; ++f) {
-                            const int64_t iw = f * stride + woff;
-                            dst[f] = (iw >= 0 && iw < w) ? xr[iw]
-                                                         : 0.0f;
+    int64_t f = 0;
+    for (; f + 4 <= n; f += 4)
+        std::memcpy(dst + f, src + f, 4 * sizeof(float));
+    for (; f < n; ++f)
+        dst[f] = src[f];
+}
+
+} // namespace
+
+void
+padSamples(const float *x, int64_t ns, int64_t c, int64_t h, int64_t w,
+           int64_t pad, float *xp)
+{
+    const int64_t wp = w + 2 * pad;
+    const int64_t plane = (h + 2 * pad) * wp;
+    // One bulk zero for every border, then the interior rows.
+    std::memset(xp, 0, (size_t)(ns * c * plane) * sizeof(float));
+    for (int64_t pl = 0; pl < ns * c; ++pl) {
+        const float *src = x + pl * h * w;
+        float *dst = xp + pl * plane + pad * wp + pad;
+        for (int64_t i = 0; i < h; ++i, src += w, dst += wp)
+            copyRow(src, w, dst);
+    }
+}
+
+void
+im2col(const float *xp, int64_t c, int64_t ns, int64_t sample_stride,
+       const PaddedWindow &win, float *col)
+{
+    const int64_t plane = win.hp * win.wp;
+    const int64_t k = win.kern, st = win.stride, ow = win.ow;
+    const int64_t row_step = st * win.wp;
+    for (int64_t ci = 0; ci < c; ++ci)
+        for (int64_t kr = 0; kr < k; ++kr)
+            for (int64_t ks = 0; ks < k; ++ks) {
+                const float *tap =
+                    xp + ci * plane + (kr * win.wp + ks) * win.dil;
+                for (int64_t s = 0; s < ns; ++s) {
+                    const float *src = tap + s * sample_stride;
+                    for (int64_t e = 0; e < win.oh;
+                         ++e, src += row_step, col += ow) {
+                        if (st == 1) {
+                            copyRow(src, ow, col);
+                        } else {
+                            for (int64_t f = 0; f < ow; ++f)
+                                col[f] = src[f * st];
                         }
                     }
                 }
             }
-        }
-    }
 }
 
 } // namespace kernels

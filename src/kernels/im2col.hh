@@ -1,14 +1,19 @@
 /**
  * @file
  * im2col: lower a convolution's sliding-window geometry onto a dense
- * matrix so the conv forward becomes a single GEMM.
+ * column matrix so the conv forward of a whole chunk of samples
+ * becomes one GEMM.
  *
- * Layout contract (shared with the conv lowering and the naive loop's
- * accumulation order): the column matrix is (c*r*s) x (oh*ow) with row
- * index (ci*r + kr)*s + ks — i.e. rows run over the patch in the same
- * (channel, kernel-row, kernel-col) order the weight tensor stores and
- * the legacy loop accumulates, which is what keeps the GEMM path
- * bit-identical. Out-of-image taps are written as exact 0.0f.
+ * The input is padded once per chunk (padSamples), so every tap of
+ * every window lies inside the buffer and each column row is a plain
+ * strided copy with no bounds logic. Padding taps read exact +0.0f.
+ *
+ * Layout contract (shared with the conv lowering and the reference
+ * loop's accumulation order): for ns samples the column matrix is
+ * (c*k*k) x (ns*oh*ow). Row (ci*k + kr)*k + ks runs over the patch
+ * in the (channel, kernel-row, kernel-col) order the weight tensor
+ * stores and the reference loop accumulates, which keeps the GEMM
+ * bit-identical. Columns run over (sample, output row, output col).
  */
 
 #ifndef SE_KERNELS_IM2COL_HH
@@ -19,14 +24,29 @@
 namespace se {
 namespace kernels {
 
+/** Square-window geometry over an already padded input. */
+struct PaddedWindow
+{
+    int64_t hp = 0, wp = 0;  ///< padded input extents
+    int64_t kern = 1, stride = 1, dil = 1;
+    int64_t oh = 0, ow = 0;  ///< output extents
+};
+
 /**
- * Expand one (c, h, w) channel block into col (c*r*s x oh*ow).
- * x points at the first channel of the block (a group slice of one
- * batch item); col must hold c*r*s*oh*ow floats.
+ * Copy ns contiguous (c, h, w) samples from x into xp, laid out as
+ * (ns, c, h + 2 pad, w + 2 pad) with a border of +0.0f.
  */
-void im2col(const float *x, int64_t c, int64_t h, int64_t w, int64_t r,
-            int64_t s, int64_t stride, int64_t pad, int64_t dil,
-            int64_t oh, int64_t ow, float *col);
+void padSamples(const float *x, int64_t ns, int64_t c, int64_t h,
+                int64_t w, int64_t pad, float *xp);
+
+/**
+ * Expand c channels of ns padded samples into col. xp points at the
+ * block's first channel in sample 0 (a group slice), and sample s
+ * starts sample_stride floats after sample s - 1. col must hold
+ * c*k*k * ns*oh*ow floats.
+ */
+void im2col(const float *xp, int64_t c, int64_t ns,
+            int64_t sample_stride, const PaddedWindow &win, float *col);
 
 } // namespace kernels
 } // namespace se

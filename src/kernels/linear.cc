@@ -2,13 +2,13 @@
 
 #include "base/logging.hh"
 #include "kernels/gemm.hh"
+#include "kernels/scratch.hh"
 
 namespace se {
 namespace kernels {
 
 Tensor
-linearForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias,
-                  ScratchArena &scratch)
+linearForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias)
 {
     SE_ASSERT(x.ndim() == 2 && x.dim(1) == w.dim(1),
               "linear input shape mismatch");
@@ -18,7 +18,7 @@ linearForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias,
         // Batched: materializing W^T lets the inner loop stream B
         // contiguously (SIMD-friendly); the transpose amortizes over
         // the batch. Same ascending-input double chain either way.
-        float *wt = scratch.transposeBuffer(in_f * out_f);
+        float *wt = threadScratch().buffer(in_f * out_f);
         transposeF(w.data(), out_f, in_f, wt);
         gemmColBiasD(x.data(), wt, bias ? bias->data() : nullptr,
                      y.data(), n, in_f, out_f);
@@ -32,8 +32,7 @@ linearForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias,
 
 void
 linearBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &gy,
-                   ScratchArena &scratch, Tensor &gradW, Tensor *gradB,
-                   Tensor &gx)
+                   Tensor &gradW, Tensor *gradB, Tensor &gx)
 {
     const int64_t n = x.dim(0), in_f = x.dim(1), out_f = w.dim(0);
     SE_ASSERT(gy.dim(0) == n && gy.dim(1) == out_f,
@@ -53,7 +52,7 @@ linearBackwardGemm(const Tensor &x, const Tensor &w, const Tensor &gy,
     // gradW (out, in) += gy^T (out, n) * x (n, in): transposing gy
     // turns the scattered per-sample updates into one GEMM whose
     // ascending-batch float chains match the legacy loop.
-    float *gyt = scratch.colBuffer(n * out_f);
+    float *gyt = threadScratch().buffer(n * out_f);
     transposeF(gy.data(), n, out_f, gyt);
     sgemm(gyt, x.data(), gradW.data(), out_f, n, in_f,
           /*accumulate=*/true);

@@ -5,13 +5,14 @@
  * are bit-identical to the legacy loops (kept as the oracle in
  * tests/reference): forward carries the same per-output double
  * accumulator over ascending input features, backward continues the
- * same ascending-batch / ascending-output float chains.
+ * same ascending-batch / ascending-output float chains. The W and gy
+ * transposes are staged in the calling thread's scratch arena
+ * (kernels/scratch.hh); a layer owns no scratch of its own.
  */
 
 #ifndef SE_KERNELS_LINEAR_HH
 #define SE_KERNELS_LINEAR_HH
 
-#include "kernels/scratch.hh"
 #include "tensor/tensor.hh"
 
 namespace se {
@@ -19,19 +20,20 @@ namespace kernels {
 
 /**
  * y = x W^T + bias for x (N, in), w (out, in); bias may be null.
- * Scratch holds the W transpose used on batched inputs.
+ * Batched inputs stage W^T in the calling thread's scratch arena.
  */
 Tensor linearForwardGemm(const Tensor &x, const Tensor &w,
-                         const Tensor *bias, ScratchArena &scratch);
+                         const Tensor *bias);
 
 /**
  * Backward against the cached input: accumulates into gradW (and
  * gradB when non-null), writes the input gradient into gx (must come
- * in zero-filled, shaped like x). Scratch holds the gy transpose.
+ * in zero-filled, shaped like x). The gy transpose is staged in the
+ * calling thread's scratch arena.
  */
 void linearBackwardGemm(const Tensor &x, const Tensor &w,
-                        const Tensor &gy, ScratchArena &scratch,
-                        Tensor &gradW, Tensor *gradB, Tensor &gx);
+                        const Tensor &gy, Tensor &gradW, Tensor *gradB,
+                        Tensor &gx);
 
 } // namespace kernels
 } // namespace se

@@ -1,14 +1,16 @@
 /**
  * @file
- * Grow-only scratch arena for the kernel lowerings.
+ * Grow-only scratch arena for the kernel lowerings, one per thread.
  *
- * Each Conv2d/Linear layer owns one arena, so the im2col column
- * buffer and the Linear transpose buffer are allocated once at the
- * layer's steady-state sizes and reused across every subsequent
- * forward/backward call — the per-call allocation churn of the
- * original loops. Not thread-safe: an arena belongs to exactly one
- * layer instance, which the nn layer contract already restricts to
- * one caller at a time.
+ * threadScratch() gives every thread its own arena. The conv and
+ * Linear lowerings stage their temporaries (padded input, column
+ * matrix, GEMM output, W or gy transposes) in the calling thread's
+ * arena, so a thread holds the largest single call's need instead of
+ * one buffer per layer, and no arena is ever shared between threads.
+ * A lowering takes one block per call and calls no other lowering
+ * while it holds it, so uses on one thread never overlap. Pool
+ * workers running one of its GEMM panels work in the caller's block,
+ * never in their own arenas.
  */
 
 #ifndef SE_KERNELS_SCRATCH_HH
@@ -24,48 +26,47 @@ namespace kernels {
 class ScratchArena
 {
   public:
-    /** im2col column matrix (also the gy transpose for Linear). */
+    /**
+     * A block of at least `floats` floats with unspecified contents.
+     * Growing invalidates pointers from earlier calls: the old block
+     * is freed before the new one is taken, so the two never coexist
+     * and the allocator can extend the old block in place.
+     */
     float *
-    colBuffer(int64_t floats)
+    buffer(int64_t floats)
     {
-        return grow(col_, floats);
+        if ((int64_t)buf_.size() < floats) {
+            release();
+            buf_.resize((size_t)floats);
+        }
+        return buf_.data();
     }
 
-    /** Transposed Linear weights for batched forward inputs. */
-    float *
-    transposeBuffer(int64_t floats)
-    {
-        return grow(wt_, floats);
-    }
-
-    /** Total floats currently reserved (observability/tests). */
+    /** Floats currently allocated (observability/tests). */
     size_t
     floatsReserved() const
     {
-        return col_.size() + wt_.size();
+        return buf_.capacity();
     }
 
-    /** Drop every buffer (e.g. after a model is torn down). */
+    /** Free the block. */
     void
     release()
     {
-        col_.clear();
-        col_.shrink_to_fit();
-        wt_.clear();
-        wt_.shrink_to_fit();
+        std::vector<float>().swap(buf_);
     }
 
   private:
-    static float *
-    grow(std::vector<float> &v, int64_t floats)
-    {
-        if ((int64_t)v.size() < floats)
-            v.resize((size_t)floats);
-        return v.data();
-    }
-
-    std::vector<float> col_, wt_;
+    std::vector<float> buf_;
 };
+
+/** The calling thread's arena, freed when the thread exits. */
+inline ScratchArena &
+threadScratch()
+{
+    thread_local ScratchArena arena;
+    return arena;
+}
 
 } // namespace kernels
 } // namespace se

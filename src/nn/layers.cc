@@ -42,8 +42,7 @@ Conv2d::forward(const Tensor &x, bool train)
     const kernels::ConvSpec spec{inCh, outCh, kern, strd,
                                  pad_,  grps,  dil};
     return kernels::conv2dForwardGemm(x, weight,
-                                      hasBias ? &bias_ : nullptr, spec,
-                                      scratch_);
+                                      hasBias ? &bias_ : nullptr, spec);
 }
 
 Tensor
@@ -127,8 +126,7 @@ Linear::forward(const Tensor &x, bool train)
     if (train)
         cachedX = x;
     return kernels::linearForwardGemm(x, weight,
-                                      hasBias ? &bias_ : nullptr,
-                                      scratch_);
+                                      hasBias ? &bias_ : nullptr);
 }
 
 Tensor
@@ -136,7 +134,7 @@ Linear::backward(const Tensor &gy)
 {
     SE_ASSERT(!cachedX.empty(), "backward without cached forward");
     Tensor gx(cachedX.shape());
-    kernels::linearBackwardGemm(cachedX, weight, gy, scratch_, gradW,
+    kernels::linearBackwardGemm(cachedX, weight, gy, gradW,
                                 hasBias ? &gradB : nullptr, gx);
     return gx;
 }
@@ -319,22 +317,24 @@ MaxPool2d::forward(const Tensor &x, bool train)
     Tensor y({n, c, oh, ow});
     if (train)
         argmax.assign((size_t)y.size(), 0);
+    const float *xd = x.data();
     int64_t oi = 0;
     for (int64_t b = 0; b < n; ++b)
         for (int64_t cc = 0; cc < c; ++cc)
             for (int64_t e = 0; e < oh; ++e)
                 for (int64_t f = 0; f < ow; ++f, ++oi) {
-                    float best = -1e30f;
-                    int64_t best_idx = 0;
+                    // Seeded from the window's first tap, so the max
+                    // and its index always come from this window.
+                    const int64_t first =
+                        ((b * c + cc) * h + e * strd) * w + f * strd;
+                    float best = xd[first];
+                    int64_t best_idx = first;
                     for (int64_t kr = 0; kr < kern; ++kr)
                         for (int64_t ks = 0; ks < kern; ++ks) {
-                            const int64_t ih = e * strd + kr;
-                            const int64_t iw = f * strd + ks;
-                            const float v = x.at(b, cc, ih, iw);
-                            if (v > best) {
-                                best = v;
-                                best_idx = ((b * c + cc) * h + ih) * w +
-                                           iw;
+                            const int64_t idx = first + kr * w + ks;
+                            if (xd[idx] > best) {
+                                best = xd[idx];
+                                best_idx = idx;
                             }
                         }
                     y[oi] = best;

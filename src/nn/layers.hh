@@ -8,7 +8,6 @@
 #ifndef SE_NN_LAYERS_HH
 #define SE_NN_LAYERS_HH
 
-#include "kernels/scratch.hh"
 #include "nn/layer.hh"
 
 namespace se {
@@ -19,9 +18,11 @@ namespace nn {
  * 2-D convolution in NCHW with square kernels, zero padding and groups.
  * groups == inChannels == outChannels gives a depth-wise convolution.
  *
- * Forward lowers onto im2col + blocked GEMM (bit-identical to the
- * legacy loop in tests/reference, with a per-layer scratch arena
- * instead of per-call buffers). Backward is the legacy loop itself:
+ * Forward lowers onto im2col + blocked GEMM with the batch folded into
+ * the GEMM columns (bit-identical to the legacy loop in
+ * tests/reference), staging in the calling thread's scratch arena
+ * instead of per-call or per-layer buffers, so a layer holds no
+ * scratch of its own. Backward is the legacy loop itself:
  * the golden-pinned retrain benches depend on its float accumulation
  * order, which no GEMM lowering reproduces for gx.
  */
@@ -55,13 +56,13 @@ class Conv2d : public Layer
     bool hasBias;
     Tensor weight, bias_, gradW, gradB;
     Tensor cachedX;
-    kernels::ScratchArena scratch_;
 };
 
 /**
  * Fully-connected layer y = x W^T + b, x is (N, C). Both directions
  * run on the blocked GEMM, bit-identical to the legacy loops in
- * tests/reference.
+ * tests/reference, with their transposes staged in the calling
+ * thread's scratch arena.
  */
 class Linear : public Layer
 {
@@ -88,7 +89,6 @@ class Linear : public Layer
     bool hasBias;
     Tensor weight, bias_, gradW, gradB;
     Tensor cachedX;
-    kernels::ScratchArena scratch_;
 };
 
 /**
@@ -155,7 +155,11 @@ class Sigmoid : public Layer
     Tensor cachedY;
 };
 
-/** Max pooling with square window. */
+/**
+ * Max pooling with square window. Each window's max is seeded from its
+ * own first tap, so all -Inf windows, or windows below any sentinel,
+ * still return (and route the gradient to) one of their own inputs.
+ */
 class MaxPool2d : public Layer
 {
   public:

@@ -186,7 +186,7 @@ gemmCeBPanelDecode(const uint8_t *row_mask, const uint8_t *nibbles,
     int64_t nz_seen = 0;  // non-zero rows before the current row
     for (int64_t row0 = 0; row0 < m; row0 += kPanelRows) {
         const int64_t pr = std::min(kPanelRows, m - row0);
-        float *panel = arena.colBuffer(pr * r);
+        float *panel = arena.buffer(pr * r);
         for (int64_t i = 0; i < pr; ++i) {
             const int64_t row = row0 + i;
             float *dst = panel + i * r;

@@ -19,12 +19,14 @@
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
 #include "base/random.hh"
 #include "core/model_file.hh"
 #include "kernels/ce_gemm.hh"
+#include "kernels/conv.hh"
 #include "kernels/dispatch.hh"
 #include "kernels/gemm.hh"
 #include "kernels/kernels.hh"
@@ -262,14 +264,14 @@ TEST(Kernels, ScratchArenaGrowOnlyAndRelease)
 {
     kernels::ScratchArena arena;
     EXPECT_EQ(arena.floatsReserved(), 0u);
-    float *p = arena.colBuffer(100);
+    float *p = arena.buffer(100);
     ASSERT_NE(p, nullptr);
-    EXPECT_GE(arena.floatsReserved(), 100u);
+    EXPECT_EQ(arena.floatsReserved(), 100u);
     // Smaller requests reuse the existing block.
-    EXPECT_EQ(arena.colBuffer(10), p);
-    const size_t high_water = arena.floatsReserved();
-    arena.transposeBuffer(50);
-    EXPECT_GE(arena.floatsReserved(), high_water + 50);
+    EXPECT_EQ(arena.buffer(10), p);
+    // Growth replaces the block at exactly the new need.
+    arena.buffer(150);
+    EXPECT_EQ(arena.floatsReserved(), 150u);
     arena.release();
     EXPECT_EQ(arena.floatsReserved(), 0u);
 }
@@ -287,6 +289,241 @@ TEST(Kernels, ConvScratchArenaReuseIsStateless)
     conv.forward(big, false);
     Tensor again_small = conv.forward(small, false);
     EXPECT_TRUE(bitEqual(first_small, again_small));
+}
+
+// ------------------------------------------- folded conv lowering
+
+/**
+ * Gaussian values salted with +-0 (30%) and +-Inf / NaN (1% each):
+ * zeros reach the -0 bias path, non-finite values the NaN/Inf chains.
+ * As in doubleChainOperand, the NaN is the hardware's own (Inf - Inf),
+ * so only NaN placement is contract, not which NaN propagates.
+ */
+Tensor
+saltedTensor(const Shape &shape, Rng &rng)
+{
+    volatile float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {0.0f, -0.0f, inf, -inf, inf - inf};
+    Tensor t = randn(shape, rng);
+    for (int64_t i = 0; i < t.size(); ++i) {
+        const float u = rng.uniform();
+        if (u < 0.15f)
+            t[i] = specials[0];
+        else if (u < 0.30f)
+            t[i] = specials[1];
+        else if (u < 0.33f)
+            t[i] = specials[2 + rng.integer(0, 2)];
+    }
+    return t;
+}
+
+/** The conv's weights and bias, with +-0 weights and -0 biases. */
+struct ConvParams
+{
+    Tensor w, bias;
+};
+
+ConvParams
+convParams(const kernels::ConvSpec &sp, Rng &rng)
+{
+    ConvParams p;
+    p.w = randn({sp.outCh, sp.inCh / sp.groups, sp.kern, sp.kern}, rng);
+    for (int64_t i = 0; i < p.w.size(); ++i)
+        if (rng.chance(0.1))
+            p.w[i] = rng.chance(0.5) ? 0.0f : -0.0f;
+    p.bias = randn({sp.outCh}, rng);
+    for (int64_t m = 0; m < sp.outCh; m += 2)
+        p.bias[m] = -0.0f;
+    return p;
+}
+
+/** conv2dForwardGemm under every ISA, memcmp'd against the reference. */
+void
+expectFoldedMatchesReference(const Tensor &x, const ConvParams &p,
+                             const kernels::ConvSpec &sp,
+                             const std::string &what)
+{
+    const Tensor want = reference::conv2dForward(x, p.w, &p.bias, sp);
+    const Tensor want_nobias =
+        reference::conv2dForward(x, p.w, nullptr, sp);
+    for (kernels::KernelIsa isa : kernels::supportedIsas()) {
+        ScopedIsa forced(isa);
+        EXPECT_TRUE(bitEqual(
+            want, kernels::conv2dForwardGemm(x, p.w, &p.bias, sp)))
+            << kernels::isaName(isa) << " " << what;
+        EXPECT_TRUE(bitEqual(want_nobias, kernels::conv2dForwardGemm(
+                                              x, p.w, nullptr, sp)))
+            << kernels::isaName(isa) << " " << what << " (no bias)";
+    }
+}
+
+TEST(Kernels, FoldedConvForwardWallAgainstReference)
+{
+    // Batches that leave a partial last chunk on every map size
+    // (chunks of 64 columns: 64 samples of 1x1, 16 of 2x2, 4 of 4x4,
+    // 1 of 8x8), across stride, dilation, depth-wise groups and pad.
+    struct Geo
+    {
+        int64_t k, stride, pad, dil, groups;
+    };
+    const int64_t c = 6, m = 12;
+    const Geo geos[] = {
+        {3, 1, 1, 1, 1}, {3, 2, 1, 1, 1}, {3, 1, 3, 2, 1},
+        {3, 1, 1, 1, c}, {1, 1, 0, 1, 1}, {3, 1, 0, 1, 1},
+        {3, 2, 3, 2, 2},
+    };
+    const int64_t maps[][2] = {{1, 1}, {2, 2}, {4, 4}, {8, 8}, {11, 9}};
+    int checked = 0;
+    for (int64_t batch : {1, 2, 3, 5, 8, 17})
+        for (const auto &hw : maps)
+            for (const Geo &g : geos) {
+                const int64_t kext = g.dil * (g.k - 1) + 1;
+                if (hw[0] + 2 * g.pad < kext || hw[1] + 2 * g.pad < kext)
+                    continue;
+                const kernels::ConvSpec sp{c,     m,        g.k, g.stride,
+                                           g.pad, g.groups, g.dil};
+                Rng rng(900 + checked);
+                const ConvParams p = convParams(sp, rng);
+                const Tensor x = saltedTensor({batch, c, hw[0], hw[1]}, rng);
+                expectFoldedMatchesReference(
+                    x, p, sp,
+                    "batch " + std::to_string(batch) + " " +
+                        std::to_string(hw[0]) + "x" +
+                        std::to_string(hw[1]) + " k=" +
+                        std::to_string(g.k) + " stride=" +
+                        std::to_string(g.stride) + " pad=" +
+                        std::to_string(g.pad) + " dil=" +
+                        std::to_string(g.dil) + " groups=" +
+                        std::to_string(g.groups));
+                ++checked;
+            }
+    EXPECT_GT(checked, 150);
+}
+
+TEST(Kernels, FoldedConvArenaNeverLeaksStaleBytes)
+{
+    // The calling thread's arena is shared by every layer it runs:
+    // one layer at alternating batch sizes, then two layers with
+    // different pads, groups and map sizes interleaved, must each
+    // match a fresh reference every call.
+    Rng rng(911);
+    nn::Conv2d a(6, 12, 3, 1, 1, 1, rng);
+    nn::Conv2d b(6, 6, 3, 1, 0, 6, rng, /*bias=*/true, 2);
+    for (Tensor *bias : {&a.biasTensor(), &b.biasTensor()})
+        (*bias)[0] = -0.0f;
+    int call = 0;
+    for (int64_t batch : {8, 1, 17, 3, 8, 2}) {
+        const Tensor x = saltedTensor({batch, 6, 4, 4}, rng);
+        EXPECT_TRUE(bitEqual(referenceConv(a, x), a.forward(x, false)))
+            << "alternating batch " << batch;
+    }
+    for (int64_t batch : {5, 17, 1, 8}) {
+        const Tensor xa = saltedTensor({batch, 6, 2, 2}, rng);
+        const Tensor xb = saltedTensor({batch + 1, 6, 8, 8}, rng);
+        EXPECT_TRUE(bitEqual(referenceConv(a, xa), a.forward(xa, false)))
+            << "interleaved a, call " << call;
+        EXPECT_TRUE(bitEqual(referenceConv(b, xb), b.forward(xb, false)))
+            << "interleaved b, call " << call;
+        ++call;
+    }
+}
+
+/** The perfbench serving model: VGG19-sim at base width 12 on 8x8. */
+models::SimConfig
+servedVgg19Config()
+{
+    models::SimConfig cfg;
+    cfg.baseWidth = 12;
+    cfg.inHeight = cfg.inWidth = 8;
+    cfg.seed = 31;
+    return cfg;
+}
+
+TEST(KernelsConcurrency, ParallelForwardsOnPerThreadArenasAreBitEqual)
+{
+    // Four threads run their own VGG19-sim forward at once, each on
+    // its own arena; every output must equal the serial one. TSan
+    // runs this under the concurrency label.
+    const models::SimConfig cfg = servedVgg19Config();
+    Rng rng(57);
+    const Tensor x =
+        randn({5, cfg.inChannels, cfg.inHeight, cfg.inWidth}, rng);
+    const Tensor serial =
+        models::buildSim(models::ModelId::VGG19, cfg)->forward(x, false);
+
+    constexpr int kThreads = 4;
+    std::vector<std::unique_ptr<nn::Sequential>> nets;
+    for (int t = 0; t < kThreads; ++t)
+        nets.push_back(models::buildSim(models::ModelId::VGG19, cfg));
+    std::vector<int> mismatches(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (int rep = 0; rep < 10; ++rep)
+                if (!bitEqual(serial, nets[(size_t)t]->forward(x, false)))
+                    ++mismatches[(size_t)t];
+        });
+    for (std::thread &th : threads)
+        th.join();
+    for (int t = 0; t < kThreads; ++t)
+        EXPECT_EQ(mismatches[(size_t)t], 0) << "thread " << t;
+}
+
+TEST(KernelsConcurrency, ThreadArenaHoldsOnlyTheLargestConvChunk)
+{
+    // peak_rss guard: after a batch-8 VGG19-sim forward, a fresh
+    // thread's arena holds no more than the largest single conv's
+    // chunk (padded input + column matrix + folded GEMM output), not
+    // the sum over the layers.
+    const models::SimConfig cfg = servedVgg19Config();
+    const int64_t n = 8;
+    auto net = models::buildSim(models::ModelId::VGG19, cfg);
+    Rng rng(58);
+    const Tensor x =
+        randn({n, cfg.inChannels, cfg.inHeight, cfg.inWidth}, rng);
+
+    int64_t largest = 0, sum = 0, h = cfg.inHeight, w = cfg.inWidth;
+    for (size_t i = 0; i < net->size(); ++i) {
+        nn::Layer *l = net->layer(i);
+        if (auto *pool = dynamic_cast<nn::MaxPool2d *>(l)) {
+            h = kernels::windowOutExtent(h, 0, pool->kernelSize(),
+                                         pool->strideLen());
+            w = kernels::windowOutExtent(w, 0, pool->kernelSize(),
+                                         pool->strideLen());
+        }
+        auto *conv = dynamic_cast<nn::Conv2d *>(l);
+        if (!conv)
+            continue;
+        const int64_t k = conv->kernelSize(), p = conv->padLen();
+        const int64_t kext = conv->dilationLen() * (k - 1) + 1;
+        const int64_t oh =
+            kernels::windowOutExtent(h, p, kext, conv->strideLen());
+        const int64_t ow =
+            kernels::windowOutExtent(w, p, kext, conv->strideLen());
+        const int64_t cols = oh * ow;
+        const int64_t per = std::min(
+            n, (kernels::kConvFoldCols + cols - 1) / cols);
+        const int64_t cpg = conv->inChannels() / conv->groupCount();
+        const int64_t mpg = conv->outChannels() / conv->groupCount();
+        const int64_t need =
+            (p > 0 ? per * conv->inChannels() * (h + 2 * p) * (w + 2 * p)
+                   : 0) +
+            cpg * k * k * per * cols + (per > 1 ? mpg * per * cols : 0);
+        largest = std::max(largest, need);
+        sum += need;
+        h = oh;
+        w = ow;
+    }
+    ASSERT_GT(largest, 0);
+    ASSERT_LT(largest, sum);
+
+    size_t reserved = 0;
+    std::thread([&] {
+        net->forward(x, false);
+        reserved = kernels::threadScratch().floatsReserved();
+    }).join();
+    EXPECT_GT(reserved, 0u);
+    EXPECT_LE(reserved, (size_t)largest);
 }
 
 // ------------------------------------------------------------- Linear

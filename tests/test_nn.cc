@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "base/random.hh"
 #include "nn/blocks.hh"
@@ -278,6 +279,34 @@ TEST(MaxPool, ForwardPicksMaxAndRoutesGradient)
     Tensor g = pool.backward(Tensor({1, 1, 1, 1}, 1.0f));
     EXPECT_FLOAT_EQ(g[1], 1.0f);
     EXPECT_FLOAT_EQ(g[0], 0.0f);
+}
+
+TEST(MaxPool, WindowsBelowMinusOneE30KeepTheirOwnMax)
+{
+    // Three 2x2 windows of one row: all -Inf, all below -1e30 (max
+    // -2e30 in the last tap), and an ordinary window whose max sits
+    // in its last tap.
+    const float inf = std::numeric_limits<float>::infinity();
+    MaxPool2d pool(2, 2);
+    Tensor x({1, 1, 2, 6}, std::vector<float>{-inf, -inf, -5e30f, -3e30f,
+                                              1.0f, 2.0f, -inf, -inf,
+                                              -4e30f, -2e30f, 3.0f, 4.0f});
+    const Tensor y = pool.forward(x, true);
+    ASSERT_EQ(y.size(), 3);
+    EXPECT_EQ(y[0], -inf);
+    EXPECT_EQ(y[1], -2e30f);
+    EXPECT_EQ(y[2], 4.0f);
+
+    // Each window's gradient lands inside that window, on its max.
+    const Tensor g =
+        pool.backward(Tensor({1, 1, 1, 3}, std::vector<float>{1, 2, 4}));
+    EXPECT_EQ(g[0], 1.0f);   // the all -Inf window: its first tap
+    EXPECT_EQ(g[9], 2.0f);   // -2e30
+    EXPECT_EQ(g[11], 4.0f);  // 4
+    float total = 0.0f;
+    for (int64_t i = 0; i < g.size(); ++i)
+        total += g[i];
+    EXPECT_EQ(total, 7.0f);
 }
 
 TEST(GlobalAvgPool, ForwardAndGradient)
