@@ -4,9 +4,10 @@
  * stdout) timing the same multi-layer SmartExchange decomposition
  * sweep three ways — legacy serial path, N-thread CompressionPipeline,
  * and a cache-warm re-run — plus a batched accelerator sweep through
- * SimDriver. Future PRs diff these numbers to track the perf
- * trajectory. Each pipeline thread count is warmed up once and then
- * timed over several passes (median and min reported).
+ * SimDriver and a per-piece-shape decomposeMatrix timing. Diffing
+ * these numbers across changes tracks the perf trajectory. Each
+ * pipeline thread count is warmed up once and then timed over several
+ * passes (median and min reported).
  *
  * Usage: ./bench_runtime [--smoke] [max_threads]
  *
@@ -22,6 +23,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <thread>
 #include <vector>
 
@@ -29,6 +31,8 @@
 #include "base/hash.hh"
 #include "base/random.hh"
 #include "bench_util.hh"
+#include "core/apply.hh"
+#include "core/smart_exchange.hh"
 #include "linalg/linalg.hh"
 #include "reference/reference.hh"
 #include "runtime/pipeline.hh"
@@ -222,6 +226,60 @@ main(int argc, char **argv)
                     pipe.stats().units,
                     bench::jsonBool(weightDigest(*net) ==
                                     serial_digest));
+    }
+
+    // --- decomposeMatrix per piece shape (informational) -----------
+    // Every unit of the subject grouped by its piece shape, at the
+    // perfbench compress operating point (theta 0.01, a 0.5 vector-
+    // sparsity floor), serially: the median us per call over a
+    // warm-up plus kDecompPasses passes, and the mean share of Ce rows
+    // each Algorithm 1 iteration visited (SeTrace::liveRows).
+    {
+        constexpr int kDecompPasses = 5;
+        core::SeOptions op = se_opts;
+        op.minVectorSparsity = 0.5;
+        auto net = makeSubject();
+        const core::CompressionPlan plan =
+            core::planCompression(*net, op, apply_opts);
+        std::map<std::pair<int64_t, int64_t>, std::vector<const Tensor *>>
+            by_shape;
+        for (const core::DecompUnit &u : plan.units)
+            by_shape[{u.matrix.dim(0), u.matrix.dim(1)}].push_back(
+                &u.matrix);
+        std::printf("  \"decompose_shapes\": {\"theta\": %g, "
+                    "\"min_vector_sparsity\": %g, \"passes\": %d, "
+                    "\"shapes\": [\n",
+                    op.vectorThreshold, op.minVectorSparsity,
+                    kDecompPasses);
+        size_t k = 0;
+        for (const auto &[shape, units] : by_shape) {
+            std::vector<double> us;
+            for (int pass = -1; pass < kDecompPasses; ++pass)
+                for (const Tensor *w : units) {
+                    t0 = Clock::now();
+                    core::decomposeMatrix(*w, op);
+                    if (pass >= 0)
+                        us.push_back(1000.0 * msSince(t0));
+                }
+            std::sort(us.begin(), us.end());
+            double live = 0.0;
+            size_t iters = 0;
+            for (const Tensor *w : units) {
+                core::SeTrace trace;
+                core::decomposeMatrix(*w, op, &trace);
+                for (double f : trace.liveRows)
+                    live += f;
+                iters += trace.liveRows.size();
+            }
+            std::printf("    {\"shape\": \"%lldx%lld\", \"units\": %zu, "
+                        "\"median_us\": %.1f, "
+                        "\"live_row_fraction\": %.3f}%s\n",
+                        (long long)shape.first, (long long)shape.second,
+                        units.size(), us[us.size() / 2],
+                        live / (double)iters,
+                        bench::jsonSep(k++, by_shape.size()));
+        }
+        std::printf("  ]},\n");
     }
 
     // --- batched accelerator sweep through SimDriver ----------------

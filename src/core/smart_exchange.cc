@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "linalg/linalg.hh"
 
@@ -13,17 +14,20 @@ namespace {
 /**
  * Normalize each column of ce to unit L2 norm, scaling the matching row
  * of basis so the product Ce * B is unchanged. Zero columns are left
- * alone. `norms` is caller-owned scratch of r doubles; every column's
+ * alone. Only the live rows are visited: every other row is +0, which
+ * adds +0.0 to a norm and divides to +0, so skipping it changes no
+ * bit. `norms` is caller-owned scratch of r doubles; every column's
  * norm is still accumulated in ascending row order.
  */
 void
-normalizeColumns(Tensor &ce, Tensor &basis, std::vector<double> &norms)
+normalizeColumns(Tensor &ce, const std::vector<int64_t> &live,
+                 Tensor &basis, std::vector<double> &norms)
 {
-    const int64_t m = ce.dim(0), r = ce.dim(1), n = basis.dim(1);
+    const int64_t r = ce.dim(1), n = basis.dim(1);
     float *c = ce.data();
     float *b = basis.data();
     std::fill(norms.begin(), norms.end(), 0.0);
-    for (int64_t i = 0; i < m; ++i)
+    for (int64_t i : live)
         for (int64_t j = 0; j < r; ++j)
             norms[(size_t)j] += (double)c[i * r + j] * c[i * r + j];
     // A skipped (near-zero) column divides and multiplies by 1.0
@@ -33,7 +37,7 @@ normalizeColumns(Tensor &ce, Tensor &basis, std::vector<double> &norms)
         const double norm = std::sqrt(norms[(size_t)j]);
         norms[(size_t)j] = norm < 1e-12 ? 1.0 : norm;
     }
-    for (int64_t i = 0; i < m; ++i)
+    for (int64_t i : live)
         for (int64_t j = 0; j < r; ++j)
             c[i * r + j] = (float)(c[i * r + j] / norms[(size_t)j]);
     for (int64_t j = 0; j < r; ++j)
@@ -58,17 +62,22 @@ struct SparsifyScratch
  * minimum vector-sparsity floor by pruning the smallest-norm rows.
  * At least `min_keep` rows (the basis rank) always survive so no
  * filter is zeroed outright — the paper's per-layer manual Sc control
- * implies the same safeguard. Leaves the row mask in scratch.mask.
+ * implies the same safeguard. The selection runs over all m rows:
+ * the rows outside `live` are +0, so they take part with magnitude 0,
+ * exactly as if they were scanned. The pruned live rows are zeroed
+ * and dropped from `live` (a row once pruned stays pruned).
  */
 void
-sparsifyRows(Tensor &ce, double theta, double min_vector_sparsity,
-             int64_t min_keep, SparsifyScratch &scratch)
+sparsifyRows(Tensor &ce, std::vector<int64_t> &live, double theta,
+             double min_vector_sparsity, int64_t min_keep,
+             SparsifyScratch &scratch)
 {
     const int64_t m = ce.dim(0), r = ce.dim(1);
     float *c = ce.data();
     std::vector<double> &row_mag = scratch.rowMag;
     std::vector<uint8_t> &keep = scratch.mask;
-    for (int64_t i = 0; i < m; ++i) {
+    std::fill(row_mag.begin(), row_mag.end(), 0.0);
+    for (int64_t i : live) {
         double mx = 0.0;
         for (int64_t j = 0; j < r; ++j)
             mx = std::max(mx, (double)std::abs(c[i * r + j]));
@@ -112,9 +121,14 @@ sparsifyRows(Tensor &ce, double theta, double min_vector_sparsity,
             keep[(size_t)order[(size_t)k]] = 1;
     }
 
-    for (int64_t i = 0; i < m; ++i)
-        if (!keep[(size_t)i])
+    size_t kept = 0;
+    for (const int64_t i : live) {
+        if (keep[(size_t)i])
+            live[kept++] = i;
+        else
             std::fill(c + i * r, c + (i + 1) * r, 0.0f);
+    }
+    live.resize(kept);
 }
 
 double
@@ -195,7 +209,12 @@ decomposeMatrix(const Tensor &w, const SeOptions &opts, SeTrace *trace)
     linalg::AlsSolver als(w, n, opts.ridge);
     std::vector<double> col_norms((size_t)n);
     SparsifyScratch scratch(m);
-    std::vector<uint8_t> keep((size_t)m, 1);
+    // The live (unpruned) rows, ascending. Pruning is monotone and a
+    // pruned row is exactly +0 from then on, so every step but the
+    // sparsifier visits these rows only (see normalizeColumns and
+    // AlsSolver for why each skipped term changes no bit).
+    std::vector<int64_t> live((size_t)m);
+    std::iota(live.begin(), live.end(), 0);
 
     Tensor identity;
     double id_norm = 0.0;
@@ -212,38 +231,36 @@ decomposeMatrix(const Tensor &w, const SeOptions &opts, SeTrace *trace)
         trace->vectorSparsity.push_back(rowVectorSparsity(out.ce));
         trace->basisDrift.push_back(
             linalg::frobDiff(out.basis, identity) / id_norm);
+        trace->liveRows.push_back((double)live.size() / (double)m);
     };
 
     out.iterations = 0;
     for (int iter = 0; iter < opts.maxIterations; ++iter) {
         ++out.iterations;
         // Step 1: normalize columns, choose Omega_P, quantize Ce.
-        normalizeColumns(out.ce, out.basis, col_norms);
-        out.alphabet = quant::choosePow2Alphabet(out.ce, opts.coefBits);
+        normalizeColumns(out.ce, live, out.basis, col_norms);
+        out.alphabet =
+            quant::choosePow2Alphabet(out.ce, live, opts.coefBits);
         const double delta =
-            quant::projectPow2InPlace(out.ce, out.alphabet) /
+            quant::projectPow2InPlace(out.ce, live, out.alphabet) /
             (double)(m * n);
 
         // Step 2: fit B to the quantized Ce. The trace records this
         // state — quantized coefficients with a fitted basis — which
         // is the solution quality Fig. 9 plots.
-        als.fitBasis(out.ce.data(), out.basis.data());
+        als.fitBasis(out.ce.data(), live, out.basis.data());
         record();
 
-        // ... then refit Ce freely for the next round.
-        als.fitCoefficients(out.basis.data(), out.ce.data());
+        // ... then refit Ce freely for the next round; the pruned
+        // rows come back +0.
+        als.fitCoefficients(out.basis.data(), live, out.ce.data());
 
-        // Step 3: vector-wise sparsification (monotone: once a row is
+        // Step 3: vector-wise sparsification over all m rows, the
+        // pruned ones counting as zeroed (monotone: once a row is
         // pruned it stays pruned, mirroring the hard-threshold
         // practice in the paper).
-        float *ce = out.ce.data();
-        for (int64_t i = 0; i < m; ++i)
-            if (!keep[(size_t)i])
-                std::fill(ce + i * n, ce + (i + 1) * n, 0.0f);
-        sparsifyRows(out.ce, opts.vectorThreshold, opts.minVectorSparsity,
-                     n, scratch);
-        for (int64_t i = 0; i < m; ++i)
-            keep[(size_t)i] = keep[(size_t)i] && scratch.mask[(size_t)i];
+        sparsifyRows(out.ce, live, opts.vectorThreshold,
+                     opts.minVectorSparsity, n, scratch);
 
         if (delta < opts.tol)
             break;
@@ -252,18 +269,18 @@ decomposeMatrix(const Tensor &w, const SeOptions &opts, SeTrace *trace)
     // Optional support-restricted refinement before concluding.
     if (opts.refineOnSupport) {
         Tensor mask({m, n});
-        for (int64_t i = 0; i < m; ++i)
+        for (int64_t i : live)
             for (int64_t j = 0; j < n; ++j)
-                mask.at(i, j) = keep[(size_t)i] ? 1.0f : 0.0f;
+                mask.at(i, j) = 1.0f;
         out.ce = linalg::fitCoefficientsMasked(w, out.basis, mask,
                                                opts.ridge);
     }
 
     // Conclusion: re-quantize Ce and re-fit B on the final support.
-    normalizeColumns(out.ce, out.basis, col_norms);
-    out.alphabet = quant::choosePow2Alphabet(out.ce, opts.coefBits);
-    quant::projectPow2InPlace(out.ce, out.alphabet);
-    als.fitBasis(out.ce.data(), out.basis.data());
+    normalizeColumns(out.ce, live, out.basis, col_norms);
+    out.alphabet = quant::choosePow2Alphabet(out.ce, live, opts.coefBits);
+    quant::projectPow2InPlace(out.ce, live, out.alphabet);
+    als.fitBasis(out.ce.data(), live, out.basis.data());
     record();
 
     out.reconRelError =

@@ -11,6 +11,11 @@
  *   Step 2  alternating least-squares refits of B and Ce,
  *   Step 3  vector-wise magnitude sparsification of Ce,
  * and concludes with a final re-quantization of Ce and re-fit of B.
+ *
+ * Pruning is monotone and a pruned row is exactly +0 from then on, so
+ * every step but the sparsifier visits the live (unpruned) rows only;
+ * each skipped term is an exact no-op, and the output is bit-identical
+ * to running every step over all m rows.
  */
 
 #ifndef SE_CORE_SMART_EXCHANGE_HH
@@ -61,6 +66,7 @@ struct SeTrace
     std::vector<double> reconError;   ///< ||W - CeB||_F / ||W||_F
     std::vector<double> vectorSparsity;
     std::vector<double> basisDrift;   ///< ||B - I||_F / ||I||_F
+    std::vector<double> liveRows;     ///< share of Ce rows visited
 };
 
 /** The SmartExchange form {Ce, B} of a matrix plus diagnostics. */

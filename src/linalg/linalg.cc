@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "kernels/gemm.hh"
 
@@ -127,40 +128,160 @@ addAdaptiveRidge(float *gram, int64_t r, double ridge)
         gram[i * r + i] += eps;
 }
 
+/**
+ * Check the live-row list of an m-row problem: ascending, distinct and
+ * in range (the refit bodies index by it).
+ */
+void
+checkRows(const std::vector<int64_t> &rows, int64_t m)
+{
+    for (size_t q = 0; q < rows.size(); ++q)
+        SE_ASSERT(rows[q] >= (q ? rows[q - 1] + 1 : 0) && rows[q] < m,
+                  "AlsSolver rows must be ascending and in range");
+}
+
+/**
+ * fitBasis' normal equations in one sweep over the listed rows p of
+ * Ce (m x r) and W (m x n): G = Ce^T Ce (r x r) and H = Ce^T W
+ * (r x n) accumulate together. Every entry keeps sgemm's float chain
+ * (ascending p, a round after every add, zero Ce[p][i] skipped), so
+ * the result equals transpose-then-sgemm bit for bit; rows left out
+ * contribute nothing. The skip is a select of the old accumulator,
+ * never an add of 0 (0 * Inf differs from a skip). kS > 0 fixes
+ * r = n = kS at compile time so the accumulators live in registers;
+ * kS = 0 takes r and n from the arguments and accumulates in g and h.
+ * One body serves both.
+ */
+template <int64_t kS>
+void
+gramSweep(const float *ce, const float *w, const int64_t *rows,
+          int64_t count, int64_t r_arg, int64_t n_arg, float *g, float *h)
+{
+    const int64_t r = kS ? kS : r_arg, n = kS ? kS : n_arg;
+    float g_reg[kS ? kS * kS : 1], h_reg[kS ? kS * kS : 1];
+    float *ga = kS ? g_reg : g, *ha = kS ? h_reg : h;
+    std::fill(ga, ga + r * r, 0.0f);
+    std::fill(ha, ha + r * n, 0.0f);
+    for (int64_t q = 0; q < count; ++q) {
+        const float *cp = ce + rows[q] * r;
+        const float *wp = w + rows[q] * n;
+#pragma GCC unroll 4
+        for (int64_t i = 0; i < r; ++i) {
+            const float a = cp[i];
+            const bool nz = a != 0.0f;
+#pragma GCC unroll 4
+            for (int64_t j = 0; j < r; ++j) {
+                const float t = ga[i * r + j] + a * cp[j];
+                ga[i * r + j] = nz ? t : ga[i * r + j];
+            }
+#pragma GCC unroll 4
+            for (int64_t k = 0; k < n; ++k) {
+                const float t = ha[i * n + k] + a * wp[k];
+                ha[i * n + k] = nz ? t : ha[i * n + k];
+            }
+        }
+    }
+    if (kS) {
+        std::copy(ga, ga + r * r, g);
+        std::copy(ha, ha + r * n, h);
+    }
+}
+
+/**
+ * fitCoefficients' right-hand sides: x[i][q] = B[i] . W[rows[q]]
+ * (r x count), each an ascending-k float chain with zero B[i][k]
+ * skipped — sgemmABt's sequence. Null rows means 0..count-1, so
+ * W = B, count = r gives the Gram B B^T. kS as in gramSweep: a fixed
+ * shape keeps B in registers.
+ */
+template <int64_t kS>
+void
+rhsSweep(const float *b, const float *w, const int64_t *rows,
+         int64_t count, int64_t r_arg, int64_t n_arg, float *__restrict x)
+{
+    const int64_t r = kS ? kS : r_arg, n = kS ? kS : n_arg;
+    for (int64_t q = 0; q < count; ++q) {
+        const float *wp = w + (rows ? rows[q] : q) * n;
+#pragma GCC unroll 4
+        for (int64_t i = 0; i < r; ++i) {
+            float acc = 0.0f;
+#pragma GCC unroll 4
+            for (int64_t k = 0; k < n; ++k) {
+                const float a = b[i * n + k];
+                const float t = acc + a * wp[k];
+                acc = a != 0.0f ? t : acc;
+            }
+            x[i * count + q] = acc;
+        }
+    }
+}
+
+/**
+ * Call f with the refit bodies' compile-time size: r for square
+ * pieces up to 4 x 4 (every conv and fc piece: B is n x n with n = 3
+ * or 4), 0 (runtime shape) otherwise.
+ */
+template <typename F>
+void
+withPieceSize(int64_t r, int64_t n, F &&f)
+{
+    switch (r == n ? r : 0) {
+    case 1: return f(std::integral_constant<int64_t, 1>{});
+    case 2: return f(std::integral_constant<int64_t, 2>{});
+    case 3: return f(std::integral_constant<int64_t, 3>{});
+    case 4: return f(std::integral_constant<int64_t, 4>{});
+    default: return f(std::integral_constant<int64_t, 0>{});
+    }
+}
+
+/** w, after the constructor's checks, so nothing is sized before them. */
+const Tensor &
+checkedAlsW(const Tensor &w, int64_t r)
+{
+    SE_ASSERT(w.ndim() == 2 && r > 0, "AlsSolver needs a 2-D W, r > 0");
+    return w;
+}
+
 } // namespace
 
 AlsSolver::AlsSolver(const Tensor &w, int64_t r, double ridge)
-    : w_(w.data()), m_(w.dim(0)), n_(w.dim(1)), r_(r), ridge_(ridge),
-      gram_((size_t)(r * r)), staged_((size_t)(r * w.dim(0)))
+    : w_(checkedAlsW(w, r).data()), m_(w.dim(0)), n_(w.dim(1)), r_(r),
+      ridge_(ridge), gram_((size_t)(r * r)), staged_((size_t)(r * m_))
 {
-    SE_ASSERT(w.ndim() == 2 && r > 0, "AlsSolver needs a 2-D W, r > 0");
 }
 
-// Both updates keep linalg::matmul's float-chain rounding sequence
-// (kernels::sgemm / sgemmABt: ascending inner index, zero entries of
-// the left operand skipped), so they match the Tensor formulation
-// (transpose, matmul, choleskySolve) bit for bit.
-
 void
-AlsSolver::fitBasis(const float *ce, float *basis)
+AlsSolver::fitBasis(const float *ce, const std::vector<int64_t> &rows,
+                    float *basis)
 {
-    kernels::transposeF(ce, m_, r_, staged_.data());
-    kernels::sgemm(staged_.data(), ce, gram_.data(), r_, m_, r_, false);
+    checkRows(rows, m_);
+    withPieceSize(r_, n_, [&](auto size) {
+        gramSweep<size()>(ce, w_, rows.data(), (int64_t)rows.size(), r_,
+                          n_, gram_.data(), basis);
+    });
     addAdaptiveRidge(gram_.data(), r_, ridge_);
-    kernels::sgemm(staged_.data(), w_, basis, r_, m_, n_, false);
     choleskySolveInPlace(gram_.data(), r_, basis, n_);
 }
 
 void
-AlsSolver::fitCoefficients(const float *basis, float *ce)
+AlsSolver::fitCoefficients(const float *basis,
+                           const std::vector<int64_t> &rows, float *ce)
 {
-    // B B^T and B W^T straight from row-major B and W (sgemmABt takes
-    // the right operand transposed); the r x m solution is Ce^T.
-    kernels::sgemmABt(basis, basis, gram_.data(), r_, n_, r_, false);
-    addAdaptiveRidge(gram_.data(), r_, ridge_);
-    kernels::sgemmABt(basis, w_, staged_.data(), r_, n_, m_, false);
-    choleskySolveInPlace(gram_.data(), r_, staged_.data(), m_);
-    kernels::transposeF(staged_.data(), r_, m_, ce);
+    checkRows(rows, m_);
+    const int64_t count = (int64_t)rows.size();
+    withPieceSize(r_, n_, [&](auto size) {
+        rhsSweep<size()>(basis, basis, nullptr, r_, r_, n_, gram_.data());
+        addAdaptiveRidge(gram_.data(), r_, ridge_);
+        rhsSweep<size()>(basis, w_, rows.data(), count, r_, n_,
+                         staged_.data());
+    });
+    // The r x count solution holds the live rows of Ce, transposed:
+    // scatter it over a +0 Ce.
+    choleskySolveInPlace(gram_.data(), r_, staged_.data(), count);
+    std::fill(ce, ce + m_ * r_, 0.0f);
+    for (int64_t q = 0; q < count; ++q)
+        for (int64_t i = 0; i < r_; ++i)
+            ce[rows[(size_t)q] * r_ + i] = staged_[(size_t)(i * count + q)];
 }
 
 Tensor

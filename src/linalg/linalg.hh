@@ -6,9 +6,10 @@
  *
  * All matrices are row-major, as 2-D Tensors or, on the ALS hot path
  * (AlsSolver, choleskySolveInPlace), raw buffers the caller sizes
- * once. Problem sizes are tiny (B is SxS with S in {1,3,5,7}; Ce has
- * at most a few thousand rows), so the products stay on the kernels'
- * float chains and no blocking beyond theirs is attempted.
+ * once. Problem sizes are tiny (B is n x n with n = 3 for 3x3 convs
+ * and 4 for fc groups; Ce has at most a few thousand rows), so the
+ * ALS refits sweep rows with register-resident accumulators instead
+ * of going through the blocked GEMM kernels.
  */
 
 #ifndef SE_LINALG_LINALG_HH
@@ -50,9 +51,22 @@ void choleskySolveInPlace(float *a, int64_t n, float *x, int64_t count);
 
 /**
  * The two alternating least-squares factor updates for W ~= Ce * B,
- * with W (m x n) fixed and Ce m x r, B r x n. The work buffers are
- * sized once, so the ALS loop of Algorithm 1 allocates nothing per
- * iteration. W must outlive the solver.
+ * with W (m x n) fixed and Ce m x r, B r x n, restricted to a set of
+ * live rows: `rows` lists them ascending, distinct and in [0, m).
+ * The other rows play no part — as if their Ce rows were zero — so
+ * the decomposition loop of Algorithm 1 never visits the rows it has
+ * pruned. The work buffers are sized once, so the loop allocates
+ * nothing per iteration. W must outlive the solver.
+ *
+ * Both refits run in this file, not through the kernels' dispatched
+ * GEMMs: fitBasis accumulates Ce^T Ce and Ce^T W in one sweep over
+ * the live rows, fitCoefficients builds B B^T and B W^T for the live
+ * rows only. Each entry keeps the float chain of the transposed-GEMM
+ * formulation (ascending inner index, a round after every add, zero
+ * left-operand entries skipped), so both equal transpose / matmul /
+ * choleskySolve bit for bit under every kernel ISA. For square
+ * problems up to 4 x 4 (every conv and fc piece) the accumulators are
+ * register-resident.
  */
 class AlsSolver
 {
@@ -60,27 +74,31 @@ class AlsSolver
     AlsSolver(const Tensor &w, int64_t r, double ridge = 1e-8);
 
     /**
-     * basis = argmin_B || W - Ce * B ||_F: solves the normal
-     * equations (Ce^T Ce + ridge I) B = Ce^T W. The ridge keeps the
+     * basis = argmin_B || W_L - Ce_L * B ||_F over the live rows L:
+     * solves the normal equations (Ce_L^T Ce_L + ridge I) B =
+     * Ce_L^T W_L. Ce rows outside L are not read. The ridge keeps the
      * solve well-posed when Ce has zero columns (fully pruned
      * coefficients), which the SmartExchange sparsifier produces
      * routinely.
      */
-    void fitBasis(const float *ce, float *basis);
+    void fitBasis(const float *ce, const std::vector<int64_t> &rows,
+                  float *basis);
 
     /**
-     * ce = argmin_Ce || W - Ce * B ||_F, i.e. the transposed problem
-     * (B B^T + ridge I) Ce^T = B W^T.
+     * ce = argmin_Ce || W - Ce * B ||_F with the rows outside L held
+     * at +0: the live rows solve the transposed problem
+     * (B B^T + ridge I) Ce_L^T = B W_L^T, every other row of ce is
+     * set to +0.
      */
-    void fitCoefficients(const float *basis, float *ce);
+    void fitCoefficients(const float *basis,
+                         const std::vector<int64_t> &rows, float *ce);
 
   private:
     const float *w_;
     int64_t m_, n_, r_;
     double ridge_;
     std::vector<float> gram_;   ///< r x r normal matrix
-    /** r x m: Ce^T in fitBasis; B W^T, solved into Ce^T, in
-     *  fitCoefficients. */
+    /** r x |L|: B W_L^T, solved into Ce_L^T, in fitCoefficients. */
     std::vector<float> staged_;
 };
 

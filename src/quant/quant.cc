@@ -28,7 +28,9 @@ pow2f(int p)
  * constants hoisted: the exponent range and the bit pattern of the
  * "collapse to zero" threshold, half the smallest level. For
  * non-negative floats the IEEE bit patterns order like the values, so
- * the threshold test is one integer compare.
+ * the threshold test is one integer compare. The level, its sign and
+ * the collapse to +0 are combined as bit masks, not branches: which
+ * elements collapse is data-dependent and would mispredict.
  */
 struct Pow2Projector
 {
@@ -48,13 +50,78 @@ struct Pow2Projector
         uint32_t u;
         std::memcpy(&u, &x, sizeof u);
         const uint32_t mag = u & 0x7fffffffu;
-        if (mag == 0 || mag < halfBits)
-            return 0.0f;
         const float v =
             pow2f(std::clamp(nearestPow2Exp(x), expMin, expMax));
-        return x > 0 ? v : -v;
+        uint32_t bits;
+        std::memcpy(&bits, &v, sizeof bits);
+        bits |= (uint32_t)!(x > 0) << 31;               // x > 0 ? v : -v
+        bits &= 0u - (uint32_t)(mag != 0 && mag >= halfBits);  // or +0
+        float out;
+        std::memcpy(&out, &bits, sizeof out);
+        return out;
     }
 };
+
+/**
+ * Call f(x, count) on every run of t a pow2 op visits: the whole
+ * tensor when rows is null, else each listed row of a 2-D t, in
+ * ascending order (checked).
+ */
+template <typename TensorT, typename F>
+void
+forEachRun(TensorT &t, const std::vector<int64_t> *rows, F &&f)
+{
+    auto *data = t.data();
+    if (!rows) {
+        f(data, t.size());
+        return;
+    }
+    SE_ASSERT(t.ndim() == 2, "row-restricted pow2 ops need a 2-D tensor");
+    const int64_t r = t.dim(1);
+    int64_t next = 0;
+    for (int64_t i : *rows) {
+        SE_ASSERT(i >= next && i < t.dim(0),
+                  "rows must be ascending and in range");
+        f(data + i * r, r);
+        next = i + 1;
+    }
+}
+
+Pow2Alphabet
+chooseAlphabet(const Tensor &t, const std::vector<int64_t> *rows, int bits)
+{
+    SE_ASSERT(bits >= 2, "need at least sign + 1 exponent bit");
+    float max_abs = 0.0f;
+    forEachRun(t, rows, [&](const float *x, int64_t count) {
+        float mx = max_abs;  // a register, not the captured float
+        for (int64_t i = 0; i < count; ++i)
+            mx = std::max(mx, std::abs(x[i]));
+        max_abs = mx;
+    });
+    Pow2Alphabet a;
+    // bits-1 exponent codes, one reserved for zero.
+    a.numLevels = (1 << (bits - 1)) - 1;
+    a.expMax = max_abs > 0 ? nearestPow2Exp(max_abs) : 0;
+    return a;
+}
+
+double
+projectInPlace(Tensor &t, const std::vector<int64_t> *rows,
+               const Pow2Alphabet &alpha)
+{
+    const Pow2Projector project(alpha);
+    double d = 0.0;
+    forEachRun(t, rows, [&](float *x, int64_t count) {
+        double acc = d;  // a register, not the captured double
+        for (int64_t i = 0; i < count; ++i) {
+            const float q = project(x[i]);
+            acc += std::abs((double)x[i] - q);
+            x[i] = q;
+        }
+        d = acc;
+    });
+    return d;
+}
 
 } // namespace
 
@@ -81,16 +148,14 @@ Pow2Alphabet::contains(float x) const
 Pow2Alphabet
 choosePow2Alphabet(const Tensor &t, int bits)
 {
-    SE_ASSERT(bits >= 2, "need at least sign + 1 exponent bit");
-    float max_abs = 0.0f;
-    for (int64_t i = 0; i < t.size(); ++i)
-        max_abs = std::max(max_abs, std::abs(t[i]));
+    return chooseAlphabet(t, nullptr, bits);
+}
 
-    Pow2Alphabet a;
-    // bits-1 exponent codes, one reserved for zero.
-    a.numLevels = (1 << (bits - 1)) - 1;
-    a.expMax = max_abs > 0 ? nearestPow2Exp(max_abs) : 0;
-    return a;
+Pow2Alphabet
+choosePow2Alphabet(const Tensor &t, const std::vector<int64_t> &rows,
+                   int bits)
+{
+    return chooseAlphabet(t, &rows, bits);
 }
 
 Tensor
@@ -104,15 +169,14 @@ projectPow2(const Tensor &t, const Pow2Alphabet &alpha)
 double
 projectPow2InPlace(Tensor &t, const Pow2Alphabet &alpha)
 {
-    const Pow2Projector project(alpha);
-    float *x = t.data();
-    double d = 0.0;
-    for (int64_t i = 0; i < t.size(); ++i) {
-        const float q = project(x[i]);
-        d += std::abs((double)x[i] - q);
-        x[i] = q;
-    }
-    return d;
+    return projectInPlace(t, nullptr, alpha);
+}
+
+double
+projectPow2InPlace(Tensor &t, const std::vector<int64_t> &rows,
+                   const Pow2Alphabet &alpha)
+{
+    return projectInPlace(t, &rows, alpha);
 }
 
 FixedPointQuantizer

@@ -69,6 +69,16 @@ pow2CodeValue(int exp_min, int code, bool negative)
  */
 Pow2Alphabet choosePow2Alphabet(const Tensor &t, int bits = 4);
 
+/**
+ * choosePow2Alphabet over the listed rows of a 2-D t only (`rows`
+ * ascending and in range). Every other row is treated as zero, which
+ * leaves the max |element| unchanged: the choice equals the
+ * whole-tensor one whenever the unlisted rows are zero.
+ */
+Pow2Alphabet choosePow2Alphabet(const Tensor &t,
+                                const std::vector<int64_t> &rows,
+                                int bits = 4);
+
 /** Project every element of t onto the alphabet (returns a copy). */
 Tensor projectPow2(const Tensor &t, const Pow2Alphabet &alpha);
 
@@ -80,6 +90,16 @@ Tensor projectPow2(const Tensor &t, const Pow2Alphabet &alpha);
  * same pass as the projection.
  */
 double projectPow2InPlace(Tensor &t, const Pow2Alphabet &alpha);
+
+/**
+ * projectPow2InPlace over the listed rows of a 2-D t only (`rows`
+ * ascending and in range); every other row is left untouched. A +0
+ * element projects to +0 and adds +0.0 to the distance, so when the
+ * unlisted rows are +0 both the tensor and the returned distance
+ * equal the whole-tensor projection's bit for bit.
+ */
+double projectPow2InPlace(Tensor &t, const std::vector<int64_t> &rows,
+                          const Pow2Alphabet &alpha);
 
 /**
  * Symmetric linear quantizer mapping floats to signed integers of a

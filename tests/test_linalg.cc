@@ -8,10 +8,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "base/random.hh"
+#include "kernels/dispatch.hh"
 #include "linalg/linalg.hh"
 #include "reference/reference.hh"
 
@@ -26,12 +29,23 @@ using linalg::frobNorm;
 using linalg::matmul;
 using linalg::transpose;
 
+/** 0..m-1: every row live. */
+std::vector<int64_t>
+allRows(int64_t m)
+{
+    std::vector<int64_t> rows((size_t)m);
+    for (int64_t i = 0; i < m; ++i)
+        rows[(size_t)i] = i;
+    return rows;
+}
+
 /** B = argmin ||W - Ce B|| for one Ce, through AlsSolver. */
 Tensor
 fitBasis(const Tensor &w, const Tensor &ce, double ridge = 1e-8)
 {
     Tensor b({ce.dim(1), w.dim(1)});
-    AlsSolver(w, ce.dim(1), ridge).fitBasis(ce.data(), b.data());
+    AlsSolver(w, ce.dim(1), ridge)
+        .fitBasis(ce.data(), allRows(w.dim(0)), b.data());
     return b;
 }
 
@@ -40,7 +54,8 @@ Tensor
 fitCoefficients(const Tensor &w, const Tensor &b, double ridge = 1e-8)
 {
     Tensor ce({w.dim(0), b.dim(0)});
-    AlsSolver(w, b.dim(0), ridge).fitCoefficients(b.data(), ce.data());
+    AlsSolver(w, b.dim(0), ridge)
+        .fitCoefficients(b.data(), allRows(w.dim(0)), ce.data());
     return ce;
 }
 
@@ -64,45 +79,157 @@ sameBits(const Tensor &a, const Tensor &b)
                        (size_t)a.size() * sizeof(float)) == 0;
 }
 
+/** A copy of t with every row outside `rows` set to `fill`. */
+Tensor
+withDeadRows(const Tensor &t, const std::vector<int64_t> &rows, float fill)
+{
+    Tensor out = t;
+    std::vector<bool> live((size_t)t.dim(0), false);
+    for (int64_t i : rows)
+        live[(size_t)i] = true;
+    for (int64_t i = 0; i < t.dim(0); ++i)
+        if (!live[(size_t)i])
+            for (int64_t j = 0; j < t.dim(1); ++j)
+                out.at(i, j) = fill;
+    return out;
+}
+
 /**
- * AlsSolver works on raw buffers with strided solves; it must equal
- * the plain Tensor formulation of the normal equations bit for bit,
- * with the formulation's products on either the blocked matmul or
- * the reference loop, including Ce with zero entries and fully zero
- * columns.
+ * Ce for the refit wall: variant 0 has scattered zeros and a fully
+ * zero last column, 1 has +0/-0 entries and whole +-0 rows, 2 has
+ * whole zero rows only, 3 is all zero. (Variant 4 is variant 0 with
+ * an Inf in W, where a skipped zero and an added 0 * Inf differ.)
+ */
+Tensor
+wallCe(int64_t m, int64_t r, int variant, Rng &rng)
+{
+    if (variant == 4)
+        variant = 0;
+    Tensor ce = randn({m, r}, rng);
+    for (int64_t i = 0; i < m; ++i) {
+        const bool zero_row = variant != 0 && rng.chance(0.25);
+        for (int64_t j = 0; j < r; ++j) {
+            float &v = ce.at(i, j);
+            if (variant == 3 || zero_row ||
+                (variant == 0 && (j == r - 1 || rng.chance(0.3))) ||
+                (variant == 1 && rng.chance(0.3)))
+                v = variant == 1 && rng.chance(0.5) ? -0.0f : 0.0f;
+        }
+    }
+    return ce;
+}
+
+/**
+ * The wall for AlsSolver's refit bodies: on raw buffers, restricted to
+ * a live-row set, both refits must equal the plain Tensor formulation
+ * of the normal equations (transpose, matmul, choleskySolve) over Ce
+ * with the dead rows zeroed, bit for bit — with the formulation's
+ * products on the blocked matmul under every kernel ISA and on the
+ * reference loop. Covers r in 1..8 (the register-resident shapes
+ * and the runtime-shape body), n = r and n != r, Ce with zero rows,
+ * +-0 entries, a zero column or all zero, an Inf in W (so a zero
+ * left-operand entry must be skipped, not multiplied), and live sets
+ * of all rows, half of them and exactly r. fitBasis must not read
+ * dead Ce rows (they hold NaN here); fitCoefficients must return them
+ * as +0.
  */
 TEST(Linalg, AlsSolverMatchesTensorFormulationBitForBit)
 {
-    for (auto matmul : {&linalg::matmul, &reference::matmul}) {
-        for (int64_t r : {1, 3, 5, 8}) {
-            for (int64_t m : {r, 2 * r + 1, (int64_t)97}) {
-                Rng rng(200 + (uint64_t)(m * 10 + r));
-                Tensor w = randn({m, r}, rng);
-                Tensor ce = randn({m, r}, rng);
-                for (int64_t i = 0; i < ce.size(); ++i)
-                    if (rng.chance(0.3) || i % r == r - 1)
-                        ce[i] = 0.0f;
-                Tensor b = randn({r, r}, rng);
-                for (int64_t i = 0; i < r; ++i)
-                    b.at(i, i) += 2.0f;
+    const float nan = std::nanf("");
+    const kernels::KernelIsa prev = kernels::activeIsa();
+    for (kernels::KernelIsa isa : kernels::supportedIsas()) {
+        kernels::setActiveIsa(isa);
+        for (auto matmul : {&linalg::matmul, &reference::matmul}) {
+            for (int64_t r = 1; r <= 8; ++r) {
+                for (int64_t n : {r, r % 4 + 1}) {
+                    for (int64_t m :
+                         {r, 3 * r + 2, (int64_t)41, (int64_t)150}) {
+                        Rng rng(200 + (uint64_t)(m * 100 + r * 10 + n));
+                        const Tensor w_finite = randn({m, n}, rng);
+                        Tensor b = randn({r, n}, rng);
+                        for (int64_t i = 0; i < b.size(); ++i)
+                            if (rng.chance(0.2))
+                                b[i] = rng.chance(0.5) ? -0.0f : 0.0f;
+                        for (int64_t i = 0; i < r; ++i)
+                            b.at(i, i % n) += 2.0f;
+                        std::vector<std::vector<int64_t>> live_sets{
+                            allRows(m), {}, {}};
+                        for (int64_t i = 0; i < m; i += 2)
+                            live_sets[1].push_back(i);
+                        for (int64_t i = 0; i < r; ++i)
+                            live_sets[2].push_back(i * m / r);
 
-                Tensor cet = transpose(ce);
-                Tensor gram = matmul(cet, ce);
-                addReferenceRidge(gram, 1e-8);
-                const Tensor want_b =
-                    choleskySolve(gram, matmul(cet, w));
-                EXPECT_TRUE(sameBits(fitBasis(w, ce), want_b))
-                    << "fitBasis m=" << m << " r=" << r;
+                        for (int variant = 0; variant < 5; ++variant) {
+                            const Tensor ce = wallCe(m, r, variant, rng);
+                            Tensor w = w_finite;
+                            if (variant == 4)  // row 0 is always live
+                                w.at(0, n - 1) = INFINITY;
+                            for (const auto &rows : live_sets) {
+                                const std::string what =
+                                    std::string(kernels::isaName(isa)) +
+                                    " m=" + std::to_string(m) +
+                                    " r=" + std::to_string(r) +
+                                    " n=" + std::to_string(n) +
+                                    " variant=" + std::to_string(variant) +
+                                    " live=" + std::to_string(rows.size());
+                                AlsSolver als(w, r, 1e-8);
 
-                Tensor bgram = matmul(b, transpose(b));
-                addReferenceRidge(bgram, 1e-8);
-                const Tensor want_ce = transpose(
-                    choleskySolve(bgram, matmul(b, transpose(w))));
-                EXPECT_TRUE(sameBits(fitCoefficients(w, b), want_ce))
-                    << "fitCoefficients m=" << m << " r=" << r;
+                                const Tensor ce_live =
+                                    withDeadRows(ce, rows, 0.0f);
+                                Tensor cet = transpose(ce_live);
+                                Tensor gram = matmul(cet, ce_live);
+                                addReferenceRidge(gram, 1e-8);
+                                const Tensor want_b =
+                                    choleskySolve(gram, matmul(cet, w));
+                                Tensor got_b({r, n});
+                                const Tensor ce_nan =
+                                    withDeadRows(ce, rows, nan);
+                                als.fitBasis(ce_nan.data(), rows,
+                                             got_b.data());
+                                EXPECT_TRUE(sameBits(got_b, want_b))
+                                    << "fitBasis " << what;
+
+                                Tensor bgram = matmul(b, transpose(b));
+                                addReferenceRidge(bgram, 1e-8);
+                                const Tensor want_ce = withDeadRows(
+                                    transpose(choleskySolve(
+                                        bgram, matmul(b, transpose(w)))),
+                                    rows, 0.0f);
+                                Tensor got_ce({m, r}, nan);
+                                als.fitCoefficients(b.data(), rows,
+                                                    got_ce.data());
+                                EXPECT_TRUE(sameBits(got_ce, want_ce))
+                                    << "fitCoefficients " << what;
+                            }
+                        }
+                    }
+                }
             }
         }
     }
+    kernels::setActiveIsa(prev);
+}
+
+/**
+ * The constructor validates W and r before it sizes anything: a 1-D W
+ * or r <= 0 is the documented panic, not an out-of-bounds dim() read
+ * or a std::length_error from a negative buffer size. Unsorted or
+ * out-of-range live rows are a panic too.
+ */
+TEST(Linalg, AlsSolverRejectsBadShapes)
+{
+    const Tensor w1d({6});
+    EXPECT_DEATH(AlsSolver(w1d, 1), "needs a 2-D W, r > 0");
+    const Tensor w({6, 3});
+    EXPECT_DEATH(AlsSolver(w, 0), "needs a 2-D W, r > 0");
+    EXPECT_DEATH(AlsSolver(w, -1), "needs a 2-D W, r > 0");
+
+    Tensor ce({6, 3}), b({3, 3});
+    EXPECT_DEATH(AlsSolver(w, 3).fitBasis(ce.data(), {2, 1}, b.data()),
+                 "ascending and in range");
+    EXPECT_DEATH(AlsSolver(w, 3).fitCoefficients(b.data(), {0, 6},
+                                                 ce.data()),
+                 "ascending and in range");
 }
 
 TEST(Linalg, MatmulSmall)

@@ -123,6 +123,52 @@ TEST(Pow2Alphabet, ProjectPow2CopyMatchesInPlace)
         EXPECT_EQ(oracle::bitsOf(copy[i]), oracle::bitsOf(in_place[i]));
 }
 
+/**
+ * The row-restricted alphabet choice and projection read and write
+ * the listed rows only, and equal the whole-tensor ones bit for bit
+ * (distance included) when every other row is +0 — the invariant the
+ * decomposition loop's live-row skipping relies on.
+ */
+TEST(Pow2Alphabet, RowRestrictedOpsMatchWholeTensorOnZeroRows)
+{
+    Rng rng(5);
+    const int64_t m = 40, r = 3;
+    const Tensor t = randn({m, r}, rng, 0.0f, 0.3f);
+    std::vector<int64_t> rows;
+    for (int64_t i = 0; i < m; ++i)
+        if (rng.chance(0.5))
+            rows.push_back(i);
+    Tensor zeroed({m, r});
+    for (int64_t i : rows)
+        for (int64_t j = 0; j < r; ++j)
+            zeroed.at(i, j) = t.at(i, j);
+
+    // t's unlisted rows hold non-zero values the row ops must ignore.
+    const Pow2Alphabet a = choosePow2Alphabet(t, rows, 4);
+    const Pow2Alphabet want = choosePow2Alphabet(zeroed, 4);
+    EXPECT_EQ(a.expMax, want.expMax);
+    EXPECT_EQ(a.numLevels, want.numLevels);
+
+    Tensor got = t;
+    const double delta = projectPow2InPlace(got, rows, a);
+    const double want_delta = projectPow2InPlace(zeroed, want);
+    EXPECT_EQ(delta, want_delta);
+    size_t q = 0;
+    for (int64_t i = 0; i < m; ++i) {
+        const bool listed = q < rows.size() && rows[q] == i;
+        q += listed;
+        for (int64_t j = 0; j < r; ++j)
+            EXPECT_EQ(oracle::bitsOf(got.at(i, j)),
+                      oracle::bitsOf(listed ? zeroed.at(i, j) : t.at(i, j)))
+                << "row " << i;
+    }
+
+    EXPECT_DEATH(choosePow2Alphabet(t, {3, 2}, 4),
+                 "ascending and in range");
+    EXPECT_DEATH(projectPow2InPlace(got, {0, m}, a),
+                 "ascending and in range");
+}
+
 TEST(Pow2Alphabet, ProjectionIsIdempotent)
 {
     Rng rng(1);

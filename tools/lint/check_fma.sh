@@ -1,5 +1,6 @@
 #!/bin/sh
-# check_fma.sh — objdump gate on the AVX2 micro-kernel TU.
+# check_fma.sh — objdump gate on the TUs that hold bit-pinned float
+# chains.
 #
 # The bit-identity contract (README "Runtime ISA dispatch") requires
 # src/kernels/dispatch_avx2.cc to round twice per multiply-add
@@ -9,10 +10,19 @@
 # under the house flag sets, disassemble, and fail on ANY fused
 # multiply-add mnemonic (vfmadd/vfmsub/vfnmadd/vfnmsub).
 #
+# The ALS refits (src/linalg/linalg.cc) and the decomposition loop
+# (src/core/smart_exchange.cc) keep their own float chains, pinned by
+# the decomposition digests. The se target compiles them with
+# -ffp-contract=off, so even an FMA-capable -march cannot fuse them;
+# the gate compiles both with that flag at -O2 -march=x86-64-v3 (FMA
+# enabled) and fails on any fused instruction.
+#
 #   tools/lint/check_fma.sh              # the gate (CI, ctest -L lint)
-#   tools/lint/check_fma.sh --self-test  # seed a violation (-mfma
-#                                        # -ffp-contract=fast) and
-#                                        # assert the detector fires
+#   tools/lint/check_fma.sh --self-test  # seed violations (-mfma
+#                                        # -ffp-contract=fast for the
+#                                        # AVX2 TU, no -ffp-contract=off
+#                                        # for the others) and assert
+#                                        # the detector fires on each
 #
 # Exit 0 = clean (or self-test detector fired); non-zero otherwise.
 # Runs from the repo root. $CXX overrides the compiler (default c++).
@@ -22,6 +32,10 @@ set -eu
 cd "$(dirname "$0")/../.."
 CXX="${CXX:-c++}"
 TU=src/kernels/dispatch_avx2.cc
+CHAIN_TUS="src/linalg/linalg.cc src/core/smart_exchange.cc"
+# The se target's contraction flag (CMakeLists.txt); checked below so
+# the gate and the build cannot drift apart.
+NO_CONTRACT=-ffp-contract=off
 WORK="$(mktemp -d)"
 trap 'rm -rf "$WORK"' EXIT
 
@@ -46,10 +60,22 @@ count_ymm_mulpd() {
     objdump -d "$1" | grep -E 'vmulpd' | grep -c '%ymm' || true
 }
 
+# Count of scalar/packed float multiplies in $1.o: a chain TU whose
+# object has none compiled its float chains away and checked nothing.
+count_mul() {
+    objdump -d "$1" | grep -cE 'vmul[sp][sd]' || true
+}
+
 compile() {
     # $1 = output object, rest = extra flags
     out="$1"; shift
     "$CXX" -std=c++17 -c -Isrc "$@" "$TU" -o "$out"
+}
+
+# $1 = TU, $2 = output object, rest = extra flags
+compile_tu() {
+    tu="$1"; out="$2"; shift 2
+    "$CXX" -std=c++17 -c -Isrc "$@" "$tu" -o "$out"
 }
 
 if [ "${1:-}" = "--self-test" ]; then
@@ -65,12 +91,50 @@ if [ "${1:-}" = "--self-test" ]; then
              "the detector is blind" >&2
         exit 1
     fi
+    for tu in $CHAIN_TUS; do
+        # Same TU and -march as the gate, contraction left to the
+        # compiler's default.
+        compile_tu "$tu" "$WORK/seeded.o" -O2 -march=x86-64-v3
+        m=$(count_fma "$WORK/seeded.o")
+        if [ "$m" -eq 0 ]; then
+            echo "check_fma SELF-TEST FAILED: $tu without" \
+                 "$NO_CONTRACT at -march=x86-64-v3 yet found 0 fused" \
+                 "instructions — the detector is blind" >&2
+            exit 1
+        fi
+        n="$n, $m in $tu"
+    done
     echo "check_fma self-test OK: detector fired ($n fused" \
-         "instructions in the seeded build)"
+         "instructions in the seeded builds)"
     exit 0
 fi
 
 status=0
+if ! grep -q -- "$NO_CONTRACT" CMakeLists.txt; then
+    echo "check_fma: CMakeLists.txt no longer passes $NO_CONTRACT to" \
+         "the se target — the chain TUs below are gated with a flag" \
+         "the build does not use" >&2
+    status=1
+fi
+for tu in $CHAIN_TUS; do
+    compile_tu "$tu" "$WORK/chain.o" -O2 -march=x86-64-v3 "$NO_CONTRACT"
+    muls=$(count_mul "$WORK/chain.o")
+    if [ "$muls" -eq 0 ]; then
+        echo "check_fma: $tu produced no VEX multiplies at" \
+             "-march=x86-64-v3 — nothing was checked" >&2
+        status=1
+        continue
+    fi
+    n=$(count_fma "$WORK/chain.o")
+    if [ "$n" -ne 0 ]; then
+        echo "check_fma: [$NO_CONTRACT -march=x86-64-v3] emitted $n" \
+             "fused multiply-add instruction(s) in $tu:" >&2
+        objdump -d "$WORK/chain.o" | grep -E "$FMA_RE" | head -5 >&2
+        status=1
+    else
+        echo "check_fma: $tu clean ($muls VEX multiplies, 0 fused)"
+    fi
+done
 for flags in "-O2 -mavx2" "-O2 -DNDEBUG -mavx2" "-O3 -DNDEBUG -mavx2"; do
     # shellcheck disable=SC2086
     compile "$WORK/gate.o" $flags
