@@ -19,7 +19,6 @@
  * SE_MODEL_FORMAT picks the bundle format shipped through /tmp
  * (3 = packed 4-bit + dense residual, 2 = legacy records-only), and
  * SE_SERVE_WEIGHT_SOURCE=ce serves from the packed codes directly.
- * SE_PREFETCH_DEPTH>0 arms the v4 stream's async decode lane.
  */
 
 #include <algorithm>
@@ -132,8 +131,8 @@ main(int argc, char **argv)
             ? serve::WeightSource::CeDirect
             : serve::WeightSource::Dense;
     serve::ModelRegistry registry;
-    // Streamed handles kept aside so the prefetch-lane counters can
-    // be reported after the traffic (the registry owns one ref too).
+    // Streamed handles kept aside so the decode counters can be
+    // reported after the traffic (the registry owns one ref too).
     std::vector<std::shared_ptr<core::StreamedModel>> streams(
         names.size());
     for (size_t ni = 0; ni < names.size(); ++ni) {
@@ -169,12 +168,11 @@ main(int argc, char **argv)
             // Streamed entry: the mmap open verifies only the meta;
             // piece decode (and the engine build) waits for this
             // model's first request. SE_STREAM_LOADER=eager opts
-            // out; SE_PREFETCH_DEPTH>0 arms the async lane that
-            // decodes ahead of the consumer.
-            auto streamed = std::make_shared<core::StreamedModel>(
-                path,
-                core::StreamLoaderOptions{run_opts.streamEager, false,
-                                          run_opts.prefetchDepth});
+            // out.
+            core::StreamLoaderOptions lo;
+            lo.eager = run_opts.streamEager;
+            auto streamed =
+                std::make_shared<core::StreamedModel>(path, lo);
             streams[ni] = streamed;
             registry.add(name, serve::makeModelEntry(
                                    std::move(streamed), factory,
@@ -230,18 +228,12 @@ main(int argc, char **argv)
                     st.meanLatencyMs, st.p50Ms, st.p95Ms, st.p99Ms,
                     st.maxMs, (unsigned long long)digest);
         if (streams[m]) {
-            streams[m]->drainPrefetch();
             const auto ss = streams[m]->streamStats();
             std::printf("[%s] stream: %zu/%zu pieces decoded, "
-                        "prefetch hits %llu misses %llu errors "
-                        "%llu, decode stall %.3f ms\n",
+                        "decode stall %.3f ms\n",
                         names[m].c_str(),
                         streams[m]->decodedPieces(),
-                        streams[m]->pieceCount(),
-                        (unsigned long long)ss.prefetchHits,
-                        (unsigned long long)ss.prefetchMisses,
-                        (unsigned long long)ss.prefetchErrors,
-                        ss.decodeStallMs);
+                        streams[m]->pieceCount(), ss.decodeStallMs);
         }
     }
     if (shed > 0)

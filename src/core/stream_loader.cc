@@ -1,8 +1,8 @@
 #include "core/stream_loader.hh"
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "base/clock.hh"
 #include "base/failpoint.hh"
@@ -36,13 +36,11 @@ readWholeFile(const std::string &path)
 
 } // namespace
 
-StreamedModel::StreamedModel(const std::string &path,
-                             StreamLoaderOptions opts)
-    : path_(path)
+StreamedModel::Bytes::Bytes(const std::string &path, bool force_read)
 {
     SE_FAILPOINT_THROW("stream_open", ModelFileError);
 #if SE_HAVE_MMAP
-    if (!opts.forceRead) {
+    if (!force_read) {
         const int fd = ::open(path.c_str(), O_RDONLY);
         if (fd < 0)
             throw ModelFileError("cannot open " + path +
@@ -52,53 +50,61 @@ StreamedModel::StreamedModel(const std::string &path,
             ::close(fd);
             throw ModelFileError("cannot stat " + path);
         }
-        mapLen_ = (size_t)st.st_size;
         // mmap refuses empty files; an empty bundle is invalid
         // anyway, so route it through the parser for the real error.
-        map_ = mapLen_ ? ::mmap(nullptr, mapLen_, PROT_READ,
-                                MAP_PRIVATE, fd, 0)
-                       : MAP_FAILED;
+        void *m = st.st_size ? ::mmap(nullptr, (size_t)st.st_size,
+                                      PROT_READ, MAP_PRIVATE, fd, 0)
+                             : MAP_FAILED;
         ::close(fd);
-        mapped_ = map_ != MAP_FAILED;
-        if (!mapped_) {
-            map_ = nullptr;
-            buffer_ = readWholeFile(path);
+        if (m != MAP_FAILED) {
+            map_ = m;
+            mapLen_ = (size_t)st.st_size;
+            return;
         }
-    } else {
-        buffer_ = readWholeFile(path);
     }
 #else
-    (void)opts.forceRead;
+    (void)force_read;
+#endif
     buffer_ = readWholeFile(path);
-#endif
+}
 
-    try {
-        const size_t size = mapped_ ? mapLen_ : buffer_.size();
-        meta_ = modelv4::parseMeta(filePtr(), size);
-    } catch (...) {
+StreamedModel::Bytes::~Bytes()
+{
 #if SE_HAVE_MMAP
-        if (mapped_)
-            ::munmap(map_, mapLen_);
+    if (map_)
+        ::munmap(map_, mapLen_);
 #endif
-        throw;
-    }
+}
+
+const uint8_t *
+StreamedModel::Bytes::data() const
+{
+    return map_ ? (const uint8_t *)map_
+                : (const uint8_t *)buffer_.data();
+}
+
+size_t
+StreamedModel::Bytes::size() const
+{
+    return map_ ? mapLen_ : buffer_.size();
+}
+
+StreamedModel::StreamedModel(const std::string &path,
+                             StreamLoaderOptions opts)
+    : bytes_(path, opts.forceRead),
+      meta_(modelv4::parseMeta(bytes_.data(), bytes_.size()))
+{
+    if (opts.prefetchDepth != 0)
+        throw std::invalid_argument(
+            "StreamLoaderOptions::prefetchDepth must be 0: pieces "
+            "decode on the consuming thread only");
     cache_.resize(meta_.directory.size());
     state_.assign(meta_.directory.size(), PieceState::Cold);
-    laneFilled_.assign(meta_.directory.size(), 0);
-
-    prefetchDepth_ = opts.prefetchDepth;
-    if (prefetchDepth_ > 0 && !meta_.directory.empty()) {
-        prefetcher_ = std::make_unique<ThreadPool>(1);
-        // Warm the head of the bundle: the first consumer touch then
-        // has a chance to be a hit instead of paying the first decode.
-        base::LockGuard lk(mu_);
-        schedulePrefetchLocked(0);
-    }
 
     if (opts.eager) {
         // Full validation, matching loadModelBundle: padding bytes
         // between pieces must be zero, and every piece must decode.
-        const uint8_t *file = filePtr();
+        const uint8_t *file = bytes_.data();
         uint64_t expect = modelv4::kHeaderBytes + meta_.metaBytes;
         for (const auto &e : meta_.directory) {
             for (uint64_t b = expect; b < e.offset; ++b)
@@ -112,119 +118,29 @@ StreamedModel::StreamedModel(const std::string &path,
     }
 }
 
-StreamedModel::~StreamedModel()
-{
-    // Stop the lane before anything it reads (the mapping, the meta,
-    // the state vectors) goes away. ~ThreadPool drains already-queued
-    // tasks, so every member they touch must still be alive here.
-    prefetcher_.reset();
-#if SE_HAVE_MMAP
-    if (mapped_)
-        ::munmap(map_, mapLen_);
-#endif
-}
-
-const uint8_t *
-StreamedModel::filePtr() const
-{
-    return mapped_ ? (const uint8_t *)map_
-                   : (const uint8_t *)buffer_.data();
-}
-
-void
-StreamedModel::schedulePrefetchLocked(size_t first) const
-{
-    if (!prefetcher_)
-        return;
-    const size_t last =
-        std::min(cache_.size(), first + prefetchDepth_);
-    for (size_t i = first; i < last; ++i) {
-        if (state_[i] != PieceState::Cold)
-            continue;
-        state_[i] = PieceState::Queued;
-        ++laneOutstanding_;
-        ++sstats_.prefetchScheduled;
-        prefetcher_->submit([this, i] { prefetchTask(i); });
-    }
-}
-
-void
-StreamedModel::prefetchTask(size_t index) const
-{
-    base::LockGuard lk(mu_);
-    if (state_[index] != PieceState::Queued) {
-        // A consumer beat the lane to it (claimed or already Ready).
-        --laneOutstanding_;
-        cv_.notifyAll();
-        return;
-    }
-    state_[index] = PieceState::Decoding;
-    lk.unlock();
-
-    // The decode reads only the immutable mapping and parsed meta, so
-    // it runs off-lock — this is the overlap the lane exists for.
-    // Failures (real or injected via `stream_prefetch`) are swallowed:
-    // the piece reverts to Cold and the first consumer touch retries
-    // inline, where a real corruption reports with full context. The
-    // consumer-path `stream_piece_decode` failpoint is deliberately
-    // NOT evaluated here so its firing schedule ignores lookahead.
-    std::unique_ptr<SeMatrix> m;
-    if (!failpoint::evaluate("stream_prefetch")) {
-        try {
-            m.reset(new SeMatrix(
-                modelv4::decodePiece(filePtr(), meta_, index)));
-        } catch (...) {
-            m.reset();
-        }
-    }
-
-    lk.lock();
-    if (m) {
-        cache_[index] = std::move(m);
-        state_[index] = PieceState::Ready;
-        laneFilled_[index] = 1;
-        decoded_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        state_[index] = PieceState::Cold;
-        ++sstats_.prefetchErrors;
-    }
-    --laneOutstanding_;
-    cv_.notifyAll();
-}
-
 const SeMatrix &
-StreamedModel::fetchPiece(size_t index, bool *freshly) const
+StreamedModel::piece(size_t index) const
 {
     SE_ASSERT(index < cache_.size(), "piece index out of range");
-    if (freshly)
-        *freshly = false;
     base::LockGuard lk(mu_);
     for (;;) {
         switch (state_[index]) {
         case PieceState::Ready:
-            if (laneFilled_[index]) {
-                laneFilled_[index] = 0;
-                ++sstats_.prefetchHits;
-            }
-            schedulePrefetchLocked(index + 1);
             return *cache_[index];
 
         case PieceState::Decoding: {
-            // The lane (or another consumer) has it in flight; the
-            // wait is decode-stall, but not a miss — the work itself
-            // ran overlapped.
+            // Another consumer has it in flight; wait for its result
+            // instead of decoding the piece a second time.
             const auto t0 = SteadyClock::now();
             while (state_[index] == PieceState::Decoding)
                 cv_.wait(lk);
             sstats_.decodeStallMs += msSince(t0);
-            continue;  // Ready, or Cold if the decode was dropped
+            continue;  // Ready, or Cold if that decode failed
         }
 
-        case PieceState::Queued:
         case PieceState::Cold: {
-            // Claim it and decode inline (the lane skips a claimed
-            // piece). Everything below the unlock touches only the
-            // immutable mapping.
+            // Claim it and decode inline. Everything below the unlock
+            // touches only the immutable mapping and meta.
             state_[index] = PieceState::Decoding;
             lk.unlock();
             std::unique_ptr<SeMatrix> m;
@@ -236,7 +152,7 @@ StreamedModel::fetchPiece(size_t index, bool *freshly) const
                         " 'stream_piece_decode': piece " +
                         std::to_string(index));
                 m.reset(new SeMatrix(
-                    modelv4::decodePiece(filePtr(), meta_, index)));
+                    modelv4::decodePiece(bytes_.data(), meta_, index)));
             } catch (...) {
                 lk.lock();
                 state_[index] = PieceState::Cold;
@@ -247,51 +163,14 @@ StreamedModel::fetchPiece(size_t index, bool *freshly) const
             lk.lock();
             cache_[index] = std::move(m);
             state_[index] = PieceState::Ready;
-            laneFilled_[index] = 0;
             sstats_.decodeStallMs += ms;
             ++sstats_.prefetchMisses;
             decoded_.fetch_add(1, std::memory_order_relaxed);
             cv_.notifyAll();
-            if (freshly)
-                *freshly = true;
-            schedulePrefetchLocked(index + 1);
             return *cache_[index];
         }
         }
     }
-}
-
-const SeMatrix &
-StreamedModel::piece(size_t index) const
-{
-    return fetchPiece(index);
-}
-
-size_t
-StreamedModel::prefetch(size_t first, size_t count) const
-{
-    if (first >= cache_.size() || count == 0)
-        return 0;
-    // Clamp instead of comparing against first + count: the sum can
-    // wrap around size_t, and a wrapped bound used to make huge
-    // prefetch requests silently fetch nothing.
-    count = std::min(count, cache_.size() - first);
-    size_t fresh = 0;
-    for (size_t i = first; i < first + count; ++i) {
-        bool mine = false;
-        try {
-            fetchPiece(i, &mine);
-        } catch (const ModelFileError &e) {
-            throw ModelFileError("prefetch: piece " +
-                                 std::to_string(i) + ": " + e.what());
-        } catch (const std::exception &e) {
-            throw ModelFileError("prefetch: piece " +
-                                 std::to_string(i) + ": " + e.what());
-        }
-        if (mine)
-            ++fresh;
-    }
-    return fresh;
 }
 
 std::shared_ptr<const std::vector<SeLayerRecord>>
@@ -302,14 +181,13 @@ StreamedModel::records() const
         if (records_)
             return records_;
     }
-    // Decode everything through the piece state machine so the lane
-    // (when enabled) splits the cold bind with this thread; the lock
-    // is NOT held across decodes.
+    // Decode everything through the piece state machine; the lock is
+    // NOT held across decodes, so concurrent callers split the work.
     size_t flat = 0;
     for (size_t ri = 0; ri < meta_.recordNames.size(); ++ri) {
         for (uint32_t k = 0; k < meta_.pieceCounts[ri]; ++k) {
             try {
-                fetchPiece(flat++);
+                piece(flat++);
             } catch (const ModelFileError &e) {
                 throw ModelFileError("record '" +
                                      meta_.recordNames[ri] + "': " +
@@ -349,14 +227,6 @@ StreamedModel::streamStats() const
 {
     base::LockGuard lk(mu_);
     return sstats_;
-}
-
-void
-StreamedModel::drainPrefetch() const
-{
-    base::LockGuard lk(mu_);
-    while (laneOutstanding_ != 0)
-        cv_.wait(lk);
 }
 
 } // namespace core

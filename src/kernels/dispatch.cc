@@ -69,49 +69,6 @@ sgemmPanelScalar(const float *__restrict a, const float *__restrict b,
     }
 }
 
-/** sgemmABt over the B-row (output column) range [j0, j1). */
-void
-sgemmABtPanelScalar(const float *__restrict a, const float *__restrict b,
-                    float *__restrict c, int64_t m, int64_t l, int64_t n,
-                    bool accumulate, int64_t j0, int64_t j1)
-{
-    int64_t jt = j0;
-    for (; jt + kPanelCols <= j1; jt += kPanelCols) {
-        const float *br[kPanelCols];
-        for (int jj = 0; jj < kPanelCols; ++jj)
-            br[jj] = b + (jt + jj) * l;
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * l;
-            float *ci = c + i * n + jt;
-            float acc[kPanelCols];
-            for (int jj = 0; jj < kPanelCols; ++jj)
-                acc[jj] = accumulate ? ci[jj] : 0.0f;
-            for (int64_t p = 0; p < l; ++p) {
-                const float av = ai[p];
-                if (av == 0.0f)
-                    continue;
-                for (int jj = 0; jj < kPanelCols; ++jj)
-                    acc[jj] += av * br[jj][p];
-            }
-            for (int jj = 0; jj < kPanelCols; ++jj)
-                ci[jj] = acc[jj];
-        }
-    }
-    for (; jt < j1; ++jt) {
-        const float *bj = b + jt * l;
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * l;
-            float acc = accumulate ? c[i * n + jt] : 0.0f;
-            for (int64_t p = 0; p < l; ++p) {
-                const float av = ai[p];
-                if (av != 0.0f)
-                    acc += av * bj[p];
-            }
-            c[i * n + jt] = acc;
-        }
-    }
-}
-
 using detail::nibbleAt;
 
 /**
@@ -190,8 +147,8 @@ gemmCeSmallNScalar(const uint8_t *row_mask, const uint8_t *nibbles,
         });
 }
 
-const KernelOps kScalarOps{sgemmPanelScalar, sgemmABtPanelScalar,
-                           gemmCePanelScalar, gemmCeSmallNScalar,
+const KernelOps kScalarOps{sgemmPanelScalar, gemmCePanelScalar,
+                           gemmCeSmallNScalar,
                            detail::gemmRowBiasDPanelScalar};
 
 bool

@@ -3,8 +3,8 @@
  * Runtime CPU-feature dispatch for the float- and double-chain
  * micro-kernels.
  *
- * The sgemm/sgemmABt column-panel kernels, the fused Ce-code panels
- * and the conv/Linear-forward double-chain panel exist in up to
+ * The sgemm column-panel kernel, the fused Ce-code panels and the
+ * conv/Linear-forward double-chain panel exist in up to
  * three explicitly register-tiled variants — scalar (the reference,
  * byte-for-byte the legacy rounding sequence), SSE2 (4-lane tiles)
  * and AVX2 (8 floats or 4 doubles per YMM). The best variant the CPU
@@ -88,7 +88,7 @@ constexpr int64_t kCeSmallN = 8;
 
 /**
  * One micro-kernel variant: the column-panel bodies dispatched by
- * sgemm / sgemmABt / gemmCeB / gemmRowBiasD / gemmColBiasD. Panels
+ * sgemm / gemmCeB / gemmRowBiasD / gemmColBiasD. Panels
  * are [j0, j1) output-column ranges; every variant computes
  * bit-identical bytes.
  */
@@ -98,10 +98,6 @@ struct KernelOps
     void (*sgemmPanel)(const float *a, const float *b, float *c,
                        int64_t m, int64_t k, int64_t n, bool accumulate,
                        int64_t j0, int64_t j1);
-    /** sgemmABt body: B given (n x l) row-major, over [j0,j1). */
-    void (*sgemmABtPanel)(const float *a, const float *b, float *c,
-                          int64_t m, int64_t l, int64_t n,
-                          bool accumulate, int64_t j0, int64_t j1);
     /**
      * Fused Ce-code body: out(m x n) = decode(Ce)(m x r) * basis over
      * [j0,j1), decoding packed nibbles through the 16-entry alphabet

@@ -27,7 +27,6 @@
 #include <immintrin.h>
 
 #include <algorithm>
-#include <vector>
 
 namespace se {
 namespace kernels {
@@ -151,69 +150,6 @@ sgemmPanelAvx2(const float *__restrict a, const float *__restrict b,
         }
     }
     sgemmTail(a, b, c, m, k, n, accumulate, jt, j1);
-}
-
-/** Per-thread transposed strip of B (see the SSE2 variant). */
-std::vector<float> &
-packBuffer()
-{
-    static thread_local std::vector<float> buf;
-    return buf;
-}
-
-void
-sgemmABtPanelAvx2(const float *__restrict a, const float *__restrict b,
-                  float *__restrict c, int64_t m, int64_t l, int64_t n,
-                  bool accumulate, int64_t j0, int64_t j1)
-{
-    std::vector<float> &pack = packBuffer();
-    if ((int64_t)pack.size() < l * kTile)
-        pack.resize((size_t)(l * kTile));
-    int64_t jt = j0;
-    for (; jt + kTile <= j1; jt += kTile) {
-        for (int jj = 0; jj < kTile; ++jj) {
-            const float *bj = b + (jt + jj) * l;
-            for (int64_t p = 0; p < l; ++p)
-                pack[(size_t)(p * kTile + jj)] = bj[p];
-        }
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * l;
-            float *ci = c + i * n + jt;
-            __m256 acc0, acc1;
-            if (accumulate) {
-                acc0 = _mm256_loadu_ps(ci);
-                acc1 = _mm256_loadu_ps(ci + 8);
-            } else {
-                acc0 = acc1 = _mm256_setzero_ps();
-            }
-            const float *bp = pack.data();
-            for (int64_t p = 0; p < l; ++p, bp += kTile) {
-                const float av = ai[p];
-                if (av == 0.0f)
-                    continue;
-                const __m256 va = _mm256_set1_ps(av);
-                acc0 = _mm256_add_ps(
-                    acc0, _mm256_mul_ps(va, _mm256_loadu_ps(bp)));
-                acc1 = _mm256_add_ps(
-                    acc1, _mm256_mul_ps(va, _mm256_loadu_ps(bp + 8)));
-            }
-            _mm256_storeu_ps(ci, acc0);
-            _mm256_storeu_ps(ci + 8, acc1);
-        }
-    }
-    for (; jt < j1; ++jt) {
-        const float *bj = b + jt * l;
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * l;
-            float acc = accumulate ? c[i * n + jt] : 0.0f;
-            for (int64_t p = 0; p < l; ++p) {
-                const float av = ai[p];
-                if (av != 0.0f)
-                    acc += av * bj[p];
-            }
-            c[i * n + jt] = acc;
-        }
-    }
 }
 
 void
@@ -443,8 +379,7 @@ gemmRowBiasDPanelAvx2(const float *__restrict a,
     }
 }
 
-const KernelOps kAvx2Ops{sgemmPanelAvx2, sgemmABtPanelAvx2,
-                         gemmCePanelAvx2, gemmCeSmallNAvx2,
+const KernelOps kAvx2Ops{sgemmPanelAvx2, gemmCePanelAvx2, gemmCeSmallNAvx2,
                          gemmRowBiasDPanelAvx2};
 
 } // namespace

@@ -16,7 +16,6 @@
 #include <emmintrin.h>
 
 #include <algorithm>
-#include <vector>
 
 namespace se {
 namespace kernels {
@@ -117,73 +116,6 @@ sgemmPanelSse2(const float *__restrict a, const float *__restrict b,
         }
     }
     sgemmTail(a, b, c, m, k, n, accumulate, jt, j1);
-}
-
-/**
- * Per-thread pack buffer: one kTile-wide strip of B transposed so the
- * inner loop streams contiguously. Packing moves values, it never
- * re-associates them, so results are unchanged.
- */
-std::vector<float> &
-packBuffer()
-{
-    static thread_local std::vector<float> buf;
-    return buf;
-}
-
-void
-sgemmABtPanelSse2(const float *__restrict a, const float *__restrict b,
-                  float *__restrict c, int64_t m, int64_t l, int64_t n,
-                  bool accumulate, int64_t j0, int64_t j1)
-{
-    std::vector<float> &pack = packBuffer();
-    if ((int64_t)pack.size() < l * kTile)
-        pack.resize((size_t)(l * kTile));
-    int64_t jt = j0;
-    for (; jt + kTile <= j1; jt += kTile) {
-        for (int jj = 0; jj < kTile; ++jj) {
-            const float *bj = b + (jt + jj) * l;
-            for (int64_t p = 0; p < l; ++p)
-                pack[(size_t)(p * kTile + jj)] = bj[p];
-        }
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * l;
-            float *ci = c + i * n + jt;
-            __m128 acc0, acc1;
-            if (accumulate) {
-                acc0 = _mm_loadu_ps(ci);
-                acc1 = _mm_loadu_ps(ci + 4);
-            } else {
-                acc0 = acc1 = _mm_setzero_ps();
-            }
-            const float *bp = pack.data();
-            for (int64_t p = 0; p < l; ++p, bp += kTile) {
-                const float av = ai[p];
-                if (av == 0.0f)
-                    continue;
-                const __m128 va = _mm_set1_ps(av);
-                acc0 = _mm_add_ps(acc0,
-                                  _mm_mul_ps(va, _mm_loadu_ps(bp)));
-                acc1 = _mm_add_ps(acc1,
-                                  _mm_mul_ps(va, _mm_loadu_ps(bp + 4)));
-            }
-            _mm_storeu_ps(ci, acc0);
-            _mm_storeu_ps(ci + 4, acc1);
-        }
-    }
-    for (; jt < j1; ++jt) {
-        const float *bj = b + jt * l;
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * l;
-            float acc = accumulate ? c[i * n + jt] : 0.0f;
-            for (int64_t p = 0; p < l; ++p) {
-                const float av = ai[p];
-                if (av != 0.0f)
-                    acc += av * bj[p];
-            }
-            c[i * n + jt] = acc;
-        }
-    }
 }
 
 void
@@ -314,8 +246,7 @@ gemmCeSmallNSse2(const uint8_t *row_mask, const uint8_t *nibbles,
         });
 }
 
-const KernelOps kSse2Ops{sgemmPanelSse2, sgemmABtPanelSse2,
-                         gemmCePanelSse2, gemmCeSmallNSse2,
+const KernelOps kSse2Ops{sgemmPanelSse2, gemmCePanelSse2, gemmCeSmallNSse2,
                          gemmRowBiasDPanelScalar};
 
 } // namespace

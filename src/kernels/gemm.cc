@@ -67,16 +67,6 @@ sgemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
 }
 
 void
-sgemmABt(const float *a, const float *b, float *c, int64_t m, int64_t l,
-         int64_t n, bool accumulate)
-{
-    const KernelOps &o = ops();
-    forEachColumnPanel(n, m * l * n, [&](int64_t j0, int64_t j1) {
-        o.sgemmABtPanel(a, b, c, m, l, n, accumulate, j0, j1);
-    });
-}
-
-void
 gemmRowBiasD(const float *a, const float *b, const float *row_bias,
              float *c, int64_t m, int64_t k, int64_t n)
 {

@@ -12,8 +12,8 @@
  * is — so the fast paths are bit-identical to the naive ones and
  * thread-count invariant (goldens do not move).
  *
- * Dispatch: the float-chain kernels (sgemm, sgemmABt) and the
- * double-chain kernels gemmRowBiasD / gemmColBiasD run their column
+ * Dispatch: the float-chain kernel sgemm and the double-chain
+ * kernels gemmRowBiasD / gemmColBiasD run their column
  * panels through the ISA-selected KernelOps table (dispatch.hh), so
  * both chains follow SE_KERNEL_ISA and every variant is bit-identical.
  * gemmABtColBiasD stays a single scalar panel.
@@ -39,15 +39,6 @@ namespace kernels {
  */
 void sgemm(const float *a, const float *b, float *c, int64_t m,
            int64_t k, int64_t n, bool accumulate);
-
-/**
- * C (m x n) = [C +] A (m x l) * B^T with B given (n x l) row-major —
- * the dot-product form used when both operands share their inner
- * dimension layout (gradW = gy * col^T). Float chain, ascending-l,
- * zero entries of A skipped.
- */
-void sgemmABt(const float *a, const float *b, float *c, int64_t m,
-              int64_t l, int64_t n, bool accumulate);
 
 /**
  * C (m x n) = (float)(rowBias[i] + sum_p A[i][p] * B[p][j]) with a

@@ -190,7 +190,7 @@ gramSweep(const float *ce, const float *w, const int64_t *rows,
 /**
  * fitCoefficients' right-hand sides: x[i][q] = B[i] . W[rows[q]]
  * (r x count), each an ascending-k float chain with zero B[i][k]
- * skipped — sgemmABt's sequence. Null rows means 0..count-1, so
+ * skipped (a dot product per entry). Null rows means 0..count-1, so
  * W = B, count = r gives the Gram B B^T. kS as in gramSweep: a fixed
  * shape keeps B in registers.
  */

@@ -101,12 +101,7 @@ struct RuntimeOptions
     bool streamEager = false;
     /** Kept only for the benchmark driver; always false. */
     bool servePipeline = false;
-    /**
-     * Streaming-loader lookahead window (SE_PREFETCH_DEPTH >= 0):
-     * how many pieces the v4 prefetch lane decodes ahead of every
-     * touch. 0 (default) disables the lane. Decoded bits are
-     * identical on every path; only decode-stall wall-clock moves.
-     */
+    /** Kept only for the benchmark driver; always 0. */
     size_t prefetchDepth = 0;
     /**
      * Spill directory of the persistent DecompCache (SE_CACHE_DIR).
@@ -219,15 +214,6 @@ struct RuntimeOptions
                 throw std::invalid_argument(
                     "SE_STREAM_LOADER must be mmap|eager, got '" +
                     std::string(s) + "'");
-        }
-        if (const char *d = std::getenv("SE_PREFETCH_DEPTH")) {
-            const long long v =
-                base::envInt("SE_PREFETCH_DEPTH", d);
-            if (v < 0)
-                throw std::invalid_argument(
-                    "SE_PREFETCH_DEPTH must be >= 0, got '" +
-                    std::string(d) + "'");
-            ro.prefetchDepth = (size_t)v;
         }
         if (const char *d = std::getenv("SE_CACHE_DIR")) {
             if (*d == '\0')

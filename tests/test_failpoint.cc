@@ -378,58 +378,6 @@ TEST_F(StreamInjection, OpenAndPieceDecodeFaultsAreTyped)
     fs::remove(path);
 }
 
-TEST_F(StreamInjection, PrefetchNamesTheFailingPiece)
-{
-    const std::string path = "/tmp/se_fp_prefetch.sexm";
-    core::SeOptions se_opts;
-    se_opts.vectorThreshold = 0.01;
-    core::ApplyOptions apply_opts;
-    shipTinyV4(9, path, se_opts, apply_opts);
-
-    core::StreamedModel m(path);
-    ASSERT_GE(m.pieceCount(), 2u);
-    m.prefetch(0, 1);  // piece 0 cached; the fault lands on piece 1
-    failpoint::ScopedArm arm("stream_piece_decode", "once");
-    try {
-        m.prefetch(0, m.pieceCount());
-        FAIL() << "armed prefetch did not throw";
-    } catch (const core::ModelFileError &e) {
-        EXPECT_NE(std::string(e.what()).find("prefetch: piece 1"),
-                  std::string::npos);
-    }
-    fs::remove(path);
-}
-
-TEST_F(StreamInjection, AsyncLaneFaultIsSilentAndConsumerRecovers)
-{
-    // `stream_prefetch` kills decodes on the background lane only.
-    // Contract: the lane swallows the fault (piece reverts to Cold,
-    // prefetchErrors counts it) and the consumer path re-decodes on
-    // demand — no exception ever crosses to a caller.
-    const std::string path = "/tmp/se_fp_lane.sexm";
-    core::SeOptions se_opts;
-    se_opts.vectorThreshold = 0.01;
-    core::ApplyOptions apply_opts;
-    shipTinyV4(10, path, se_opts, apply_opts);
-
-    failpoint::ScopedArm arm("stream_prefetch", "once");
-    core::StreamLoaderOptions lo;
-    lo.prefetchDepth = 2;
-    core::StreamedModel m(path, lo);  // ctor queues piece 0
-    m.drainPrefetch();
-    auto ss = m.streamStats();
-    EXPECT_EQ(ss.prefetchErrors, 1u)
-        << "the armed lane decode must fail exactly once";
-
-    // `once` spent: every piece still arrives through piece()/lane.
-    EXPECT_NO_THROW(m.records());
-    m.drainPrefetch();
-    ss = m.streamStats();
-    EXPECT_EQ(m.decodedPieces(), m.pieceCount());
-    EXPECT_EQ(ss.prefetchHits + ss.prefetchMisses, m.pieceCount());
-    fs::remove(path);
-}
-
 // -------------------------------------------- spill-tier injection
 
 struct SpillDir

@@ -859,38 +859,6 @@ TEST(Dispatch, SgemmEveryIsaBitIdenticalToScalar)
     }
 }
 
-TEST(Dispatch, SgemmABtEveryIsaBitIdenticalToScalar)
-{
-    Rng rng(202);
-    const std::vector<std::vector<int64_t>> shapes{
-        {1, 1, 1},  {1, 17, 1},  {9, 1, 13},   {5, 0, 7},
-        {17, 23, 9}, {32, 16, 24}, {33, 15, 17}, {96, 31, 40},
-    };
-    for (const auto &s : shapes) {
-        const int64_t m = s[0], l = s[1], n = s[2];
-        Tensor a = sparseRandn(rng, m, l);
-        Tensor b = sparseRandn(rng, n, l);  // B is n x l, used as B^T
-        for (bool accumulate : {false, true}) {
-            Tensor seed = randn({m, n}, rng);
-            Tensor want = seed;
-            {
-                ScopedIsa isa(kernels::KernelIsa::Scalar);
-                kernels::sgemmABt(a.data(), b.data(), want.data(), m,
-                                  l, n, accumulate);
-            }
-            for (kernels::KernelIsa isa : kernels::supportedIsas()) {
-                Tensor got = seed;
-                ScopedIsa forced(isa);
-                kernels::sgemmABt(a.data(), b.data(), got.data(), m,
-                                  l, n, accumulate);
-                EXPECT_TRUE(bitEqual(want, got))
-                    << kernels::isaName(isa) << " " << m << "x" << l
-                    << "x" << n << " acc=" << accumulate;
-            }
-        }
-    }
-}
-
 TEST(Dispatch, SgemmSkipsZeroTimesNaN)
 {
     // A zero entry of A must SKIP the multiply, not fold 0 * NaN into

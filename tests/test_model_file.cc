@@ -23,13 +23,15 @@
  * payloads + padding, structural corruption behind BOTH fixed-up
  * checksums (piece and meta), error messages that name the offending
  * record/piece/offset, and the StreamedModel lazy loader (O(meta)
- * open, decode-on-touch, prefetch, corrupt-piece containment).
+ * open, decode-on-touch, corrupt-piece containment, and no mapping
+ * left behind by a failed eager open).
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <sstream>
@@ -1342,78 +1344,22 @@ TEST(StreamedModelTest, AllBackendsServeIdenticalBits)
         }
 }
 
-TEST(StreamedModelTest, PrefetchDecodesAWindow)
+TEST(StreamedModelTest, NonZeroPrefetchDepthThrows)
 {
     Rng rng(72);
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"a", {randomSeMatrix(rng), randomSeMatrix(rng),
-                            randomSeMatrix(rng)}});
+    std::vector<core::SeLayerRecord> layers{
+        {"a", {randomSeMatrix(rng)}}};
     core::quantizeBasisAtCompress(layers);
-    const std::string path = "/tmp/se_model_v4_prefetch.sexm";
+    const std::string path = "/tmp/se_model_v4_depth.sexm";
     writeFile(path, saveV4String(layers));
 
-    core::StreamedModel sm(path);
-    EXPECT_EQ(sm.prefetch(0, 2), 2u);
-    EXPECT_EQ(sm.decodedPieces(), 2u);
-    EXPECT_EQ(sm.prefetch(0, 2), 0u);  // already resident
-    // Over-asking clamps to the directory instead of throwing.
-    EXPECT_EQ(sm.prefetch(1, 100), 1u);
-    EXPECT_EQ(sm.decodedPieces(), 3u);
-    EXPECT_EQ(sm.prefetch(99, 5), 0u);
-}
-
-TEST(StreamedModelTest, PrefetchIsOverflowSafe)
-{
-    Rng rng(75);
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"a", {randomSeMatrix(rng), randomSeMatrix(rng),
-                            randomSeMatrix(rng)}});
-    core::quantizeBasisAtCompress(layers);
-    const std::string path = "/tmp/se_model_v4_prefetch_ovf.sexm";
-    writeFile(path, saveV4String(layers));
-
-    core::StreamedModel sm(path);
-    // first + count wraps size_t; the old bound check silently
-    // prefetched nothing. The clamp decodes the whole tail instead.
-    EXPECT_EQ(sm.prefetch(1, SIZE_MAX), 2u);
-    EXPECT_EQ(sm.decodedPieces(), 2u);
-    EXPECT_EQ(sm.prefetch(0, SIZE_MAX), 1u);
-    EXPECT_EQ(sm.decodedPieces(), 3u);
-    EXPECT_EQ(sm.prefetch(0, 0), 0u);
-    EXPECT_EQ(sm.prefetch(SIZE_MAX, SIZE_MAX), 0u);
-}
-
-TEST(StreamedModelTest, PrefetchNamesTheCorruptMidRangePiece)
-{
-    Rng rng(76);
-    std::vector<core::SeLayerRecord> layers;
-    layers.push_back({"a", {randomSeMatrix(rng), randomSeMatrix(rng),
-                            randomSeMatrix(rng)}});
-    core::quantizeBasisAtCompress(layers);
-    const std::string good = saveV4String(layers);
-
-    namespace v4 = core::modelv4;
-    const v4::Meta meta = v4::parseMeta(
-        reinterpret_cast<const uint8_t *>(good.data()), good.size());
-    std::string bad = good;
-    bad[(size_t)meta.directory[1].offset + 7] ^= 0x04;
-    const std::string path = "/tmp/se_model_v4_prefetch_bad.sexm";
-    writeFile(path, bad);
-
-    core::StreamedModel sm(path);
-    EXPECT_EQ(sm.prefetch(0, 1), 1u);  // piece 0 is intact
-    try {
-        sm.prefetch(0, sm.pieceCount());
-        FAIL() << "corrupt mid-range piece did not throw";
-    } catch (const core::ModelFileError &e) {
-        // The typed error names the failing piece, not just
-        // whatever the underlying decode said.
-        EXPECT_NE(std::string(e.what()).find("prefetch: piece 1"),
-                  std::string::npos)
-            << e.what();
-    }
-    // The failure is not sticky for intact pieces past it.
-    EXPECT_EQ(sm.prefetch(2, 1), 1u);
+    // Pieces decode on the consuming thread only, so a lookahead
+    // window is refused rather than silently ignored.
+    core::StreamLoaderOptions lo;
+    lo.prefetchDepth = 3;
+    EXPECT_THROW(core::StreamedModel(path, lo), std::invalid_argument);
+    lo.prefetchDepth = 0;
+    EXPECT_NO_THROW(core::StreamedModel(path, lo));
 }
 
 TEST(StreamedModelTest, CorruptPieceFailsAtFirstTouch)
@@ -1524,6 +1470,64 @@ TEST(StreamedModelTest, EagerOpenValidatesPadding)
     core::StreamedModel lazy(path);
     expectBitIdentical(layers[0].pieces[0], lazy.piece(0));
     expectBitIdentical(layers[1].pieces[0], lazy.piece(1));
+}
+
+/** Lines of /proc/self/maps that map `path`; -1 when it is absent. */
+int
+liveMappingsOf(const std::string &path)
+{
+    std::ifstream maps("/proc/self/maps");
+    if (!maps.good())
+        return -1;
+    // The kernel lists the resolved path.
+    const std::string name = std::filesystem::canonical(path).string();
+    int n = 0;
+    for (std::string line; std::getline(maps, line);)
+        if (line.size() >= name.size() &&
+            line.compare(line.size() - name.size(), name.size(),
+                         name) == 0)
+            ++n;
+    return n;
+}
+
+TEST(StreamedModelTest, FailedEagerOpenReleasesTheMapping)
+{
+    // The eager checks run after the file is mapped. Regression: a
+    // throw from them skipped the unmap, so every failed open leaked
+    // one mapping of the bundle for the life of the process.
+    std::vector<core::SeLayerRecord> layers;
+    layers.push_back({"a", {craftedMatrix(3, 3)}});
+    layers.push_back({"b", {craftedMatrix(4, 3)}});
+    core::quantizeBasisAtCompress(layers);
+    const std::string good = saveV4String(layers);
+    namespace v4 = core::modelv4;
+    const v4::Meta meta = v4::parseMeta(
+        reinterpret_cast<const uint8_t *>(good.data()), good.size());
+
+    std::string dirty_padding = good;
+    dirty_padding[v4::kHeaderBytes + (size_t)meta.metaBytes] = 0x5A;
+    std::string corrupt_piece = good;
+    corrupt_piece[(size_t)meta.directory[1].offset + 7] ^= 0x04;
+
+    const std::pair<const char *, const std::string *> cases[] = {
+        {"/tmp/se_model_v4_leak_pad.sexm", &dirty_padding},
+        {"/tmp/se_model_v4_leak_piece.sexm", &corrupt_piece},
+    };
+    for (const auto &[path, bytes] : cases) {
+        writeFile(path, *bytes);
+        if (liveMappingsOf(path) < 0)
+            GTEST_SKIP() << "no /proc/self/maps on this platform";
+        {
+            core::StreamedModel lazy(path);  // maps it
+            ASSERT_TRUE(lazy.mapped());
+            EXPECT_EQ(liveMappingsOf(path), 1) << path;
+        }
+        for (int i = 0; i < 5; ++i)
+            EXPECT_THROW(core::StreamedModel(path, {true, false}),
+                         core::ModelFileError)
+                << path;
+        EXPECT_EQ(liveMappingsOf(path), 0) << path;
+    }
 }
 
 TEST(ModelRecordsV4, CompressQuantizeSaveLoadInstallRoundTrip)

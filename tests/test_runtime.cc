@@ -84,15 +84,14 @@ TEST(RuntimeOptions, FromEnvParsesStreamingKnobs)
     EXPECT_FALSE(ro.streamEager);
 }
 
-TEST(RuntimeOptions, FromEnvParsesPrefetchDepth)
+TEST(RuntimeOptions, FromEnvNoLongerReadsPrefetchDepth)
 {
-    {
-        ScopedEnv d("SE_PREFETCH_DEPTH", "3");
-        EXPECT_EQ(runtime::RuntimeOptions::fromEnv().prefetchDepth, 3u);
-    }
-    {
-        ScopedEnv d("SE_PREFETCH_DEPTH", "0");
-        EXPECT_EQ(runtime::RuntimeOptions::fromEnv().prefetchDepth, 0u);
+    // The stream loader has one decode path, so the old lookahead
+    // knob is not a knob any more: any value is ignored, none throws.
+    for (const char *v : {"3", "two"}) {
+        ScopedEnv d("SE_PREFETCH_DEPTH", v);
+        EXPECT_EQ(runtime::RuntimeOptions::fromEnv().prefetchDepth, 0u)
+            << v;
     }
 }
 
@@ -121,10 +120,6 @@ TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
         {"SE_KERNEL_ISA", "avx512"},
         {"SE_KERNEL_ISA", "fast"},
         {"SE_KERNEL_ISA", "AVX2"},  // case-sensitive like the others
-        {"SE_PREFETCH_DEPTH", "-1"},
-        {"SE_PREFETCH_DEPTH", "two"},
-        {"SE_PREFETCH_DEPTH", "2x"},
-        {"SE_PREFETCH_DEPTH", ""},
     };
     for (const auto &[name, value] : bad) {
         ScopedEnv e(name, value);
@@ -172,7 +167,7 @@ TEST(RuntimeOptions, FromEnvDefaultsWithoutKnobs)
     for (const char *name :
          {"SE_SERVE_QUEUE_CAP", "SE_SERVE_DEADLINE_MS",
           "SE_SERVE_WEIGHT_SOURCE", "SE_MODEL_FORMAT",
-          "SE_STREAM_LOADER", "SE_PREFETCH_DEPTH"}) {
+          "SE_STREAM_LOADER"}) {
         clear.push_back(std::make_unique<ScopedEnv>(name, "0"));
         ::unsetenv(name);  // ScopedEnv restores any prior value
     }

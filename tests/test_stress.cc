@@ -6,7 +6,8 @@
  * concurrent eviction pressure, and ServeEngine under hostile
  * concurrency (stop-vs-submit races, queueCap saturation,
  * drain-vs-submit interleaving) — every request must complete or be
- * shed, never hang, never kill the process.
+ * shed, never hang, never kill the process — and StreamedModel under
+ * racing consumers, where each piece must decode exactly once.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +23,8 @@
 #include "base/failpoint.hh"
 #include "base/random.hh"
 #include "base/thread_pool.hh"
+#include "core/model_file.hh"
+#include "core/stream_loader.hh"
 #include "nn/blocks.hh"
 #include "runtime/decomp_cache.hh"
 #include "serve/engine.hh"
@@ -693,6 +696,167 @@ TEST(ServeEngineStress, StopDrainRaceUnderPublishDelayConservesEveryRequest)
     // Stopped means stopped.
     EXPECT_THROW(engine.submit(tinyInput(9)),
                  serve::EngineStoppedError);
+}
+
+// ---------------------------------------------------- StreamedModel
+
+/** A v4 bundle of a small two-conv CNN at `path`, several pieces. */
+void
+shipStreamBundle(uint64_t seed, const std::string &path)
+{
+    Rng rng(seed);
+    nn::Sequential net;
+    net.add<nn::Conv2d>(kSrvC, 8, 3, 1, 1, 1, rng, false);
+    net.add<nn::ReLU>();
+    net.add<nn::Conv2d>(8, 8, 3, 1, 1, 1, rng, false);
+    net.add<nn::ReLU>();
+    net.add<nn::GlobalAvgPool>();
+    net.add<nn::Flatten>();
+    net.add<nn::Linear>(8, 4, rng, false);
+    core::SeOptions se_opts;
+    se_opts.vectorThreshold = 0.01;
+    core::ApplyOptions apply_opts;
+    auto compressed = core::compressToRecords(net, se_opts, apply_opts);
+    core::quantizeBasisAtCompress(net, compressed, se_opts, apply_opts);
+    core::saveModelV4File(path, compressed.bundle());
+}
+
+/** Every stored bit of two pieces agrees. */
+bool
+sameBits(const core::SeMatrix &a, const core::SeMatrix &b)
+{
+    return a.ce.shape() == b.ce.shape() &&
+           a.basis.shape() == b.basis.shape() &&
+           !std::memcmp(a.ce.data(), b.ce.data(),
+                        (size_t)a.ce.size() * sizeof(float)) &&
+           !std::memcmp(a.basis.data(), b.basis.data(),
+                        (size_t)a.basis.size() * sizeof(float)) &&
+           a.alphabet.expMax == b.alphabet.expMax &&
+           a.alphabet.numLevels == b.alphabet.numLevels &&
+           a.iterations == b.iterations &&
+           !std::memcmp(&a.reconRelError, &b.reconRelError,
+                        sizeof(double));
+}
+
+/** The eager loader's pieces in flat directory order. */
+std::vector<core::SeMatrix>
+eagerPieces(const std::string &path)
+{
+    std::vector<core::SeMatrix> out;
+    for (auto &rec : core::loadModelBundleFile(path).records)
+        for (auto &p : rec.pieces)
+            out.push_back(std::move(p));
+    return out;
+}
+
+constexpr int kStreamThreads = 8;
+
+TEST(StreamedModelStress, RacingConsumersDecodeEachPieceOnce)
+{
+    failpoint::disarmAll();
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "se_stress_stream.sexm")
+            .string();
+    shipStreamBundle(51, path);
+    const std::vector<core::SeMatrix> want = eagerPieces(path);
+
+    core::StreamedModel sm(path);
+    const size_t n = sm.pieceCount();
+    ASSERT_EQ(n, want.size());
+    ASSERT_GE(n, 4u);
+
+    // Each thread walks every index from its own starting point;
+    // half of them also race records() before their walk, half after.
+    std::vector<std::vector<const core::SeMatrix *>> got(
+        (size_t)kStreamThreads);
+    std::vector<std::shared_ptr<const std::vector<core::SeLayerRecord>>>
+        recs((size_t)kStreamThreads);
+    std::atomic<int> arrived{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kStreamThreads; ++t)
+        threads.emplace_back([&, t] {
+            arrived.fetch_add(1);
+            while (arrived.load() < kStreamThreads)
+                std::this_thread::yield();
+            if (t % 2 == 0)
+                recs[(size_t)t] = sm.records();
+            std::vector<const core::SeMatrix *> mine(n);
+            for (size_t k = 0; k < n; ++k) {
+                const size_t i = (k + (size_t)t * n / kStreamThreads) % n;
+                mine[i] = &sm.piece(i);
+            }
+            if (t % 2 == 1)
+                recs[(size_t)t] = sm.records();
+            got[(size_t)t] = std::move(mine);
+        });
+    for (auto &th : threads)
+        th.join();
+
+    EXPECT_EQ(sm.decodedPieces(), n);
+    const core::StreamStats ss = sm.streamStats();
+    EXPECT_EQ(ss.prefetchMisses, (uint64_t)n);
+    EXPECT_EQ(ss.prefetchHits, 0u);
+    for (int t = 0; t < kStreamThreads; ++t) {
+        EXPECT_EQ(recs[(size_t)t], recs[0]) << "thread " << t;
+        for (size_t i = 0; i < n; ++i)
+            EXPECT_TRUE(sameBits(*got[(size_t)t][i], want[i]))
+                << "thread " << t << " piece " << i;
+    }
+    size_t flat = 0;
+    for (const auto &rec : *recs[0])
+        for (const auto &p : rec.pieces)
+            EXPECT_TRUE(sameBits(p, want[flat++]));
+    EXPECT_EQ(flat, n);
+    std::filesystem::remove(path);
+}
+
+TEST(StreamedModelStress, FailedDecodeWakesWaitersAndRetries)
+{
+    // All threads open on piece 0, so the one armed decode fault
+    // lands there while the others wait on it: they must wake, one
+    // of them must decode it, and the thread that saw the fault gets
+    // the piece on its next touch.
+    failpoint::disarmAll();
+    const std::string path =
+        (std::filesystem::temp_directory_path() / "se_stress_fault.sexm")
+            .string();
+    shipStreamBundle(52, path);
+    const std::vector<core::SeMatrix> want = eagerPieces(path);
+
+    core::StreamedModel sm(path);
+    const size_t n = sm.pieceCount();
+    ASSERT_EQ(n, want.size());
+    std::atomic<int> arrived{0}, faults{0}, bad{0};
+    {
+        failpoint::ScopedArm arm("stream_piece_decode", "once");
+        std::vector<std::thread> threads;
+        for (int t = 0; t < kStreamThreads; ++t)
+            threads.emplace_back([&] {
+                arrived.fetch_add(1);
+                while (arrived.load() < kStreamThreads)
+                    std::this_thread::yield();
+                for (size_t i = 0; i < n; ++i) {
+                    const core::SeMatrix *m = nullptr;
+                    try {
+                        m = &sm.piece(i);
+                    } catch (const core::ModelFileError &e) {
+                        if (i != 0 || !std::strstr(e.what(), "piece 0"))
+                            bad.fetch_add(1);
+                        faults.fetch_add(1);
+                        m = &sm.piece(i);  // the retry decodes
+                    }
+                    if (!sameBits(*m, want[i]))
+                        bad.fetch_add(1);
+                }
+            });
+        for (auto &th : threads)
+            th.join();
+    }
+    EXPECT_EQ(faults.load(), 1);
+    EXPECT_EQ(bad.load(), 0);
+    EXPECT_EQ(sm.decodedPieces(), n);
+    EXPECT_EQ(sm.streamStats().prefetchMisses, (uint64_t)n);
+    std::filesystem::remove(path);
 }
 
 } // namespace
