@@ -191,7 +191,7 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--smoke"))
             smoke = true;
         else
-            pool_threads = std::atoi(argv[i]);
+            pool_threads = bench::argCount("pool_threads", argv[i]);
     }
     if (pool_threads < 1)
         pool_threads = 1;

@@ -81,7 +81,7 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--smoke"))
             smoke = true;
         else
-            max_threads = std::atoi(argv[i]);
+            max_threads = bench::argCount("max_threads", argv[i]);
     }
     if (max_threads < 1)
         max_threads = 1;
@@ -232,8 +232,11 @@ main(int argc, char **argv)
     // Every unit of the subject grouped by its piece shape, at the
     // perfbench compress operating point (theta 0.01, a 0.5 vector-
     // sparsity floor), serially: the median us per call over a
-    // warm-up plus kDecompPasses passes, and the mean share of Ce rows
-    // each Algorithm 1 iteration visited (SeTrace::liveRows).
+    // warm-up plus kDecompPasses passes, the mean share of Ce rows
+    // each Algorithm 1 iteration visited (SeTrace::liveRows), and
+    // "iterations_run": the mean number of iterations the loop really
+    // ran per unit (SeTrace::fixedPointAt where it stopped at an exact
+    // fixed point, else SeMatrix::iterations).
     {
         constexpr int kDecompPasses = 5;
         core::SeOptions op = se_opts;
@@ -263,20 +266,25 @@ main(int argc, char **argv)
                 }
             std::sort(us.begin(), us.end());
             double live = 0.0;
-            size_t iters = 0;
+            size_t iters = 0, run = 0;
             for (const Tensor *w : units) {
                 core::SeTrace trace;
-                core::decomposeMatrix(*w, op, &trace);
+                const core::SeMatrix se =
+                    core::decomposeMatrix(*w, op, &trace);
                 for (double f : trace.liveRows)
                     live += f;
                 iters += trace.liveRows.size();
+                run += (size_t)(trace.fixedPointAt ? trace.fixedPointAt
+                                                   : se.iterations);
             }
             std::printf("    {\"shape\": \"%lldx%lld\", \"units\": %zu, "
                         "\"median_us\": %.1f, "
-                        "\"live_row_fraction\": %.3f}%s\n",
+                        "\"live_row_fraction\": %.3f, "
+                        "\"iterations_run\": %.2f}%s\n",
                         (long long)shape.first, (long long)shape.second,
                         units.size(), us[us.size() / 2],
                         live / (double)iters,
+                        (double)run / (double)units.size(),
                         bench::jsonSep(k++, by_shape.size()));
         }
         std::printf("  ]},\n");

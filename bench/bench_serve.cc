@@ -156,11 +156,15 @@ main(int argc, char **argv)
         if (!std::strcmp(argv[i], "--smoke")) {
             smoke = true;
         } else if (pos == 0) {
-            max_threads = std::atoi(argv[i]);
+            max_threads = bench::argCount("max_threads", argv[i]);
             ++pos;
         } else if (pos == 1) {
-            requests = std::atoi(argv[i]);
+            requests = bench::argCount("requests", argv[i]);
             ++pos;
+        } else {
+            std::fprintf(stderr, "error: unexpected argument '%s'\n",
+                         argv[i]);
+            return 2;
         }
     }
     if (max_threads < 1)

@@ -10,14 +10,18 @@
 #define SE_BENCH_BENCH_UTIL_HH
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "accel/annotate.hh"
 #include "accel/baselines.hh"
 #include "accel/smartexchange_accel.hh"
+#include "base/env.hh"
 #include "core/trainer.hh"
 #include "models/zoo.hh"
 #include "runtime/options.hh"
@@ -43,6 +47,34 @@ inline const char *
 jsonSep(size_t index, size_t count)
 {
     return index + 1 < count ? "," : "";
+}
+
+// ------------------------------------------------ command-line counts
+
+/**
+ * A non-negative count from the command line (a thread or request
+ * count), parsed whole by base::envIntNarrow. A typo such as "abc",
+ * an unknown flag such as "--smok", trailing junk or a negative count
+ * prints why and exits with status 2 before any work starts, so it
+ * can never run the bench at some other size instead.
+ */
+inline int
+argCount(const char *what, const char *value)
+{
+    try {
+        if (value[0] == '-' && value[1] == '-')
+            throw std::invalid_argument(std::string("unknown flag '") +
+                                        value + "'");
+        const int v = base::envIntNarrow(what, value);
+        if (v < 0)
+            throw std::invalid_argument(std::string(what) +
+                                        " must be >= 0, got '" + value +
+                                        "'");
+        return v;
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(2);
+    }
 }
 
 /**

@@ -13,6 +13,9 @@
  * Usage: ./serve_demo [models] [requests] [threads] [max_batch]
  *   models: comma-separated from {vgg11, vgg19, resnet50,
  *           resnet164, mobilenetv2}, e.g. "vgg19,mobilenetv2"
+ *   requests, max_batch: whole numbers >= 0; threads: >= -1
+ *           (-1, the default, = one per core). Anything else, or a
+ *           "--" flag, exits with status 2.
  *
  * Environment: SE_SERVE_QUEUE_CAP bounds admission (0 = unbounded),
  * SE_SERVE_DEADLINE_MS > 0 selects the Deadline flush policy,
@@ -27,9 +30,11 @@
 #include <cstring>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "base/env.hh"
 #include "base/hash.hh"
 #include "base/random.hh"
 #include "core/stream_loader.hh"
@@ -86,17 +91,48 @@ splitModels(const char *arg)
     return out;
 }
 
+/**
+ * argv[i] as a whole integer >= min_value (base::envIntNarrow), or
+ * `fallback` when it is absent. A malformed or out-of-range value
+ * exits with status 2 before anything starts; in particular a
+ * negative max_batch never reaches the size_t cast.
+ */
+int
+argInt(int argc, char **argv, int i, const char *what, int min_value,
+       int fallback)
+{
+    if (argc <= i)
+        return fallback;
+    try {
+        const int v = base::envIntNarrow(what, argv[i]);
+        if (v < min_value)
+            throw std::invalid_argument(std::string(what) + " must be >= " +
+                                        std::to_string(min_value) +
+                                        ", got '" + argv[i] + "'");
+        return v;
+    } catch (const std::invalid_argument &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(2);
+    }
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
+    for (int i = 1; i < argc; ++i)
+        if (!std::strncmp(argv[i], "--", 2)) {
+            std::fprintf(stderr, "error: unknown flag '%s'\n", argv[i]);
+            return 2;
+        }
     const std::vector<std::string> names =
         splitModels(argc > 1 ? argv[1] : "vgg19,mobilenetv2");
-    const int requests = argc > 2 ? std::atoi(argv[2]) : 48;
+    const int requests = argInt(argc, argv, 2, "requests", 0, 48);
     serve::ServeOptions serve_opts;
-    serve_opts.threads = argc > 3 ? std::atoi(argv[3]) : -1;
-    serve_opts.maxBatch = argc > 4 ? (size_t)std::atoi(argv[4]) : 8;
+    serve_opts.threads = argInt(argc, argv, 3, "threads", -1, -1);
+    serve_opts.maxBatch =
+        (size_t)argInt(argc, argv, 4, "max_batch", 0, 8);
 
     models::SimConfig cfg;
     cfg.inHeight = cfg.inWidth = 12;

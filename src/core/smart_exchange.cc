@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "linalg/linalg.hh"
@@ -234,9 +235,25 @@ decomposeMatrix(const Tensor &w, const SeOptions &opts, SeTrace *trace)
         trace->liveRows.push_back((double)live.size() / (double)m);
     };
 
+    // The iteration state is Ce's live rows and the live count, and
+    // nothing else: every step is a deterministic function of them
+    // (normalizeColumns only scales the incoming B, which fitBasis
+    // overwrites before anything reads it), and pruning is monotone,
+    // so an equal count means an equal live list. `entry` holds the
+    // live rows as the iteration found them (r = n), sized once.
+    std::vector<float> entry((size_t)(m * n));
+    const size_t row_bytes = (size_t)n * sizeof(float);
+    auto liveRow = [&](size_t q) { return out.ce.data() + live[q] * n; };
+
+    if (trace)
+        trace->fixedPointAt = 0;
     out.iterations = 0;
     for (int iter = 0; iter < opts.maxIterations; ++iter) {
         ++out.iterations;
+        const size_t entry_live = live.size();
+        for (size_t q = 0; q < entry_live; ++q)
+            std::memcpy(&entry[q * (size_t)n], liveRow(q), row_bytes);
+
         // Step 1: normalize columns, choose Omega_P, quantize Ce.
         normalizeColumns(out.ce, live, out.basis, col_norms);
         out.alphabet =
@@ -264,6 +281,30 @@ decomposeMatrix(const Tensor &w, const SeOptions &opts, SeTrace *trace)
 
         if (delta < opts.tol)
             break;
+
+        // Exact fixed point: the iteration reproduced its input state
+        // bit for bit, so every later one would too, with the same
+        // delta and the same trace entry. Stop, but report what the
+        // full loop reports: maxIterations, and the last trace entry
+        // once per skipped iteration.
+        bool same = live.size() == entry_live;
+        for (size_t q = 0; same && q < entry_live; ++q)
+            same = !std::memcmp(&entry[q * (size_t)n], liveRow(q),
+                                row_bytes);
+        if (same) {
+            out.iterations = opts.maxIterations;
+            if (trace) {
+                trace->fixedPointAt = iter + 1;
+                const size_t skipped = (size_t)(opts.maxIterations - iter - 1);
+                for (std::vector<double> *series :
+                     {&trace->reconError, &trace->vectorSparsity,
+                      &trace->basisDrift, &trace->liveRows}) {
+                    const double last = series->back();
+                    series->insert(series->end(), skipped, last);
+                }
+            }
+            break;
+        }
     }
 
     // Optional support-restricted refinement before concluding.

@@ -16,6 +16,13 @@
  * every step but the sparsifier visits the live (unpruned) rows only;
  * each skipped term is an exact no-op, and the output is bit-identical
  * to running every step over all m rows.
+ *
+ * The loop also stops at an exact fixed point. An iteration's state
+ * is Ce's live rows and the live count: once an iteration leaves them
+ * bit-identical to how it found them, every later iteration would
+ * repeat it exactly, so the remaining ones are skipped. What the full
+ * loop reports is kept: `iterations` and the trace read as if every
+ * iteration had run, so the output is the same bytes either way.
  */
 
 #ifndef SE_CORE_SMART_EXCHANGE_HH
@@ -45,7 +52,11 @@ struct SeOptions
     double vectorThreshold = 4e-3;
     /** Optional floor on the fraction of zero rows (0 disables). */
     double minVectorSparsity = 0.0;
-    /** Algorithm 1 iteration cap; the paper uses 30. */
+    /**
+     * Algorithm 1 iteration count; the paper uses 30. Only `tol` ends
+     * the count early: a loop that stops sooner at an exact fixed
+     * point still reports this many (see SeMatrix::iterations).
+     */
     int maxIterations = 30;
     /** Convergence tolerance on the quantization residual delta(Ce). */
     double tol = 1e-10;
@@ -67,6 +78,14 @@ struct SeTrace
     std::vector<double> vectorSparsity;
     std::vector<double> basisDrift;   ///< ||B - I||_F / ||I||_F
     std::vector<double> liveRows;     ///< share of Ce rows visited
+    /**
+     * Informational: the 1-based iteration that reproduced its own
+     * input state, after which the loop stopped, or 0 if none did.
+     * The four series above still hold one entry per iteration of the
+     * full loop (the skipped ones repeat the last entry) plus the
+     * conclusion's.
+     */
+    int fixedPointAt = 0;
 };
 
 /** The SmartExchange form {Ce, B} of a matrix plus diagnostics. */
@@ -75,6 +94,11 @@ struct SeMatrix
     Tensor ce;                      ///< m x r, entries in Omega_P
     Tensor basis;                   ///< r x n
     quant::Pow2Alphabet alphabet;   ///< the Omega_P used for Ce
+    /**
+     * The iteration count Algorithm 1 runs: the iteration at which
+     * `tol` fired, else SeOptions::maxIterations, also when the loop
+     * stopped early at an exact fixed point.
+     */
     int iterations = 0;
     double reconRelError = 0.0;     ///< relative Frobenius error
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "base/hash.hh"
@@ -166,9 +167,21 @@ TEST(SmartExchange, ConvergesWithinIterationCap)
     Tensor w = randomWeight(64, 3, 10);
     SeOptions opts;
     opts.maxIterations = 30;
-    SeMatrix se = decomposeMatrix(w, opts);
-    EXPECT_LE(se.iterations, 30);
-    EXPECT_GE(se.iterations, 1);
+    // tol = 0 never fires (delta >= 0), so the count is the cap, also
+    // when the loop stops early at a fixed point.
+    opts.tol = 0.0;
+    SeTrace trace;
+    SeMatrix se = decomposeMatrix(w, opts, &trace);
+    EXPECT_EQ(se.iterations, opts.maxIterations);
+    EXPECT_EQ(trace.reconError.size(), (size_t)opts.maxIterations + 1);
+    // A tol that fires at once keeps its own count, and no fixed
+    // point is reported past it.
+    opts.tol = 1e30;
+    SeTrace early;
+    se = decomposeMatrix(w, opts, &early);
+    EXPECT_EQ(se.iterations, 1);
+    EXPECT_EQ(early.fixedPointAt, 0);
+    EXPECT_EQ(early.reconError.size(), 2u);
 }
 
 TEST(SmartExchange, RejectsWideMatrices)
@@ -362,6 +375,68 @@ TEST(SmartExchange, OperatingPointDigestIsPinnedUnderEveryIsa)
             << kernels::isaName(isa);
     }
     kernels::setActiveIsa(prev);
+}
+
+bool
+sameBytes(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           !std::memcmp(a.data(), b.data(), (size_t)a.size() * sizeof(float));
+}
+
+/**
+ * The fixed-point exit must not be observable in the output. Over the
+ * operating-point corpus, wherever the loop stopped early, the count
+ * is still the cap, every trace series is padded with its last entry
+ * to the full loop's length, and running exactly fixedPointAt
+ * iterations concludes on the same bytes. Whether the exit fires only
+ * at a real fixed point is the digests' job above: an exit on a state
+ * that does not yet repeat moves Ce.
+ */
+TEST(SmartExchange, FixedPointExitIsInvisible)
+{
+    const std::vector<Tensor> corpus = digestCorpus();
+    size_t stopped = 0;
+    for (size_t i = 0; i < corpus.size(); ++i) {
+        SeOptions opts = operatingPoint(i);
+        SeTrace trace;
+        const SeMatrix full = decomposeMatrix(corpus[i], opts, &trace);
+        const int at = trace.fixedPointAt;
+        // One entry per counted iteration plus the conclusion's; a
+        // few tiny units end early on tol, with no fixed point.
+        const size_t len = (size_t)full.iterations + 1;
+        for (const std::vector<double> *series :
+             {&trace.reconError, &trace.vectorSparsity, &trace.basisDrift,
+              &trace.liveRows})
+            ASSERT_EQ(series->size(), len) << "unit " << i;
+        ASSERT_GE(at, 0);
+        ASSERT_LE(at, opts.maxIterations);
+        if (at == 0)
+            continue;
+        ++stopped;
+        ASSERT_EQ(full.iterations, opts.maxIterations) << "unit " << i;
+        for (const std::vector<double> *series :
+             {&trace.reconError, &trace.vectorSparsity, &trace.basisDrift,
+              &trace.liveRows})
+            for (size_t k = (size_t)at; k + 1 < len; ++k)
+                ASSERT_EQ(std::memcmp(&(*series)[k], &(*series)[at - 1],
+                                      sizeof(double)),
+                          0)
+                    << "unit " << i << ", trace entry " << k;
+
+        opts.maxIterations = at;
+        const SeMatrix cut = decomposeMatrix(corpus[i], opts);
+        EXPECT_TRUE(sameBytes(cut.ce, full.ce)) << "unit " << i;
+        EXPECT_TRUE(sameBytes(cut.basis, full.basis)) << "unit " << i;
+        EXPECT_EQ(cut.alphabet.expMax, full.alphabet.expMax);
+        EXPECT_EQ(cut.alphabet.numLevels, full.alphabet.numLevels);
+        EXPECT_EQ(std::memcmp(&cut.reconRelError, &full.reconRelError,
+                              sizeof(double)),
+                  0)
+            << "unit " << i;
+    }
+    // The wall only bites if the exit fires on most of the corpus.
+    EXPECT_GT(stopped, corpus.size() / 2);
 }
 
 } // namespace
