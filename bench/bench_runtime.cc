@@ -4,7 +4,8 @@
  * stdout) timing the same multi-layer SmartExchange decomposition
  * sweep three ways — legacy serial path, N-thread CompressionPipeline,
  * and a cache-warm re-run — plus a batched accelerator sweep through
- * SimDriver and a per-piece-shape decomposeMatrix timing. Diffing
+ * SimDriver, a per-piece-shape decomposeMatrix timing and the compress
+ * tail (install, quantize, v4 save, eager reopen). Diffing
  * these numbers across changes tracks the perf trajectory. Each
  * pipeline thread count is warmed up once and then timed over several
  * passes (median and min reported).
@@ -23,7 +24,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <map>
+#include <sstream>
 #include <thread>
 #include <vector>
 
@@ -32,7 +35,9 @@
 #include "base/random.hh"
 #include "bench_util.hh"
 #include "core/apply.hh"
+#include "core/model_file.hh"
 #include "core/smart_exchange.hh"
+#include "core/stream_loader.hh"
 #include "linalg/linalg.hh"
 #include "reference/reference.hh"
 #include "runtime/pipeline.hh"
@@ -288,6 +293,76 @@ main(int argc, char **argv)
                         bench::jsonSep(k++, by_shape.size()));
         }
         std::printf("  ]},\n");
+    }
+
+    // --- compress tail (informational) ------------------------------
+    // The serial steps after the decomposition, at the same operating
+    // point: installing every piece's Ce*B into the net
+    // (finishCompression), snapping the bases to 8 bits and
+    // reinstalling them (quantizeBasisAtCompress), the v4 save to
+    // memory, and an eager StreamedModel reopen of the saved file (its
+    // write is not timed). Median ms over a warm-up plus kTailPasses
+    // passes; no gate.
+    {
+        constexpr int kTailPasses = 21;
+        core::SeOptions op = se_opts;
+        op.minVectorSparsity = 0.5;
+        auto net = makeSubject();
+        const core::CompressedModel unquantized =
+            core::compressToRecords(*net, op, apply_opts);
+        const core::CompressionPlan plan =
+            core::planCompression(*net, op, apply_opts);
+        std::vector<core::SeMatrix> pieces;
+        for (const core::SeLayerRecord &rec : unquantized.records)
+            pieces.insert(pieces.end(), rec.pieces.begin(),
+                          rec.pieces.end());
+        const char *path = "/tmp/se_bench_runtime_tail.sexm";
+        core::StreamLoaderOptions eager;
+        eager.eager = true;
+        std::vector<double> install, quantize, save, reopen;
+        size_t bytes = 0, reopened_pieces = 0;
+        for (int pass = -1; pass < kTailPasses; ++pass) {
+            t0 = Clock::now();
+            core::finishCompression(plan, pieces, op);
+            const double install_ms = msSince(t0);
+
+            core::CompressedModel model = unquantized;
+            t0 = Clock::now();
+            core::quantizeBasisAtCompress(*net, model, op, apply_opts);
+            const double quantize_ms = msSince(t0);
+
+            std::ostringstream os(std::ios::binary);
+            t0 = Clock::now();
+            core::saveModelV4(os, model.records, model.dense);
+            const double save_ms = msSince(t0);
+            const std::string image = os.str();
+            bytes = image.size();
+            std::ofstream(path, std::ios::binary | std::ios::trunc)
+                .write(image.data(), (std::streamsize)image.size());
+
+            t0 = Clock::now();
+            const core::StreamedModel reopened(path, eager);
+            const double reopen_ms = msSince(t0);
+            reopened_pieces = reopened.pieceCount();
+            if (pass >= 0) {
+                install.push_back(install_ms);
+                quantize.push_back(quantize_ms);
+                save.push_back(save_ms);
+                reopen.push_back(reopen_ms);
+            }
+        }
+        std::remove(path);
+        auto median = [](std::vector<double> v) {
+            std::sort(v.begin(), v.end());
+            return v[v.size() / 2];
+        };
+        std::printf("  \"compress_tail\": {\"units\": %zu, \"passes\": %d, "
+                    "\"install_ms\": %.3f, \"quantize_ms\": %.3f, "
+                    "\"save_ms\": %.3f, \"reopen_ms\": %.3f, "
+                    "\"bundle_bytes\": %zu, \"reopened_pieces\": %zu},\n",
+                    pieces.size(), kTailPasses, median(install),
+                    median(quantize), median(save), median(reopen), bytes,
+                    reopened_pieces);
     }
 
     // --- batched accelerator sweep through SimDriver ----------------

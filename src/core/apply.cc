@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 
+#include "core/ce_basis.hh"
+
 namespace se {
 namespace core {
 
@@ -51,31 +53,53 @@ decomposeTall(const Tensor &mat, const SeOptions &se_opts,
     return pieces;
 }
 
-/** Accumulate piece statistics into a layer report. */
-void
-accumulate(LayerReport &rep, const std::vector<SeMatrix> &pieces,
-           const SeOptions &se_opts)
+/**
+ * A layer's report sums over its pieces. The zero rows and zero
+ * elements of each Ce come from one pass and give exactly the counts
+ * SeMatrix::vectorSparsity / elementSparsity / ceStorageBits imply.
+ */
+struct LayerSums
 {
-    int64_t rows_total = 0, zero_rows = 0, elems = 0, zero_elems = 0;
-    double err_weighted = 0.0;
-    for (const auto &p : pieces) {
+    int64_t rows = 0, zeroRows = 0, elems = 0, zeroElems = 0;
+    int64_t ceBits = 0, basisBits = 0;
+    double errWeighted = 0.0;
+    int pieces = 0;
+
+    void
+    add(const SeMatrix &p, const SeOptions &se_opts)
+    {
         const int64_t m = p.ce.dim(0), r = p.ce.dim(1);
-        rows_total += m;
-        zero_rows += (int64_t)std::llround(p.vectorSparsity() * m);
+        const float *c = p.ce.data();
+        int64_t zero_rows = 0;
+        for (int64_t i = 0; i < m; ++i) {
+            int64_t z = 0;
+            for (int64_t j = 0; j < r; ++j)
+                z += c[i * r + j] == 0.0f;
+            zeroElems += z;
+            zero_rows += z == r;
+        }
+        rows += m;
+        zeroRows += zero_rows;
         elems += m * r;
-        zero_elems +=
-            (int64_t)std::llround(p.elementSparsity() * m * r);
-        rep.ceBits += p.ceStorageBits(se_opts.coefBits);
-        rep.basisBits += p.basisStorageBits(se_opts.basisBits);
-        err_weighted += p.reconRelError * (double)(m * r);
+        // 1-bit row index plus the dense non-zero rows.
+        ceBits += m + (m - zero_rows) * r * se_opts.coefBits;
+        basisBits += p.basisStorageBits(se_opts.basisBits);
+        errWeighted += p.reconRelError * (double)(m * r);
+        ++pieces;
     }
-    rep.pieces = (int)pieces.size();
-    rep.vectorSparsity =
-        rows_total > 0 ? (double)zero_rows / rows_total : 0.0;
-    rep.elementSparsity = elems > 0 ? (double)zero_elems / elems : 0.0;
-    rep.reconRelError = elems > 0 ? err_weighted / (double)elems : 0.0;
-    rep.decomposed = true;
-}
+
+    void
+    conclude(LayerReport &rep) const
+    {
+        rep.pieces = pieces;
+        rep.ceBits += ceBits;
+        rep.basisBits += basisBits;
+        rep.vectorSparsity = rows > 0 ? (double)zeroRows / rows : 0.0;
+        rep.elementSparsity = elems > 0 ? (double)zeroElems / elems : 0.0;
+        rep.reconRelError = elems > 0 ? errWeighted / (double)elems : 0.0;
+        rep.decomposed = true;
+    }
+};
 
 } // namespace
 
@@ -382,46 +406,49 @@ sliceRow(const PlannedLayer &pl, int64_t filter, int64_t row)
 }
 
 void
-writeSlice(const PlannedLayer &pl, int64_t filter, int64_t row_offset,
-           const Tensor &recon)
+installPiece(const PlannedLayer &pl, int64_t filter, int64_t row_offset,
+             const SeMatrix &piece)
 {
-    const int64_t n = recon.dim(1);
-    for (int64_t i = 0; i < recon.dim(0); ++i) {
-        const SliceRow at = sliceRow(pl, filter, row_offset + i);
-        const float *src = recon.data() + i * n;
-        std::copy(src, src + at.cols, pl.weight->data() + at.offset);
-    }
+    const int64_t m = piece.ce.dim(0), n = piece.basis.dim(1);
+    SE_ASSERT(pl.weight && n == pl.kernelS &&
+                  piece.basis.dim(0) == piece.ce.dim(1),
+              "installPiece: piece does not fit its slice");
+    // The slice's rows sit back to back at stride kernelS, so only the
+    // base and the last row's width need sliceRow.
+    const int64_t base = sliceRow(pl, filter, row_offset).offset;
+    const int64_t last_cols =
+        m > 0 ? sliceRow(pl, filter, row_offset + m - 1).cols : n;
+    ceBasisRows(piece.ce.data(), piece.basis.data(), m, piece.ce.dim(1),
+                n, pl.weight->data() + base, last_cols);
 }
 
 CompressionReport
 finishCompression(const CompressionPlan &plan,
-                  std::vector<SeMatrix> results, const SeOptions &se_opts)
+                  const std::vector<SeMatrix> &results,
+                  const SeOptions &se_opts)
 {
     SE_ASSERT(results.size() == plan.units.size(),
               "decomposition result count mismatch: ", results.size(),
               " vs ", plan.units.size());
 
-    // Write every piece back into its slice of the owning weight.
-    // Slices are disjoint, so order does not matter.
-    for (size_t ui = 0; ui < plan.units.size(); ++ui) {
-        const DecompUnit &u = plan.units[ui];
-        const PlannedLayer &pl = plan.layers[u.layerIndex];
-        SE_ASSERT(pl.weight, "unit for an undecomposed layer");
-        writeSlice(pl, u.filter, u.rowOffset, results[ui].reconstruct());
-    }
-
-    // Assemble the report: units are grouped by layer in plan order.
+    // Units are grouped by layer in plan order: write each piece into
+    // its (disjoint) slice of the owning weight and add it to the
+    // layer's report.
     CompressionReport report;
     report.layers.reserve(plan.layers.size());
     size_t ui = 0;
     for (size_t li = 0; li < plan.layers.size(); ++li) {
-        LayerReport rep = plan.layers[li].report;
-        std::vector<SeMatrix> pieces;
-        while (ui < plan.units.size() &&
-               plan.units[ui].layerIndex == li)
-            pieces.push_back(std::move(results[ui++]));
-        if (!pieces.empty())
-            accumulate(rep, pieces, se_opts);
+        const PlannedLayer &pl = plan.layers[li];
+        LayerReport rep = pl.report;
+        LayerSums sums;
+        for (; ui < plan.units.size() && plan.units[ui].layerIndex == li;
+             ++ui) {
+            const DecompUnit &u = plan.units[ui];
+            installPiece(pl, u.filter, u.rowOffset, results[ui]);
+            sums.add(results[ui], se_opts);
+        }
+        if (sums.pieces > 0)
+            sums.conclude(rep);
         report.layers.push_back(std::move(rep));
     }
     SE_ASSERT(ui == plan.units.size(), "unit bookkeeping error");
@@ -437,7 +464,7 @@ applySmartExchange(nn::Sequential &net, const SeOptions &se_opts,
     results.reserve(plan.units.size());
     for (const DecompUnit &u : plan.units)
         results.push_back(decomposeMatrix(u.matrix, se_opts));
-    return finishCompression(plan, std::move(results), se_opts);
+    return finishCompression(plan, results, se_opts);
 }
 
 } // namespace core

@@ -155,19 +155,19 @@ struct SliceRow
 SliceRow sliceRow(const PlannedLayer &pl, int64_t filter, int64_t row);
 
 /**
- * Write one reconstructed slice (rows x kernelS, first row
- * `row_offset` of filter `filter`) into *pl.weight, dropping the FC
- * zero padding.
+ * Write one piece's Ce*B straight into its slice of *pl.weight (rows
+ * from `row_offset` of filter `filter`), dropping the FC zero padding.
+ * Bit-identical to copying SeMatrix::reconstruct() into place.
  */
-void writeSlice(const PlannedLayer &pl, int64_t filter,
-                int64_t row_offset, const Tensor &recon);
+void installPiece(const PlannedLayer &pl, int64_t filter,
+                  int64_t row_offset, const SeMatrix &piece);
 
 /**
  * Write decomposed pieces back into the network and assemble the
  * report. `results[i]` must be decomposeMatrix(plan.units[i].matrix).
  */
 CompressionReport finishCompression(const CompressionPlan &plan,
-                                    std::vector<SeMatrix> results,
+                                    const std::vector<SeMatrix> &results,
                                     const SeOptions &se_opts);
 
 /**

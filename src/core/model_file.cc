@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <fstream>
 #include <sstream>
 #include <unordered_set>
@@ -12,6 +13,7 @@
 #include "base/hash.hh"
 #include "base/logging.hh"
 #include "encode/bitstream.hh"
+#include "kernels/kernels.hh"
 #include "nn/layers.hh"
 
 namespace se {
@@ -56,11 +58,23 @@ writeString(std::ostream &os, const std::string &s)
     os.write(s.data(), (std::streamsize)s.size());
 }
 
+/** Longest record or tensor name a reader accepts, exclusive. */
+constexpr uint32_t kMaxNameBytes = 1u << 20;
+/** Widest dense tensor a reader accepts. */
+constexpr uint32_t kMaxDenseRank = 8;
+/** Most records, and most dense tensors, in one bundle. */
+constexpr uint32_t kMaxRecords = 1u << 20;
+/** Most pieces in one record, and in one bundle. */
+constexpr uint32_t kMaxPieces = 1u << 24;
+/** Bounds of a stored alphabet's |expMax| and iteration count. */
+constexpr int kMaxExpMagnitude = 1000;
+constexpr int32_t kMaxIterations = 1 << 20;
+
 std::string
 readString(std::istream &is)
 {
     const uint32_t len = readPod<uint32_t>(is);
-    if (len >= (1u << 20))
+    if (len >= kMaxNameBytes)
         throw ModelFileError("implausible string length in model file");
     std::string s((size_t)len, '\0');
     is.read(s.data(), len);
@@ -69,15 +83,27 @@ readString(std::istream &is)
     return s;
 }
 
-/** Encode a power-of-2 coefficient as one byte. */
+/**
+ * Encode a power-of-2 coefficient as one byte. A normal power of two
+ * (zero mantissa, exponent field neither 0 nor 255) reads its exponent
+ * straight from the float's bits; anything else takes frexp, whose
+ * assert rejects every value that is not a power of two.
+ */
 uint8_t
 encodeCoef(float v, const quant::Pow2Alphabet &a)
 {
     if (v == 0.0f)
         return 0;
-    int exp;
-    const float frac = std::frexp(std::abs(v), &exp);
-    SE_ASSERT(frac == 0.5f, "non-power-of-2 coefficient in file save");
+    uint32_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    const uint32_t biased = (bits >> 23) & 0xFFu;
+    int exp;  // frexp's: v = 0.5 * 2^exp
+    if ((bits & 0x7FFFFFu) == 0 && biased != 0 && biased != 0xFFu) {
+        exp = (int)biased - 126;
+    } else {
+        const float frac = std::frexp(std::abs(v), &exp);
+        SE_ASSERT(frac == 0.5f, "non-power-of-2 coefficient in file save");
+    }
     const int code = (exp - 1) - a.expMin() + 1;  // 1..numLevels
     SE_ASSERT(code >= 1 && code <= a.numLevels,
               "coefficient exponent outside alphabet");
@@ -241,10 +267,11 @@ loadSeMatrixV3(std::istream &is)
     m.alphabet.numLevels = readPod<uint8_t>(is);
     if (m.alphabet.numLevels < 1 ||
         m.alphabet.numLevels > kMaxPackedLevels ||
-        m.alphabet.expMax < -1000 || m.alphabet.expMax > 1000)
+        m.alphabet.expMax < -kMaxExpMagnitude ||
+        m.alphabet.expMax > kMaxExpMagnitude)
         throw ModelFileError("implausible alphabet in model file");
     m.iterations = readPod<int32_t>(is);
-    if (m.iterations < 0 || m.iterations > (1 << 20))
+    if (m.iterations < 0 || m.iterations > kMaxIterations)
         throw ModelFileError("implausible iteration count");
     m.reconRelError = readPod<double>(is);
     if (!std::isfinite(m.reconRelError))
@@ -317,8 +344,8 @@ saveDenseTensor(std::ostream &os, const DenseTensor &d)
     writePod<uint32_t>(os, (uint32_t)d.value.ndim());
     for (int i = 0; i < d.value.ndim(); ++i)
         writePod<int64_t>(os, d.value.dim(i));
-    for (int64_t i = 0; i < d.value.size(); ++i)
-        writePod<float>(os, d.value[i]);
+    os.write(reinterpret_cast<const char *>(d.value.data()),
+             (std::streamsize)(d.value.size() * sizeof(float)));
 }
 
 DenseTensor
@@ -327,7 +354,7 @@ loadDenseTensor(std::istream &is)
     DenseTensor d;
     d.name = readString(is);
     const uint32_t ndim = readPod<uint32_t>(is);
-    if (ndim > 8)
+    if (ndim > kMaxDenseRank)
         throw ModelFileError("implausible dense tensor rank");
     Shape shape;
     int64_t elems = 1;
@@ -341,8 +368,12 @@ loadDenseTensor(std::istream &is)
                 "implausible dense tensor size in model file");
     }
     d.value = Tensor(shape);
-    for (int64_t i = 0; i < d.value.size(); ++i)
-        d.value[i] = readPod<float>(is);
+    const std::streamsize bytes =
+        (std::streamsize)(d.value.size() * sizeof(float));
+    is.read(reinterpret_cast<char *>(d.value.data()), bytes);
+    if (is.gcount() != bytes)
+        throw ModelFileError(
+            "unexpected end of SmartExchange model stream");
     return d;
 }
 
@@ -377,7 +408,7 @@ class BufReader
     str()
     {
         const uint32_t len = pod<uint32_t>();
-        if (len >= (1u << 20))
+        if (len >= kMaxNameBytes)
             throw ModelFileError(
                 "implausible string length in model file");
         if (size_ - at_ < len)
@@ -412,7 +443,7 @@ loadDenseTensorBuf(BufReader &r)
     DenseTensor d;
     d.name = r.str();
     const uint32_t ndim = r.pod<uint32_t>();
-    if (ndim > 8)
+    if (ndim > kMaxDenseRank)
         throw ModelFileError("implausible dense tensor rank");
     Shape shape;
     int64_t elems = 1;
@@ -426,8 +457,13 @@ loadDenseTensorBuf(BufReader &r)
                 "implausible dense tensor size in model file");
     }
     d.value = Tensor(shape);
-    for (int64_t i = 0; i < d.value.size(); ++i)
-        d.value[i] = r.pod<float>();
+    const size_t bytes = (size_t)d.value.size() * sizeof(float);
+    if (r.remaining() < bytes)
+        throw ModelFileError(
+            "unexpected end of SmartExchange model stream");
+    if (bytes > 0)
+        std::memcpy(d.value.data(), r.cursor(), bytes);
+    r.skip(bytes);
     return d;
 }
 
@@ -464,10 +500,11 @@ loadSeMatrix(std::istream &is)
     m.alphabet.expMax = readPod<int32_t>(is);
     m.alphabet.numLevels = readPod<int32_t>(is);
     if (m.alphabet.numLevels < 1 || m.alphabet.numLevels > 126 ||
-        m.alphabet.expMax < -1000 || m.alphabet.expMax > 1000)
+        m.alphabet.expMax < -kMaxExpMagnitude ||
+        m.alphabet.expMax > kMaxExpMagnitude)
         throw ModelFileError("implausible alphabet in model file");
     m.iterations = readPod<int32_t>(is);
-    if (m.iterations < 0 || m.iterations > (1 << 20))
+    if (m.iterations < 0 || m.iterations > kMaxIterations)
         throw ModelFileError("implausible iteration count");
     m.reconRelError = readPod<double>(is);
     if (!std::isfinite(m.reconRelError))
@@ -551,13 +588,13 @@ std::vector<SeLayerRecord>
 loadRecords(std::istream &body_is, uint32_t version)
 {
     const uint32_t n = readPod<uint32_t>(body_is);
-    if (n > (1u << 20))
+    if (n > kMaxRecords)
         throw ModelFileError("implausible layer count in model file");
     std::vector<SeLayerRecord> layers((size_t)n);
     for (auto &l : layers) {
         l.name = readString(body_is);
         const uint32_t pieces = readPod<uint32_t>(body_is);
-        if (pieces > (1u << 24))
+        if (pieces > kMaxPieces)
             throw ModelFileError("implausible piece count");
         l.pieces.reserve(pieces);
         for (uint32_t i = 0; i < pieces; ++i) {
@@ -616,22 +653,32 @@ codeBitWidth(uint32_t v)
  *  non-zero-row count (derived from the row mask at decode). */
 constexpr size_t kV4PieceHeaderBytes = 27;
 
+/** Append a trivially copyable value's bytes to a byte image. */
+template <typename T>
+void
+putPod(std::vector<uint8_t> &out, const T &v)
+{
+    const size_t at = out.size();
+    out.resize(at + sizeof(T));
+    std::memcpy(out.data() + at, &v, sizeof(T));
+}
+
 /**
- * Serialize one piece at v4 width: 27-byte header, row mask (v3
+ * Append one piece at v4 width to `out`: 27-byte header, row mask (v3
  * rules), a 2-bit-packed width table, the adaptive sign+magnitude
  * bitstream (byte-aligned flush), then the basis as int8. Throws
  * unless the basis sits exactly on its own 8-bit fixed-point grid —
  * shipping a rounded basis would serve different bits than the
- * compression-time net.
+ * compression-time net — or the piece is outside a limit the reader
+ * enforces.
  */
-std::vector<uint8_t>
-encodePieceV4(const SeMatrix &m)
+void
+encodePieceV4(const SeMatrix &m, std::vector<uint8_t> &out)
 {
     const int64_t rows = m.ce.dim(0);
     const int64_t rank = m.ce.dim(1);
     const int64_t cols = m.basis.dim(1);
-    if (rank > 0xFFFF || cols > 0xFFFF ||
-        m.alphabet.expMax < -32768 || m.alphabet.expMax > 32767)
+    if (rank > 0xFFFF || cols > 0xFFFF)
         throw ModelFileError(
             "matrix too wide for the v4 piece header (save as v2)");
     if (m.alphabet.numLevels < 1 ||
@@ -641,37 +688,81 @@ encodePieceV4(const SeMatrix &m)
             " levels; adaptive packing carries at most " +
             std::to_string(kMaxPackedLevels) +
             " (save this model as v2)");
+    // The reader's limits, so a saved bundle always loads.
+    if (rows > kMaxDim || rows * rank > kMaxElems ||
+        rank * cols > kMaxElems)
+        throw ModelFileError("matrix too large for a v4 bundle");
+    if (m.alphabet.expMax < -kMaxExpMagnitude ||
+        m.alphabet.expMax > kMaxExpMagnitude)
+        throw ModelFileError("alphabet exponent outside [-1000, 1000]");
+    if (m.iterations < 0 || m.iterations > kMaxIterations)
+        throw ModelFileError("iteration count outside [0, 2^20]");
+    if (!std::isfinite(m.reconRelError))
+        throw ModelFileError("non-finite reconstruction error");
 
-    // Surviving rows and their sign|code bytes, v2 byte encoding.
+    // Surviving rows and their sign|code bytes, v2 byte encoding, and
+    // per column exactly the bits its occupied alphabet needs (0 when
+    // the column is all zero over the surviving rows — such a column
+    // spends no bits at all).
     std::vector<uint8_t> row_mask((size_t)((rows + 7) / 8), 0);
     std::vector<uint8_t> codes;
     codes.reserve((size_t)m.ce.size());
+    std::vector<uint8_t> widths((size_t)rank, 0);
+    const float *ce = m.ce.data();
     for (int64_t i = 0; i < rows; ++i) {
+        const float *row = ce + i * rank;
         bool nz = false;
         for (int64_t j = 0; j < rank && !nz; ++j)
-            nz = m.ce.at(i, j) != 0.0f;
+            nz = row[j] != 0.0f;
         if (!nz)
             continue;
         row_mask[(size_t)(i >> 3)] |= (uint8_t)(1u << (i & 7));
-        for (int64_t j = 0; j < rank; ++j)
-            codes.push_back(encodeCoef(m.ce.at(i, j), m.alphabet));
-    }
-
-    // Per-column width: exactly the bits the column's occupied
-    // alphabet needs (0 when the column is all zero over the
-    // surviving rows — such a column spends no bits at all).
-    std::vector<uint8_t> widths((size_t)rank, 0);
-    for (size_t k = 0; k < codes.size(); ++k) {
-        const size_t j = k % (size_t)rank;
-        widths[j] = (uint8_t)std::max<int>(
-            widths[j], codeBitWidth(codes[k] & 0x7Fu));
+        for (int64_t j = 0; j < rank; ++j) {
+            const uint8_t c = encodeCoef(row[j], m.alphabet);
+            codes.push_back(c);
+            widths[(size_t)j] = (uint8_t)std::max<int>(
+                widths[(size_t)j], codeBitWidth(c & 0x7Fu));
+        }
     }
 
     // Basis at 8-bit fixed point, exact-recovery check per value.
     const auto fq = quant::FixedPointQuantizer::calibrate(m.basis, 8);
-    std::vector<int8_t> q((size_t)(rank * cols));
-    for (int64_t i = 0; i < m.basis.size(); ++i) {
-        const float orig = m.basis[i];
+    const size_t basis_bytes = (size_t)(rank * cols);
+    putPod<uint32_t>(out, (uint32_t)rows);
+    putPod<uint16_t>(out, (uint16_t)rank);
+    putPod<uint16_t>(out, (uint16_t)cols);
+    putPod<int16_t>(out, (int16_t)m.alphabet.expMax);
+    putPod<uint8_t>(out, (uint8_t)m.alphabet.numLevels);
+    putPod<int32_t>(out, m.iterations);
+    putPod<double>(out, m.reconRelError);
+    putPod<float>(out, fq.scale);
+    out.insert(out.end(), row_mask.begin(), row_mask.end());
+
+    // The width table itself is bit-packed: widths are 0..3, so two
+    // bits per column, byte-aligned zero-padded flush. The bitstream
+    // follows: per surviving code of a non-zero-width column, its
+    // magnitude then (when non-zero) its sign bit, as one field.
+    encode::BitWriter bw(std::move(out));
+    for (const uint8_t w : widths)
+        bw.writeBits(w, 2);
+    bw.alignToByte();
+    for (size_t k = 0, j = 0; k < codes.size(); ++k) {
+        const uint32_t code = codes[k] & 0x7Fu;
+        const int w = widths[j];
+        if (++j == (size_t)rank)
+            j = 0;
+        if (w == 0)
+            continue;
+        const uint32_t sign = code != 0 && (codes[k] & 0x80u) ? 1u : 0u;
+        bw.writeBits(code | sign << w, w + (code != 0));
+    }
+    bw.alignToByte();
+    out = bw.take();
+
+    const size_t q_at = out.size();
+    out.resize(q_at + basis_bytes);
+    for (size_t i = 0; i < basis_bytes; ++i) {
+        const float orig = m.basis[(int64_t)i];
         const int32_t v = fq.toInt(orig);
         const float back = fq.toFloat(v);
         if (std::memcmp(&back, &orig, sizeof(float)) != 0)
@@ -679,49 +770,8 @@ encodePieceV4(const SeMatrix &m)
                 "basis is not at an 8-bit fixed point; run "
                 "quantizeBasisAtCompress() before saveModelV4, or "
                 "ship this model as v3");
-        q[(size_t)i] = (int8_t)v;
+        out[q_at + i] = (uint8_t)(int8_t)v;
     }
-
-    std::ostringstream os(std::ios::binary);
-    writePod<uint32_t>(os, (uint32_t)rows);
-    writePod<uint16_t>(os, (uint16_t)rank);
-    writePod<uint16_t>(os, (uint16_t)cols);
-    writePod<int16_t>(os, (int16_t)m.alphabet.expMax);
-    writePod<uint8_t>(os, (uint8_t)m.alphabet.numLevels);
-    writePod<int32_t>(os, m.iterations);
-    writePod<double>(os, m.reconRelError);
-    writePod<float>(os, fq.scale);
-    os.write(reinterpret_cast<const char *>(row_mask.data()),
-             (std::streamsize)row_mask.size());
-    // The width table itself is bit-packed: widths are 0..3, so two
-    // bits per column, byte-aligned zero-padded flush.
-    encode::BitWriter wbw;
-    for (const uint8_t w : widths)
-        wbw.writeBits(w, 2);
-    wbw.alignToByte();
-    const std::vector<uint8_t> &wbytes = wbw.bytes();
-    os.write(reinterpret_cast<const char *>(wbytes.data()),
-             (std::streamsize)wbytes.size());
-
-    encode::BitWriter bw;
-    for (size_t k = 0; k < codes.size(); ++k) {
-        const uint32_t code = codes[k] & 0x7Fu;
-        const int w = widths[k % (size_t)rank];
-        if (w == 0)
-            continue;
-        bw.writeBits(code, w);
-        if (code != 0)
-            bw.writeBit((codes[k] & 0x80u) != 0);
-    }
-    bw.alignToByte();
-    const std::vector<uint8_t> &bits = bw.bytes();
-    os.write(reinterpret_cast<const char *>(bits.data()),
-             (std::streamsize)bits.size());
-    os.write(reinterpret_cast<const char *>(q.data()),
-             (std::streamsize)q.size());
-
-    const std::string s = os.str();
-    return std::vector<uint8_t>(s.begin(), s.end());
 }
 
 /**
@@ -748,10 +798,11 @@ decodePieceV4Payload(const uint8_t *p, size_t len)
     m.alphabet.numLevels = r.pod<uint8_t>();
     if (m.alphabet.numLevels < 1 ||
         m.alphabet.numLevels > kMaxPackedLevels ||
-        m.alphabet.expMax < -1000 || m.alphabet.expMax > 1000)
+        m.alphabet.expMax < -kMaxExpMagnitude ||
+        m.alphabet.expMax > kMaxExpMagnitude)
         throw ModelFileError("implausible alphabet in model file");
     m.iterations = r.pod<int32_t>();
-    if (m.iterations < 0 || m.iterations > (1 << 20))
+    if (m.iterations < 0 || m.iterations > kMaxIterations)
         throw ModelFileError("implausible iteration count");
     m.reconRelError = r.pod<double>();
     if (!std::isfinite(m.reconRelError))
@@ -791,32 +842,41 @@ decodePieceV4Payload(const uint8_t *p, size_t len)
     encode::BitReader br(r.cursor(), bs_bytes);
     r.skip(bs_bytes);
 
+    // Every value a code can spell, [sign][code], made once per piece.
+    float values[2][kMaxPackedLevels + 1] = {};
+    for (int code = 1; code <= m.alphabet.numLevels; ++code)
+        for (int neg = 0; neg < 2; ++neg)
+            values[neg][code] = quant::pow2CodeValue(
+                m.alphabet.expMin(), code, neg != 0);
+
     m.ce = Tensor({rows, rank});
+    float *ce = m.ce.data();
     std::vector<uint8_t> col_max((size_t)rank, 0);
-    for (int64_t i = 0; i < rows; ++i) {
-        if (!(mask[(size_t)(i >> 3)] & (1u << (i & 7))))
-            continue;
-        bool row_nz = false;
-        for (int64_t j = 0; j < rank; ++j) {
-            const int w = widths[(size_t)j];
-            if (w == 0)
-                continue;
-            const uint32_t code = br.readBits(w);
-            if ((int)code > m.alphabet.numLevels)
+    // Visit the flagged rows only (the mask has no bits past the last
+    // row, checked above), one mask byte at a time.
+    for (int64_t row0 = 0; row0 < rows; row0 += 8) {
+        for (unsigned b = mask[row0 >> 3]; b; b &= b - 1) {
+            bool row_nz = false;
+            float *row = ce + (row0 + __builtin_ctz(b)) * rank;
+            for (int64_t j = 0; j < rank; ++j) {
+                const int w = widths[(size_t)j];
+                if (w == 0)
+                    continue;
+                const uint32_t code = br.readBits(w);
+                if ((int)code > m.alphabet.numLevels)
+                    throw ModelFileError(
+                        "coefficient code outside the stored alphabet");
+                if (code == 0)
+                    continue;
+                row[j] = values[br.readBit()][code];
+                col_max[(size_t)j] =
+                    (uint8_t)std::max<uint32_t>(col_max[(size_t)j], code);
+                row_nz = true;
+            }
+            if (!row_nz)
                 throw ModelFileError(
-                    "coefficient code outside the stored alphabet");
-            if (code == 0)
-                continue;
-            const bool neg = br.readBit();
-            m.ce.at(i, j) = quant::pow2CodeValue(
-                m.alphabet.expMin(), (int)code, neg);
-            col_max[(size_t)j] =
-                (uint8_t)std::max<uint32_t>(col_max[(size_t)j], code);
-            row_nz = true;
+                    "all-zero row flagged non-zero in model file");
         }
-        if (!row_nz)
-            throw ModelFileError(
-                "all-zero row flagged non-zero in model file");
     }
     if (br.alignToByte() != 0)
         throw ModelFileError(
@@ -833,11 +893,12 @@ decodePieceV4Payload(const uint8_t *p, size_t len)
     m.basis = Tensor({rank, cols});
     const uint8_t *qb = r.cursor();
     r.skip(basis_bytes);
+    float *basis = m.basis.data();
     bool any_q = false;
-    for (int64_t i = 0; i < m.basis.size(); ++i) {
-        const int8_t q = (int8_t)qb[(size_t)i];
+    for (size_t i = 0; i < basis_bytes; ++i) {
+        const int8_t q = (int8_t)qb[i];
         any_q = any_q || q != 0;
-        m.basis[i] = (float)q * scale;  // == FixedPointQuantizer::toFloat
+        basis[i] = (float)q * scale;  // == FixedPointQuantizer::toFloat
     }
     if (!any_q && basis_bytes > 0 && scale != 1.0f)
         throw ModelFileError(
@@ -885,7 +946,7 @@ parseMeta(const uint8_t *file, size_t size)
 
     BufReader r(file + kHeaderBytes, (size_t)meta.metaBytes);
     const uint32_t nrec = r.pod<uint32_t>();
-    if (nrec > (1u << 20))
+    if (nrec > kMaxRecords)
         throw ModelFileError("implausible layer count in model file");
     meta.recordNames.reserve(nrec);
     meta.pieceCounts.reserve(nrec);
@@ -893,13 +954,13 @@ parseMeta(const uint8_t *file, size_t size)
     for (uint32_t i = 0; i < nrec; ++i) {
         meta.recordNames.push_back(r.str());
         const uint32_t pieces = r.pod<uint32_t>();
-        if (pieces > (1u << 24))
+        if (pieces > kMaxPieces)
             throw ModelFileError("implausible piece count");
         meta.pieceCounts.push_back(pieces);
         sum += pieces;
     }
     const uint32_t ndense = r.pod<uint32_t>();
-    if (ndense > (1u << 20))
+    if (ndense > kMaxRecords)
         throw ModelFileError(
             "implausible dense tensor count in model file");
     meta.dense.reserve(ndense);
@@ -912,7 +973,7 @@ parseMeta(const uint8_t *file, size_t size)
         }
     }
     const uint32_t total = r.pod<uint32_t>();
-    if (total > (1u << 24))
+    if (total > kMaxPieces)
         throw ModelFileError("implausible piece count");
     if ((uint64_t)total != sum)
         throw ModelFileError(
@@ -972,55 +1033,110 @@ decodePiece(const uint8_t *file, const Meta &meta, size_t index)
 
 } // namespace modelv4
 
+namespace {
+
+/** Refuse, at save, a string the reader would reject. */
+void
+checkName(const std::string &name, const char *what)
+{
+    if (name.size() >= kMaxNameBytes)
+        throw ModelFileError(std::string(what) + " name of " +
+                             std::to_string(name.size()) +
+                             " bytes is too long for a model file");
+}
+
+/** Refuse, at save, a dense tensor the reader would reject. */
+void
+checkDenseForSave(const DenseTensor &d)
+{
+    checkName(d.name, "dense tensor");
+    const std::string where = "dense tensor '" + d.name.substr(0, 64) + "'";
+    if ((uint32_t)d.value.ndim() > kMaxDenseRank)
+        throw ModelFileError(where + " has rank " +
+                             std::to_string(d.value.ndim()) +
+                             "; a model file carries at most " +
+                             std::to_string(kMaxDenseRank));
+    int64_t elems = 1;
+    for (int i = 0; i < d.value.ndim(); ++i) {
+        if (d.value.dim(i) > kMaxDim)
+            throw ModelFileError(where + " has a dimension above 2^24");
+        elems *= d.value.dim(i);
+        if (elems > kMaxElems)
+            throw ModelFileError(where + " has more than 2^26 elements");
+    }
+}
+
+} // namespace
+
 void
 saveModelV4(std::ostream &os, const std::vector<SeLayerRecord> &layers,
             const std::vector<DenseTensor> &dense)
 {
-    std::vector<std::vector<uint8_t>> payloads;
+    // The meta first: every limit the reader enforces is checked here,
+    // so a saved bundle always loads.
+    if (layers.size() > kMaxRecords || dense.size() > kMaxRecords)
+        throw ModelFileError(
+            "too many records or dense tensors for a v4 bundle");
+    std::vector<const SeMatrix *> pieces;
     std::ostringstream meta_os(std::ios::binary);
     writePod<uint32_t>(meta_os, (uint32_t)layers.size());
     for (const auto &l : layers) {
+        checkName(l.name, "record");
+        if (l.pieces.size() > kMaxPieces)
+            throw ModelFileError("too many pieces in record '" +
+                                 l.name + "'");
         writeString(meta_os, l.name);
         writePod<uint32_t>(meta_os, (uint32_t)l.pieces.size());
         for (const auto &p : l.pieces)
-            payloads.push_back(encodePieceV4(p));
+            pieces.push_back(&p);
     }
+    if (pieces.size() > kMaxPieces)
+        throw ModelFileError("too many pieces for a v4 bundle");
     writePod<uint32_t>(meta_os, (uint32_t)dense.size());
-    for (const auto &d : dense)
+    for (const auto &d : dense) {
+        checkDenseForSave(d);
         saveDenseTensor(meta_os, d);
-    writePod<uint32_t>(meta_os, (uint32_t)payloads.size());
+    }
+    writePod<uint32_t>(meta_os, (uint32_t)pieces.size());
+
+    // Pieces encode independently, each into its own slot. A failing
+    // piece's error is kept in its slot and the lowest index's is
+    // rethrown, so the message never depends on scheduling.
+    const size_t count = pieces.size();
+    std::vector<std::vector<uint8_t>> payloads(count);
+    std::vector<std::exception_ptr> errors(count);
+    kernels::parallelFor((int64_t)count, [&](int64_t i) {
+        try {
+            encodePieceV4(*pieces[(size_t)i], payloads[(size_t)i]);
+        } catch (...) {
+            errors[(size_t)i] = std::current_exception();
+        }
+    });
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
 
     // The directory has a fixed 8-byte row, so metaBytes — and with
     // it every derived piece offset — is known before the rows are
     // written. Only the region start is aligned; payloads pack
     // back-to-back so tiny pieces carry no per-piece padding tax.
-    const std::string meta_prefix = meta_os.str();
-    const uint64_t meta_bytes =
-        meta_prefix.size() + 8ull * payloads.size();
-    std::vector<modelv4::PieceDirEntry> dir;
-    dir.reserve(payloads.size());
-    uint64_t end = modelv4::kHeaderBytes + meta_bytes;
-    if (!payloads.empty())
-        end = alignUp(end, modelv4::kPieceAlign);
+    const uint64_t meta_bytes = (uint64_t)meta_os.tellp() + 8ull * count;
+    const uint64_t start =
+        count > 0 ? alignUp(modelv4::kHeaderBytes + meta_bytes,
+                            modelv4::kPieceAlign)
+                  : modelv4::kHeaderBytes + meta_bytes;
+    uint64_t end = start;
     for (const auto &pl : payloads) {
-        modelv4::PieceDirEntry e;
         if (pl.size() > UINT32_MAX)
             throw ModelFileError("piece too large for a v4 bundle");
-        e.offset = end;
-        e.length = pl.size();
-        e.checksum = (uint32_t)fnv1a(pl.data(), pl.size(), v4Seed());
-        end = e.offset + e.length;
-        dir.push_back(e);
+        writePod<uint32_t>(meta_os, (uint32_t)pl.size());
+        writePod<uint32_t>(
+            meta_os, (uint32_t)fnv1a(pl.data(), pl.size(), v4Seed()));
+        end += pl.size();
     }
     if (end > kMaxBodyBytes)
         throw ModelFileError("model too large for a v4 bundle");
-
-    std::ostringstream dir_os(std::ios::binary);
-    for (const auto &e : dir) {
-        writePod<uint32_t>(dir_os, (uint32_t)e.length);
-        writePod<uint32_t>(dir_os, (uint32_t)e.checksum);
-    }
-    const std::string meta = meta_prefix + dir_os.str();
+    const std::string meta = meta_os.str();
     SE_ASSERT(meta.size() == meta_bytes, "v4 meta size mismatch");
 
     writePod<uint32_t>(os, kMagic);
@@ -1029,14 +1145,12 @@ saveModelV4(std::ostream &os, const std::vector<SeLayerRecord> &layers,
     writePod<uint64_t>(os, end);
     writePod<uint64_t>(os, fnv1a(meta.data(), meta.size(), v4Seed()));
     os.write(meta.data(), (std::streamsize)meta.size());
-    uint64_t at = modelv4::kHeaderBytes + meta_bytes;
-    for (size_t i = 0; i < payloads.size(); ++i) {
-        for (; at < dir[i].offset; ++at)
-            os.put('\0');
-        os.write(reinterpret_cast<const char *>(payloads[i].data()),
-                 (std::streamsize)payloads[i].size());
-        at += payloads[i].size();
-    }
+    static const char kZeros[modelv4::kPieceAlign] = {};
+    os.write(kZeros, (std::streamsize)(start - modelv4::kHeaderBytes -
+                                       meta_bytes));
+    for (const auto &pl : payloads)
+        os.write(reinterpret_cast<const char *>(pl.data()),
+                 (std::streamsize)pl.size());
 }
 
 namespace {
@@ -1173,7 +1287,7 @@ loadModelBundle(std::istream &is)
     bundle.records = loadRecords(body_is, version);
     if (version == kVersionV3) {
         const uint32_t n = readPod<uint32_t>(body_is);
-        if (n > (1u << 20))
+        if (n > kMaxRecords)
             throw ModelFileError(
                 "implausible dense tensor count in model file");
         bundle.dense.reserve(n);
@@ -1363,35 +1477,31 @@ compressToRecords(nn::Sequential &net, const SeOptions &se_opts,
         results.push_back(decomp ? decomp(u.matrix, se_opts)
                                  : decomposeMatrix(u.matrix, se_opts));
 
-    // Group the pieces per decomposed layer before finishCompression
-    // consumes the originals. The copy is deliberate: records and the
-    // finish pass both need the pieces, and a compressed bundle is
-    // small (Ce codes + tiny bases), so transiently holding two
-    // copies is cheaper than contorting finishCompression's
-    // ownership for every caller.
-    CompressedModel out;
-    size_t ui = 0;
-    for (size_t li = 0; li < plan.layers.size(); ++li) {
-        SeLayerRecord rec;
-        rec.name = plan.layers[li].report.name;
-        while (ui < plan.units.size() &&
-               plan.units[ui].layerIndex == li)
-            rec.pieces.push_back(results[ui++]);
-        if (!rec.pieces.empty())
-            out.records.push_back(std::move(rec));
-    }
-
     // The dense residual (what the old "BN not shipped" warning was
     // about): snapshot AFTER planCompression, so channel pruning's
     // BN gamma/beta mutations ship with the model, and biases /
     // running stats / undecomposed weights come along too.
+    CompressedModel out;
     std::vector<const Tensor *> decomposed_weights;
     for (const PlannedLayer &pl : plan.layers)
         if (pl.weight)
             decomposed_weights.push_back(pl.weight);
     out.dense = collectDenseState(net, decomposed_weights);
 
-    out.report = finishCompression(plan, std::move(results), se_opts);
+    out.report = finishCompression(plan, results, se_opts);
+
+    // Then move the pieces, grouped per decomposed layer, into the
+    // records.
+    size_t ui = 0;
+    for (size_t li = 0; li < plan.layers.size(); ++li) {
+        SeLayerRecord rec;
+        rec.name = plan.layers[li].report.name;
+        while (ui < plan.units.size() &&
+               plan.units[ui].layerIndex == li)
+            rec.pieces.push_back(std::move(results[ui++]));
+        if (!rec.pieces.empty())
+            out.records.push_back(std::move(rec));
+    }
     return out;
 }
 
@@ -1484,7 +1594,7 @@ installRecordsImpl(nn::Sequential &net,
         installDenseState(net, *dense, decomposed_weights);
     }
 
-    return finishCompression(plan, std::move(results), se_opts);
+    return finishCompression(plan, results, se_opts);
 }
 
 } // namespace

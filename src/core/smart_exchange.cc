@@ -5,6 +5,7 @@
 #include <cstring>
 #include <numeric>
 
+#include "core/ce_basis.hh"
 #include "linalg/linalg.hh"
 
 namespace se {
@@ -154,7 +155,13 @@ rowVectorSparsity(const Tensor &ce)
 Tensor
 SeMatrix::reconstruct() const
 {
-    return linalg::matmul(ce, basis);
+    SE_ASSERT(ce.ndim() == 2 && basis.ndim() == 2 &&
+                  basis.dim(0) == ce.dim(1),
+              "reconstruct: Ce and B ranks disagree");
+    Tensor out({ce.dim(0), basis.dim(1)});
+    ceBasisRows(ce.data(), basis.data(), ce.dim(0), ce.dim(1),
+                basis.dim(1), out.data(), basis.dim(1));
+    return out;
 }
 
 double
@@ -227,8 +234,7 @@ decomposeMatrix(const Tensor &w, const SeOptions &opts, SeTrace *trace)
         if (!trace)
             return;
         trace->reconError.push_back(
-            linalg::frobDiff(w, linalg::matmul(out.ce, out.basis)) /
-            w_norm);
+            linalg::frobDiff(w, out.reconstruct()) / w_norm);
         trace->vectorSparsity.push_back(rowVectorSparsity(out.ce));
         trace->basisDrift.push_back(
             linalg::frobDiff(out.basis, identity) / id_norm);
@@ -324,8 +330,7 @@ decomposeMatrix(const Tensor &w, const SeOptions &opts, SeTrace *trace)
     als.fitBasis(out.ce.data(), live, out.basis.data());
     record();
 
-    out.reconRelError =
-        linalg::frobDiff(w, linalg::matmul(out.ce, out.basis)) / w_norm;
+    out.reconRelError = linalg::frobDiff(w, out.reconstruct()) / w_norm;
     return out;
 }
 

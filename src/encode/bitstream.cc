@@ -6,22 +6,14 @@ namespace se {
 namespace encode {
 
 void
-BitWriter::writeBits(uint32_t value, int width)
+BitWriter::badWrite(uint32_t value, int width)
 {
     if (width < 0 || width > 32)
         throw BitstreamError("bit width " + std::to_string(width) +
                              " outside [0, 32]");
-    if (width < 32 && (value >> width) != 0)
-        throw BitstreamError("value " + std::to_string(value) +
-                             " does not fit in " +
-                             std::to_string(width) + " bits");
-    for (int k = 0; k < width; ++k) {
-        const int off = (int)(bits_ & 7);
-        if (off == 0)
-            bytes_.push_back(0);
-        bytes_.back() |= (uint8_t)(((value >> k) & 1u) << off);
-        ++bits_;
-    }
+    throw BitstreamError("value " + std::to_string(value) +
+                         " does not fit in " + std::to_string(width) +
+                         " bits");
 }
 
 void
@@ -53,26 +45,16 @@ BitWriter::take()
     return out;
 }
 
-uint32_t
-BitReader::readBits(int width)
+void
+BitReader::badRead(int width) const
 {
     if (width < 0 || width > 32)
         throw BitstreamError("bit width " + std::to_string(width) +
                              " outside [0, 32]");
-    if ((size_t)width > bitsRemaining())
-        throw BitstreamError(
-            "bitstream ends " +
-            std::to_string((size_t)width - bitsRemaining()) +
-            " bit(s) short of a " + std::to_string(width) +
-            "-bit read");
-    uint32_t out = 0;
-    for (int k = 0; k < width; ++k) {
-        const uint32_t bit =
-            (data_[pos_ >> 3] >> (pos_ & 7)) & 1u;
-        out |= bit << k;
-        ++pos_;
-    }
-    return out;
+    throw BitstreamError(
+        "bitstream ends " +
+        std::to_string((size_t)width - bitsRemaining()) +
+        " bit(s) short of a " + std::to_string(width) + "-bit read");
 }
 
 uint32_t

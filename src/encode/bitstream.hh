@@ -18,13 +18,23 @@
  *
  * Reads past the end of the buffer throw BitstreamError — a truncated
  * stream can never yield data.
+ *
+ * Both directions move a whole field per call, not a bit per loop
+ * iteration: writeBits ORs the field, shifted to the open bit
+ * position, into the open byte and appends the bytes it spills into;
+ * readBits gathers the (at most five) bytes a field touches into one
+ * word and shifts it out. Both are inline; their argument and bounds
+ * checks throw from out-of-line cold paths, and a call that throws
+ * leaves bitsWritten() / bitsConsumed() unchanged.
  */
 
 #ifndef SE_ENCODE_BITSTREAM_HH
 #define SE_ENCODE_BITSTREAM_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace se {
@@ -43,6 +53,18 @@ class BitstreamError : public std::runtime_error
 class BitWriter
 {
   public:
+    BitWriter() = default;
+
+    /**
+     * Continue after `prefix`: the new bits start on the byte boundary
+     * that ends it, and bitsWritten() counts the prefix too. Lets a
+     * caller append a bitstream to a buffer it is already filling.
+     */
+    explicit BitWriter(std::vector<uint8_t> prefix)
+        : bytes_(std::move(prefix)), bits_(bytes_.size() * 8)
+    {
+    }
+
     /**
      * Append the low `width` bits of `value`, LSB first. width must be
      * in [0, 32] and value must fit in width bits (writeBits(v, 0)
@@ -50,7 +72,21 @@ class BitWriter
      * BitstreamError, because silently masking would corrupt the
      * stream instead of the call site that produced the bad value.
      */
-    void writeBits(uint32_t value, int width);
+    void
+    writeBits(uint32_t value, int width)
+    {
+        if ((unsigned)width > 32u || (width < 32 && (value >> width) != 0))
+            badWrite(value, width);
+        const int off = (int)(bits_ & 7);
+        uint64_t v = (uint64_t)value << off;
+        if (off != 0) {
+            bytes_.back() |= (uint8_t)v;
+            v >>= 8;
+        }
+        bits_ += (size_t)width;
+        for (size_t end = (bits_ + 7) >> 3; bytes_.size() < end; v >>= 8)
+            bytes_.push_back((uint8_t)v);
+    }
 
     void writeBit(bool bit) { writeBits(bit ? 1u : 0u, 1); }
 
@@ -72,7 +108,9 @@ class BitWriter
     std::vector<uint8_t> take();
 
   private:
-    std::vector<uint8_t> bytes_;
+    [[noreturn]] static void badWrite(uint32_t value, int width);
+
+    std::vector<uint8_t> bytes_;  ///< the open byte's unwritten bits are 0
     size_t bits_ = 0;  ///< total bits written
 };
 
@@ -91,7 +129,22 @@ class BitReader
      * truncated stream fails loudly at the exact read that crossed
      * the end, never returns fabricated zeros.
      */
-    uint32_t readBits(int width);
+    uint32_t
+    readBits(int width)
+    {
+        if ((unsigned)width > 32u || (size_t)width > bitsRemaining())
+            badRead(width);
+        if (width == 0)
+            return 0;
+        const uint8_t *p = data_ + (pos_ >> 3);
+        const int off = (int)(pos_ & 7);
+        const int nbytes = (off + width + 7) >> 3;
+        uint64_t v = 0;
+        for (int k = 0; k < nbytes; ++k)
+            v |= (uint64_t)p[k] << (8 * k);
+        pos_ += (size_t)width;
+        return (uint32_t)((v >> off) & ((1ull << width) - 1));
+    }
 
     bool readBit() { return readBits(1) != 0; }
 
@@ -107,6 +160,8 @@ class BitReader
     bool atEnd() const { return pos_ == size_bits_; }
 
   private:
+    [[noreturn]] void badRead(int width) const;
+
     const uint8_t *data_;
     size_t size_bits_;
     size_t pos_ = 0;  ///< bits consumed

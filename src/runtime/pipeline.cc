@@ -41,7 +41,7 @@ CompressionPipeline::run(nn::Sequential &net,
     }
     stats_.cacheHits = (size_t)(cache_.hits() - hits_before);
 
-    return core::finishCompression(plan, std::move(results), se_opts);
+    return core::finishCompression(plan, results, se_opts);
 }
 
 } // namespace runtime

@@ -146,8 +146,8 @@ InferenceSession::rebuildLayer(BoundLayer &bl)
                                   w.data());
         else
             for (const auto &bu : bl.units)
-                core::writeSlice(bl.geom, bu.filter, bu.rowOffset,
-                                 bu.piece->reconstruct());
+                core::installPiece(bl.geom, bu.filter, bu.rowOffset,
+                                   *bu.piece);
         if (opts_.cacheRebuiltWeights) {
             bl.cache = w;
             bl.cacheValid = true;

@@ -149,6 +149,134 @@ TEST(Bitstream, LsbFirstLayoutMatchesV3NibbleOrder)
     EXPECT_EQ(std::memcmp(got.data(), expect.data(), got.size()), 0);
 }
 
+// ------------------------------- word-level vs bit-at-a-time wall
+
+/** The bit-at-a-time writer the word-level BitWriter must match. */
+struct RefWriter
+{
+    std::vector<uint8_t> bytes;
+    size_t bits = 0;
+
+    void
+    writeBits(uint32_t value, int width)
+    {
+        if (width < 0 || width > 32)
+            throw encode::BitstreamError("width");
+        if (width < 32 && (value >> width) != 0)
+            throw encode::BitstreamError("value");
+        for (int k = 0; k < width; ++k, ++bits) {
+            if ((bits & 7) == 0)
+                bytes.push_back(0);
+            bytes.back() |= (uint8_t)(((value >> k) & 1u) << (bits & 7));
+        }
+    }
+};
+
+/** The bit-at-a-time reader the word-level BitReader must match. */
+struct RefReader
+{
+    const uint8_t *data;
+    size_t sizeBits;
+    size_t pos = 0;
+
+    uint32_t
+    readBits(int width)
+    {
+        if (width < 0 || width > 32 || (size_t)width > sizeBits - pos)
+            throw encode::BitstreamError("read");
+        uint32_t out = 0;
+        for (int k = 0; k < width; ++k, ++pos)
+            out |= (uint32_t)((data[pos >> 3] >> (pos & 7)) & 1u) << k;
+        return out;
+    }
+};
+
+TEST(BitstreamWall, WordLevelMatchesBitAtATimeAtEveryOffset)
+{
+    Rng rng(24);
+    for (int start = 0; start < 8; ++start) {
+        for (int round = 0; round < 40; ++round) {
+            encode::BitWriter bw;
+            RefWriter ref;
+            std::vector<std::pair<uint32_t, int>> fields;
+            // Lead-in bits put every field after it at `start` mod 8.
+            const uint32_t lead = (uint32_t)rng.integer(0, 255) &
+                                  ((1u << start) - 1u);
+            bw.writeBits(lead, start);
+            ref.writeBits(lead, start);
+            fields.emplace_back(lead, start);
+            for (int k = 0, n = (int)rng.integer(1, 60); k < n; ++k) {
+                const int w = (int)rng.integer(0, 32);
+                const uint32_t mask = w == 32 ? ~0u : (1u << w) - 1u;
+                const uint32_t v =
+                    ((uint32_t)rng.integer(0, 0xFFFF) << 16 |
+                     (uint32_t)rng.integer(0, 0xFFFF)) & mask;
+                bw.writeBits(v, w);
+                ref.writeBits(v, w);
+                fields.emplace_back(v, w);
+
+                // A bad call throws on both, at the same call, and
+                // leaves the stream where it was.
+                const size_t before = bw.bitsWritten();
+                if (w < 32) {
+                    EXPECT_THROW(bw.writeBits(mask + 1u, w),
+                                 encode::BitstreamError);
+                    EXPECT_THROW(ref.writeBits(mask + 1u, w),
+                                 encode::BitstreamError);
+                }
+                EXPECT_THROW(bw.writeBits(0, 33), encode::BitstreamError);
+                EXPECT_THROW(bw.writeBits(0, -1), encode::BitstreamError);
+                EXPECT_EQ(bw.bitsWritten(), before);
+                ASSERT_EQ(bw.bitsWritten(), ref.bits);
+            }
+            bw.alignToByte();
+            const std::vector<uint8_t> got = bw.take();
+            ASSERT_EQ(got, ref.bytes) << "start " << start;
+
+            encode::BitReader br(got.data(), got.size());
+            RefReader rr{got.data(), got.size() * 8};
+            for (const auto &[v, w] : fields) {
+                ASSERT_EQ(br.readBits(w), v);
+                ASSERT_EQ(rr.readBits(w), v);
+            }
+            ASSERT_EQ(br.bitsConsumed(), rr.pos);
+            // Over-reads throw on both, at the same call, and consume
+            // nothing; the reads that fit still return the same bits.
+            for (int w = 0; w <= 32; ++w) {
+                const size_t at = br.bitsConsumed();
+                if ((size_t)w > br.bitsRemaining()) {
+                    EXPECT_THROW(br.readBits(w), encode::BitstreamError);
+                    EXPECT_THROW(rr.readBits(w), encode::BitstreamError);
+                    EXPECT_EQ(br.bitsConsumed(), at);
+                } else {
+                    EXPECT_EQ(br.readBits(w), rr.readBits(w));
+                }
+                EXPECT_EQ(br.bitsConsumed(), rr.pos);
+            }
+            EXPECT_THROW(br.readBits(-1), encode::BitstreamError);
+            EXPECT_THROW(br.readBits(33), encode::BitstreamError);
+        }
+    }
+}
+
+TEST(BitstreamWall, WriterContinuesAfterAPrefix)
+{
+    // Appending to a buffer equals writing the prefix bytes first.
+    const std::vector<uint8_t> prefix = {0xA5, 0x00, 0x7F};
+    encode::BitWriter cont(prefix);
+    encode::BitWriter fresh;
+    for (uint8_t b : prefix)
+        fresh.writeBits(b, 8);
+    EXPECT_EQ(cont.bitsWritten(), 24u);
+    for (uint32_t v : {5u, 0u, 1u, 77u}) {
+        cont.writeBits(v, 7);
+        fresh.writeBits(v, 7);
+    }
+    cont.alignToByte();
+    fresh.alignToByte();
+    EXPECT_EQ(cont.take(), fresh.take());
+}
+
 // ------------------------------------------- v4 vs v3 differential
 
 /** A random SmartExchange-form matrix built directly (no ALS). */

@@ -42,7 +42,9 @@
 #include "core/apply.hh"
 #include "core/model_file.hh"
 #include "core/stream_loader.hh"
+#include "kernels/kernels.hh"
 #include "linalg/linalg.hh"
+#include "models/zoo.hh"
 #include "nn/blocks.hh"
 
 namespace se {
@@ -1015,6 +1017,155 @@ TEST(ModelFileV4, EdgeShapesRoundTrip)
     for (size_t l = 0; l < layers.size(); ++l)
         expectBitIdentical(layers[l].pieces[0],
                            back.records[l].pieces[0]);
+}
+
+/**
+ * The benchmark's operating point (theta = 0.01, a 0.5 vector-sparsity
+ * floor) on the VGG19 sim at base width 12 and 8 x 8 inputs: the model
+ * the compress workload saves, compressed and basis-quantized.
+ */
+core::CompressedModel
+operatingPointModel()
+{
+    models::SimConfig cfg;
+    cfg.baseWidth = 12;
+    cfg.inHeight = cfg.inWidth = 8;
+    cfg.seed = 901;
+    auto net = models::buildSim(models::ModelId::VGG19, cfg);
+    core::SeOptions o;
+    o.vectorThreshold = 0.01;
+    o.minVectorSparsity = 0.5;
+    const core::ApplyOptions apply;
+    core::CompressedModel m = core::compressToRecords(*net, o, apply);
+    core::quantizeBasisAtCompress(*net, m, o, apply);
+    return m;
+}
+
+/**
+ * Random records at every rank 1-8 plus the codec's edge shapes: an
+ * all-zero column, an all-zero Ce, an all-zero basis, and a real FC
+ * decomposition whose last Ce row covers the zero padding (C % s != 0).
+ */
+std::vector<core::SeLayerRecord>
+edgeRecords()
+{
+    Rng rng(2424);
+    std::vector<core::SeLayerRecord> layers;
+    for (int64_t rank = 1; rank <= 8; ++rank) {
+        core::SeLayerRecord rec;
+        rec.name = "rank" + std::to_string(rank);
+        for (int p = 0; p < 3; ++p) {
+            core::SeMatrix m = randomSeMatrix(rng);
+            const int64_t rows = m.ce.dim(0);
+            m.ce = Tensor({rows, rank});
+            for (int64_t i = 0; i < m.ce.size(); ++i) {
+                if (rng.chance(0.4))
+                    continue;
+                const float mag = std::ldexp(
+                    1.0f, (int)rng.integer(m.alphabet.expMin(),
+                                           m.alphabet.expMax));
+                m.ce[i] = rng.chance(0.5) ? mag : -mag;
+            }
+            m.basis = randn({rank, m.basis.dim(1)}, rng);
+            rec.pieces.push_back(std::move(m));
+        }
+        layers.push_back(std::move(rec));
+    }
+    core::SeMatrix dead_col = craftedMatrix(9, 5);
+    for (int64_t i = 0; i < dead_col.ce.dim(0); ++i)
+        dead_col.ce.at(i, 2) = 0.0f;
+    core::SeMatrix zero_ce = craftedMatrix(6, 3);
+    zero_ce.ce = Tensor({6, 3});
+    core::SeMatrix zero_basis = craftedMatrix(4, 2);
+    zero_basis.basis = Tensor({3, 4});
+    layers.push_back({"edges", {dead_col, zero_ce, zero_basis}});
+
+    core::SeOptions o;
+    o.minVectorSparsity = 0.3;
+    layers.push_back(
+        {"fc_padded",
+         core::decomposeFcWeight(randn({2, 18}, rng, 0.0f, 0.1f), o,
+                                 core::ApplyOptions{})});
+    core::quantizeBasisAtCompress(layers);
+    return layers;
+}
+
+std::vector<core::DenseTensor>
+edgeDense()
+{
+    Rng rng(2425);
+    return {{"scalar", randn({1}, rng)},
+            {"bias", randn({7}, rng)},
+            {"empty", Tensor({0, 3})},
+            {"cube", randn({2, 3, 4}, rng)}};
+}
+
+TEST(ModelFileV4, BundleBytesArePinned)
+{
+    // The digests pin saveModelV4's output byte for byte, so any codec
+    // change must reproduce the bundles it wrote before.
+    const core::CompressedModel op = operatingPointModel();
+    const std::string op_bytes = saveV4String(op.records, op.dense);
+    const std::vector<core::SeLayerRecord> edges = edgeRecords();
+    const std::string edge_bytes = saveV4String(edges, edgeDense());
+    EXPECT_EQ(fnv1a(op_bytes.data(), op_bytes.size()),
+              10161435182356717214ULL);
+    EXPECT_EQ(op_bytes.size(), 23684u);
+    EXPECT_EQ(fnv1a(edge_bytes.data(), edge_bytes.size()),
+              3575026518900947359ULL);
+    EXPECT_EQ(edge_bytes.size(), 3355u);
+
+    // A serial save writes the same bytes as the pooled one.
+    kernels::SerialScope serial;
+    EXPECT_EQ(saveV4String(op.records, op.dense), op_bytes);
+    EXPECT_EQ(saveV4String(edges, edgeDense()), edge_bytes);
+}
+
+TEST(ModelFileV4, SaveRefusesWhatTheReaderRejects)
+{
+    // Every limit the reader enforces is enforced at save too: a v4
+    // bundle that saved must load. Each case below used to save fine
+    // and then fail to load.
+    core::SeMatrix base = craftedMatrix(4, 3);
+    std::vector<core::SeLayerRecord> ok = {{"m", {base}}};
+    core::quantizeBasisAtCompress(ok);
+    base = ok[0].pieces[0];
+    const std::vector<core::DenseTensor> dense = {{"d", Tensor({2, 3})}};
+    ASSERT_NO_THROW(loadFromString(saveV4String(ok, dense)));
+
+    auto expectRefused = [](const std::vector<core::SeLayerRecord> &recs,
+                            const std::vector<core::DenseTensor> &d,
+                            const char *what) {
+        std::stringstream ss;
+        EXPECT_THROW(core::saveModelV4(ss, recs, d), core::ModelFileError)
+            << what;
+        EXPECT_EQ(ss.str().size(), 0u) << what << ": bytes written";
+    };
+    const std::string huge(1u << 20, 'n');
+    expectRefused({{huge, {base}}}, dense, "1 MiB record name");
+    expectRefused(ok, {{huge, Tensor({2})}}, "1 MiB dense name");
+    expectRefused(ok, {{"rank9", Tensor(Shape(9, 1))}}, "dense rank 9");
+    // Empty tensors, so nothing large is allocated: the reader rejects
+    // the shape itself.
+    expectRefused(ok, {{"wide", Tensor({(1 << 24) + 1, 0})}},
+                  "dense dimension above 2^24");
+    expectRefused(ok, {{"big", Tensor({1 << 14, 1 << 14, 0})}},
+                  "dense shape above 2^26 elements");
+
+    core::SeMatrix tall = base;
+    tall.ce = Tensor({(1 << 24) + 1, 0});
+    tall.basis = Tensor({0, 2});
+    expectRefused({{"tall", {tall}}}, dense, "piece rows above 2^24");
+    core::SeMatrix exp_far = base;
+    exp_far.alphabet.expMax = 2000;
+    exp_far.ce = Tensor(base.ce.shape());  // codes stay in the alphabet
+    expectRefused({{"exp", {exp_far}}}, dense, "alphabet exponent 2000");
+    core::SeMatrix iters = base;
+    iters.iterations = -1;
+    expectRefused({{"iters", {iters}}}, dense, "negative iterations");
+    core::SeMatrix err = base;
+    err.reconRelError = std::nan("");
+    expectRefused({{"err", {err}}}, dense, "NaN reconstruction error");
 }
 
 TEST(ModelFileV4, SaveRequiresAQuantizedBasis)

@@ -10,12 +10,14 @@
 # under the house flag sets, disassemble, and fail on ANY fused
 # multiply-add mnemonic (vfmadd/vfmsub/vfnmadd/vfnmsub).
 #
-# The ALS refits (src/linalg/linalg.cc) and the decomposition loop
-# (src/core/smart_exchange.cc) keep their own float chains, pinned by
-# the decomposition digests. The se target compiles them with
-# -ffp-contract=off, so even an FMA-capable -march cannot fuse them;
-# the gate compiles both with that flag at -O2 -march=x86-64-v3 (FMA
-# enabled) and fails on any fused instruction.
+# The ALS refits (src/linalg/linalg.cc), the decomposition loop
+# (src/core/smart_exchange.cc) and the dense Ce*B install kernel
+# (src/core/ce_basis.cc) keep their own float chains, pinned by the
+# decomposition digests and the install wall against the reference
+# matmul. The se target compiles them with -ffp-contract=off, so even
+# an FMA-capable -march cannot fuse them; the gate compiles each with
+# that flag at -O2 -march=x86-64-v3 (FMA enabled) and fails on any
+# fused instruction.
 #
 #   tools/lint/check_fma.sh              # the gate (CI, ctest -L lint)
 #   tools/lint/check_fma.sh --self-test  # seed violations (-mfma
@@ -32,7 +34,7 @@ set -eu
 cd "$(dirname "$0")/../.."
 CXX="${CXX:-c++}"
 TU=src/kernels/dispatch_avx2.cc
-CHAIN_TUS="src/linalg/linalg.cc src/core/smart_exchange.cc"
+CHAIN_TUS="src/linalg/linalg.cc src/core/smart_exchange.cc src/core/ce_basis.cc"
 # The se target's contraction flag (CMakeLists.txt); checked below so
 # the gate and the build cannot drift apart.
 NO_CONTRACT=-ffp-contract=off
