@@ -26,6 +26,9 @@
  *    completed+shed == offered conservation check;
  *  - flush policy: Deadline vs Full p99 at equal paced offered load
  *    (the latency/throughput knob made visible);
+ *  - engine stand-up: median cold start of a 3-replica engine and
+ *    its factory calls (one per engine: replicas clone the bound
+ *    net);
  *  - stream serve: the streamed-v4 CeDirect bundle served by the
  *    serial one-request loop and by the engine, bit-identical, with
  *    the inline piece-decode stall of the lazy bind;
@@ -36,7 +39,7 @@
  * --smoke shrinks the run and turns the noise-tolerant invariants
  * into exit gates (batched >= serial, deadline p99 < full p99,
  * v3 <= 60% of v2 bytes, v4 <= 90% of v3 bytes, lazy v4 cold start
- * < eager) on top of the
+ * < eager, one factory call per engine stand-up) on top of the
  * always-gated bit-identity/warm<cold checks — the Release CI job
  * runs it on every PR.
  *
@@ -51,6 +54,7 @@
  * Release CI job runs it with stream_piece_decode:1in8.
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cinttypes>
@@ -1081,6 +1085,42 @@ main(int argc, char **argv)
             full_p99 / deadline_p99);
     }
 
+    // --- engine stand-up -------------------------------------------
+    // Cold start of a 3-replica engine: one factory call and one bind,
+    // then two clones of the bound net. Reports the median
+    // construction wall-clock and the factory calls per engine; --smoke
+    // gates only the count (exactly 1), never the time.
+    int standup_factory_calls = 0;
+    {
+        constexpr int kStandupReps = 9;
+        std::atomic<int> calls{0};
+        const serve::NetFactory counting = [&calls] {
+            ++calls;
+            return makeSubject();
+        };
+        serve::ServeOptions opts;
+        opts.threads = 3;
+        opts.session.rebuildPerCall = true;
+        opts.session.cacheRebuiltWeights = false;
+        opts.session.weightSource = weight_source;
+        opts.session.denseState = dense;
+        std::vector<double> ms;
+        for (int k = 0; k < kStandupReps; ++k) {
+            calls = 0;
+            const auto t0 = Clock::now();
+            serve::ServeEngine engine(records, counting, se_opts,
+                                      apply_opts, opts);
+            ms.push_back(msSince(t0));
+            standup_factory_calls =
+                std::max(standup_factory_calls, calls.load());
+        }
+        std::sort(ms.begin(), ms.end());
+        std::printf(
+            "  \"engine_standup\": {\"replicas\": 3, \"reps\": %d, "
+            "\"median_ms\": %.3f, \"factory_calls\": %d},\n",
+            kStandupReps, ms[ms.size() / 2], standup_factory_calls);
+    }
+
     // --- stream serve ----------------------------------------------
     // The v4 bundle opened lazily and served CeDirect two ways: the
     // serial one-request-at-a-time loop (every request pays a full
@@ -1197,7 +1237,8 @@ main(int argc, char **argv)
     // serving >= serial (the rebuild amortization), Deadline p99 <
     // Full p99 at paced load (a ~5-10x margin), the v3 bundle at
     // <= 60% of the v2 bytes, the v4 bundle at <= 90% of the v3
-    // bytes, and the lazy v4 cold start under the eager one — so the
+    // bytes, the lazy v4 cold start under the eager one, and one
+    // factory call per 3-replica engine stand-up — so the
     // Release CI job enforces them on every PR; the unflagged run
     // keeps reporting them without gating (a loaded 1-2 core runner
     // could flake an unrelated PR otherwise).
@@ -1208,6 +1249,6 @@ main(int argc, char **argv)
         pass = pass && best_percall_rps >= serial_percall_rps &&
                deadline_p99 < full_p99 && v3_over_v2 <= 0.60 &&
                v4_over_v3 <= 0.90 && v4_lazy_faster &&
-               hot_reload_ok;
+               hot_reload_ok && standup_factory_calls == 1;
     return pass ? 0 : 1;
 }

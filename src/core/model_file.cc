@@ -133,6 +133,81 @@ checkDim(int64_t d, const char *what)
                              " in model file");
 }
 
+/** Longest alphabet a v2 coefficient byte (sign + 7-bit code) holds. */
+constexpr int kMaxByteLevels = 126;
+
+/** Refuse, at save, a string the reader would reject. */
+void
+checkName(const std::string &name, const char *what)
+{
+    if (name.size() >= kMaxNameBytes)
+        throw ModelFileError(std::string(what) + " name of " +
+                             std::to_string(name.size()) +
+                             " bytes is too long for a model file");
+}
+
+/** Refuse, at save, a dense tensor the reader would reject. */
+void
+checkDenseForSave(const DenseTensor &d)
+{
+    checkName(d.name, "dense tensor");
+    const std::string where = "dense tensor '" + d.name.substr(0, 64) + "'";
+    if ((uint32_t)d.value.ndim() > kMaxDenseRank)
+        throw ModelFileError(where + " has rank " +
+                             std::to_string(d.value.ndim()) +
+                             "; a model file carries at most " +
+                             std::to_string(kMaxDenseRank));
+    int64_t elems = 1;
+    for (int i = 0; i < d.value.ndim(); ++i) {
+        if (d.value.dim(i) > kMaxDim)
+            throw ModelFileError(where + " has a dimension above 2^24");
+        elems *= d.value.dim(i);
+        if (elems > kMaxElems)
+            throw ModelFileError(where + " has more than 2^26 elements");
+    }
+}
+
+/**
+ * Refuse, at save, a bundle whose counts, names or dense tensors the
+ * reader would reject (every format; pieces are checked as they are
+ * written).
+ */
+void
+checkBundleForSave(const std::vector<SeLayerRecord> &layers,
+                   const std::vector<DenseTensor> &dense)
+{
+    if (layers.size() > kMaxRecords || dense.size() > kMaxRecords)
+        throw ModelFileError(
+            "too many records or dense tensors for a model file");
+    for (const auto &l : layers) {
+        checkName(l.name, "record");
+        if (l.pieces.size() > kMaxPieces)
+            throw ModelFileError("too many pieces in record '" +
+                                 l.name.substr(0, 64) + "'");
+    }
+    for (const auto &d : dense)
+        checkDenseForSave(d);
+}
+
+/** Refuse, at save, piece metadata the reader would reject. */
+void
+checkPieceForSave(const SeMatrix &m)
+{
+    const int64_t rows = m.ce.dim(0);
+    const int64_t rank = m.ce.dim(1);
+    const int64_t cols = m.basis.dim(1);
+    if (rows > kMaxDim || rank > kMaxDim || cols > kMaxDim ||
+        rows * rank > kMaxElems || rank * cols > kMaxElems)
+        throw ModelFileError("matrix too large for a model file");
+    if (m.alphabet.expMax < -kMaxExpMagnitude ||
+        m.alphabet.expMax > kMaxExpMagnitude)
+        throw ModelFileError("alphabet exponent outside [-1000, 1000]");
+    if (m.iterations < 0 || m.iterations > kMaxIterations)
+        throw ModelFileError("iteration count outside [0, 2^20]");
+    if (!std::isfinite(m.reconRelError))
+        throw ModelFileError("non-finite reconstruction error");
+}
+
 /** Convert a v2 coefficient byte to a v3 nibble (codes are codes). */
 uint8_t
 byteToNibble(uint8_t byte)
@@ -230,6 +305,7 @@ namespace {
 void
 saveSeMatrixV3(std::ostream &os, const SeMatrix &m)
 {
+    checkPieceForSave(m);
     const PackedCe p = packCe(m.ce, m.alphabet);
     if (m.ce.dim(1) > 0xFFFF || m.basis.dim(1) > 0xFFFF ||
         m.alphabet.expMax < -32768 || m.alphabet.expMax > 32767)
@@ -472,6 +548,12 @@ loadDenseTensorBuf(BufReader &r)
 void
 saveSeMatrix(std::ostream &os, const SeMatrix &m)
 {
+    checkPieceForSave(m);
+    if (m.alphabet.numLevels < 1 || m.alphabet.numLevels > kMaxByteLevels)
+        throw ModelFileError("alphabet has " +
+                             std::to_string(m.alphabet.numLevels) +
+                             " levels; a v2 coefficient byte carries at "
+                             "most " + std::to_string(kMaxByteLevels));
     writePod<int64_t>(os, m.ce.dim(0));
     writePod<int64_t>(os, m.ce.dim(1));
     writePod<int64_t>(os, m.basis.dim(1));
@@ -499,7 +581,7 @@ loadSeMatrix(std::istream &is)
         throw ModelFileError("implausible matrix size in model file");
     m.alphabet.expMax = readPod<int32_t>(is);
     m.alphabet.numLevels = readPod<int32_t>(is);
-    if (m.alphabet.numLevels < 1 || m.alphabet.numLevels > 126 ||
+    if (m.alphabet.numLevels < 1 || m.alphabet.numLevels > kMaxByteLevels ||
         m.alphabet.expMax < -kMaxExpMagnitude ||
         m.alphabet.expMax > kMaxExpMagnitude)
         throw ModelFileError("implausible alphabet in model file");
@@ -689,16 +771,7 @@ encodePieceV4(const SeMatrix &m, std::vector<uint8_t> &out)
             std::to_string(kMaxPackedLevels) +
             " (save this model as v2)");
     // The reader's limits, so a saved bundle always loads.
-    if (rows > kMaxDim || rows * rank > kMaxElems ||
-        rank * cols > kMaxElems)
-        throw ModelFileError("matrix too large for a v4 bundle");
-    if (m.alphabet.expMax < -kMaxExpMagnitude ||
-        m.alphabet.expMax > kMaxExpMagnitude)
-        throw ModelFileError("alphabet exponent outside [-1000, 1000]");
-    if (m.iterations < 0 || m.iterations > kMaxIterations)
-        throw ModelFileError("iteration count outside [0, 2^20]");
-    if (!std::isfinite(m.reconRelError))
-        throw ModelFileError("non-finite reconstruction error");
+    checkPieceForSave(m);
 
     // Surviving rows and their sign|code bytes, v2 byte encoding, and
     // per column exactly the bits its occupied alphabet needs (0 when
@@ -1033,58 +1106,17 @@ decodePiece(const uint8_t *file, const Meta &meta, size_t index)
 
 } // namespace modelv4
 
-namespace {
-
-/** Refuse, at save, a string the reader would reject. */
-void
-checkName(const std::string &name, const char *what)
-{
-    if (name.size() >= kMaxNameBytes)
-        throw ModelFileError(std::string(what) + " name of " +
-                             std::to_string(name.size()) +
-                             " bytes is too long for a model file");
-}
-
-/** Refuse, at save, a dense tensor the reader would reject. */
-void
-checkDenseForSave(const DenseTensor &d)
-{
-    checkName(d.name, "dense tensor");
-    const std::string where = "dense tensor '" + d.name.substr(0, 64) + "'";
-    if ((uint32_t)d.value.ndim() > kMaxDenseRank)
-        throw ModelFileError(where + " has rank " +
-                             std::to_string(d.value.ndim()) +
-                             "; a model file carries at most " +
-                             std::to_string(kMaxDenseRank));
-    int64_t elems = 1;
-    for (int i = 0; i < d.value.ndim(); ++i) {
-        if (d.value.dim(i) > kMaxDim)
-            throw ModelFileError(where + " has a dimension above 2^24");
-        elems *= d.value.dim(i);
-        if (elems > kMaxElems)
-            throw ModelFileError(where + " has more than 2^26 elements");
-    }
-}
-
-} // namespace
-
 void
 saveModelV4(std::ostream &os, const std::vector<SeLayerRecord> &layers,
             const std::vector<DenseTensor> &dense)
 {
-    // The meta first: every limit the reader enforces is checked here,
-    // so a saved bundle always loads.
-    if (layers.size() > kMaxRecords || dense.size() > kMaxRecords)
-        throw ModelFileError(
-            "too many records or dense tensors for a v4 bundle");
+    // The meta first: every limit the reader enforces is checked here
+    // (pieces as they encode), so a saved bundle always loads.
+    checkBundleForSave(layers, dense);
     std::vector<const SeMatrix *> pieces;
     std::ostringstream meta_os(std::ios::binary);
     writePod<uint32_t>(meta_os, (uint32_t)layers.size());
     for (const auto &l : layers) {
-        checkName(l.name, "record");
-        if (l.pieces.size() > kMaxPieces)
-            throw ModelFileError("too many pieces in record '" +
-                                 l.name + "'");
         writeString(meta_os, l.name);
         writePod<uint32_t>(meta_os, (uint32_t)l.pieces.size());
         for (const auto &p : l.pieces)
@@ -1093,10 +1125,8 @@ saveModelV4(std::ostream &os, const std::vector<SeLayerRecord> &layers,
     if (pieces.size() > kMaxPieces)
         throw ModelFileError("too many pieces for a v4 bundle");
     writePod<uint32_t>(meta_os, (uint32_t)dense.size());
-    for (const auto &d : dense) {
-        checkDenseForSave(d);
+    for (const auto &d : dense)
         saveDenseTensor(meta_os, d);
-    }
     writePod<uint32_t>(meta_os, (uint32_t)pieces.size());
 
     // Pieces encode independently, each into its own slot. A failing
@@ -1241,6 +1271,7 @@ loadBundleV4Stream(std::istream &is)
 void
 saveModel(std::ostream &os, const std::vector<SeLayerRecord> &layers)
 {
+    checkBundleForSave(layers, {});
     std::ostringstream body_os(std::ios::binary);
     writePod<uint32_t>(body_os, (uint32_t)layers.size());
     for (const auto &l : layers) {
@@ -1257,6 +1288,7 @@ saveModelV3(std::ostream &os,
             const std::vector<SeLayerRecord> &layers,
             const std::vector<DenseTensor> &dense)
 {
+    checkBundleForSave(layers, dense);
     std::ostringstream body_os(std::ios::binary);
     writePod<uint32_t>(body_os, (uint32_t)layers.size());
     for (const auto &l : layers) {

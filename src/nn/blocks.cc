@@ -7,6 +7,19 @@ namespace nn {
 
 // ------------------------------------------------------------ Sequential
 
+Sequential::Sequential(const Sequential &other) : Layer(other)
+{
+    children.reserve(other.children.size());
+    for (const auto &l : other.children)
+        children.push_back(l->clone());
+}
+
+LayerPtr
+Sequential::clone() const
+{
+    return std::make_unique<Sequential>(*this);
+}
+
 Tensor
 Sequential::forward(const Tensor &x, bool train)
 {
@@ -53,6 +66,20 @@ Sequential::visit(const std::function<void(Layer &)> &fn)
 }
 
 // -------------------------------------------------------------- Residual
+
+Residual::Residual(const Residual &other)
+    : Layer(other),
+      mainPath(std::make_unique<Sequential>(*other.mainPath)),
+      shortcutPath(other.shortcutPath
+                       ? std::make_unique<Sequential>(*other.shortcutPath)
+                       : nullptr)
+{}
+
+LayerPtr
+Residual::clone() const
+{
+    return std::make_unique<Residual>(*this);
+}
 
 Tensor
 Residual::forward(const Tensor &x, bool train)
@@ -106,6 +133,18 @@ SqueezeExcite::SqueezeExcite(int64_t channels, int64_t reduced, Rng &rng)
 {
     fc1 = std::make_unique<Linear>(channels, reduced, rng);
     fc2 = std::make_unique<Linear>(reduced, channels, rng);
+}
+
+SqueezeExcite::SqueezeExcite(const SqueezeExcite &other)
+    : Layer(other), ch(other.ch),
+      fc1(std::make_unique<Linear>(*other.fc1)),
+      fc2(std::make_unique<Linear>(*other.fc2))
+{}
+
+LayerPtr
+SqueezeExcite::clone() const
+{
+    return std::make_unique<SqueezeExcite>(*this);
 }
 
 Tensor
@@ -204,6 +243,17 @@ InvertedResidual::InvertedResidual(int64_t in_ch, int64_t out_ch,
     // Linear projection.
     path->add<Conv2d>(hidden, out_ch, 1, 1, 0, 1, rng, false);
     path->add<BatchNorm2d>(out_ch);
+}
+
+InvertedResidual::InvertedResidual(const InvertedResidual &other)
+    : Layer(other), path(std::make_unique<Sequential>(*other.path)),
+      useSkip(other.useSkip)
+{}
+
+LayerPtr
+InvertedResidual::clone() const
+{
+    return std::make_unique<InvertedResidual>(*this);
 }
 
 Tensor

@@ -19,6 +19,8 @@ class Sequential : public Layer
 {
   public:
     Sequential() = default;
+    /** Deep copy: every child is cloned. */
+    Sequential(const Sequential &other);
 
     /** Append a layer, returning a raw observer pointer. */
     template <typename T, typename... Args>
@@ -37,6 +39,7 @@ class Sequential : public Layer
     Tensor backward(const Tensor &gy) override;
     std::vector<Param> params() override;
     std::string name() const override { return "sequential"; }
+    LayerPtr clone() const override;
 
     size_t size() const { return children.size(); }
     Layer *layer(size_t i) { return children[i].get(); }
@@ -60,11 +63,14 @@ class Residual : public Layer
         : mainPath(std::move(main_path)),
           shortcutPath(std::move(shortcut_path))
     {}
+    /** Deep copy of both paths. */
+    Residual(const Residual &other);
 
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &gy) override;
     std::vector<Param> params() override;
     std::string name() const override { return "residual"; }
+    LayerPtr clone() const override;
 
     Sequential &main() { return *mainPath; }
     Sequential *shortcut() { return shortcutPath.get(); }
@@ -87,11 +93,14 @@ class SqueezeExcite : public Layer
 {
   public:
     SqueezeExcite(int64_t channels, int64_t reduced, Rng &rng);
+    /** Deep copy of both FC layers. */
+    SqueezeExcite(const SqueezeExcite &other);
 
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &gy) override;
     std::vector<Param> params() override;
     std::string name() const override { return "squeeze_excite"; }
+    LayerPtr clone() const override;
 
     Linear &reduceFc() { return *fc1; }
     Linear &expandFc() { return *fc2; }
@@ -119,11 +128,14 @@ class InvertedResidual : public Layer
   public:
     InvertedResidual(int64_t in_ch, int64_t out_ch, int64_t stride,
                      int64_t expand_ratio, bool use_se, Rng &rng);
+    /** Deep copy of the body. */
+    InvertedResidual(const InvertedResidual &other);
 
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &gy) override;
     std::vector<Param> params() override;
     std::string name() const override { return "inverted_residual"; }
+    LayerPtr clone() const override;
 
     Sequential &body() { return *path; }
     bool hasSkip() const { return useSkip; }

@@ -48,6 +48,13 @@ class Layer
     /** Human-readable layer kind, e.g. "conv3x3". */
     virtual std::string name() const = 0;
 
+    /**
+     * Deep copy: configuration, parameters and BN running stats, with
+     * composites cloning their children. The copy shares no storage
+     * with this layer.
+     */
+    virtual std::unique_ptr<Layer> clone() const = 0;
+
     /** Zero all parameter gradients. */
     void
     zeroGrad()

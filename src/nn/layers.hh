@@ -37,6 +37,11 @@ class Conv2d : public Layer
     Tensor backward(const Tensor &gy) override;
     std::vector<Param> params() override;
     std::string name() const override { return "conv"; }
+    LayerPtr
+    clone() const override
+    {
+        return std::make_unique<Conv2d>(*this);
+    }
 
     /** Weight tensor in (M, C/groups, R, S) layout. */
     Tensor &weightTensor() { return weight; }
@@ -74,6 +79,11 @@ class Linear : public Layer
     Tensor backward(const Tensor &gy) override;
     std::vector<Param> params() override;
     std::string name() const override { return "linear"; }
+    LayerPtr
+    clone() const override
+    {
+        return std::make_unique<Linear>(*this);
+    }
 
     /** Weight tensor in (out, in) layout. */
     Tensor &weightTensor() { return weight; }
@@ -105,6 +115,11 @@ class BatchNorm2d : public Layer
     Tensor backward(const Tensor &gy) override;
     std::vector<Param> params() override;
     std::string name() const override { return "bn"; }
+    LayerPtr
+    clone() const override
+    {
+        return std::make_unique<BatchNorm2d>(*this);
+    }
 
     Tensor &gammaTensor() { return gamma; }
     const Tensor &gammaTensor() const { return gamma; }
@@ -137,6 +152,11 @@ class ReLU : public Layer
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &gy) override;
     std::string name() const override { return "relu"; }
+    LayerPtr
+    clone() const override
+    {
+        return std::make_unique<ReLU>(*this);
+    }
 
   private:
     float maxVal;  ///< 0 => unbounded.
@@ -150,6 +170,11 @@ class Sigmoid : public Layer
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &gy) override;
     std::string name() const override { return "sigmoid"; }
+    LayerPtr
+    clone() const override
+    {
+        return std::make_unique<Sigmoid>(*this);
+    }
 
   private:
     Tensor cachedY;
@@ -170,6 +195,11 @@ class MaxPool2d : public Layer
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &gy) override;
     std::string name() const override { return "maxpool"; }
+    LayerPtr
+    clone() const override
+    {
+        return std::make_unique<MaxPool2d>(*this);
+    }
 
     int64_t kernelSize() const { return kern; }
     int64_t strideLen() const { return strd; }
@@ -187,6 +217,11 @@ class GlobalAvgPool : public Layer
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &gy) override;
     std::string name() const override { return "gap"; }
+    LayerPtr
+    clone() const override
+    {
+        return std::make_unique<GlobalAvgPool>(*this);
+    }
 
   private:
     Shape inShape;
@@ -199,6 +234,11 @@ class Flatten : public Layer
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &gy) override;
     std::string name() const override { return "flatten"; }
+    LayerPtr
+    clone() const override
+    {
+        return std::make_unique<Flatten>(*this);
+    }
 
   private:
     Shape inShape;
@@ -213,6 +253,11 @@ class UpsampleNearest : public Layer
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &gy) override;
     std::string name() const override { return "upsample"; }
+    LayerPtr
+    clone() const override
+    {
+        return std::make_unique<UpsampleNearest>(*this);
+    }
 
     int64_t factor() const { return fac; }
 

@@ -53,10 +53,21 @@ ServeEngine::ServeEngine(
         opts_.flushDeadlineMs = 0.0;
     const int threads = opts_.resolvedThreads();
     const int nrep = threads > 0 ? threads : 1;
-    replicas_.reserve((size_t)nrep);
-    for (int i = 0; i < nrep; ++i)
+    // One factory call and one bind per model: the bound template net
+    // becomes replica 0 and every other replica is a deep copy of it,
+    // taken after the bind so it carries the installed dense state.
+    // The clones are taken first so the template is moved, not kept.
+    std::unique_ptr<nn::Sequential> net = factory();
+    const auto bound = std::make_shared<const BoundModel>(
+        *net, std::move(model), se_opts, apply_opts, opts_.session);
+    std::vector<std::unique_ptr<nn::Sequential>> nets((size_t)nrep);
+    for (size_t i = 1; i < nets.size(); ++i)
+        nets[i] = std::make_unique<nn::Sequential>(*net);
+    nets[0] = std::move(net);
+    replicas_.reserve(nets.size());
+    for (auto &n : nets)
         replicas_.push_back(std::make_unique<InferenceSession>(
-            factory(), model, se_opts, apply_opts, opts_.session));
+            std::move(n), bound, opts_.session));
     for (size_t i = 0; i < replicas_.size(); ++i)
         freeReplicas_.push_back(i);
     if (threads > 0)

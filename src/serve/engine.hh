@@ -13,8 +13,12 @@
  *
  * Responses are bit-identical regardless of thread count, batch size
  * or flush policy: every replica rebuilds the same dense weights from
- * the same shared records, and each sample's arithmetic inside a
+ * one shared BoundModel, and each sample's arithmetic inside a
  * batched forward is independent of its batch-mates.
+ *
+ * Stand-up calls the NetFactory once and binds once: the bound net
+ * becomes replica 0 and the others are deep copies of it (a copy of a
+ * tensor is exact, so clones serve bit-identically).
  *
  * Batching is also where the paper's storage/compute trade-off pays
  * off at serving time: in rebuild-per-call sessions the Ce*B rebuild
@@ -167,7 +171,11 @@ struct ServeStats
     uint64_t overlappedBatches = 0;
 };
 
-/** Builds one architecture instance per replica (deterministic). */
+/**
+ * Builds the architecture instance a model generation is bound to
+ * (deterministic). ServeEngine calls it once per engine, whatever the
+ * replica count; the other replicas are clones of the bound net.
+ */
 using NetFactory = std::function<std::unique_ptr<nn::Sequential>()>;
 
 class ServeEngine
@@ -213,6 +221,12 @@ class ServeEngine
 
     ServeStats stats() const SE_EXCLUDES(stats_mu_);
     int replicaCount() const { return (int)replicas_.size(); }
+    /** The bind replica i serves from; every replica shares one. */
+    const BoundModel &
+    boundModel(int i) const
+    {
+        return replicas_[(size_t)i]->boundModel();
+    }
 
   private:
     struct Request

@@ -110,37 +110,92 @@ struct SessionStats
      *  so forward() blocks on all of it. */
     double rebuildMs = 0.0;
     /**
-     * One-time CeDirect bind cost: wall-clock spent packing the
-     * records' Ce matrices to 4-bit form at construction (the
-     * cold-start price of serving at the stored datapath width;
-     * 0 under WeightSource::Dense).
+     * One-time CeDirect bind cost: wall-clock the session's BoundModel
+     * spent packing the records' Ce matrices to 4-bit form (the
+     * cold-start price of serving at the stored datapath width, paid
+     * once per model however many sessions share the bind; 0 under
+     * WeightSource::Dense).
      */
     double packMs = 0.0;
+};
+
+/**
+ * A shipped model bound for the rebuild engine, once per model: the
+ * records matched to the slice plan and, under CeDirect, every piece
+ * packed to 4-bit codes with its decode LUT and its place in the
+ * weight. Immutable after construction and shared by shared_ptr<const>
+ * among all sessions serving the model, which may read it
+ * concurrently; each session keeps only its net, rebuild cache and
+ * stats.
+ *
+ * It holds no pointer into any net: layers are kept by their ordinal
+ * among the net's Conv2d/Linear leaves (planCompression's order), and
+ * each session resolves its own weight tensors from that.
+ */
+class BoundModel
+{
+  public:
+    /**
+     * Bind `model` to `net` (see InferenceSession's CONTRACT): match
+     * the records to net's slice plan (throws core::ModelFileError on
+     * any incongruence), install opts.denseState into `net`, and under
+     * opts.weightSource == CeDirect pack every piece. `net`, and any
+     * clone of it taken afterwards, can then serve through
+     * InferenceSession(net, bound, opts). Only opts.weightSource and
+     * opts.denseState are read.
+     */
+    BoundModel(nn::Sequential &net,
+               std::shared_ptr<const std::vector<core::SeLayerRecord>> model,
+               const core::SeOptions &se_opts,
+               const core::ApplyOptions &apply_opts,
+               const SessionOptions &opts);
+
+    ~BoundModel();
+    BoundModel(const BoundModel &) = delete;
+    BoundModel &operator=(const BoundModel &) = delete;
+
+    /** Number of decomposed (rebuildable) layers. */
+    size_t layers() const;
+    /** Wall-clock of the CeDirect pack (0 under Dense). */
+    double packMs() const { return packMs_; }
+
+  private:
+    friend class InferenceSession;
+    struct Layer;
+
+    std::shared_ptr<const std::vector<core::SeLayerRecord>> model_;
+    WeightSource source_;
+    std::vector<Layer> layers_;
+    double packMs_ = 0.0;
 };
 
 class InferenceSession
 {
   public:
     /**
-     * Bind a shipped model to a freshly built architecture instance.
-     * The net's decomposed-layer geometry must match the records
-     * (same architecture and ApplyOptions as at compression time);
-     * throws core::ModelFileError otherwise. The records stay shared
-     * and immutable — the compressed form is the storage of record.
+     * Bind a shipped model to a freshly built architecture instance:
+     * build a BoundModel from `net`, then attach to it. The net's
+     * decomposed-layer geometry must match the records (same
+     * architecture and ApplyOptions as at compression time); throws
+     * core::ModelFileError otherwise. The records stay shared and
+     * immutable — the compressed form is the storage of record.
      *
      * CONTRACT: records carry only the decomposed weights. Every
      * other tensor — BN gamma/beta/running stats, biases, layers too
      * small to decompose — comes from ONE of two places:
      *
      *  - SessionOptions::denseState (a model-file v3 bundle's dense
-     *    residual): installed here with full congruence validation
-     *    (throws core::ModelFileError on any name/shape drift). This
-     *    is the only way to serve a channel-pruned model, whose BN
-     *    tensors were mutated at compression time.
+     *    residual): installed into the bound net with full congruence
+     *    validation (throws core::ModelFileError on any name/shape
+     *    drift). This is the only way to serve a channel-pruned
+     *    model, whose BN tensors were mutated at compression time.
      *  - the factory net as built (denseState null/empty): the
      *    factory must bit-reproduce the compression-time net's
      *    non-decomposed state (e.g. the same seeded builder), and no
      *    congruence check can catch a drift there.
+     *
+     * Either way that state lives in the net the model was bound to;
+     * a session attached to a clone of that net inherits it.
      *
      * Throws std::invalid_argument if opts.pipelineRebuild is set.
      */
@@ -150,6 +205,19 @@ class InferenceSession
         const core::SeOptions &se_opts,
         const core::ApplyOptions &apply_opts,
         SessionOptions opts = {});
+
+    /**
+     * Attach to an existing bind. `net` must be the net `bound` was
+     * built from, or a clone of it taken after the bind (its dense
+     * state is the one the session serves). The weight source is
+     * bound's; opts contributes only the rebuild policy
+     * (rebuildPerCall, cacheRebuiltWeights). Throws
+     * std::invalid_argument if opts.pipelineRebuild is set or net's
+     * decomposed layers do not have bound's shapes.
+     */
+    InferenceSession(std::unique_ptr<nn::Sequential> net,
+                     std::shared_ptr<const BoundModel> bound,
+                     SessionOptions opts = {});
 
     ~InferenceSession();
     InferenceSession(const InferenceSession &) = delete;
@@ -172,21 +240,31 @@ class InferenceSession
 
     const SessionStats &stats() const { return stats_; }
     nn::Sequential &net() { return *net_; }
+    const BoundModel &boundModel() const { return *bound_; }
 
   private:
-    struct BoundLayer;
+    /** This session's side of one bound layer. */
+    struct LayerState
+    {
+        Tensor *weight = nullptr;  ///< into *net_
+        bool stale = true;
+        bool cacheValid = false;
+        Tensor cache;  ///< assembled dense weight (warm-rebuild source)
+    };
 
+    /** Resolve every bound layer's weight in *net_. */
+    void attach();
     /**
      * Whether one layer rebuild was cold (folded into stats_ by its
      * caller, which also owns the wall-clock timing).
      */
-    bool rebuildLayer(BoundLayer &bl);
+    bool rebuildLayer(const BoundModel::Layer &bl, LayerState &ls);
     void ensureRebuilt();
 
     std::unique_ptr<nn::Sequential> net_;
-    std::shared_ptr<const std::vector<core::SeLayerRecord>> model_;
+    std::shared_ptr<const BoundModel> bound_;
     SessionOptions opts_;
-    std::vector<BoundLayer> layers_;
+    std::vector<LayerState> layers_;
     SessionStats stats_;
 };
 

@@ -1168,6 +1168,58 @@ TEST(ModelFileV4, SaveRefusesWhatTheReaderRejects)
     expectRefused({{"err", {err}}}, dense, "NaN reconstruction error");
 }
 
+TEST(ModelFile, V2V3WritersRefuseWhatReaderRejects)
+{
+    // The v2 and v3 writers run the v4 writer's save-side checks: each
+    // case below used to save and then fail to load.
+    const core::SeMatrix base = craftedMatrix(4, 3);
+    const std::vector<core::SeLayerRecord> ok = {{"m", {base}}};
+    const std::vector<core::DenseTensor> dense = {{"d", Tensor({2, 3})}};
+    {
+        std::stringstream v2, v3;
+        core::saveModel(v2, ok);
+        core::saveModelV3(v3, ok, dense);
+        ASSERT_NO_THROW(loadFromString(v2.str()));
+        ASSERT_NO_THROW(loadFromString(v3.str()));
+    }
+
+    auto expectRefused = [](const std::vector<core::SeLayerRecord> &recs,
+                            const std::vector<core::DenseTensor> &d,
+                            const char *what) {
+        std::stringstream v3;
+        EXPECT_THROW(core::saveModelV3(v3, recs, d), core::ModelFileError)
+            << what << " (v3)";
+        EXPECT_EQ(v3.str().size(), 0u) << what << ": v3 bytes written";
+        if (!d.empty())
+            return;  // v2 carries no dense tensors
+        std::stringstream v2;
+        EXPECT_THROW(core::saveModel(v2, recs), core::ModelFileError)
+            << what << " (v2)";
+        EXPECT_EQ(v2.str().size(), 0u) << what << ": v2 bytes written";
+    };
+    const std::string huge(1u << 20, 'n');
+    expectRefused({{huge, {base}}}, {}, "1 MiB record name");
+    expectRefused(ok, {{huge, Tensor({2})}}, "1 MiB dense name");
+    expectRefused(ok, {{"rank9", Tensor(Shape(9, 1))}}, "dense rank 9");
+    expectRefused(ok, {{"wide", Tensor({(1 << 24) + 1, 0})}},
+                  "dense dimension above 2^24");
+
+    core::SeMatrix tall = base;
+    tall.ce = Tensor({(1 << 24) + 1, 0});
+    tall.basis = Tensor({0, 3});
+    expectRefused({{"tall", {tall}}}, {}, "piece rows above 2^24");
+    core::SeMatrix exp_far = base;
+    exp_far.alphabet.expMax = 2000;
+    exp_far.ce = Tensor(base.ce.shape());  // codes stay in the alphabet
+    expectRefused({{"exp", {exp_far}}}, {}, "alphabet exponent 2000");
+    core::SeMatrix iters = base;
+    iters.iterations = -1;
+    expectRefused({{"iters", {iters}}}, {}, "negative iterations");
+    core::SeMatrix err = base;
+    err.reconRelError = std::nan("");
+    expectRefused({{"err", {err}}}, {}, "NaN reconstruction error");
+}
+
 TEST(ModelFileV4, SaveRequiresAQuantizedBasis)
 {
     // 0.3 is not representable on the {scale = 1/127} int8 grid that

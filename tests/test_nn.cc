@@ -2,15 +2,18 @@
  * @file
  * Unit tests for the NN framework: layer forward semantics against
  * hand-computed references and finite-difference gradient checks for
- * every layer's backward pass.
+ * every layer's backward pass, and the clone wall: Layer::clone() is
+ * an exact, storage-disjoint deep copy of every zoo architecture.
  */
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "base/random.hh"
+#include "models/zoo.hh"
 #include "nn/blocks.hh"
 #include "nn/loss.hh"
 #include "nn/optim.hh"
@@ -411,6 +414,85 @@ TEST(Sequential, VisitReachesAllLeaves)
     // conv, bn, relu + inverted residual's leaves (expand conv/bn/relu,
     // dw conv/bn/relu, SE's 2 FCs, project conv/bn).
     EXPECT_EQ(leaves, 3 + 3 + 3 + 2 + 2);
+}
+
+/** Every tensor a net's eval forward reads: parameter values plus BN
+ *  running stats, in visit order. */
+std::vector<Tensor *>
+stateTensors(Sequential &net)
+{
+    std::vector<Tensor *> out;
+    for (const nn::Param &p : net.params())
+        out.push_back(p.value);
+    net.visit([&](nn::Layer &l) {
+        if (auto *bn = dynamic_cast<BatchNorm2d *>(&l)) {
+            out.push_back(&bn->runningMeanTensor());
+            out.push_back(&bn->runningVarTensor());
+        }
+    });
+    return out;
+}
+
+std::vector<std::vector<float>>
+snapshot(Sequential &net)
+{
+    std::vector<std::vector<float>> out;
+    for (const Tensor *t : stateTensors(net))
+        out.push_back(t->vec());
+    return out;
+}
+
+bool
+bitEqual(const Tensor &a, const Tensor &b)
+{
+    return a.shape() == b.shape() &&
+           std::memcmp(a.data(), b.data(),
+                       (size_t)a.size() * sizeof(float)) == 0;
+}
+
+TEST(CloneWall, EveryZooNetClonesExactlyAndIndependently)
+{
+    using models::ModelId;
+    const ModelId ids[] = {ModelId::VGG11,        ModelId::VGG19,
+                           ModelId::ResNet50,     ModelId::ResNet164,
+                           ModelId::MobileNetV2,  ModelId::EfficientNetB0,
+                           ModelId::DeepLabV3Plus, ModelId::MLP1,
+                           ModelId::MLP2};
+    models::SimConfig cfg;
+    for (ModelId id : ids) {
+        SCOPED_TRACE(models::modelName(id));
+        auto src = models::buildSim(id, cfg);
+        Rng rng(31);
+        const Tensor x = randn(
+            {2, cfg.inChannels, cfg.inHeight, cfg.inWidth}, rng);
+        // A train-mode forward moves the BN running stats off their
+        // init, so the clone has to carry them.
+        src->forward(x, /*train=*/true);
+
+        const nn::LayerPtr copy = src->clone();
+        auto *clone = dynamic_cast<Sequential *>(copy.get());
+        ASSERT_NE(clone, nullptr);
+        EXPECT_TRUE(bitEqual(clone->forward(x, false),
+                             src->forward(x, false)));
+
+        // No shared storage: every state tensor has its own buffer.
+        const std::vector<Tensor *> a = stateTensors(*src);
+        const std::vector<Tensor *> b = stateTensors(*clone);
+        ASSERT_EQ(a.size(), b.size());
+        for (size_t i = 0; i < a.size(); ++i) {
+            EXPECT_NE(a[i], b[i]);
+            EXPECT_TRUE(a[i]->empty() || a[i]->data() != b[i]->data());
+        }
+
+        // One train step on the clone leaves the source untouched.
+        const auto before = snapshot(*src);
+        Tensor y = clone->forward(x, true);
+        clone->zeroGrad();
+        clone->backward(Tensor(y.shape(), 1.0f));
+        nn::Sgd(0.1f).step(clone->params());
+        EXPECT_EQ(snapshot(*src), before);
+        EXPECT_NE(snapshot(*clone), before);
+    }
 }
 
 TEST(Loss, SoftmaxCrossEntropyGradientSumsToZero)

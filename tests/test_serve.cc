@@ -1050,6 +1050,139 @@ TEST(ServeEngine, CeDirectDeterministicAcrossThreadsAndBatching)
     EXPECT_EQ(digests[0], ref);
 }
 
+// ------------------------------------------------- bind once per model
+
+bool
+bitIdentical(const Tensor &a, const Tensor &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(),
+                       (size_t)a.size() * sizeof(float)) == 0;
+}
+
+TEST(ServeEngine, OneFactoryCallAndOneSharedBindWhateverTheReplicas)
+{
+    auto shipped = shipModel(96);
+    for (int threads : {0, 1, 3, 5}) {
+        SCOPED_TRACE(threads);
+        std::atomic<int> calls{0};
+        serve::ServeOptions opts;
+        opts.threads = threads;
+        opts.session.weightSource = serve::WeightSource::CeDirect;
+        serve::ServeEngine engine(
+            shipped.records,
+            [&] {
+                ++calls;
+                return makeServeCnn(96);
+            },
+            shipped.seOpts, shipped.applyOpts, opts);
+        EXPECT_EQ(calls.load(), 1);
+        EXPECT_EQ(engine.replicaCount(), std::max(threads, 1));
+        for (int i = 1; i < engine.replicaCount(); ++i)
+            EXPECT_EQ(&engine.boundModel(i), &engine.boundModel(0));
+        EXPECT_EQ(engine.boundModel(0).layers(), shipped.records->size());
+    }
+}
+
+TEST(ServeFrontReload, EachGenerationCallsTheFactoryOnce)
+{
+    auto shipped = shipModel(97);
+    std::atomic<int> calls{0};
+    const serve::NetFactory good = [&] {
+        ++calls;
+        return makeServeCnn(97);
+    };
+    // A net the records do not fit: the bind throws after the call.
+    const serve::NetFactory wrong = [&] {
+        ++calls;
+        Rng rng(98);
+        auto net = std::make_unique<nn::Sequential>();
+        net->add<nn::Conv2d>(kInC, 4, 3, 1, 1, 1, rng, false);
+        return net;
+    };
+    const auto entry = [&](const serve::NetFactory &f) {
+        return serve::ModelEntry{shipped.records, f, shipped.seOpts,
+                                 shipped.applyOpts, nullptr};
+    };
+    serve::ModelRegistry reg;
+    reg.add("m", entry(good));
+    serve::ServeOptions opts;
+    opts.threads = 3;
+    serve::ServeFront front(reg, opts);
+    EXPECT_EQ(calls.load(), 1);
+
+    front.reloadModel("m", entry(good));
+    EXPECT_EQ(calls.load(), 2);
+    EXPECT_THROW(front.reloadModel("m", entry(wrong)),
+                 core::ModelFileError);
+    EXPECT_EQ(calls.load(), 3);
+    EXPECT_EQ(front.health("m"), serve::ModelHealth::Unhealthy);
+    front.reloadModel("m", entry(good));
+    EXPECT_EQ(calls.load(), 4);
+    EXPECT_EQ(front.generation("m"), 3u);  // the failed build took no number
+
+    Tensor x = makeInput(99);
+    auto fut = front.submit("m", x);
+    front.drain();
+    Tensor want = shipped.reference->forward(x, false);
+    EXPECT_TRUE(bitIdentical(fut.get(), want));
+    EXPECT_EQ(calls.load(), 4);
+    front.stop();
+}
+
+TEST(ServeEngine, ClonedReplicasServeBitIdenticalToASerialSession)
+{
+    // The dense residual moves the BN state off the factory's init, so
+    // a replica serves correctly only if its clone carries what the
+    // bind installed into the template.
+    core::SeOptions se_opts;
+    se_opts.vectorThreshold = 0.01;
+    core::ApplyOptions apply_opts;
+    auto reference = makeServeCnn(100);
+    reference->visit([&](nn::Layer &l) {
+        if (auto *bn = dynamic_cast<nn::BatchNorm2d *>(&l))
+            for (int64_t c = 0; c < bn->runningMeanTensor().size(); ++c) {
+                bn->runningMeanTensor()[c] = 0.03f * (float)(c + 1);
+                bn->runningVarTensor()[c] = 1.0f + 0.2f * (float)c;
+                bn->gammaTensor()[c] = 1.0f - 0.01f * (float)c;
+            }
+    });
+    auto compressed =
+        core::compressToRecords(*reference, se_opts, apply_opts);
+    auto records =
+        std::make_shared<const std::vector<core::SeLayerRecord>>(
+            std::move(compressed.records));
+
+    serve::SessionOptions sopts;
+    sopts.rebuildPerCall = true;
+    sopts.cacheRebuiltWeights = false;
+    sopts.weightSource = serve::WeightSource::CeDirect;
+    sopts.denseState =
+        std::make_shared<const std::vector<core::DenseTensor>>(
+            std::move(compressed.dense));
+    serve::InferenceSession serial(makeServeCnn(100), records, se_opts,
+                                   apply_opts, sopts);
+
+    serve::ServeOptions opts;
+    opts.threads = 3;
+    opts.maxBatch = 2;
+    opts.session = sopts;
+    serve::ServeEngine engine(records, [] { return makeServeCnn(100); },
+                              se_opts, apply_opts, opts);
+    const int n = 24;
+    std::vector<std::future<Tensor>> futs;
+    for (int i = 0; i < n; ++i)
+        futs.push_back(engine.submit(makeInput(1000 + (uint64_t)i)));
+    engine.drain();
+    for (int i = 0; i < n; ++i) {
+        const Tensor x = makeInput(1000 + (uint64_t)i);
+        const Tensor want = serial.forward(x);
+        EXPECT_TRUE(bitIdentical(reference->forward(x, false), want));
+        EXPECT_TRUE(bitIdentical(futs[(size_t)i].get(), want))
+            << "request " << i;
+    }
+}
+
 TEST(ServeEngine, HeavyTrafficManyWaiters)
 {
     auto shipped = shipModel(65);
