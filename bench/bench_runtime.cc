@@ -12,11 +12,12 @@
  *
  * Usage: ./bench_runtime [--smoke] [max_threads]
  *
- * --smoke runs the serial reference and the masked_refit section only,
- * and exits non-zero unless the GEMM-backed ALS refit beats the
- * per-row-dot loop of tests/reference by > 1.3x while staying
- * bit-identical — the CI regression gate for the compression-time
- * kernel lowering.
+ * --smoke runs the serial reference, the masked_refit and the init
+ * sections only, and exits non-zero unless the GEMM-backed ALS refit
+ * beats the per-row-dot loop of tests/reference by > 1.3x while
+ * staying bit-identical — the CI regression gate for the
+ * compression-time kernel lowering — and the seeded-init draws equal
+ * their std::mt19937_64 reference (init_identical; no timing gate).
  */
 
 #include <algorithm>
@@ -26,6 +27,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <random>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -158,8 +160,68 @@ main(int argc, char **argv)
                     ",");
     }
 
+    // --- seeded init: buildSim and randn ----------------------------
+    // The cold-start cost of a seeded net: the median ms of building
+    // the subject (its conv/fc He init is every draw), and ns per
+    // randn value over a tensor of the subject's parameter count.
+    // init_identical: a digest of 10^5 Rng normals plus the engine's
+    // next draw equals the same digest from std::mt19937_64 with a
+    // fresh std::normal_distribution<float> per draw (the reference is
+    // libstdc++'s polar method, which Rng reproduces).
+    bool init_identical = false;
+    {
+        constexpr int kInitPasses = 21;
+        int64_t params = 0;
+        makeSubject()->visit([&](nn::Layer &l) {
+            if (auto *c = dynamic_cast<nn::Conv2d *>(&l))
+                params += c->weightTensor().size();
+            else if (auto *f = dynamic_cast<nn::Linear *>(&l))
+                params += f->weightTensor().size();
+        });
+        std::vector<double> build_ms, randn_ns;
+        Rng rng(31);
+        for (int pass = -1; pass < kInitPasses; ++pass) {
+            t0 = Clock::now();
+            auto net = makeSubject();
+            const double b_ms = msSince(t0);
+            t0 = Clock::now();
+            const Tensor t = randn({params}, rng);
+            const double r_ns = 1e6 * msSince(t0) / (double)params;
+            if (pass >= 0) {
+                build_ms.push_back(b_ms);
+                randn_ns.push_back(r_ns);
+            }
+        }
+        std::sort(build_ms.begin(), build_ms.end());
+        std::sort(randn_ns.begin(), randn_ns.end());
+
+        constexpr int64_t kDraws = 100000;
+        std::vector<float> normals((size_t)kDraws);
+        Rng ours(901);
+        ours.fillGaussian(normals.data(), kDraws, 0.0f, 1.0f);
+        const uint64_t ours_digest = hashValue(
+            ours.raw()(),
+            fnv1a(normals.data(), normals.size() * sizeof(float)));
+        std::mt19937_64 ref(901);
+        for (float &v : normals) {
+            std::normal_distribution<float> d(0.0f, 1.0f);
+            v = d(ref);
+        }
+        const uint64_t ref_digest = hashValue(
+            ref(), fnv1a(normals.data(), normals.size() * sizeof(float)));
+        init_identical = ours_digest == ref_digest;
+        std::printf("  \"init\": {\"params\": %lld, \"passes\": %d, "
+                    "\"build_sim_ms\": %.3f, \"randn_ns_per_value\": %.2f, "
+                    "\"draws\": %lld, \"init_identical\": %s},\n",
+                    (long long)params, kInitPasses,
+                    build_ms[build_ms.size() / 2],
+                    randn_ns[randn_ns.size() / 2], (long long)kDraws,
+                    bench::jsonBool(init_identical));
+    }
+
     if (smoke) {
-        const bool pass = refit_identical && refit_speedup > 1.3;
+        const bool pass =
+            refit_identical && refit_speedup > 1.3 && init_identical;
         std::printf("  \"smoke_refit_speedup\": %.2f,\n",
                     refit_speedup);
         std::printf("  \"smoke_pass\": %s\n}\n",

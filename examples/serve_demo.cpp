@@ -171,6 +171,16 @@ main(int argc, char **argv)
     // reported after the traffic (the registry owns one ref too).
     std::vector<std::shared_ptr<core::StreamedModel>> streams(
         names.size());
+    // The bundles written below are removed when main returns.
+    struct RemoveOnExit
+    {
+        std::vector<std::string> paths;
+        ~RemoveOnExit()
+        {
+            for (const std::string &p : paths)
+                std::remove(p.c_str());
+        }
+    } written;
     for (size_t ni = 0; ni < names.size(); ++ni) {
         const std::string &name = names[ni];
         const models::ModelId id = parseModel(name);
@@ -181,6 +191,7 @@ main(int argc, char **argv)
                 return pipe.cache().getOrCompute(w, o);
             });
         const std::string path = "/tmp/serve_demo_" + name + ".sexm";
+        written.paths.push_back(path);
         if (run_opts.modelFormat >= 4) {
             // v4 requires the compress-time int8 basis pin so the
             // bundle serves the same bits as the live net.

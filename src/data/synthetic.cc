@@ -52,12 +52,10 @@ fillSet(const ClassSetConfig &cfg, const std::vector<Tensor> &protos,
             const int cls = (int)rng.integer(0, cfg.numClasses - 1);
             labels[(size_t)i] = cls;
             const Tensor &p = protos[(size_t)cls];
-            for (int64_t cc = 0; cc < cfg.channels; ++cc)
-                for (int64_t y = 0; y < cfg.height; ++y)
-                    for (int64_t x = 0; x < cfg.width; ++x)
-                        batch.at(i, cc, y, x) =
-                            p.at(cc, y, x) +
-                            rng.gaussian(0.0f, cfg.noise);
+            float *sample = batch.data() + i * p.size();
+            rng.fillGaussian(sample, p.size(), 0.0f, cfg.noise);
+            for (int64_t e = 0; e < p.size(); ++e)
+                sample[e] = p[e] + sample[e];
         }
         set.batches.push_back(std::move(batch));
         set.labels.push_back(std::move(labels));
@@ -106,11 +104,9 @@ makeSegmentation(const SegSetConfig &cfg)
             Tensor lbl({cfg.batchSize, cfg.height, cfg.width});
             for (int i = 0; i < cfg.batchSize; ++i) {
                 // Textured background = class 0.
-                for (int64_t cc = 0; cc < cfg.channels; ++cc)
-                    for (int64_t y = 0; y < cfg.height; ++y)
-                        for (int64_t x = 0; x < cfg.width; ++x)
-                            img.at(i, cc, y, x) =
-                                rng.gaussian(0.0f, cfg.noise);
+                const int64_t pixels = cfg.channels * cfg.height * cfg.width;
+                rng.fillGaussian(img.data() + i * pixels, pixels, 0.0f,
+                                 cfg.noise);
                 // Drop 2 objects of random non-background classes.
                 for (int obj = 0; obj < 2; ++obj) {
                     const int cls =

@@ -26,8 +26,7 @@ Conv2d::Conv2d(int64_t in_ch, int64_t out_ch, int64_t kernel,
     // He initialization.
     const float std_dev =
         std::sqrt(2.0f / (float)(cpg * kernel * kernel));
-    for (int64_t i = 0; i < weight.size(); ++i)
-        weight[i] = rng.gaussian(0.0f, std_dev);
+    rng.fillGaussian(weight.data(), weight.size(), 0.0f, std_dev);
     if (hasBias) {
         bias_ = Tensor({out_ch});
         gradB = Tensor({out_ch});
@@ -112,8 +111,7 @@ Linear::Linear(int64_t in_features, int64_t out_features, Rng &rng,
     weight = Tensor({outF, inF});
     gradW = Tensor(weight.shape());
     const float std_dev = std::sqrt(2.0f / (float)inF);
-    for (int64_t i = 0; i < weight.size(); ++i)
-        weight[i] = rng.gaussian(0.0f, std_dev);
+    rng.fillGaussian(weight.data(), weight.size(), 0.0f, std_dev);
     if (hasBias) {
         bias_ = Tensor({outF});
         gradB = Tensor({outF});

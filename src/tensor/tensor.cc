@@ -17,8 +17,7 @@ Tensor
 randn(const Shape &shape, Rng &rng, float mean, float stddev)
 {
     Tensor t(shape);
-    for (int64_t i = 0; i < t.size(); ++i)
-        t[i] = rng.gaussian(mean, stddev);
+    rng.fillGaussian(t.data(), t.size(), mean, stddev);
     return t;
 }
 

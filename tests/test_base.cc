@@ -8,6 +8,9 @@
 
 #include <cfloat>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <vector>
 
@@ -161,6 +164,236 @@ TEST(Rng, GaussianMoments)
     EXPECT_NEAR(mean, 1.0, 0.1);
     EXPECT_NEAR(var, 4.0, 0.3);
 }
+
+uint32_t
+floatBits(float f)
+{
+    uint32_t u;
+    std::memcpy(&u, &f, 4);
+    return u;
+}
+
+// The engine is the standard's mt19937_64 draw for draw, from every
+// seed the library uses and the two ends of the seed range.
+TEST(Rng, EngineMatchesStdMt19937_64)
+{
+    for (uint64_t seed : {uint64_t{0}, uint64_t{1}, uint64_t{42},
+                          uint64_t{0x5e5e5e5e}, UINT64_MAX}) {
+        Mt19937_64 ours(seed);
+        std::mt19937_64 ref(seed);
+        int64_t mismatches = 0;
+        for (int i = 0; i < 1000000; ++i)
+            mismatches += ours() != ref();
+        EXPECT_EQ(mismatches, 0) << "seed " << seed;
+    }
+}
+
+// [rand.predef]: the 10000th consecutive invocation of a
+// default-constructed mt19937_64 produces 9981545732273789042.
+TEST(Rng, EngineMeetsTheStandardsCheckValue)
+{
+    Mt19937_64 e;
+    for (int i = 1; i < 10000; ++i)
+        e();
+    EXPECT_EQ(e(), 9981545732273789042ULL);
+}
+
+#ifdef __GLIBCXX__
+// The reference Rng::gaussian and Rng::uniform reproduce: a fresh
+// libstdc++ distribution per draw over std::mt19937_64.
+struct ReferenceRng
+{
+    explicit ReferenceRng(uint64_t seed) : engine(seed) {}
+
+    float
+    gaussian(float mean, float stddev)
+    {
+        std::normal_distribution<float> d(mean, stddev);
+        return d(engine);
+    }
+
+    float
+    uniform(float lo, float hi)
+    {
+        std::uniform_real_distribution<float> d(lo, hi);
+        return d(engine);
+    }
+
+    int64_t
+    integer(int64_t lo, int64_t hi)
+    {
+        std::uniform_int_distribution<int64_t> d(lo, hi);
+        return d(engine);
+    }
+
+    std::mt19937_64 engine;
+};
+
+// gaussian() and fillGaussian() give the reference's values bit for
+// bit and leave the engine where n reference draws leave it; the
+// sizes straddle fillGaussian's 256-output chunk.
+TEST(Rng, NormalsMatchPerDrawStdNormalDistribution)
+{
+    const std::pair<float, float> params[] = {
+        {0.0f, 1.0f}, {0.0f, 0.0625f}, {1.5f, 2.0f}, {-3.0f, 0.3f}};
+    uint64_t seed = 3;
+    for (int64_t n : {0, 1, 255, 256, 257, 4097, 41326}) {
+        for (const auto &mp : params) {
+            ++seed;
+            ReferenceRng ref(seed);
+            std::vector<float> want((size_t)n);
+            for (float &v : want)
+                v = ref.gaussian(mp.first, mp.second);
+
+            Rng filled(seed), single(seed);
+            std::vector<float> got((size_t)n + 1, -7.0f);
+            filled.fillGaussian(got.data(), n, mp.first, mp.second);
+            int64_t bad_fill = 0, bad_single = 0;
+            for (int64_t i = 0; i < n; ++i) {
+                const uint32_t w = floatBits(want[(size_t)i]);
+                bad_fill += floatBits(got[(size_t)i]) != w;
+                bad_single +=
+                    floatBits(single.gaussian(mp.first, mp.second)) != w;
+            }
+            EXPECT_EQ(bad_fill, 0) << "n " << n;
+            EXPECT_EQ(bad_single, 0) << "n " << n;
+            EXPECT_EQ(got[(size_t)n], -7.0f) << "wrote past n " << n;
+            const uint64_t next = ref.engine();
+            EXPECT_EQ(filled.raw()(), next) << "fill draws, n " << n;
+            EXPECT_EQ(single.raw()(), next) << "gaussian draws, n " << n;
+        }
+    }
+}
+
+// A random interleaving of every draw kind keeps Rng in lockstep with
+// the reference, outputs and engine state both.
+TEST(Rng, InterleavedDrawsTrackTheReference)
+{
+    std::mt19937 script(77);
+    auto pick = [&](int k) { return (int)(script() % (uint32_t)k); };
+    Rng rng(0x5e5e5e5e);
+    ReferenceRng ref(0x5e5e5e5e);
+    std::vector<float> buf;
+    for (int op = 0; op < 3000; ++op) {
+        // a is a mean or a lower bound, w a stddev or a width.
+        const float a = (float)pick(9) - 4.0f;
+        const float w = 0.25f * (float)(1 + pick(16));
+        switch (pick(5)) {
+        case 0: {
+            const int64_t n = pick(4) == 0 ? pick(3) : pick(700);
+            buf.assign((size_t)n, 0.0f);
+            rng.fillGaussian(buf.data(), n, a, w);
+            for (int64_t i = 0; i < n; ++i)
+                ASSERT_EQ(floatBits(buf[(size_t)i]),
+                          floatBits(ref.gaussian(a, w)))
+                    << "op " << op << " i " << i;
+            break;
+        }
+        case 1:
+            ASSERT_EQ(floatBits(rng.gaussian(a, w)),
+                      floatBits(ref.gaussian(a, w)))
+                << "op " << op;
+            break;
+        case 2:
+            ASSERT_EQ(floatBits(rng.uniform(a, a + w)),
+                      floatBits(ref.uniform(a, a + w)))
+                << "op " << op;
+            break;
+        case 3: {
+            const int64_t lo = pick(3) == 0 ? INT64_MIN : -pick(50);
+            const int64_t hi = pick(3) == 0 ? INT64_MAX : pick(1000);
+            ASSERT_EQ(rng.integer(lo, hi), ref.integer(lo, hi))
+                << "op " << op;
+            break;
+        }
+        default: {
+            const double p = pick(100) / 100.0;
+            ASSERT_EQ(rng.chance(p), ref.uniform(0.0f, 1.0f) < p)
+                << "op " << op;
+            break;
+        }
+        }
+    }
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_EQ(rng.raw()(), ref.engine()) << "draw " << i;
+}
+
+// Replays a fixed list of raw draws, so the rare edges of the
+// canonical float and of the polar method can be pinned against the
+// library's own algorithms.
+struct ScriptedUrbg
+{
+    using result_type = uint64_t;
+    static constexpr result_type min() { return 0; }
+    static constexpr result_type max() { return UINT64_MAX; }
+
+    result_type operator()() { return draws.at(pos++); }
+
+    std::vector<uint64_t> draws;
+    size_t pos = 0;
+};
+
+TEST(Rng, CanonicalFloatMatchesGenerateCanonicalAtTheEdges)
+{
+    const uint64_t top = uint64_t{1} << 63;
+    const uint64_t clamp_lo = UINT64_MAX - ((uint64_t{1} << 39) - 1);
+    const float below_one = std::nextafter(1.0f, 0.0f);
+    // 2^63 + 2^39 ties to even (down); one more rounds up only if the
+    // halved conversion keeps the shifted-out bit.
+    for (uint64_t raw : {uint64_t{0}, uint64_t{1}, top - 1, top,
+                         top + (uint64_t{1} << 39),
+                         top + (uint64_t{1} << 39) + 1, clamp_lo - 1,
+                         clamp_lo, UINT64_MAX,
+                         uint64_t{0x9e3779b97f4a7c15}}) {
+        ScriptedUrbg g{{raw}};
+        const float want = std::generate_canonical<float, 24>(g);
+        EXPECT_EQ(floatBits(canonicalFloat(raw)), floatBits(want))
+            << "raw " << raw;
+    }
+    // The last two round to 2^64 and take the clamp; the draw just
+    // below them rounds to 2^64 - 2^40, the same float unclamped.
+    EXPECT_EQ(canonicalFloat(clamp_lo), below_one);
+    EXPECT_EQ(canonicalFloat(UINT64_MAX), below_one);
+    EXPECT_EQ(canonicalFloat(clamp_lo - 1), below_one);
+}
+
+TEST(Rng, PolarStepMatchesNormalDistributionOnScriptedDraws)
+{
+    const uint64_t half = uint64_t{1} << 63;
+    const uint64_t quarter = uint64_t{1} << 62;
+    const uint64_t near_max = UINT64_MAX - 12345;
+    // Each script ends in an accepted pair; the leading pairs are the
+    // edges: r2 == 0 (both variates 0) and r2 > 1 (both near 1) are
+    // rejected, r2 == 1 exactly (x = -1, y = 0) is accepted.
+    const std::vector<std::vector<uint64_t>> scripts = {
+        {half, half, quarter, 3 * quarter},
+        {near_max, near_max, quarter, 3 * quarter},
+        {near_max, UINT64_MAX, half, half, 0x923456789abcdefULL,
+         0x7edcba9876543210ULL},
+        {0, half, quarter, 3 * quarter},
+        {quarter, 3 * quarter, half, half}};
+    for (size_t s = 0; s < scripts.size(); ++s) {
+        for (const auto &mp : {std::pair<float, float>{0.0f, 1.0f},
+                               std::pair<float, float>{-0.5f, 3.0f}}) {
+            ScriptedUrbg ref{scripts[s]};
+            std::normal_distribution<float> d(mp.first, mp.second);
+            const float want = d(ref);
+
+            ScriptedUrbg ours{scripts[s]};
+            float y = 0.0f, r2 = 0.0f, got = 0.0f;
+            for (;;) {
+                const uint64_t a = ours(), b = ours();
+                if (detail::polarTrial(a, b, y, r2)) {
+                    got = detail::polarValue(y, r2, mp.first, mp.second);
+                    break;
+                }
+            }
+            EXPECT_EQ(floatBits(got), floatBits(want)) << "script " << s;
+            EXPECT_EQ(ours.pos, ref.pos) << "script " << s;
+        }
+    }
+}
+#endif // __GLIBCXX__
 
 TEST(Table, RendersAlignedColumns)
 {

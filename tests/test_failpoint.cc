@@ -27,6 +27,7 @@
 #include "runtime/decomp_cache.hh"
 #include "runtime/options.hh"
 #include "serve/front.hh"
+#include "temp_path.hh"
 
 namespace se {
 namespace {
@@ -268,9 +269,10 @@ TEST_F(FailpointEnv, FromEnvRejectsMalformedSpec)
 TEST_F(FailpointEnv, CacheDirAcceptedAndEmptyRejected)
 {
     {
-        ScopedEnv d("SE_CACHE_DIR", "/tmp/se_cache_env_test");
+        const test::TempPath cache_dir("se_cache_env_test");
+        ScopedEnv d("SE_CACHE_DIR", cache_dir.path.c_str());
         EXPECT_EQ(runtime::RuntimeOptions::fromEnv().cacheDir,
-                  "/tmp/se_cache_env_test");
+                  cache_dir.path);
     }
     ScopedEnv d("SE_CACHE_DIR", "");
     EXPECT_THROW(runtime::RuntimeOptions::fromEnv(),
@@ -321,7 +323,8 @@ shipTinyV4(uint64_t seed, const std::string &path,
 
 TEST_F(ModelFileInjection, SaveAndLoadFaultsAreTypedAndOneShot)
 {
-    const std::string path = "/tmp/se_fp_model_io.sexm";
+    const test::TempPath file("se_fp_model_io.sexm");
+    const std::string &path = file.path;
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
@@ -344,12 +347,12 @@ TEST_F(ModelFileInjection, SaveAndLoadFaultsAreTypedAndOneShot)
         EXPECT_EQ(core::loadModelFile(path).size(),
                   compressed.records.size());
     }
-    fs::remove(path);
 }
 
 TEST_F(StreamInjection, OpenAndPieceDecodeFaultsAreTyped)
 {
-    const std::string path = "/tmp/se_fp_stream.sexm";
+    const test::TempPath file("se_fp_stream.sexm");
+    const std::string &path = file.path;
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
@@ -375,21 +378,9 @@ TEST_F(StreamInjection, OpenAndPieceDecodeFaultsAreTyped)
         EXPECT_NO_THROW(m.piece(0));
     }
     EXPECT_EQ(m.decodedPieces(), 1u);
-    fs::remove(path);
 }
 
 // -------------------------------------------- spill-tier injection
-
-struct SpillDir
-{
-    explicit SpillDir(const std::string &name)
-        : path((fs::temp_directory_path() / name).string())
-    {
-        fs::remove_all(path);
-    }
-    ~SpillDir() { fs::remove_all(path); }
-    std::string path;
-};
 
 size_t
 spillFileCount(const std::string &dir)
@@ -403,7 +394,7 @@ spillFileCount(const std::string &dir)
 
 TEST_F(SpillInjection, WriteFaultNeverFailsTheComputation)
 {
-    SpillDir dir("se_fp_spill_write");
+    const test::TempPath dir("se_fp_spill_write");
     runtime::DecompCache cache(
         runtime::DecompCacheOptions{4, dir.path});
     Rng rng(21);
@@ -424,7 +415,7 @@ TEST_F(SpillInjection, WriteFaultNeverFailsTheComputation)
 
 TEST_F(SpillInjection, CommitFaultLeavesOnlyATempFileToSweep)
 {
-    SpillDir dir("se_fp_spill_commit");
+    const test::TempPath dir("se_fp_spill_commit");
     Rng rng(22);
     Tensor w = randn({8, 4}, rng, 0.0f, 0.1f);
     core::SeOptions opts;
@@ -461,7 +452,7 @@ TEST_F(SpillInjection, CommitFaultLeavesOnlyATempFileToSweep)
 
 TEST_F(SpillInjection, ReadFaultIsAMissAndDropsTheEntry)
 {
-    SpillDir dir("se_fp_spill_read");
+    const test::TempPath dir("se_fp_spill_read");
     Rng rng(23);
     Tensor w = randn({8, 4}, rng, 0.0f, 0.1f);
     core::SeOptions opts;
@@ -515,8 +506,10 @@ TEST_F(ServeInjection, BatchExecFaultFailsFuturesNotTheEngine)
 
 TEST_F(ServeInjection, FirstTouchFaultQuarantinesOnlyThatModel)
 {
-    const std::string path_a = "/tmp/se_fp_quarantine_a.sexm";
-    const std::string path_b = "/tmp/se_fp_quarantine_b.sexm";
+    const test::TempPath file_a("se_fp_quarantine_a.sexm");
+    const std::string &path_a = file_a.path;
+    const test::TempPath file_b("se_fp_quarantine_b.sexm");
+    const std::string &path_b = file_b.path;
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
@@ -573,8 +566,6 @@ TEST_F(ServeInjection, FirstTouchFaultQuarantinesOnlyThatModel)
                           (size_t)got_a.size() * sizeof(float)),
               0);
     front.stop();
-    fs::remove(path_a);
-    fs::remove(path_b);
 }
 
 TEST_F(ServeInjection, ReloadFaultWithFallbackKeepsPreviousGeneration)

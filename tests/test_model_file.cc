@@ -46,6 +46,7 @@
 #include "linalg/linalg.hh"
 #include "models/zoo.hh"
 #include "nn/blocks.hh"
+#include "temp_path.hh"
 
 namespace se {
 namespace {
@@ -149,7 +150,8 @@ TEST(ModelFile, FileRoundTripOnDisk)
 {
     std::vector<core::SeLayerRecord> layers;
     layers.push_back({"layer", {makeMatrix(6)}});
-    const std::string path = "/tmp/se_model_test.sexm";
+    const test::TempPath file("se_model_test.sexm");
+    const std::string &path = file.path;
     core::saveModelFile(path, layers);
     auto back = core::loadModelFile(path);
     ASSERT_EQ(back.size(), 1u);
@@ -1307,7 +1309,8 @@ TEST(ModelFileV4, FileRoundTripOnDisk)
     bundle.dense.push_back({"0:bn:gamma", randn({6}, rng)});
     core::quantizeBasisAtCompress(bundle.records);
 
-    const std::string path = "/tmp/se_model_v4_test.sexm";
+    const test::TempPath file("se_model_v4_test.sexm");
+    const std::string &path = file.path;
     core::saveModelV4File(path, bundle);
     const core::ModelBundle back = core::loadModelBundleFile(path);
     ASSERT_EQ(back.records.size(), 1u);
@@ -1482,7 +1485,8 @@ TEST(StreamedModelTest, LazyOpenDecodesNoPieces)
     layers.push_back({"a", {randomSeMatrix(rng)}});
     layers.push_back({"b", {randomSeMatrix(rng), randomSeMatrix(rng)}});
     core::quantizeBasisAtCompress(layers);
-    const std::string path = "/tmp/se_model_v4_stream.sexm";
+    const test::TempPath file("se_model_v4_stream.sexm");
+    const std::string &path = file.path;
     writeFile(path,
               saveV4String(layers, {{"bias", randn({4}, rng)}}));
 
@@ -1523,7 +1527,8 @@ TEST(StreamedModelTest, AllBackendsServeIdenticalBits)
     core::quantizeBasisAtCompress(layers);
     const std::string bytes =
         saveV4String(layers, {{"gamma", randn({3}, rng)}});
-    const std::string path = "/tmp/se_model_v4_backends.sexm";
+    const test::TempPath file("se_model_v4_backends.sexm");
+    const std::string &path = file.path;
     writeFile(path, bytes);
 
     const core::ModelBundle reference = loadFromString(bytes);
@@ -1553,7 +1558,8 @@ TEST(StreamedModelTest, NonZeroPrefetchDepthThrows)
     std::vector<core::SeLayerRecord> layers{
         {"a", {randomSeMatrix(rng)}}};
     core::quantizeBasisAtCompress(layers);
-    const std::string path = "/tmp/se_model_v4_depth.sexm";
+    const test::TempPath file("se_model_v4_depth.sexm");
+    const std::string &path = file.path;
     writeFile(path, saveV4String(layers));
 
     // Pieces decode on the consuming thread only, so a lookahead
@@ -1579,7 +1585,8 @@ TEST(StreamedModelTest, CorruptPieceFailsAtFirstTouch)
         reinterpret_cast<const uint8_t *>(good.data()), good.size());
     std::string bad = good;
     bad[(size_t)meta.directory[1].offset + 7] ^= 0x04;
-    const std::string path = "/tmp/se_model_v4_corrupt.sexm";
+    const test::TempPath file("se_model_v4_corrupt.sexm");
+    const std::string &path = file.path;
     writeFile(path, bad);
 
     // Lazy open only validates meta, so it succeeds; the damage is
@@ -1612,7 +1619,8 @@ TEST(StreamedModelTest, TruncatedFileFailsAtOpen)
         {"a", {randomSeMatrix(rng)}}};
     core::quantizeBasisAtCompress(layers);
     const std::string full = saveV4String(layers);
-    const std::string path = "/tmp/se_model_v4_trunc.sexm";
+    const test::TempPath file("se_model_v4_trunc.sexm");
+    const std::string &path = file.path;
 
     for (const size_t keep :
          {full.size() - 1, full.size() / 2, (size_t)40, (size_t)0}) {
@@ -1630,7 +1638,8 @@ TEST(StreamedModelTest, RefusesNonStreamingFormats)
         {"a", {randomSeMatrix(rng)}}};
     std::stringstream v3;
     core::saveModelV3(v3, layers);
-    const std::string path = "/tmp/se_model_v4_wrongver.sexm";
+    const test::TempPath file("se_model_v4_wrongver.sexm");
+    const std::string &path = file.path;
     writeFile(path, v3.str());
     try {
         core::StreamedModel sm(path);
@@ -1663,7 +1672,8 @@ TEST(StreamedModelTest, EagerOpenValidatesPadding)
         << "fixture must leave padding before the piece region";
     std::string bad = good;
     bad[pad_at] = (char)0x5A;
-    const std::string path = "/tmp/se_model_v4_pad.sexm";
+    const test::TempPath file("se_model_v4_pad.sexm");
+    const std::string &path = file.path;
     writeFile(path, bad);
 
     EXPECT_THROW(core::StreamedModel(path, {true, false}),
@@ -1712,9 +1722,11 @@ TEST(StreamedModelTest, FailedEagerOpenReleasesTheMapping)
     std::string corrupt_piece = good;
     corrupt_piece[(size_t)meta.directory[1].offset + 7] ^= 0x04;
 
+    const test::TempPath pad_file("se_model_v4_leak_pad.sexm");
+    const test::TempPath piece_file("se_model_v4_leak_piece.sexm");
     const std::pair<const char *, const std::string *> cases[] = {
-        {"/tmp/se_model_v4_leak_pad.sexm", &dirty_padding},
-        {"/tmp/se_model_v4_leak_piece.sexm", &corrupt_piece},
+        {pad_file.path.c_str(), &dirty_padding},
+        {piece_file.path.c_str(), &corrupt_piece},
     };
     for (const auto &[path, bytes] : cases) {
         writeFile(path, *bytes);

@@ -27,6 +27,7 @@
 #include "runtime/options.hh"
 #include "runtime/pipeline.hh"
 #include "runtime/sim_driver.hh"
+#include "temp_path.hh"
 
 namespace se {
 namespace {
@@ -316,21 +317,9 @@ TEST(DecompCache, ZeroCapacityDisables)
 
 namespace fs = std::filesystem;
 
-/** Fresh spill directory, removed again on scope exit. */
-struct SpillDir
-{
-    explicit SpillDir(const std::string &name)
-        : path((fs::temp_directory_path() / name).string())
-    {
-        fs::remove_all(path);
-    }
-    ~SpillDir() { fs::remove_all(path); }
-    std::string path;
-};
-
 TEST(PersistentDecompCache, SurvivesARestart)
 {
-    SpillDir dir("se_runtime_spill_restart");
+    const test::TempPath dir("se_runtime_spill_restart");
     Rng rng(16);
     Tensor w = randn({16, 4}, rng, 0.0f, 0.1f);
     core::SeOptions opts;
@@ -366,7 +355,7 @@ TEST(PersistentDecompCache, SurvivesARestart)
 
 TEST(PersistentDecompCache, MemoryEvictionKeepsTheDiskCopy)
 {
-    SpillDir dir("se_runtime_spill_evict");
+    const test::TempPath dir("se_runtime_spill_evict");
     Rng rng(17);
     core::SeOptions opts;
     runtime::DecompCache cache(
@@ -383,7 +372,7 @@ TEST(PersistentDecompCache, MemoryEvictionKeepsTheDiskCopy)
 
 TEST(PersistentDecompCache, CorruptAndTruncatedEntriesAreDropped)
 {
-    SpillDir dir("se_runtime_spill_corrupt");
+    const test::TempPath dir("se_runtime_spill_corrupt");
     Rng rng(18);
     core::SeOptions opts;
     Tensor w0 = randn({8, 4}, rng, 0.0f, 0.1f);
@@ -428,7 +417,7 @@ TEST(PersistentDecompCache, CorruptAndTruncatedEntriesAreDropped)
 
 TEST(PersistentDecompCache, ForeignAndMisnamedFilesAreHandled)
 {
-    SpillDir dir("se_runtime_spill_foreign");
+    const test::TempPath dir("se_runtime_spill_foreign");
     Rng rng(19);
     core::SeOptions opts;
     Tensor w = randn({8, 4}, rng, 0.0f, 0.1f);
@@ -463,7 +452,7 @@ TEST(PersistentDecompCache, ForeignAndMisnamedFilesAreHandled)
 
 TEST(PersistentDecompCache, ClearKeepsSpillPurgeWipesIt)
 {
-    SpillDir dir("se_runtime_spill_purge");
+    const test::TempPath dir("se_runtime_spill_purge");
     Rng rng(20);
     core::SeOptions opts;
     Tensor w = randn({8, 4}, rng, 0.0f, 0.1f);

@@ -27,6 +27,7 @@
 #include "serve/front.hh"
 #include "serve/latency.hh"
 #include "serve/session.hh"
+#include "temp_path.hh"
 
 namespace se {
 namespace {
@@ -1235,7 +1236,8 @@ TEST(ServeFrontV4, V4BundleServesDenseAndCeDirectBitIdentical)
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
-    const std::string path = "/tmp/se_serve_v4_ab.sexm";
+    const test::TempPath file("se_serve_v4_ab.sexm");
+    const std::string &path = file.path;
     auto reference = shipV4Model(96, path, se_opts, apply_opts);
 
     // One v4 file, opened lazily once, served by two tenants — a
@@ -1293,7 +1295,8 @@ TEST(ServeFrontV4, LazyEagerAndRecordsPathsAnswerIdentically)
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
-    const std::string path = "/tmp/se_serve_v4_loaders.sexm";
+    const test::TempPath file("se_serve_v4_loaders.sexm");
+    const std::string &path = file.path;
     auto reference = shipV4Model(97, path, se_opts, apply_opts);
 
     const int n = 8;
@@ -1354,8 +1357,10 @@ TEST(ServeFrontV4, UntouchedStreamedModelStaysCold)
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
-    const std::string hot_path = "/tmp/se_serve_v4_hot.sexm";
-    const std::string cold_path = "/tmp/se_serve_v4_cold.sexm";
+    const test::TempPath hot_file("se_serve_v4_hot.sexm");
+    const std::string &hot_path = hot_file.path;
+    const test::TempPath cold_file("se_serve_v4_cold.sexm");
+    const std::string &cold_path = cold_file.path;
     auto hot_ref = shipV4Model(98, hot_path, se_opts, apply_opts);
     shipV4Model(99, cold_path, se_opts, apply_opts);
 
@@ -1562,7 +1567,8 @@ TEST(ServeFrontV4, SubmitVsStopRaceOnColdEntryNoDoubleBuild)
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
-    const std::string path = "/tmp/se_serve_v4_stoprace.sexm";
+    const test::TempPath file("se_serve_v4_stoprace.sexm");
+    const std::string &path = file.path;
     shipV4Model(100, path, se_opts, apply_opts);
 
     for (int round = 0; round < 8; ++round) {
@@ -1753,7 +1759,8 @@ TEST(ServePipelineV4, StreamedCeDirectBitIdentical)
     core::SeOptions se_opts;
     se_opts.vectorThreshold = 0.01;
     core::ApplyOptions apply_opts;
-    const std::string path = "/tmp/se_serve_pipe_v4.sexm";
+    const test::TempPath file("se_serve_pipe_v4.sexm");
+    const std::string &path = file.path;
     auto reference = shipV4Model(144, path, se_opts, apply_opts);
     const int n = 12;
 

@@ -15,7 +15,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
-#include <filesystem>
 #include <future>
 #include <thread>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "runtime/decomp_cache.hh"
 #include "serve/engine.hh"
 #include "serve/front.hh"
+#include "temp_path.hh"
 
 namespace se {
 namespace {
@@ -439,11 +439,8 @@ TEST(DecompCacheStress, SharedSpillDirAcrossInstancesStaysCoherent)
     // writes, recovery scans and memory evictions from several
     // threads must never produce a torn read — every answer is
     // bit-identical to the direct decomposition.
-    namespace fs = std::filesystem;
-    const std::string dir =
-        (fs::temp_directory_path() / "se_stress_shared_spill")
-            .string();
-    fs::remove_all(dir);
+    const test::TempPath spill_dir("se_stress_shared_spill");
+    const std::string &dir = spill_dir.path;
 
     core::SeOptions opts;
     opts.vectorThreshold = 0.01;
@@ -495,7 +492,6 @@ TEST(DecompCacheStress, SharedSpillDirAcrossInstancesStaysCoherent)
     // Every distinct key ended up durable and valid on disk.
     EXPECT_EQ(a.recoverScan(), (size_t)distinct);
     EXPECT_EQ(b.recoverScan(), (size_t)distinct);
-    fs::remove_all(dir);
 }
 
 // ------------------------------------------------ reload under fire
@@ -754,9 +750,8 @@ constexpr int kStreamThreads = 8;
 TEST(StreamedModelStress, RacingConsumersDecodeEachPieceOnce)
 {
     failpoint::disarmAll();
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "se_stress_stream.sexm")
-            .string();
+    const test::TempPath file("se_stress_stream.sexm");
+    const std::string &path = file.path;
     shipStreamBundle(51, path);
     const std::vector<core::SeMatrix> want = eagerPieces(path);
 
@@ -807,7 +802,6 @@ TEST(StreamedModelStress, RacingConsumersDecodeEachPieceOnce)
         for (const auto &p : rec.pieces)
             EXPECT_TRUE(sameBits(p, want[flat++]));
     EXPECT_EQ(flat, n);
-    std::filesystem::remove(path);
 }
 
 TEST(StreamedModelStress, FailedDecodeWakesWaitersAndRetries)
@@ -817,9 +811,8 @@ TEST(StreamedModelStress, FailedDecodeWakesWaitersAndRetries)
     // of them must decode it, and the thread that saw the fault gets
     // the piece on its next touch.
     failpoint::disarmAll();
-    const std::string path =
-        (std::filesystem::temp_directory_path() / "se_stress_fault.sexm")
-            .string();
+    const test::TempPath file("se_stress_fault.sexm");
+    const std::string &path = file.path;
     shipStreamBundle(52, path);
     const std::vector<core::SeMatrix> want = eagerPieces(path);
 
@@ -856,7 +849,6 @@ TEST(StreamedModelStress, FailedDecodeWakesWaitersAndRetries)
     EXPECT_EQ(bad.load(), 0);
     EXPECT_EQ(sm.decodedPieces(), n);
     EXPECT_EQ(sm.streamStats().prefetchMisses, (uint64_t)n);
-    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -11,10 +11,12 @@
 # multiply-add mnemonic (vfmadd/vfmsub/vfnmadd/vfnmsub).
 #
 # The ALS refits (src/linalg/linalg.cc), the decomposition loop
-# (src/core/smart_exchange.cc) and the dense Ce*B install kernel
-# (src/core/ce_basis.cc) keep their own float chains, pinned by the
-# decomposition digests and the install wall against the reference
-# matmul. The se target compiles them with -ffp-contract=off, so even
+# (src/core/smart_exchange.cc), the dense Ce*B install kernel
+# (src/core/ce_basis.cc) and the seeded normal draws
+# (src/base/random.cc: the polar method's x*x + y*y and its
+# ret*stddev + mean) keep their own float chains, pinned by the
+# decomposition digests, the install wall against the reference
+# matmul, the goldens and the Rng identity walls. The se target compiles them with -ffp-contract=off, so even
 # an FMA-capable -march cannot fuse them; the gate compiles each with
 # that flag at -O2 -march=x86-64-v3 (FMA enabled) and fails on any
 # fused instruction.
@@ -34,7 +36,8 @@ set -eu
 cd "$(dirname "$0")/../.."
 CXX="${CXX:-c++}"
 TU=src/kernels/dispatch_avx2.cc
-CHAIN_TUS="src/linalg/linalg.cc src/core/smart_exchange.cc src/core/ce_basis.cc"
+CHAIN_TUS="src/linalg/linalg.cc src/core/smart_exchange.cc src/core/ce_basis.cc
+src/base/random.cc"
 # The se target's contraction flag (CMakeLists.txt); checked below so
 # the gate and the build cannot drift apart.
 NO_CONTRACT=-ffp-contract=off
