@@ -2,15 +2,18 @@
  * @file
  * Kernel-layer GFLOP/s tracker. Emits one JSON object timing the hot
  * compute paths three ways — the legacy naive loops of
- * tests/reference, im2col+GEMM on one thread, and im2col+GEMM over
- * the kernel pool — across
+ * tests/reference, im2col+GEMM on one thread (a kernels::SerialScope),
+ * and im2col+GEMM over the process executor — across
  * ResNet/DeepLab-representative conv shapes (reduced spatial scale,
  * paper kernel geometry), a depth-wise shape, a classifier-head
  * Linear and raw square/skinny GEMMs. Every fast result is also
  * checked bit-identical to the naive path (the golden-stability
  * invariant).
  *
- * Usage: ./bench_kernels [--smoke] [threads]
+ * Usage: ./bench_kernels [--smoke]
+ *
+ * The executor's width is the SE_THREADS budget (one worker per core
+ * when unset); the JSON's "threads" field reports it.
  *
  * --smoke runs only the ResNet 3x3/stride-1 shape with small repeat
  * counts and exits non-zero unless the single-threaded im2col+GEMM
@@ -36,7 +39,6 @@
 #include <cstring>
 #include <iterator>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/clock.hh"
@@ -123,7 +125,7 @@ struct ConvResult
 };
 
 ConvResult
-runConvCase(const ConvCase &cc, int reps, int pool_threads)
+runConvCase(const ConvCase &cc, int reps)
 {
     Rng rng(7);
     nn::Conv2d conv(cc.c, cc.m, cc.k, cc.stride, cc.pad, cc.groups,
@@ -136,9 +138,10 @@ runConvCase(const ConvCase &cc, int reps, int pool_threads)
     res.naive_ms = timeForward(naive, reps);
     res.identical = hashTensor(naive()) == hashTensor(gemm());
 
-    kernels::configureThreads(1);
-    res.gemm1_ms = timeForward(gemm, reps * 4);
-    kernels::configureThreads(pool_threads);
+    {
+        kernels::SerialScope one_thread;
+        res.gemm1_ms = timeForward(gemm, reps * 4);
+    }
     res.gemmN_ms = timeForward(gemm, reps * 4);
     return res;
 }
@@ -186,19 +189,20 @@ main(int argc, char **argv)
     using namespace se;
 
     bool smoke = false;
-    int pool_threads = (int)std::thread::hardware_concurrency();
     for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--smoke"))
-            smoke = true;
-        else
-            pool_threads = bench::argCount("pool_threads", argv[i]);
+        if (std::strcmp(argv[i], "--smoke")) {
+            std::fprintf(stderr,
+                         "error: unknown argument '%s' (the only flag "
+                         "is --smoke; SE_THREADS sets the width)\n",
+                         argv[i]);
+            return 2;
+        }
+        smoke = true;
     }
-    if (pool_threads < 1)
-        pool_threads = 1;
 
     std::printf("{\n");
     std::printf("  \"bench\": \"kernels\",\n");
-    std::printf("  \"threads\": %d,\n", pool_threads);
+    std::printf("  \"threads\": %d,\n", kernels::threadBudget());
     std::printf("  \"smoke\": %s,\n", bench::jsonBool(smoke));
 
     bool ok = true;
@@ -214,7 +218,7 @@ main(int argc, char **argv)
         for (size_t i = 0; i < cases.size(); ++i) {
             const ConvCase &cc = cases[i];
             const int reps = smoke ? 2 : 3;
-            const ConvResult r = runConvCase(cc, reps, pool_threads);
+            const ConvResult r = runConvCase(cc, reps);
             // The bench batches 2 images per call.
             const double flops = 2.0 * convFlops(cc);
             const double s1 = r.naive_ms / r.gemm1_ms;
@@ -265,17 +269,19 @@ main(int argc, char **argv)
                 reference::matmul(a, b);
             const double naive_ms = msSince(t0) / reps;
 
-            kernels::configureThreads(1);
-            Tensor c_fast = kernels::gemm(a, b);
-            const bool identical =
-                hashTensor(c_ref) == hashTensor(c_fast);
-            ok = ok && identical;
-            t0 = SteadyClock::now();
-            for (int r = 0; r < reps * 4; ++r)
-                kernels::gemm(a, b);
-            const double gemm1_ms = msSince(t0) / (reps * 4);
+            bool identical;
+            double gemm1_ms;
+            {
+                kernels::SerialScope one_thread;
+                identical = hashTensor(c_ref) ==
+                            hashTensor(kernels::gemm(a, b));
+                ok = ok && identical;
+                t0 = SteadyClock::now();
+                for (int r = 0; r < reps * 4; ++r)
+                    kernels::gemm(a, b);
+                gemm1_ms = msSince(t0) / (reps * 4);
+            }
 
-            kernels::configureThreads(pool_threads);
             t0 = SteadyClock::now();
             for (int r = 0; r < reps * 4; ++r)
                 kernels::gemm(a, b);
@@ -334,7 +340,7 @@ main(int argc, char **argv)
     // Runs in smoke mode too: CI pins SE_KERNEL_ISA=scalar in one job
     // and best-detected in another, and this section is what proves
     // every variant the build carries stays bit-identical.
-    kernels::configureThreads(1);
+    kernels::SerialScope one_thread;  // for every section below
     {
         const int64_t m = smoke ? 96 : 256, k = smoke ? 96 : 256,
                       n = smoke ? 96 : 256;

@@ -12,6 +12,10 @@
  *
  * Usage: ./bench_runtime [--smoke] [max_threads]
  *
+ * max_threads defaults to the SE_THREADS budget. Every pipeline row
+ * fans out on the one process executor, so its "width" is the
+ * requested thread count capped at that budget.
+ *
  * --smoke runs the serial reference, the masked_refit and the init
  * sections only, and exits non-zero unless the GEMM-backed ALS refit
  * beats the per-row-dot loop of tests/reference by > 1.3x while
@@ -29,7 +33,6 @@
 #include <map>
 #include <random>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "base/clock.hh"
@@ -40,6 +43,7 @@
 #include "core/model_file.hh"
 #include "core/smart_exchange.hh"
 #include "core/stream_loader.hh"
+#include "kernels/kernels.hh"
 #include "linalg/linalg.hh"
 #include "reference/reference.hh"
 #include "runtime/pipeline.hh"
@@ -83,7 +87,7 @@ main(int argc, char **argv)
     using namespace se;
 
     bool smoke = false;
-    int max_threads = (int)std::thread::hardware_concurrency();
+    int max_threads = kernels::threadBudget();
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--smoke"))
             smoke = true;
@@ -248,6 +252,7 @@ main(int argc, char **argv)
         ro.threads = threads;
         std::vector<double> samples;
         size_t units = 0;
+        int width = 0;
         bool identical = true;
         for (int pass = -1; pass < kPipelinePasses; ++pass) {
             runtime::CompressionPipeline pipe(ro);
@@ -257,16 +262,18 @@ main(int argc, char **argv)
             const double ms = msSince(t0);
             identical = identical && weightDigest(*net) == serial_digest;
             units = pipe.stats().units;
+            width = pipe.stats().threadsUsed;
             if (pass >= 0)
                 samples.push_back(ms);
         }
         std::sort(samples.begin(), samples.end());
         const double median_ms = samples[samples.size() / 2];
-        std::printf("    {\"threads\": %d, \"units\": %zu, "
+        std::printf("    {\"threads\": %d, \"width\": %d, "
+                    "\"units\": %zu, "
                     "\"passes\": %d, \"median_ms\": %.2f, "
                     "\"min_ms\": %.2f, \"speedup\": %.2f, "
                     "\"bit_identical\": %s}%s\n",
-                    threads, units, kPipelinePasses, median_ms,
+                    threads, width, units, kPipelinePasses, median_ms,
                     samples.front(), serial_ms / median_ms,
                     bench::jsonBool(identical),
                     bench::jsonSep(i, thread_counts.size()));

@@ -153,7 +153,7 @@ main(int argc, char **argv)
     using namespace se;
 
     bool smoke = false;
-    int max_threads = (int)std::thread::hardware_concurrency();
+    int max_threads = kernels::threadBudget();
     int requests = 0;  // 0 = default per mode
     int pos = 0;
     for (int i = 1; i < argc; ++i) {

@@ -1,7 +1,7 @@
 /**
  * @file
  * Strict parsers for SE_* environment values, shared by every path
- * that reads a knob (RuntimeOptions::fromEnv and the kernel pool).
+ * that reads a knob (RuntimeOptions::fromEnv and the thread budget).
  * A value either parses completely or the parser throws
  * std::invalid_argument: the old atoi/atof plumbing silently mapped
  * typos to 0, so SE_THREADS=four selected a serial path instead of

@@ -1,12 +1,17 @@
 /**
  * @file
- * A fixed-size thread pool for the runtime layer.
+ * A fixed-size thread pool.
+ *
+ * Two owners build one: kernels::pool(), the process executor every
+ * library fan-out shares (sized by the SE_THREADS budget), and
+ * serve::ServeEngine, whose workers each drive one session replica.
  *
  * Deliberately simple: one shared FIFO queue, no work stealing. The
  * workloads this library fans out (per-matrix ALS decompositions,
- * per-layer accelerator runs) are coarse enough that queue contention
- * is irrelevant, and a FIFO keeps completion order close to submission
- * order, which keeps wall-clock profiles easy to reason about.
+ * per-layer accelerator runs, GEMM column panels) are coarse enough
+ * that queue contention is irrelevant, and a FIFO keeps completion
+ * order close to submission order, which keeps wall-clock profiles
+ * easy to reason about.
  *
  * Construction with `threads <= 1` still works: submit() runs fine on
  * a single worker, and parallelFor() degrades to an inline loop so
@@ -20,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <queue>
 #include <thread>
@@ -98,21 +104,24 @@ class ThreadPool
     }
 
     /**
-     * Run fn(i) for i in [0, n), spread over the pool; blocks until
-     * every index has completed. Indices are handed out dynamically
-     * (atomic counter), so uneven task costs balance themselves. With
-     * a single worker the loop runs inline on the caller's thread.
+     * Run fn(i) for i in [0, n), spread over at most `width` of the
+     * pool's workers; blocks until every index has completed. Indices
+     * are handed out dynamically (atomic counter), so uneven task
+     * costs balance themselves. With a single worker (or width <= 1)
+     * the loop runs inline on the caller's thread.
      * Calling parallelFor from one of this pool's own workers (nested
      * parallelism) also runs inline — blocking a worker on tasks only
      * that same worker could drain would deadlock the pool.
      * The first exception thrown by any fn(i) is rethrown here.
      */
     void
-    parallelFor(int64_t n, const std::function<void(int64_t)> &fn)
+    parallelFor(int64_t n, const std::function<void(int64_t)> &fn,
+                int width = std::numeric_limits<int>::max())
     {
         if (n <= 0)
             return;
-        if (threadCount() <= 1 || n == 1 || onWorkerThread()) {
+        if (threadCount() <= 1 || width <= 1 || n == 1 ||
+            onWorkerThread()) {
             for (int64_t i = 0; i < n; ++i)
                 fn(i);
             return;
@@ -139,8 +148,8 @@ class ThreadPool
             }
         };
 
-        const int64_t chunks =
-            std::min<int64_t>(n, (int64_t)threadCount());
+        const int64_t chunks = std::min<int64_t>(
+            n, std::min(threadCount(), width));
         std::vector<std::future<void>> done;
         done.reserve((size_t)chunks);
         for (int64_t c = 0; c < chunks; ++c)

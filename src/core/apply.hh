@@ -100,7 +100,7 @@ CompressionReport applySmartExchange(nn::Sequential &net,
 //      deterministic),
 //   3. finishCompression() — write the Ce*B reconstructions back into
 //      the network and assemble the CompressionReport.
-// The split exists so se::runtime can run step 2 across a thread pool
+// The split exists so se::runtime can run step 2 on the executor
 // (and through a result cache) while producing bit-identical output.
 
 /** One independent decomposition task: a reshaped 2-D slice. */

@@ -264,7 +264,7 @@ SeMatrix decodePiece(const uint8_t *file, const Meta &meta, size_t index);
 
 /**
  * Pluggable single-matrix decomposition, so callers can route the ALS
- * work through runtime::CompressionPipeline's cache/pool. Defaults to
+ * work through runtime::CompressionPipeline's cache. Defaults to
  * the serial core::decomposeMatrix.
  */
 using DecomposeFn =

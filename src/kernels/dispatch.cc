@@ -385,7 +385,7 @@ forEachColumnPanel(int64_t n, int64_t mults,
     int64_t chunks = 1;
     if (mults >= kParallelMults && !serialScopeActive()) {
         const int64_t tiles = (n + kPanelCols - 1) / kPanelCols;
-        chunks = std::min<int64_t>((int64_t)pool().threadCount(), tiles);
+        chunks = std::min<int64_t>((int64_t)threadBudget(), tiles);
     }
     if (chunks <= 1) {
         panel(0, n);

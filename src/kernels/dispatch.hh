@@ -144,8 +144,8 @@ const KernelOps &ops();
 
 /**
  * Split the n output columns into register-tile-aligned panels and
- * fan them over the kernel pool — or run inline when the work is
- * small, a SerialScope is active, or the pool is serial. Each column
+ * fan them over the process executor — or run inline when the work is
+ * small, a SerialScope is active, or the budget is 1. Each column
  * is owned by exactly one panel, so any worker count and any ISA
  * level produce identical bytes. `mults` is the multiply count the
  * parallel threshold is judged on.

@@ -1,13 +1,17 @@
 /**
  * @file
- * Process-wide configuration of the se::kernels layer: the shared
- * thread pool the blocked GEMM fans out over.
+ * The process executor: the one thread pool every fan-out in the
+ * library runs on (GEMM column panels, the compression pipeline's
+ * decomposition units, SimDriver's sweep cells, the v4 piece
+ * encode), plus the nesting rule that keeps them from fighting over
+ * it.
  *
- * Environment knob (read once, overridable programmatically):
- *  - SE_THREADS: kernel pool width. 0 => serial, negative or unset
- *      => one worker per core (the same convention and the same
- *      strict parser as RuntimeOptions: a malformed value makes the
- *      first pool() call throw std::invalid_argument).
+ * Environment knob (parsed once, on first use):
+ *  - SE_THREADS: the thread budget, i.e. the executor's width.
+ *      0 => serial, negative or unset => one worker per core (the
+ *      same convention and the same strict parser as RuntimeOptions:
+ *      a malformed value makes threadBudget() and pool() throw
+ *      std::invalid_argument).
  *
  * Every layer has exactly one lowering (conv/Linear forward and
  * Linear backward on the blocked GEMM, conv backward on its legacy
@@ -24,6 +28,7 @@
 #define SE_KERNELS_KERNELS_HH
 
 #include <cstdint>
+#include <limits>
 
 #include "base/thread_pool.hh"
 
@@ -31,22 +36,18 @@ namespace se {
 namespace kernels {
 
 /**
- * The shared kernel pool, lazily built with SE_THREADS workers
- * (throws std::invalid_argument while SE_THREADS is malformed).
- * Distinct from the serve/pipeline pools: those fan out whole tasks
- * (requests, per-matrix decompositions) and their workers block on
- * this pool's GEMM panels only through the nested-parallelism guard
- * or a SerialScope.
+ * The thread budget: SE_THREADS when set (0 counts as 1), else
+ * std::thread::hardware_concurrency(). Always >= 1. Every "-1 = one
+ * per core" option in the library resolves to this value.
  */
-ThreadPool &pool();
+int threadBudget();
 
 /**
- * Select a kernel pool of the given width (test/bench hook). One
- * pool per width is built on first use and kept for the process
- * lifetime, so alternating widths reuses workers instead of spawning
- * new ones. Results are identical for any width by construction.
+ * The process executor: threadBudget() workers, built on first use
+ * and never replaced. Workers that call back into parallelFor run
+ * inline (the pool's nested-parallelism guard).
  */
-void configureThreads(int threads);
+ThreadPool &pool();
 
 /**
  * RAII suppression of kernel-level parallelism on this thread.
@@ -70,11 +71,14 @@ class SerialScope
 bool serialScopeActive();
 
 /**
- * Fan fn(i), i in [0, n), over the kernel pool — or run inline when
- * the pool is serial, a SerialScope is active, or the caller already
- * is a kernel-pool worker.
+ * Fan fn(i), i in [0, n), over at most `width` executor workers (and
+ * never more than the budget). Runs inline on the caller when width
+ * <= 1, the budget is 1, a SerialScope is active, or the caller
+ * already is an executor worker. Blocks until every index is done;
+ * the first exception is rethrown.
  */
-void parallelFor(int64_t n, const std::function<void(int64_t)> &fn);
+void parallelFor(int64_t n, const std::function<void(int64_t)> &fn,
+                 int width = std::numeric_limits<int>::max());
 
 } // namespace kernels
 } // namespace se

@@ -9,14 +9,13 @@
 #include <cstddef>
 #include <cstdlib>
 #include <cstring>
-#include <optional>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "base/env.hh"
 #include "base/failpoint.hh"
 #include "kernels/dispatch.hh"
+#include "kernels/kernels.hh"
 
 namespace se {
 namespace runtime {
@@ -36,9 +35,10 @@ enum class ServeWeightSource
 struct RuntimeOptions
 {
     /**
-     * Worker threads. 0 and 1 both run every unit serially on the
-     * calling thread (no pool); negative means "one per hardware
-     * core". Results are bit-identical for any value.
+     * Fan-out width on the process executor (kernels::pool()). 0 and
+     * 1 both run every unit serially on the calling thread; a larger
+     * width is capped at the thread budget, and negative means the
+     * whole budget. Results are bit-identical for any value.
      */
     int threads = 0;
     /**
@@ -48,16 +48,6 @@ struct RuntimeOptions
      * any thread count.
      */
     size_t cacheCapacity = 0;
-    /**
-     * Which micro-kernel ISA variant the GEMM layer runs
-     * (SE_KERNEL_ISA = auto | scalar | sse2 | avx2). Empty (the
-     * default) leaves the process-wide selection alone — dispatch
-     * already initialized itself from SE_KERNEL_ISA at startup, so
-     * this field only matters for programmatic overrides via
-     * applyKernelConfig(). Every variant is bit-identical; the knob
-     * moves wall-clock only. Requesting an ISA the CPU lacks throws.
-     */
-    std::optional<kernels::KernelIsa> kernelIsa;
     /**
      * Serving admission cap (SE_SERVE_QUEUE_CAP in the environment):
      * requests beyond this many queued-but-undispatched ones are shed
@@ -122,19 +112,10 @@ struct RuntimeOptions
      */
     std::string failpoints;
 
-    /** Install kernelIsa, when set, as the process-wide default. */
-    void
-    applyKernelConfig() const
-    {
-        if (kernelIsa)
-            kernels::setActiveIsa(*kernelIsa);
-    }
-
     /**
      * Arm exactly the failpoints of `failpoints` process-wide
      * (disarming anything armed before). Driver binaries call this
-     * next to applyKernelConfig() so SE_FAILPOINTS reaches the
-     * library's injection sites.
+     * so SE_FAILPOINTS reaches the library's injection sites.
      */
     void
     applyFailpoints() const
@@ -142,21 +123,18 @@ struct RuntimeOptions
         failpoint::armFromSpec(failpoints);
     }
 
-    /** The thread count after resolving the "per core" sentinel. */
+    /** The width after resolving negative to the thread budget. */
     int
     resolvedThreads() const
     {
-        if (threads >= 0)
-            return threads;
-        const unsigned hc = std::thread::hardware_concurrency();
-        return hc > 0 ? (int)hc : 1;
+        return threads >= 0 ? threads : kernels::threadBudget();
     }
 
     /**
-     * The convention every driver binary shares: one worker per core
-     * and a warm cache, with SE_THREADS in the environment overriding
-     * the thread count (0 = serial). Results never depend on the
-     * value — it only moves wall-clock.
+     * The convention every driver binary shares: the whole thread
+     * budget and a warm cache, with SE_THREADS in the environment
+     * setting the width (0 = serial; the budget reads the same
+     * value). Results never depend on it — it only moves wall-clock.
      *
      * Every SE_* knob is parsed strictly: a value that is not fully
      * recognized throws std::invalid_argument instead of being
@@ -170,10 +148,11 @@ struct RuntimeOptions
         if (const char *t = std::getenv("SE_THREADS"))
             ro.threads = base::envIntNarrow("SE_THREADS", t);
         ro.cacheCapacity = cache_capacity;
-        // parseKernelIsa throws std::invalid_argument on anything it
-        // does not recognize, matching the other knobs' strictness.
+        // Dispatch reads SE_KERNEL_ISA itself on first use; this only
+        // refuses a value parseKernelIsa does not recognize, matching
+        // the other knobs' strictness.
         if (const char *isa = std::getenv("SE_KERNEL_ISA"))
-            ro.kernelIsa = kernels::parseKernelIsa(isa);
+            kernels::parseKernelIsa(isa);
         if (const char *c = std::getenv("SE_SERVE_QUEUE_CAP")) {
             const long long cap =
                 base::envInt("SE_SERVE_QUEUE_CAP", c);

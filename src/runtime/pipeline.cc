@@ -1,5 +1,7 @@
 #include "runtime/pipeline.hh"
 
+#include <algorithm>
+
 #include "kernels/kernels.hh"
 
 namespace se {
@@ -20,7 +22,7 @@ CompressionPipeline::run(nn::Sequential &net,
 
     const uint64_t hits_before = cache_.hits();
     auto decompose = [&](int64_t i) {
-        // One unit per worker already saturates the pool; the ALS
+        // One unit per worker already saturates the executor; the ALS
         // matmuls inside stay inline.
         kernels::SerialScope serial;
         const core::DecompUnit &u = plan.units[(size_t)i];
@@ -31,14 +33,8 @@ CompressionPipeline::run(nn::Sequential &net,
                 core::decomposeMatrix(u.matrix, se_opts);
     };
 
-    if (!pool_) {
-        for (int64_t i = 0; i < (int64_t)plan.units.size(); ++i)
-            decompose(i);
-        stats_.threadsUsed = threads;
-    } else {
-        pool_->parallelFor((int64_t)plan.units.size(), decompose);
-        stats_.threadsUsed = pool_->threadCount();
-    }
+    kernels::parallelFor((int64_t)plan.units.size(), decompose, threads);
+    stats_.threadsUsed = std::min(threads, kernels::threadBudget());
     stats_.cacheHits = (size_t)(cache_.hits() - hits_before);
 
     return core::finishCompression(plan, results, se_opts);

@@ -3,20 +3,18 @@
  * The parallel compression pipeline.
  *
  * CompressionPipeline runs core::applySmartExchange's work — one
- * independent ALS decomposition per reshaped weight slice — across a
- * fixed-size thread pool, optionally through the decomposition cache,
- * and reassembles the CompressionReport deterministically. Because
- * decomposeMatrix is deterministic and every slice is independent, the
- * result is bit-identical to applySmartExchange's at any thread count;
- * threads = 0 or 1 runs the same units serially on the calling thread.
+ * independent ALS decomposition per reshaped weight slice — on the
+ * process executor (kernels::pool()) at RuntimeOptions::threads
+ * width, optionally through the decomposition cache, and reassembles
+ * the CompressionReport deterministically. Because decomposeMatrix is
+ * deterministic and every slice is independent, the result is
+ * bit-identical to applySmartExchange's at any width; threads = 0 or
+ * 1 runs the same units serially on the calling thread.
  */
 
 #ifndef SE_RUNTIME_PIPELINE_HH
 #define SE_RUNTIME_PIPELINE_HH
 
-#include <memory>
-
-#include "base/thread_pool.hh"
 #include "core/apply.hh"
 #include "runtime/decomp_cache.hh"
 #include "runtime/options.hh"
@@ -29,7 +27,8 @@ struct PipelineStats
 {
     size_t units = 0;       ///< decomposition tasks executed
     size_t cacheHits = 0;   ///< tasks answered from the cache
-    int threadsUsed = 0;    ///< pool width (0 or 1 = serial)
+    /** min(resolved threads, budget); 0 or 1 = serial. */
+    int threadsUsed = 0;
 };
 
 class CompressionPipeline
@@ -39,11 +38,6 @@ class CompressionPipeline
         : opts_(opts),
           cache_(DecompCacheOptions{opts.cacheCapacity, opts.cacheDir})
     {
-        // The pool lives as long as the pipeline so repeated runs
-        // (re-training rounds, sweeps) don't re-spawn workers.
-        const int threads = opts_.resolvedThreads();
-        if (threads > 1)
-            pool_ = std::make_unique<ThreadPool>(threads);
     }
 
     /**
@@ -62,7 +56,6 @@ class CompressionPipeline
     RuntimeOptions opts_;
     DecompCache cache_;
     PipelineStats stats_;
-    std::unique_ptr<ThreadPool> pool_;  ///< null when <= 1 thread
 };
 
 } // namespace runtime

@@ -1,6 +1,6 @@
 #include "runtime/sim_driver.hh"
 
-#include "base/thread_pool.hh"
+#include "kernels/kernels.hh"
 
 namespace se {
 namespace runtime {
@@ -26,13 +26,8 @@ SimDriver::sweep(const std::vector<const accel::Accelerator *> &accs,
         cell.run = true;
     };
 
-    const int64_t n = (int64_t)(na * nw);
-    if (!pool_) {
-        for (int64_t i = 0; i < n; ++i)
-            run_cell(i);
-    } else {
-        pool_->parallelFor(n, run_cell);
-    }
+    kernels::parallelFor((int64_t)(na * nw), run_cell,
+                         opts_.resolvedThreads());
     return cells;
 }
 
@@ -58,13 +53,7 @@ SimDriver::runLayers(const accel::Accelerator &acc,
     auto run_one = [&](int64_t i) {
         per[(size_t)i] = acc.runLayer(layers[(size_t)i]);
     };
-
-    if (!pool_) {
-        for (int64_t i = 0; i < n; ++i)
-            run_one(i);
-    } else {
-        pool_->parallelFor(n, run_one);
-    }
+    kernels::parallelFor(n, run_one, opts_.resolvedThreads());
 
     // Reduce in layer order: deterministic and equal to the serial
     // accumulation.

@@ -5,8 +5,9 @@
  * Every figure/table bench and example used to hand-roll the same
  * nested loop: for each accelerator, for each workload, sum runLayer()
  * over the layers. SimDriver owns that loop once, fans the
- * (accelerator, workload) cells out across a thread pool, and returns
- * the full result matrix. Accelerator::runLayer is const and
+ * (accelerator, workload) cells out on the process executor
+ * (kernels::pool()) at RuntimeOptions::threads width, and returns the
+ * full result matrix. Accelerator::runLayer is const and
  * side-effect free, and each cell accumulates its own RunStats in
  * layer order, so parallel results are identical to serial ones.
  */
@@ -15,11 +16,9 @@
 #define SE_RUNTIME_SIM_DRIVER_HH
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "accel/accelerator.hh"
-#include "base/thread_pool.hh"
 #include "runtime/options.hh"
 
 namespace se {
@@ -38,14 +37,7 @@ using SimResults = std::vector<std::vector<SimCell>>;
 class SimDriver
 {
   public:
-    explicit SimDriver(RuntimeOptions opts = {}) : opts_(opts)
-    {
-        // The pool lives as long as the driver so repeated sweeps
-        // don't re-spawn workers.
-        const int threads = opts_.resolvedThreads();
-        if (threads > 1)
-            pool_ = std::make_unique<ThreadPool>(threads);
-    }
+    explicit SimDriver(RuntimeOptions opts = {}) : opts_(opts) {}
 
     /**
      * Run every accelerator over every workload. `skip(ai, wi)` may
@@ -79,7 +71,6 @@ class SimDriver
 
   private:
     RuntimeOptions opts_;
-    std::unique_ptr<ThreadPool> pool_;  ///< null when <= 1 thread
 };
 
 } // namespace runtime

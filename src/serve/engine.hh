@@ -6,10 +6,15 @@
  * submit() validates and admits one sample and returns a future. A
  * dispatcher thread groups queued requests into batches (up to
  * maxBatch, per the flush policy) and hands each batch to a free
- * session replica; with threads > 0 batches run concurrently on a
- * ThreadPool (one replica per worker, so sessions are never shared
- * across threads), with threads == 0 they run inline on the
- * dispatcher.
+ * session replica; with threads > 0 batches run concurrently on the
+ * engine's own replica workers (one replica per worker, so sessions
+ * are never shared across threads), with threads == 0 they run
+ * inline on the dispatcher. The replica workers are not the process
+ * executor: each runs exactly one batch on its own replica at a time,
+ * and stop() drains every batch already handed to them, which a FIFO
+ * shared with the rest of the process could not promise. Batches run
+ * under a kernels::SerialScope, so they never fan out onto the
+ * executor either.
  *
  * Responses are bit-identical regardless of thread count, batch size
  * or flush policy: every replica rebuilds the same dense weights from
@@ -51,6 +56,7 @@
 
 #include "base/mutex.hh"
 #include "base/thread_pool.hh"
+#include "kernels/kernels.hh"
 #include "serve/latency.hh"
 #include "serve/session.hh"
 
@@ -94,8 +100,11 @@ constexpr double kMaxFlushDeadlineMs = 3.6e6;
 struct ServeOptions
 {
     /**
-     * Worker threads == session replicas; 0 runs batches inline on
-     * the dispatcher (single replica), negative means one per core.
+     * Replica workers == session replicas; 0 runs batches inline on
+     * the dispatcher (single replica). Negative (the default) means
+     * one replica per unit of the thread budget,
+     * kernels::threadBudget() — SE_THREADS, else one per core.
+     * ServeFront splits this count across its models.
      */
     int threads = -1;
     /** Micro-batch size cap. */
@@ -138,10 +147,7 @@ struct ServeOptions
     int
     resolvedThreads() const
     {
-        if (threads >= 0)
-            return threads;
-        const unsigned hc = std::thread::hardware_concurrency();
-        return hc > 0 ? (int)hc : 1;
+        return threads >= 0 ? threads : kernels::threadBudget();
     }
 };
 
@@ -245,7 +251,8 @@ class ServeEngine
     /** Immutable after construction; each replica is used by at most
      *  one in-flight batch at a time (the freeReplicas_ protocol). */
     std::vector<std::unique_ptr<InferenceSession>> replicas_;
-    std::unique_ptr<ThreadPool> pool_;  ///< null when threads == 0
+    /** Replica workers; null when threads == 0. */
+    std::unique_ptr<ThreadPool> pool_;
 
     /** Serializes stop() callers. House lock order:
      *  stop_mu_ -> mu_ -> stats_mu_ (documented here, spot-enforced

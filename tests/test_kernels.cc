@@ -15,7 +15,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -152,41 +151,13 @@ TEST(Kernels, GemmThreadCountInvariant)
     // Big enough to clear the parallel threshold.
     Tensor a = randn({96, 96}, rng);
     Tensor b = randn({96, 96}, rng);
-    kernels::configureThreads(1);
-    Tensor serial = kernels::gemm(a, b);
-    kernels::configureThreads(4);
-    Tensor threaded = kernels::gemm(a, b);
-    kernels::configureThreads(1);
-    EXPECT_TRUE(bitEqual(serial, threaded));
-}
-
-/** The Threads: line of /proc/self/status (-1 when absent). */
-int
-processThreadCount()
-{
-    std::ifstream status("/proc/self/status");
-    std::string line;
-    while (std::getline(status, line))
-        if (line.rfind("Threads:", 0) == 0)
-            return std::stoi(line.substr(8));
-    return -1;
-}
-
-TEST(Kernels, ConfigureThreadsKeepsThreadCountBounded)
-{
-    // One pool per width, re-selected on every later request: after
-    // the first 1/4 pair has built both pools, alternating between
-    // them must not start a single new worker.
-    kernels::configureThreads(1);
-    kernels::configureThreads(4);
-    const int after_first_pair = processThreadCount();
-    ASSERT_GT(after_first_pair, 0);
-    for (int i = 1; i < 50; ++i) {
-        kernels::configureThreads(1);
-        kernels::configureThreads(4);
+    Tensor serial;
+    {
+        kernels::SerialScope inline_only;
+        serial = kernels::gemm(a, b);
     }
-    EXPECT_LE(processThreadCount(), after_first_pair);
-    kernels::configureThreads(1);
+    Tensor threaded = kernels::gemm(a, b);  // the executor's width
+    EXPECT_TRUE(bitEqual(serial, threaded));
 }
 
 // ------------------------------------------------------------- Conv2d
@@ -252,11 +223,12 @@ TEST(Kernels, ConvForwardThreadCountInvariant)
     Rng rng(42);
     nn::Conv2d conv(16, 32, 3, 1, 1, 1, rng);
     Tensor x = randn({2, 16, 24, 24}, rng);
-    kernels::configureThreads(1);
-    Tensor serial = conv.forward(x, false);
-    kernels::configureThreads(4);
+    Tensor serial;
+    {
+        kernels::SerialScope inline_only;
+        serial = conv.forward(x, false);
+    }
     Tensor threaded = conv.forward(x, false);
-    kernels::configureThreads(1);
     EXPECT_TRUE(bitEqual(serial, threaded));
 }
 
@@ -727,7 +699,7 @@ TEST(Dispatch, ParseKernelIsaStrict)
 }
 
 /**
- * The kernel pool reads SE_THREADS itself, for library callers that
+ * The executor reads SE_THREADS itself, for library callers that
  * never go through RuntimeOptions::fromEnv. A value that is not a
  * whole in-range integer must refuse the first pool() use with
  * std::invalid_argument, not silently build a one-thread pool. Each
@@ -758,6 +730,24 @@ TEST(KernelsDeathTest, PoolRejectsMalformedSeThreads)
             std::_Exit((int)kernels::pool().threadCount());
         },
         ::testing::ExitedWithCode(3), "");
+}
+
+/**
+ * Dispatch reads SE_KERNEL_ISA itself on first use, for every caller:
+ * nothing else installs it. A freshly exec'd child sets the knob
+ * before its first activeIsa() and must run the scalar variant.
+ */
+TEST(KernelsDeathTest, DispatchReadsSeKernelIsaOnFirstUse)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            ::setenv("SE_KERNEL_ISA", "scalar", 1);
+            const kernels::KernelIsa isa = kernels::activeIsa();
+            std::fprintf(stderr, "active %s\n", kernels::isaName(isa));
+            std::_Exit(isa == kernels::KernelIsa::Scalar ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "active scalar");
 }
 
 /**

@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -24,9 +27,12 @@
 #include "base/hash.hh"
 #include "base/random.hh"
 #include "base/thread_pool.hh"
+#include "core/model_file.hh"
+#include "kernels/kernels.hh"
 #include "runtime/options.hh"
 #include "runtime/pipeline.hh"
 #include "runtime/sim_driver.hh"
+#include "serve/engine.hh"
 #include "temp_path.hh"
 
 namespace se {
@@ -127,37 +133,6 @@ TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
         EXPECT_THROW(runtime::RuntimeOptions::fromEnv(),
                      std::invalid_argument)
             << name << "=" << value;
-    }
-}
-
-TEST(RuntimeOptions, FromEnvKernelIsaForcedSelection)
-{
-    // SE_KERNEL_ISA=scalar is valid on every build; applyKernelConfig
-    // must install it process-wide, and the default (unset) env must
-    // leave the field empty so apply keeps the startup selection.
-    const kernels::KernelIsa before = kernels::activeIsa();
-    {
-        ScopedEnv isa("SE_KERNEL_ISA", "scalar");
-        const auto ro = runtime::RuntimeOptions::fromEnv();
-        ASSERT_TRUE(ro.kernelIsa.has_value());
-        EXPECT_EQ(*ro.kernelIsa, kernels::KernelIsa::Scalar);
-        ro.applyKernelConfig();
-        EXPECT_EQ(kernels::activeIsa(), kernels::KernelIsa::Scalar);
-    }
-    kernels::setActiveIsa(before);
-    {
-        ScopedEnv isa("SE_KERNEL_ISA", "auto");
-        const auto ro = runtime::RuntimeOptions::fromEnv();
-        ASSERT_TRUE(ro.kernelIsa.has_value());
-        EXPECT_EQ(*ro.kernelIsa, kernels::detectBestIsa());
-    }
-    {
-        ScopedEnv isa("SE_KERNEL_ISA", "unset-sentinel");
-        ::unsetenv("SE_KERNEL_ISA");
-        const auto ro = runtime::RuntimeOptions::fromEnv();
-        EXPECT_FALSE(ro.kernelIsa.has_value());
-        ro.applyKernelConfig();  // no-op on the ISA
-        EXPECT_EQ(kernels::activeIsa(), before);
     }
 }
 
@@ -552,7 +527,8 @@ TEST(CompressionPipeline, ParallelMatchesSerialBitForBit)
     auto report_parallel =
         pipe.run(*parallel_net, se_opts, apply_opts);
 
-    EXPECT_EQ(pipe.stats().threadsUsed, 4);
+    EXPECT_EQ(pipe.stats().threadsUsed,
+              std::min(4, kernels::threadBudget()));
     EXPECT_GT(pipe.stats().units, 0u);
     expectIdenticalWeights(*serial_net, *parallel_net);
     expectIdenticalReports(report_serial, report_parallel);
@@ -710,6 +686,86 @@ TEST(SimDriver, SweepMatchesRunNetworkAndHonorsSkips)
             EXPECT_EQ(cells[ai][wi].stats.totalEnergyPj(),
                       ref.totalEnergyPj());
         }
+}
+
+// ------------------------------------------------------ thread budget
+
+/** The Threads: line of /proc/self/status (-1 when absent). */
+int
+processThreadCount()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line))
+        if (line.rfind("Threads:", 0) == 0)
+            return std::stoi(line.substr(8));
+    return -1;
+}
+
+/** Threads the sanitizer runtime adds: TSan starts one of its own. */
+#if defined(__SANITIZE_THREAD__)
+constexpr int kRuntimeThreads = 1;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+constexpr int kRuntimeThreads = 1;
+#else
+constexpr int kRuntimeThreads = 0;
+#endif
+#else
+constexpr int kRuntimeThreads = 0;
+#endif
+
+/**
+ * SE_THREADS is the one thread budget. Under SE_THREADS=3 a pipeline
+ * asked for 8 workers and the v4 piece encode after it both fan out
+ * on the one 3-worker executor, so the process holds at most the main
+ * thread plus 3. Executor workers live as long as the process (and a
+ * per-owner pool as long as its owner), so a sample taken after each
+ * fan-out, with the pipeline still alive, counts every worker either
+ * one started. A default ServeEngine takes its replica count from the
+ * same budget. Runs in a freshly exec'd child, so the budget is
+ * parsed from this SE_THREADS.
+ */
+TEST(ThreadBudgetDeathTest, EveryFanOutSharesOneBudget)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_EXIT(
+        {
+            ::setenv("SE_THREADS", "3", 1);
+            core::SeOptions se_opts;
+            se_opts.vectorThreshold = 0.01;
+            const core::ApplyOptions apply;
+            runtime::RuntimeOptions ro;
+            ro.threads = 8;
+            ro.cacheCapacity = 64;
+            runtime::CompressionPipeline pipe(ro);
+            auto net = makeCnn(81);
+            pipe.run(*net, se_opts, apply);
+            int peak = processThreadCount();
+
+            auto ship = makeCnn(81);
+            core::CompressedModel model = core::compressToRecords(
+                *ship, se_opts, apply,
+                [&pipe](const Tensor &w, const core::SeOptions &o) {
+                    return pipe.cache().getOrCompute(w, o);
+                });
+            core::quantizeBasisAtCompress(*ship, model, se_opts, apply);
+            std::ostringstream os;
+            core::saveModelV4(os, model.records, model.dense);
+            peak = std::max(peak, processThreadCount());
+
+            serve::ServeEngine engine(
+                std::make_shared<std::vector<core::SeLayerRecord>>(
+                    model.records),
+                [] { return makeCnn(81); }, se_opts, apply);
+            const int replicas = engine.replicaCount();
+            std::fprintf(stderr, "threads %d replicas %d\n", peak,
+                         replicas);
+            const bool ok =
+                peak <= 1 + 3 + kRuntimeThreads && replicas == 3;
+            std::_Exit(ok ? 0 : 1);
+        },
+        ::testing::ExitedWithCode(0), "replicas 3");
 }
 
 } // namespace
