@@ -1351,17 +1351,36 @@ loadModel(std::istream &is)
     return std::move(bundle.records);
 }
 
+namespace {
+
+/**
+ * The one file writer every save*File shares: failpoint, open, write,
+ * flush, check. The failpoint takes the exact path a full disk /
+ * yanked volume would: ModelFileError out of the save, nothing
+ * half-installed. A stream that went bad anywhere in the write or the
+ * flush is that same error, never a silent short file.
+ */
+template <class Write>
 void
-saveModelFile(const std::string &path,
-              const std::vector<SeLayerRecord> &layers)
+saveToFile(const std::string &path, Write &&write)
 {
-    // The failpoint takes the exact path a full disk / yanked volume
-    // would: ModelFileError out of the save, nothing half-installed.
     SE_FAILPOINT_THROW("model_file_save_io", ModelFileError);
     std::ofstream os(path, std::ios::binary);
     if (!os.good())
         throw ModelFileError("cannot open " + path + " for writing");
-    saveModel(os, layers);
+    write(os);
+    os.flush();
+    if (!os.good())
+        throw ModelFileError("write to " + path + " failed");
+}
+
+} // namespace
+
+void
+saveModelFile(const std::string &path,
+              const std::vector<SeLayerRecord> &layers)
+{
+    saveToFile(path, [&](std::ostream &os) { saveModel(os, layers); });
 }
 
 std::vector<SeLayerRecord>
@@ -1377,24 +1396,17 @@ loadModelFile(const std::string &path)
 void
 saveModelV3File(const std::string &path, const ModelBundle &b)
 {
-    SE_FAILPOINT_THROW("model_file_save_io", ModelFileError);
-    std::ofstream os(path, std::ios::binary);
-    if (!os.good())
-        throw ModelFileError("cannot open " + path + " for writing");
-    saveModelV3(os, b.records, b.dense);
+    saveToFile(path, [&](std::ostream &os) {
+        saveModelV3(os, b.records, b.dense);
+    });
 }
 
 void
 saveModelV4File(const std::string &path, const ModelBundle &b)
 {
-    SE_FAILPOINT_THROW("model_file_save_io", ModelFileError);
-    std::ofstream os(path, std::ios::binary);
-    if (!os.good())
-        throw ModelFileError("cannot open " + path + " for writing");
-    saveModelV4(os, b.records, b.dense);
-    os.flush();
-    if (!os.good())
-        throw ModelFileError("write to " + path + " failed");
+    saveToFile(path, [&](std::ostream &os) {
+        saveModelV4(os, b.records, b.dense);
+    });
 }
 
 ModelBundle

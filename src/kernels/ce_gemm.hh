@@ -23,9 +23,9 @@
  * a 3x3 conv) and every FC slice n = fcGroupSize (4). For n <=
  * kCeSmallN the kernel takes KernelOps::gemmCeSmallN, which decodes
  * each row's r codes once and accumulates all n columns in one
- * register tile (one YMM on AVX2, two XMM on SSE2, acc[8] on scalar);
- * the column-panel body would run such widths in its per-column
- * scalar tail, decoding every code once per column. Wider outputs
+ * register tile (one YMM on AVX2, acc[8] on scalar); the
+ * column-panel body would run such widths in its per-column scalar
+ * tail, decoding every code once per column. Wider outputs
  * keep the column-panel body. Both are bit-identical to the same
  * reference.
  *

@@ -23,17 +23,20 @@ namespace {
  */
 constexpr int64_t kParallelMults = 1 << 19;
 
+} // namespace
+
 // ----------------------------------------------- scalar micro-kernels
 //
-// The reference rounding sequence every SIMD variant must reproduce
+// The reference rounding sequence the AVX2 variant must reproduce
 // byte for byte: per output element, ascending-k float chain with a
 // round after every add, zero entries of A skipped.
 
 /** sgemm over the column range [j0, j1). */
 void
-sgemmPanelScalar(const float *__restrict a, const float *__restrict b,
-                 float *__restrict c, int64_t m, int64_t k, int64_t n,
-                 bool accumulate, int64_t j0, int64_t j1)
+detail::sgemmPanelScalar(const float *__restrict a,
+                         const float *__restrict b, float *__restrict c,
+                         int64_t m, int64_t k, int64_t n,
+                         bool accumulate, int64_t j0, int64_t j1)
 {
     int64_t jt = j0;
     for (; jt + kPanelCols <= j1; jt += kPanelCols) {
@@ -68,6 +71,8 @@ sgemmPanelScalar(const float *__restrict a, const float *__restrict b,
         }
     }
 }
+
+namespace {
 
 using detail::nibbleAt;
 
@@ -147,25 +152,17 @@ gemmCeSmallNScalar(const uint8_t *row_mask, const uint8_t *nibbles,
         });
 }
 
-const KernelOps kScalarOps{sgemmPanelScalar, gemmCePanelScalar,
+const KernelOps kScalarOps{detail::sgemmPanelScalar, gemmCePanelScalar,
                            gemmCeSmallNScalar,
                            detail::gemmRowBiasDPanelScalar};
 
 bool
-cpuHasIsa(KernelIsa isa)
+cpuHasAvx2()
 {
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-    switch (isa) {
-    case KernelIsa::Scalar:
-        return true;
-    case KernelIsa::Sse2:
-        return __builtin_cpu_supports("sse2");
-    case KernelIsa::Avx2:
-        return __builtin_cpu_supports("avx2");
-    }
-    return false;
+    return __builtin_cpu_supports("avx2");
 #else
-    return isa == KernelIsa::Scalar;
+    return false;
 #endif
 }
 
@@ -271,8 +268,6 @@ isaName(KernelIsa isa)
     switch (isa) {
     case KernelIsa::Scalar:
         return "scalar";
-    case KernelIsa::Sse2:
-        return "sse2";
     case KernelIsa::Avx2:
         return "avx2";
     }
@@ -285,10 +280,8 @@ isaSupported(KernelIsa isa)
     switch (isa) {
     case KernelIsa::Scalar:
         return true;
-    case KernelIsa::Sse2:
-        return detail::sse2Ops() != nullptr && cpuHasIsa(isa);
     case KernelIsa::Avx2:
-        return detail::avx2Ops() != nullptr && cpuHasIsa(isa);
+        return detail::avx2Ops() != nullptr && cpuHasAvx2();
     }
     return false;
 }
@@ -297,8 +290,7 @@ std::vector<KernelIsa>
 supportedIsas()
 {
     std::vector<KernelIsa> out;
-    for (KernelIsa isa :
-         {KernelIsa::Scalar, KernelIsa::Sse2, KernelIsa::Avx2})
+    for (KernelIsa isa : {KernelIsa::Scalar, KernelIsa::Avx2})
         if (isaSupported(isa))
             out.push_back(isa);
     return out;
@@ -307,11 +299,8 @@ supportedIsas()
 KernelIsa
 detectBestIsa()
 {
-    if (isaSupported(KernelIsa::Avx2))
-        return KernelIsa::Avx2;
-    if (isaSupported(KernelIsa::Sse2))
-        return KernelIsa::Sse2;
-    return KernelIsa::Scalar;
+    return isaSupported(KernelIsa::Avx2) ? KernelIsa::Avx2
+                                         : KernelIsa::Scalar;
 }
 
 KernelIsa
@@ -322,13 +311,11 @@ parseKernelIsa(const char *s)
     KernelIsa isa;
     if (!std::strcmp(s, "scalar"))
         isa = KernelIsa::Scalar;
-    else if (!std::strcmp(s, "sse2"))
-        isa = KernelIsa::Sse2;
     else if (!std::strcmp(s, "avx2"))
         isa = KernelIsa::Avx2;
     else
         throw std::invalid_argument(
-            "SE_KERNEL_ISA must be auto|scalar|sse2|avx2, got '" +
+            "SE_KERNEL_ISA must be auto|scalar|avx2, got '" +
             std::string(s) + "'");
     if (!isaSupported(isa))
         throw std::invalid_argument(
@@ -359,10 +346,6 @@ opsFor(KernelIsa isa)
     switch (isa) {
     case KernelIsa::Scalar:
         return kScalarOps;
-    case KernelIsa::Sse2:
-        if (const KernelOps *o = detail::sse2Ops())
-            return *o;
-        break;
     case KernelIsa::Avx2:
         if (const KernelOps *o = detail::avx2Ops())
             return *o;

@@ -4,28 +4,26 @@
  * micro-kernels.
  *
  * The sgemm column-panel kernel, the fused Ce-code panels and the
- * conv/Linear-forward double-chain panel exist in up to
- * three explicitly register-tiled variants — scalar (the reference,
- * byte-for-byte the legacy rounding sequence), SSE2 (4-lane tiles)
- * and AVX2 (8 floats or 4 doubles per YMM). The best variant the CPU
- * supports is detected once, and every variant preserves the
- * bit-identity contract: SIMD lanes are *different output elements*,
- * never partial sums of one element, so each element is still
- * accumulated over the inner dimension in ascending order. Float
- * chains round after every multiply and every add, and zero entries
- * of A keep the legacy skip so signed zeros and NaN propagation
- * cannot diverge. The double chain adds float products widened to
+ * conv/Linear-forward double-chain panel exist in two explicitly
+ * register-tiled variants — scalar (the one reference, byte-for-byte
+ * the legacy rounding sequence) and AVX2 (8 floats or 4 doubles per
+ * YMM). The best variant the CPU supports is detected once, and both
+ * preserve the bit-identity contract: SIMD lanes are *different
+ * output elements*, never partial sums of one element, so each
+ * element is still accumulated over the inner dimension in ascending
+ * order. Float chains round after every multiply and every add, and
+ * zero entries of A keep the legacy skip so signed zeros and NaN
+ * propagation cannot diverge. The double chain adds float products widened to
  * double, which are exact (24 + 24 significand bits fit in 53), and
  * rounds to float once on store. Fused multiply-add is deliberately
  * never emitted — the AVX2 translation unit is compiled with AVX2 but
  * *not* FMA, because a fused mul+add rounds once where the float
  * chain rounds twice.
  *
- * Selection order: SE_KERNEL_ISA (scalar | sse2 | avx2 | auto) if
- * set — rejected loudly when unrecognized or not supported by the
- * running CPU — else the best ISA the CPU reports (AVX2 > SSE2 >
- * scalar). All variants being bit-identical, the knob only ever moves
- * wall-clock.
+ * Selection order: SE_KERNEL_ISA (scalar | avx2 | auto) if set —
+ * rejected loudly when unrecognized or not supported by the running
+ * CPU — else AVX2 when the CPU has it, scalar otherwise. Both
+ * variants being bit-identical, the knob only ever moves wall-clock.
  */
 
 #ifndef SE_KERNELS_DISPATCH_HH
@@ -41,11 +39,10 @@ namespace kernels {
 /** Instruction-set level of a registered micro-kernel variant. */
 enum class KernelIsa {
     Scalar,  ///< plain C++ register tiles (the bit-exact reference)
-    Sse2,    ///< 128-bit tiles (x86 baseline)
     Avx2,    ///< 256-bit tiles (no FMA — see file comment)
 };
 
-/** Stable lowercase name ("scalar" | "sse2" | "avx2"). */
+/** Stable lowercase name ("scalar" | "avx2"). */
 const char *isaName(KernelIsa isa);
 
 /**
@@ -89,7 +86,7 @@ constexpr int64_t kCeSmallN = 8;
 /**
  * One micro-kernel variant: the column-panel bodies dispatched by
  * sgemm / gemmCeB / gemmRowBiasD / gemmColBiasD. Panels
- * are [j0, j1) output-column ranges; every variant computes
+ * are [j0, j1) output-column ranges; both variants compute
  * bit-identical bytes.
  */
 struct KernelOps

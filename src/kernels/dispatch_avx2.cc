@@ -16,8 +16,12 @@
  * order, and the float chains keep the A-side zero-skip per row (the
  * double chain has none, like its scalar reference).
  *
+ * The sgemm and double-chain panels run their remainder columns
+ * (narrower than a register tile) through the scalar reference
+ * panels themselves.
+ *
  * When the build lacks -mavx2 support (non-x86 target, old compiler),
- * avx2Ops() returns nullptr and dispatch falls back to SSE2/scalar.
+ * avx2Ops() returns nullptr and dispatch falls back to scalar.
  */
 
 #include "kernels/dispatch_variants.hh"
@@ -36,25 +40,6 @@ namespace {
 
 constexpr int64_t kTile = 16;  // columns per register tile (2 x YMM)
 constexpr int64_t kHalf = 8;   // single-YMM stage
-
-/** Scalar remainder columns [jt, j1) — the reference loop verbatim. */
-inline void
-sgemmTail(const float *a, const float *b, float *c, int64_t m,
-          int64_t k, int64_t n, bool accumulate, int64_t jt, int64_t j1)
-{
-    for (; jt < j1; ++jt) {
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * k;
-            float acc = accumulate ? c[i * n + jt] : 0.0f;
-            for (int64_t p = 0; p < k; ++p) {
-                const float av = ai[p];
-                if (av != 0.0f)
-                    acc += av * b[p * n + jt];
-            }
-            c[i * n + jt] = acc;
-        }
-    }
-}
 
 void
 sgemmPanelAvx2(const float *__restrict a, const float *__restrict b,
@@ -149,7 +134,7 @@ sgemmPanelAvx2(const float *__restrict a, const float *__restrict b,
             _mm256_storeu_ps(ci, acc);
         }
     }
-    sgemmTail(a, b, c, m, k, n, accumulate, jt, j1);
+    sgemmPanelScalar(a, b, c, m, k, n, accumulate, jt, j1);
 }
 
 void
@@ -366,17 +351,8 @@ gemmRowBiasDPanelAvx2(const float *__restrict a,
         biasDColumns<1>(a, b, row_bias, col_bias, c, m, k, n, jt);
         jt += 4;
     }
-    for (; jt < j1; ++jt) {  // the scalar reference tail verbatim
-        for (int64_t i = 0; i < m; ++i) {
-            const float *ai = a + i * k;
-            double acc = row_bias   ? (double)row_bias[i]
-                         : col_bias ? (double)col_bias[jt]
-                                    : 0.0;
-            for (int64_t p = 0; p < k; ++p)
-                acc += (double)ai[p] * (double)b[p * n + jt];
-            c[i * n + jt] = (float)acc;
-        }
-    }
+    gemmRowBiasDPanelScalar(a, b, row_bias, col_bias, c, m, k, n, jt,
+                            j1);
 }
 
 const KernelOps kAvx2Ops{sgemmPanelAvx2, gemmCePanelAvx2, gemmCeSmallNAvx2,

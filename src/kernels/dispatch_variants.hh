@@ -1,10 +1,10 @@
 /**
  * @file
- * Internal registry hooks between dispatch.cc and the per-ISA
- * translation units. Each variant TU is compiled unconditionally but
- * returns nullptr when its ISA was not available at compile time
- * (non-x86 target, or the compiler lacking -mavx2), so the dispatch
- * table degrades gracefully instead of breaking the link.
+ * Internal registry hooks between dispatch.cc and the AVX2
+ * translation unit. The AVX2 TU is compiled unconditionally but
+ * returns nullptr when AVX2 was not available at compile time
+ * (non-x86 target, or the compiler lacking -mavx2), so dispatch
+ * degrades to the scalar table instead of breaking the link.
  */
 
 #ifndef SE_KERNELS_DISPATCH_VARIANTS_HH
@@ -18,7 +18,7 @@ namespace se {
 namespace kernels {
 namespace detail {
 
-// The helpers below are compiled into every variant TU, each with its
+// The helpers below are compiled into both variant TUs, each with its
 // own ISA flags. Internal linkage keeps the linker from folding, say,
 // the AVX2 TU's copy into the scalar table.
 namespace {
@@ -69,13 +69,18 @@ forEachCeRow(const uint8_t *row_mask, int64_t m, int64_t r, int64_t n,
 
 } // namespace
 
-/** SSE2 variant table, or nullptr when not compiled in. */
-const KernelOps *sse2Ops();
-
 /** AVX2 variant table, or nullptr when not compiled in. */
 const KernelOps *avx2Ops();
 
-/** Scalar KernelOps::gemmRowBiasDPanel, shared by the SSE2 table. */
+// Scalar reference panels. The AVX2 sgemm and double-chain panels run
+// their remainder columns (fewer than one register tile) through them.
+
+/** Scalar KernelOps::sgemmPanel. */
+void sgemmPanelScalar(const float *a, const float *b, float *c,
+                      int64_t m, int64_t k, int64_t n, bool accumulate,
+                      int64_t j0, int64_t j1);
+
+/** Scalar KernelOps::gemmRowBiasDPanel. */
 void gemmRowBiasDPanelScalar(const float *a, const float *b,
                              const float *row_bias,
                              const float *col_bias, float *c,

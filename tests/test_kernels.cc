@@ -692,6 +692,8 @@ TEST(Dispatch, ParseKernelIsaStrict)
               kernels::KernelIsa::Scalar);
     EXPECT_THROW(kernels::parseKernelIsa("avx512"),
                  std::invalid_argument);
+    EXPECT_THROW(kernels::parseKernelIsa("sse2"),  // no such tier
+                 std::invalid_argument);
     EXPECT_THROW(kernels::parseKernelIsa("fast"),
                  std::invalid_argument);
     EXPECT_THROW(kernels::parseKernelIsa("AVX2"),

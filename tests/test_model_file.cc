@@ -1325,6 +1325,27 @@ TEST(ModelFileV4, FileRoundTripOnDisk)
               0);
 }
 
+/**
+ * A full disk must fail the save, whatever the format: every save*File
+ * flushes and checks its stream. The v2 and v3 writers used to return
+ * normally with the bytes lost.
+ */
+TEST(ModelFile, FileWritersReportAFullDisk)
+{
+    if (!std::filesystem::exists("/dev/full"))
+        GTEST_SKIP() << "no /dev/full on this host";
+    core::ModelBundle bundle;
+    bundle.records.push_back(
+        {"layer", std::vector<core::SeMatrix>(200, craftedMatrix(16, 7))});
+    core::quantizeBasisAtCompress(bundle.records);
+    EXPECT_THROW(core::saveModelFile("/dev/full", bundle.records),
+                 core::ModelFileError);
+    EXPECT_THROW(core::saveModelV3File("/dev/full", bundle),
+                 core::ModelFileError);
+    EXPECT_THROW(core::saveModelV4File("/dev/full", bundle),
+                 core::ModelFileError);
+}
+
 TEST(ModelFileV4Property, EveryTruncatedPrefixFailsCleanly)
 {
     Rng rng(65);

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
@@ -125,6 +126,7 @@ TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
         {"SE_STREAM_LOADER", "MMAP"},  // case-sensitive
         {"SE_STREAM_LOADER", ""},
         {"SE_KERNEL_ISA", "avx512"},
+        {"SE_KERNEL_ISA", "sse2"},  // scalar and avx2 are the tiers
         {"SE_KERNEL_ISA", "fast"},
         {"SE_KERNEL_ISA", "AVX2"},  // case-sensitive like the others
     };
@@ -454,6 +456,7 @@ makeCnn(uint64_t seed)
     auto *bn = net->add<nn::BatchNorm2d>(16);
     net->add<nn::Conv2d>(16, 24, 1, 1, 0, 1, rng, false);  // 1x1 rule
     net->add<nn::Conv2d>(24, 8, 3, 1, 1, 1, rng, false);
+    net->add<nn::Flatten>();  // forwards a 3 x 2 x 2 sample
     net->add<nn::Linear>(32, 10, rng, false);              // FC rule
     // Make one BN gamma small enough to trip channel pruning.
     bn->gammaTensor()[3] = 1e-4f;
@@ -723,8 +726,9 @@ constexpr int kRuntimeThreads = 0;
  * per-owner pool as long as its owner), so a sample taken after each
  * fan-out, with the pipeline still alive, counts every worker either
  * one started. A default ServeEngine takes its replica count from the
- * same budget. Runs in a freshly exec'd child, so the budget is
- * parsed from this SE_THREADS.
+ * same budget, and serving 32 requests through it starts no thread
+ * beyond those it stood up. Runs in a freshly exec'd child, so the
+ * budget is parsed from this SE_THREADS.
  */
 TEST(ThreadBudgetDeathTest, EveryFanOutSharesOneBudget)
 {
@@ -759,10 +763,25 @@ TEST(ThreadBudgetDeathTest, EveryFanOutSharesOneBudget)
                     model.records),
                 [] { return makeCnn(81); }, se_opts, apply);
             const int replicas = engine.replicaCount();
-            std::fprintf(stderr, "threads %d replicas %d\n", peak,
-                         replicas);
-            const bool ok =
-                peak <= 1 + 3 + kRuntimeThreads && replicas == 3;
+            const int standup = processThreadCount();
+            Rng rng(82);
+            std::vector<std::future<Tensor>> futs;
+            for (int i = 0; i < 32; ++i)
+                futs.push_back(engine.submit(randn({3, 2, 2}, rng)));
+            engine.drain();
+            bool served = true;
+            for (auto &f : futs)
+                served = served && f.get().size() == 10;
+            const int drained = processThreadCount();
+            std::fprintf(stderr,
+                         "threads %d standup %d drained %d replicas %d\n",
+                         peak, standup, drained, replicas);
+            // Main + executor + one thread per replica + dispatcher:
+            // serving starts none of its own.
+            const bool ok = peak <= 1 + 3 + kRuntimeThreads &&
+                            replicas == 3 && served &&
+                            drained <= standup &&
+                            standup <= 1 + 3 + 3 + 1 + kRuntimeThreads;
             std::_Exit(ok ? 0 : 1);
         },
         ::testing::ExitedWithCode(0), "replicas 3");

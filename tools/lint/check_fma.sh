@@ -10,7 +10,9 @@
 # under the house flag sets, disassemble, and fail on ANY fused
 # multiply-add mnemonic (vfmadd/vfmsub/vfnmadd/vfnmsub).
 #
-# The ALS refits (src/linalg/linalg.cc), the decomposition loop
+# The scalar reference panels (src/kernels/dispatch.cc, which the
+# AVX2 table also runs for its remainder columns), the ALS refits
+# (src/linalg/linalg.cc), the decomposition loop
 # (src/core/smart_exchange.cc), the dense Ce*B install kernel
 # (src/core/ce_basis.cc) and the seeded normal draws
 # (src/base/random.cc: the polar method's x*x + y*y and its
@@ -36,8 +38,8 @@ set -eu
 cd "$(dirname "$0")/../.."
 CXX="${CXX:-c++}"
 TU=src/kernels/dispatch_avx2.cc
-CHAIN_TUS="src/linalg/linalg.cc src/core/smart_exchange.cc src/core/ce_basis.cc
-src/base/random.cc"
+CHAIN_TUS="src/kernels/dispatch.cc src/linalg/linalg.cc src/core/smart_exchange.cc
+src/core/ce_basis.cc src/base/random.cc"
 # The se target's contraction flag (CMakeLists.txt); checked below so
 # the gate and the build cannot drift apart.
 NO_CONTRACT=-ffp-contract=off
