@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 
 #include "base/logging.hh"
 #include "kernels/gemm.hh"
@@ -88,6 +87,11 @@ Tensor
 conv2dForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias,
                   const ConvSpec &sp)
 {
+    SE_ASSERT(sp.kern >= 1 && sp.stride >= 1 && sp.dil >= 1 &&
+                  sp.pad >= 0 && sp.groups >= 1,
+              "conv geometry kernel ", sp.kern, " stride ", sp.stride,
+              " dilation ", sp.dil, " groups ", sp.groups,
+              " pad ", sp.pad, ": each must be >= 1, pad >= 0");
     SE_ASSERT(x.ndim() == 4 && x.dim(1) == sp.inCh,
               "conv input shape mismatch");
     const int64_t n = x.dim(0), ih = x.dim(2), iw = x.dim(3);
@@ -101,21 +105,51 @@ conv2dForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias,
     const PaddedWindow win{ih + 2 * sp.pad, iw + 2 * sp.pad, sp.kern,
                            sp.stride,        sp.dil,          oh,
                            ow};
-    const int64_t in_floats = sp.inCh * win.hp * win.wp;
+    const int64_t plane = win.hp * win.wp;
+    const int64_t in_floats = sp.inCh * plane;
 
     Tensor y({n, sp.outCh, oh, ow});
     if (n == 0)
         return y;
-    // Samples per chunk, and the chunk's three staging blocks.
+    // Stride 1 with an even output width: each column pair is two
+    // adjacent taps of one input row, so the panel reads the padded
+    // input itself. Other shapes lower the chunk onto a column matrix.
+    const bool direct = sp.stride == 1 && ow % 2 == 0;
+    // Samples per chunk, and the chunk's staging: the panel offsets,
+    // the padded input and the column matrix.
     const int64_t per =
         std::min(n, (kConvFoldCols + cols - 1) / cols);
+    const int64_t max_nc = per * cols;
     const int64_t pad_floats = sp.pad > 0 ? per * in_floats : 0;
-    const int64_t col_floats = patch * per * cols;
-    const int64_t out_floats = per > 1 ? mpg * per * cols : 0;
-    float *xp = threadScratch().buffer(pad_floats + col_floats +
-                                       out_floats);
+    ScratchArena &arena = threadScratch();
+    int64_t *b_row =
+        arena.offsets(patch + (max_nc + 1) / 2 + max_nc);
+    int64_t *b_pair = b_row + patch;
+    int64_t *c_col = b_pair + (max_nc + 1) / 2;
+    float *xp =
+        arena.buffer(pad_floats + (direct ? 0 : patch * max_nc));
     float *col = xp + pad_floats;
-    float *out = col + col_floats;
+
+    // Column j = (sample s, output position q) lands at y's
+    // (s, channel, q), channel rows cols apart.
+    for (int64_t s = 0, j = 0; s < per; ++s)
+        for (int64_t q = 0; q < cols; ++q, ++j)
+            c_col[j] = s * sp.outCh * cols + q;
+    if (direct) {
+        for (int64_t ci = 0; ci < cpg; ++ci)
+            for (int64_t kr = 0; kr < sp.kern; ++kr)
+                for (int64_t ks = 0; ks < sp.kern; ++ks)
+                    b_row[(ci * sp.kern + kr) * sp.kern + ks] =
+                        ci * plane + (kr * win.wp + ks) * sp.dil;
+        int64_t *pair = b_pair;
+        for (int64_t s = 0; s < per; ++s)
+            for (int64_t e = 0; e < oh; ++e)
+                for (int64_t f = 0; f < ow; f += 2)
+                    *pair++ = s * in_floats + e * win.wp + f;
+    } else {  // a dense column matrix, its rows set per chunk
+        for (int64_t j = 0; j < max_nc; j += 2)
+            b_pair[j / 2] = j;
+    }
 
     const float *xd = x.data();
     const float *wd = w.data();
@@ -129,20 +163,20 @@ conv2dForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias,
             padSamples(src, ns, sp.inCh, ih, iw, sp.pad, xp);
             src = xp;
         }
+        if (!direct)  // the column matrix's rows are nc apart
+            for (int64_t p = 0; p < patch; ++p)
+                b_row[p] = p * nc;
         for (int64_t g = 0; g < sp.groups; ++g) {
-            im2col(src + g * cpg * win.hp * win.wp, cpg, ns, in_floats,
-                   win, col);
-            float *yg = yd + (b0 * sp.outCh + g * mpg) * cols;
-            gemmRowBiasD(wd + g * mpg * patch, col,
-                         bd ? bd + g * mpg : nullptr,
-                         ns == 1 ? yg : out, mpg, patch, nc);
-            if (ns == 1)
-                continue;
-            for (int64_t s = 0; s < ns; ++s)  // scatter into NCHW
-                for (int64_t i = 0; i < mpg; ++i)
-                    std::memcpy(yg + (s * sp.outCh + i) * cols,
-                                out + i * nc + s * cols,
-                                (size_t)cols * sizeof(float));
+            const float *bg = src + g * cpg * plane;
+            if (!direct) {
+                im2col(bg, cpg, ns, in_floats, win, col);
+                bg = col;
+            }
+            const DChainOperands op{bg, b_row, b_pair,
+                                    yd + (b0 * sp.outCh + g * mpg) * cols,
+                                    cols, c_col,
+                                    bd ? bd + g * mpg : nullptr};
+            gemmDChain(wd + g * mpg * patch, op, mpg, patch, nc);
         }
     }
     if (bd && sp.pad > 0)

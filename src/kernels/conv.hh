@@ -1,27 +1,33 @@
 /**
  * @file
- * Convolution forward lowering: conv2d as im2col + blocked GEMM,
- * supporting stride, zero padding, dilation and groups (so depth-wise
- * convolutions too).
+ * Convolution forward lowering onto the offset-addressed double-chain
+ * GEMM, supporting stride, zero padding, dilation and groups (so
+ * depth-wise convolutions too).
  *
  * The batch is folded into the GEMM columns. A chunk holds as many
  * samples as it takes to reach kConvFoldCols columns (1 sample on
- * 8x8 maps, 4 on 4x4, 16 on 2x2), is padded once, lowered by one
- * im2col per group and multiplied by one gemmRowBiasD per group; the
- * result is scattered into NCHW, or written straight into y when the
- * chunk holds one sample. The padded input, the column matrix and
- * the GEMM output live in the calling thread's scratch arena.
+ * 8x8 maps, 4 on 4x4, 16 on 2x2), is padded once, and runs one
+ * gemmDChain per group. The panel's offsets address the operands in
+ * place: B row (channel, kr, ks) is the tap's offset into the padded
+ * chunk, and C column (sample, output position) is that output's
+ * offset into NCHW y, so every result is stored where it belongs and
+ * nothing is scattered afterwards. A stride-1 conv with an even
+ * output width reads B straight from the padded input, since each
+ * column pair is then two adjacent taps of one input row. Any other
+ * shape (stride 2, an odd output width) lowers the chunk onto a dense
+ * column matrix with im2col first. The offsets, the padded input and
+ * the column matrix live in the calling thread's scratch arena.
  *
  * The forward is bit-identical to the legacy 7-deep NCHW loop (kept
- * as the oracle in tests/reference): the column matrix enumerates
- * the patch in the loop's (channel, kr, ks) order, padding taps
- * contribute exact zeros, and the GEMM carries the same per-output
- * double accumulator (bias first, round once on store). Folding only
- * changes which columns share a GEMM call. The one place a padding
- * zero shows is the sign of a zero result under a -0 bias, which the
- * lowering restores to the reference's. The backward stays on
- * nn::Conv2d's legacy loop: a col2im scatter-add would re-associate
- * its interleaved gx sums, which the golden-pinned retrain benches
+ * as the oracle in tests/reference): B enumerates the patch in the
+ * loop's (channel, kr, ks) order, padding taps contribute exact
+ * zeros, and the GEMM carries the same per-output double accumulator
+ * (bias first, round once on store). Folding only changes which
+ * columns share a GEMM call. The one place a padding zero shows is
+ * the sign of a zero result under a -0 bias, which the lowering
+ * restores to the reference's. The backward stays on nn::Conv2d's
+ * legacy loop: a col2im scatter-add would re-associate its
+ * interleaved gx sums, which the golden-pinned retrain benches
  * cannot absorb.
  */
 
@@ -63,7 +69,8 @@ int64_t windowOutExtent(int64_t in, int64_t pad, int64_t kext,
 
 /**
  * y = conv(x, w) + bias for x (N, C, H, W) and w (M, C/g, R, S);
- * bias (M) may be null.
+ * bias (M) may be null. Panics unless kernel, stride, dilation and
+ * groups are >= 1 and pad >= 0.
  */
 Tensor conv2dForwardGemm(const Tensor &x, const Tensor &w,
                          const Tensor *bias, const ConvSpec &spec);

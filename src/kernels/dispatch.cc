@@ -72,10 +72,6 @@ detail::sgemmPanelScalar(const float *__restrict a,
     }
 }
 
-namespace {
-
-using detail::nibbleAt;
-
 /**
  * Fused Ce-code panel: the sgemm row body with the A-side element
  * load replaced by nibble-extract + alphabet-LUT lookup, so no
@@ -83,10 +79,11 @@ using detail::nibbleAt;
  * like a decoded zero row under accumulate=false.
  */
 void
-gemmCePanelScalar(const uint8_t *row_mask, const uint8_t *nibbles,
-                  int64_t m, int64_t r, const float *__restrict basis,
-                  int64_t n, const float *__restrict lut,
-                  float *__restrict out, int64_t j0, int64_t j1)
+detail::gemmCePanelScalar(const uint8_t *row_mask,
+                          const uint8_t *nibbles, int64_t m, int64_t r,
+                          const float *__restrict basis, int64_t n,
+                          const float *__restrict lut,
+                          float *__restrict out, int64_t j0, int64_t j1)
 {
     int64_t nz_seen = 0;  // non-zero rows before the current row
     for (int64_t row = 0; row < m; ++row) {
@@ -124,6 +121,10 @@ gemmCePanelScalar(const uint8_t *row_mask, const uint8_t *nibbles,
     }
 }
 
+namespace {
+
+using detail::nibbleAt;
+
 /**
  * Small-n fused Ce-code body: each row's codes are decoded once and
  * applied to all n <= kCeSmallN columns of acc[] — the row body of
@@ -152,9 +153,9 @@ gemmCeSmallNScalar(const uint8_t *row_mask, const uint8_t *nibbles,
         });
 }
 
-const KernelOps kScalarOps{detail::sgemmPanelScalar, gemmCePanelScalar,
-                           gemmCeSmallNScalar,
-                           detail::gemmRowBiasDPanelScalar};
+const KernelOps kScalarOps{detail::sgemmPanelScalar,
+                           detail::gemmCePanelScalar, gemmCeSmallNScalar,
+                           detail::gemmDChainPanelScalar};
 
 bool
 cpuHasAvx2()
@@ -194,21 +195,21 @@ activeIsaSlot()
 // in ascending p, round to float once on store. No zero-skip.
 
 void
-detail::gemmRowBiasDPanelScalar(const float *__restrict a,
-                                const float *__restrict b,
-                                const float *row_bias,
-                                const float *col_bias,
-                                float *__restrict c, int64_t m,
-                                int64_t k, int64_t n, int64_t j0,
-                                int64_t j1)
+detail::gemmDChainPanelScalar(const float *__restrict a,
+                              const DChainOperands &op, int64_t m,
+                              int64_t k, int64_t j0, int64_t j1)
 {
     auto bias = [&](int64_t i, int64_t j) {
-        return row_bias ? (double)row_bias[i]
-                        : col_bias ? (double)col_bias[j] : 0.0;
+        return op.rowBias ? (double)op.rowBias[i]
+               : op.colBias ? (double)op.colBias[j] : 0.0;
     };
-    // Two A rows per pass halve the B-panel traffic.
+    auto bCol = [&](int64_t j) { return op.bPair[j >> 1] + (j & 1); };
+    // Two A rows per pass halve the B-panel traffic. The column loops
+    // are unrolled so that each pair's two adjacent loads vectorize.
     int64_t jt = j0;
     for (; jt + kPanelCols <= j1; jt += kPanelCols) {
+        const int64_t *pair = op.bPair + jt / 2;
+        const int64_t *co = op.cCol + jt;
         int64_t i = 0;
         for (; i + 2 <= m; i += 2) {
             const float *a0 = a + i * k;
@@ -218,21 +219,22 @@ detail::gemmRowBiasDPanelScalar(const float *__restrict a,
                 acc0[jj] = bias(i, jt + jj);
                 acc1[jj] = bias(i + 1, jt + jj);
             }
-            const float *bp = b + jt;
-            for (int64_t p = 0; p < k; ++p, bp += n) {
+            for (int64_t p = 0; p < k; ++p) {
+                const float *bp = op.b + op.bRow[p];
                 const double av0 = a0[p];
                 const double av1 = a1[p];
+#pragma GCC unroll 8
                 for (int jj = 0; jj < kPanelCols; ++jj) {
-                    const double bv = bp[jj];
+                    const double bv = bp[pair[jj / 2] + jj % 2];
                     acc0[jj] += av0 * bv;
                     acc1[jj] += av1 * bv;
                 }
             }
-            float *c0 = c + i * n + jt;
-            float *c1 = c0 + n;
+            float *c0 = op.c + i * op.cRow;
+            float *c1 = c0 + op.cRow;
             for (int jj = 0; jj < kPanelCols; ++jj) {
-                c0[jj] = (float)acc0[jj];
-                c1[jj] = (float)acc1[jj];
+                c0[co[jj]] = (float)acc0[jj];
+                c1[co[jj]] = (float)acc1[jj];
             }
         }
         if (i < m) {
@@ -240,24 +242,26 @@ detail::gemmRowBiasDPanelScalar(const float *__restrict a,
             double acc[kPanelCols];
             for (int jj = 0; jj < kPanelCols; ++jj)
                 acc[jj] = bias(i, jt + jj);
-            const float *bp = b + jt;
-            for (int64_t p = 0; p < k; ++p, bp += n) {
+            for (int64_t p = 0; p < k; ++p) {
+                const float *bp = op.b + op.bRow[p];
                 const double av = ai[p];
+#pragma GCC unroll 8
                 for (int jj = 0; jj < kPanelCols; ++jj)
-                    acc[jj] += av * (double)bp[jj];
+                    acc[jj] += av * (double)bp[pair[jj / 2] + jj % 2];
             }
-            float *ci = c + i * n + jt;
+            float *ci = op.c + i * op.cRow;
             for (int jj = 0; jj < kPanelCols; ++jj)
-                ci[jj] = (float)acc[jj];
+                ci[co[jj]] = (float)acc[jj];
         }
     }
     for (; jt < j1; ++jt) {
+        const int64_t bo = bCol(jt);
         for (int64_t i = 0; i < m; ++i) {
             const float *ai = a + i * k;
             double acc = bias(i, jt);
             for (int64_t p = 0; p < k; ++p)
-                acc += (double)ai[p] * (double)b[p * n + jt];
-            c[i * n + jt] = (float)acc;
+                acc += (double)ai[p] * (double)op.b[op.bRow[p] + bo];
+            op.c[i * op.cRow + op.cCol[jt]] = (float)acc;
         }
     }
 }

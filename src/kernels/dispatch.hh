@@ -4,21 +4,21 @@
  * micro-kernels.
  *
  * The sgemm column-panel kernel, the fused Ce-code panels and the
- * conv/Linear-forward double-chain panel exist in two explicitly
- * register-tiled variants — scalar (the one reference, byte-for-byte
- * the legacy rounding sequence) and AVX2 (8 floats or 4 doubles per
- * YMM). The best variant the CPU supports is detected once, and both
- * preserve the bit-identity contract: SIMD lanes are *different
- * output elements*, never partial sums of one element, so each
- * element is still accumulated over the inner dimension in ascending
- * order. Float chains round after every multiply and every add, and
- * zero entries of A keep the legacy skip so signed zeros and NaN
- * propagation cannot diverge. The double chain adds float products widened to
- * double, which are exact (24 + 24 significand bits fit in 53), and
- * rounds to float once on store. Fused multiply-add is deliberately
- * never emitted — the AVX2 translation unit is compiled with AVX2 but
- * *not* FMA, because a fused mul+add rounds once where the float
- * chain rounds twice.
+ * offset-addressed double-chain panel behind the conv and Linear
+ * forwards exist in two explicitly register-tiled variants — scalar
+ * (the one reference, byte-for-byte the legacy rounding sequence) and
+ * AVX2 (8 floats or 4 doubles per YMM). The best variant the CPU
+ * supports is detected once, and both preserve the bit-identity
+ * contract: SIMD lanes are *different output elements*, never partial
+ * sums of one element, so each element is still accumulated over the
+ * inner dimension in ascending order. Float chains round after every
+ * multiply and every add, and zero entries of A keep the legacy skip
+ * so signed zeros and NaN propagation cannot diverge. The double
+ * chain adds float products widened to double, which are exact (24 +
+ * 24 significand bits fit in 53), and rounds to float once on store.
+ * Fused multiply-add is deliberately never emitted — the AVX2
+ * translation unit is compiled with AVX2 but *not* FMA, because a
+ * fused mul+add rounds once where the float chain rounds twice.
  *
  * Selection order: SE_KERNEL_ISA (scalar | avx2 | auto) if set —
  * rejected loudly when unrecognized or not supported by the running
@@ -84,10 +84,32 @@ constexpr int64_t kPanelCols = 8;
 constexpr int64_t kCeSmallN = 8;
 
 /**
+ * The operands of the double-chain panel, addressed by offsets so a
+ * conv can pass its padded input itself as B. Row p of B starts at
+ * b + bRow[p], and its columns come in pairs: columns 2h and 2h + 1
+ * are the two adjacent floats at bPair[h] from the row start (one
+ * input row's neighbouring taps for a stride-1 conv). C[i][j] is
+ * c[i * cRow + cCol[j]]. The bias is rowBias[i] (conv) or colBias[j]
+ * (batched Linear); at most one is non-null, and with neither the
+ * chain starts from zero. denseOperands (gemm.hh) describes plain
+ * row-major matrices.
+ */
+struct DChainOperands
+{
+    const float *b = nullptr;
+    const int64_t *bRow = nullptr;   ///< k row offsets into b
+    const int64_t *bPair = nullptr;  ///< (n + 1) / 2 column-pair offsets
+    float *c = nullptr;
+    int64_t cRow = 0;                ///< C row stride
+    const int64_t *cCol = nullptr;   ///< n column offsets into a C row
+    const float *rowBias = nullptr;
+    const float *colBias = nullptr;
+};
+
+/**
  * One micro-kernel variant: the column-panel bodies dispatched by
- * sgemm / gemmCeB / gemmRowBiasD / gemmColBiasD. Panels
- * are [j0, j1) output-column ranges; both variants compute
- * bit-identical bytes.
+ * sgemm / gemmCeB / gemmDChain. Panels are [j0, j1) output-column
+ * ranges; both variants compute bit-identical bytes.
  */
 struct KernelOps
 {
@@ -120,17 +142,16 @@ struct KernelOps
                          int64_t n, const float *lut, float *out,
                          float *last_row);
     /**
-     * Double-chain body: c(m x n) = (float)(bias + sum_p a[i][p] *
-     * b[p][j]) over [j0,j1), accumulated in double in ascending p and
-     * rounded once on store. The bias is row_bias[i] (conv forward)
-     * or col_bias[j] (batched Linear forward); at most one of the two
-     * is non-null, and with neither the chain starts from zero.
+     * Double-chain body: C[i][j] = (float)(bias + sum_p a[i][p] *
+     * B[p][j]) for every row i < m and column j in [j0, j1), with a
+     * (m x k) row-major and B, C and the bias as `op` describes. Each
+     * element is accumulated in double in ascending p and rounded
+     * once on store. j0 is even: panels split at register tiles, so
+     * no column pair is cut.
      */
-    void (*gemmRowBiasDPanel)(const float *a, const float *b,
-                              const float *row_bias,
-                              const float *col_bias, float *c,
-                              int64_t m, int64_t k, int64_t n,
-                              int64_t j0, int64_t j1);
+    void (*gemmDChainPanel)(const float *a, const DChainOperands &op,
+                            int64_t m, int64_t k, int64_t j0,
+                            int64_t j1);
 };
 
 /** The variant table for one level (throws if unsupported). */

@@ -4,8 +4,9 @@
  * two YMM accumulators, two A rows per pass — 4 live accumulator
  * registers plus broadcasts and B loads, sized for FMA-class cores)
  * for the float chains, one YMM per Ce row for the small-n Ce panel
- * (n <= 8), and 4 A rows x 8 columns of double accumulators (8 YMM)
- * for the double chain.
+ * (n <= 8), and 6 A rows x 8 columns of double accumulators (12 YMM)
+ * for the offset-addressed double chain, whose A rows are widened to
+ * double once per row block and broadcast from memory.
  *
  * This TU is compiled with -mavx2 and deliberately WITHOUT -mfma:
  * a fused multiply-add rounds once where the bit-identity contract
@@ -16,9 +17,9 @@
  * order, and the float chains keep the A-side zero-skip per row (the
  * double chain has none, like its scalar reference).
  *
- * The sgemm and double-chain panels run their remainder columns
- * (narrower than a register tile) through the scalar reference
- * panels themselves.
+ * The sgemm, Ce-code and double-chain panels run their remainder
+ * columns (narrower than a register tile) through the scalar
+ * reference panels themselves.
  *
  * When the build lacks -mavx2 support (non-x86 target, old compiler),
  * avx2Ops() returns nullptr and dispatch falls back to scalar.
@@ -31,6 +32,8 @@
 #include <immintrin.h>
 
 #include <algorithm>
+
+#include "kernels/scratch.hh"
 
 namespace se {
 namespace kernels {
@@ -143,17 +146,19 @@ gemmCePanelAvx2(const uint8_t *row_mask, const uint8_t *nibbles,
                 int64_t n, const float *__restrict lut,
                 float *__restrict out, int64_t j0, int64_t j1)
 {
+    // Columns [j0, jr) in 16- and 8-wide tiles, the rest in scalar.
+    const int64_t jr = j0 + (j1 - j0) / kHalf * kHalf;
     int64_t nz_seen = 0;
     for (int64_t row = 0; row < m; ++row) {
         float *crow = out + row * n;
         if (!ceRowSet(row_mask, row)) {
-            std::fill(crow + j0, crow + j1, 0.0f);
+            std::fill(crow + j0, crow + jr, 0.0f);
             continue;
         }
         const int64_t code0 = nz_seen * r;
         ++nz_seen;
         int64_t jt = j0;
-        for (; jt + kTile <= j1; jt += kTile) {
+        for (; jt + kTile <= jr; jt += kTile) {
             __m256 acc0 = _mm256_setzero_ps();
             __m256 acc1 = _mm256_setzero_ps();
             const float *bp = basis + jt;
@@ -170,7 +175,7 @@ gemmCePanelAvx2(const uint8_t *row_mask, const uint8_t *nibbles,
             _mm256_storeu_ps(crow + jt, acc0);
             _mm256_storeu_ps(crow + jt + 8, acc1);
         }
-        for (; jt + kHalf <= j1; jt += kHalf) {
+        if (jt < jr) {
             __m256 acc = _mm256_setzero_ps();
             const float *bp = basis + jt;
             for (int64_t p = 0; p < r; ++p, bp += n) {
@@ -183,16 +188,9 @@ gemmCePanelAvx2(const uint8_t *row_mask, const uint8_t *nibbles,
             }
             _mm256_storeu_ps(crow + jt, acc);
         }
-        for (; jt < j1; ++jt) {
-            float acc = 0.0f;
-            for (int64_t p = 0; p < r; ++p) {
-                const float av = lut[nibbleAt(nibbles, code0 + p)];
-                if (av != 0.0f)
-                    acc += av * basis[p * n + jt];
-            }
-            crow[jt] = acc;
-        }
     }
+    gemmCePanelScalar(row_mask, nibbles, m, r, basis, n, lut, out, jr,
+                      j1);
 }
 
 /**
@@ -274,89 +272,143 @@ gemmCeSmallNAvx2(const uint8_t *row_mask, const uint8_t *nibbles,
 // product of two floats widened to double is exact, so mul then add
 // rounds once per step, in ascending p — the scalar chain exactly.
 
-constexpr int kRowsD = 4;  // A rows per double-chain register tile
+constexpr int kRowsD = 6;  // A rows per double-chain register tile
+
+/** True when the 2V column pairs at `pair` are one contiguous run. */
+template <int V>
+inline bool
+pairsContiguous(const int64_t *pair)
+{
+    for (int h = 1; h < 2 * V; ++h)
+        if (pair[h] != pair[0] + 2 * h)
+            return false;
+    return true;
+}
 
 /**
  * Rows [i, i + R) x columns [jt, jt + 4V) of the double chain: R x V
- * YMM accumulators of 4 doubles, seeded from the bias, narrowed to
- * float once on store.
+ * YMM accumulators of 4 doubles, seeded from the bias and narrowed to
+ * float once on store. aw holds the R rows of A widened to double.
+ * Each group of 4 B columns is one 4-float load when its two pairs
+ * are adjacent (Contig), else two 2-float loads.
  */
-template <int R, int V>
+template <int R, int V, bool Contig>
 inline void
-biasDTile(const float *a, const float *b, const float *row_bias,
-          const float *col_bias, float *c, int64_t i, int64_t k,
-          int64_t n, int64_t jt)
+dchainTile(const double *aw, const DChainOperands &op, int64_t i,
+           int64_t k, int64_t jt)
 {
     __m256d acc[R][V];
-#pragma GCC unroll 4
+#pragma GCC unroll 6
     for (int r = 0; r < R; ++r)
 #pragma GCC unroll 2
         for (int v = 0; v < V; ++v)
             acc[r][v] =
-                row_bias ? _mm256_set1_pd((double)row_bias[i + r])
-                : col_bias
-                    ? _mm256_cvtps_pd(_mm_loadu_ps(col_bias + jt + 4 * v))
+                op.rowBias ? _mm256_set1_pd((double)op.rowBias[i + r])
+                : op.colBias
+                    ? _mm256_cvtps_pd(_mm_loadu_ps(op.colBias + jt + 4 * v))
                     : _mm256_setzero_pd();
-    const float *bp = b + jt;
-    for (int64_t p = 0; p < k; ++p, bp += n) {
+    int64_t pair[2 * V];
+#pragma GCC unroll 4
+    for (int h = 0; h < 2 * V; ++h)
+        pair[h] = op.bPair[jt / 2 + h];
+    for (int64_t p = 0; p < k; ++p) {
+        const float *row = op.b + op.bRow[p];
         __m256d bv[V];
 #pragma GCC unroll 2
-        for (int v = 0; v < V; ++v)
-            bv[v] = _mm256_cvtps_pd(_mm_loadu_ps(bp + 4 * v));
-#pragma GCC unroll 4
+        for (int v = 0; v < V; ++v) {
+            const float *lo = row + pair[2 * v];
+            const __m128 g =
+                Contig ? _mm_loadu_ps(lo)
+                       : _mm_loadh_pi(_mm_castsi128_ps(_mm_loadl_epi64(
+                                          (const __m128i *)lo)),
+                                      (const __m64 *)(row + pair[2 * v + 1]));
+            bv[v] = _mm256_cvtps_pd(g);
+        }
+#pragma GCC unroll 6
         for (int r = 0; r < R; ++r) {
-            const __m256d va =
-                _mm256_set1_pd((double)a[(i + r) * k + p]);
+            const __m256d va = _mm256_broadcast_sd(aw + r * k + p);
 #pragma GCC unroll 2
             for (int v = 0; v < V; ++v)
                 acc[r][v] =
                     _mm256_add_pd(acc[r][v], _mm256_mul_pd(va, bv[v]));
         }
     }
-#pragma GCC unroll 4
-    for (int r = 0; r < R; ++r)
+    // A group whose 4 C columns are adjacent (one sample's row) is
+    // one store, any other 4 scalar stores.
+    const int64_t *col = op.cCol + jt;
+    bool run[V];
 #pragma GCC unroll 2
-        for (int v = 0; v < V; ++v)
-            _mm_storeu_ps(c + (i + r) * n + jt + 4 * v,
-                          _mm256_cvtpd_ps(acc[r][v]));
+    for (int v = 0; v < V; ++v)
+        run[v] = col[4 * v + 1] == col[4 * v] + 1 &&
+                 col[4 * v + 2] == col[4 * v] + 2 &&
+                 col[4 * v + 3] == col[4 * v] + 3;
+#pragma GCC unroll 6
+    for (int r = 0; r < R; ++r) {
+        float *crow = op.c + (i + r) * op.cRow;
+#pragma GCC unroll 2
+        for (int v = 0; v < V; ++v) {
+            const __m128 y = _mm256_cvtpd_ps(acc[r][v]);
+            if (run[v]) {
+                _mm_storeu_ps(crow + col[4 * v], y);
+            } else {
+                alignas(16) float out[4];
+                _mm_store_ps(out, y);
+                for (int t = 0; t < 4; ++t)
+                    crow[col[4 * v + t]] = out[t];
+            }
+        }
+    }
 }
 
-/** Every row of columns [jt, jt + 4V): 4-row tiles, then 1-row. */
-template <int V>
-inline void
-biasDColumns(const float *a, const float *b, const float *row_bias,
-             const float *col_bias, float *c, int64_t m, int64_t k,
-             int64_t n, int64_t jt)
-{
-    int64_t i = 0;
-    for (; i + kRowsD <= m; i += kRowsD)
-        biasDTile<kRowsD, V>(a, b, row_bias, col_bias, c, i, k, n, jt);
-    for (; i < m; ++i)
-        biasDTile<1, V>(a, b, row_bias, col_bias, c, i, k, n, jt);
-}
-
+/** Rows [i, i + R) over the 4-column groups of [j0, jv). */
+template <int R>
 void
-gemmRowBiasDPanelAvx2(const float *__restrict a,
-                      const float *__restrict b, const float *row_bias,
-                      const float *col_bias, float *__restrict c,
-                      int64_t m, int64_t k, int64_t n, int64_t j0,
-                      int64_t j1)
+dchainRows(const double *aw, const DChainOperands &op, int64_t i,
+           int64_t k, int64_t j0, int64_t jv)
 {
     int64_t jt = j0;
-    for (; jt + 8 <= j1; jt += 8)
-        biasDColumns<2>(a, b, row_bias, col_bias, c, m, k, n, jt);
-    // A single-YMM stage, so 2x2 and 4x4 feature maps (n = 4, 16)
-    // never reach the scalar tail.
-    if (jt + 4 <= j1) {
-        biasDColumns<1>(a, b, row_bias, col_bias, c, m, k, n, jt);
-        jt += 4;
+    for (; jt + 8 <= jv; jt += 8) {
+        if (pairsContiguous<2>(op.bPair + jt / 2))
+            dchainTile<R, 2, true>(aw, op, i, k, jt);
+        else
+            dchainTile<R, 2, false>(aw, op, i, k, jt);
     }
-    gemmRowBiasDPanelScalar(a, b, row_bias, col_bias, c, m, k, n, jt,
-                            j1);
+    if (jt < jv) {
+        if (pairsContiguous<1>(op.bPair + jt / 2))
+            dchainTile<R, 1, true>(aw, op, i, k, jt);
+        else
+            dchainTile<R, 1, false>(aw, op, i, k, jt);
+    }
+}
+
+/** dchainRows<R>, indexed by the row count R of a block. */
+constexpr void (*kRowBlocks[])(const double *, const DChainOperands &,
+                               int64_t, int64_t, int64_t, int64_t) = {
+    nullptr,       dchainRows<1>, dchainRows<2>, dchainRows<3>,
+    dchainRows<4>, dchainRows<5>, dchainRows<6>};
+
+void
+gemmDChainPanelAvx2(const float *__restrict a, const DChainOperands &op,
+                    int64_t m, int64_t k, int64_t j0, int64_t j1)
+{
+    // Whole 4-column groups in AVX2, the last 0-3 columns in scalar.
+    const int64_t jv = j0 + (j1 - j0) / 4 * 4;
+    double *aw = threadScratch().widened(kRowsD * k);
+    for (int64_t i = 0; i < m && j0 < jv; i += kRowsD) {
+        const int64_t rows = std::min<int64_t>(kRowsD, m - i);
+        const float *ai = a + i * k;
+        int64_t t = 0;
+        for (; t + 4 <= rows * k; t += 4)
+            _mm256_storeu_pd(aw + t, _mm256_cvtps_pd(_mm_loadu_ps(ai + t)));
+        for (; t < rows * k; ++t)
+            aw[t] = ai[t];
+        kRowBlocks[rows](aw, op, i, k, j0, jv);
+    }
+    gemmDChainPanelScalar(a, op, m, k, jv, j1);
 }
 
 const KernelOps kAvx2Ops{sgemmPanelAvx2, gemmCePanelAvx2, gemmCeSmallNAvx2,
-                         gemmRowBiasDPanelAvx2};
+                         gemmDChainPanelAvx2};
 
 } // namespace
 

@@ -72,20 +72,24 @@ forEachCeRow(const uint8_t *row_mask, int64_t m, int64_t r, int64_t n,
 /** AVX2 variant table, or nullptr when not compiled in. */
 const KernelOps *avx2Ops();
 
-// Scalar reference panels. The AVX2 sgemm and double-chain panels run
-// their remainder columns (fewer than one register tile) through them.
+// Scalar reference panels. The AVX2 sgemm, Ce-code and double-chain
+// panels run their remainder columns (fewer than one register tile)
+// through them.
 
 /** Scalar KernelOps::sgemmPanel. */
 void sgemmPanelScalar(const float *a, const float *b, float *c,
                       int64_t m, int64_t k, int64_t n, bool accumulate,
                       int64_t j0, int64_t j1);
 
-/** Scalar KernelOps::gemmRowBiasDPanel. */
-void gemmRowBiasDPanelScalar(const float *a, const float *b,
-                             const float *row_bias,
-                             const float *col_bias, float *c,
-                             int64_t m, int64_t k, int64_t n,
-                             int64_t j0, int64_t j1);
+/** Scalar KernelOps::gemmCePanel. */
+void gemmCePanelScalar(const uint8_t *row_mask, const uint8_t *nibbles,
+                       int64_t m, int64_t r, const float *basis,
+                       int64_t n, const float *lut, float *out,
+                       int64_t j0, int64_t j1);
+
+/** Scalar KernelOps::gemmDChainPanel. */
+void gemmDChainPanelScalar(const float *a, const DChainOperands &op,
+                           int64_t m, int64_t k, int64_t j0, int64_t j1);
 
 } // namespace detail
 } // namespace kernels

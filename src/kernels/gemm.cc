@@ -67,14 +67,28 @@ sgemm(const float *a, const float *b, float *c, int64_t m, int64_t k,
 }
 
 void
-gemmRowBiasD(const float *a, const float *b, const float *row_bias,
-             float *c, int64_t m, int64_t k, int64_t n)
+gemmDChain(const float *a, const DChainOperands &op, int64_t m,
+           int64_t k, int64_t n)
 {
     const KernelOps &o = ops();
     forEachColumnPanel(n, m * k * n, [&](int64_t j0, int64_t j1) {
-        o.gemmRowBiasDPanel(a, b, row_bias, nullptr, c, m, k, n, j0,
-                            j1);
+        o.gemmDChainPanel(a, op, m, k, j0, j1);
     });
+}
+
+DChainOperands
+denseOperands(const float *b, float *c, int64_t k, int64_t n,
+              int64_t *offsets)
+{
+    int64_t *b_row = offsets, *b_pair = b_row + k;
+    int64_t *c_col = b_pair + (n + 1) / 2;
+    for (int64_t p = 0; p < k; ++p)
+        b_row[p] = p * n;
+    for (int64_t j = 0; j < n; ++j) {
+        b_pair[j / 2] = j & ~int64_t{1};
+        c_col[j] = j;
+    }
+    return {b, b_row, b_pair, c, n, c_col};
 }
 
 void
@@ -83,17 +97,6 @@ gemmABtColBiasD(const float *a, const float *b, const float *col_bias,
 {
     forEachColumnPanel(n, m * k * n, [&](int64_t j0, int64_t j1) {
         gemmABtColBiasDPanel(a, b, col_bias, c, m, k, n, j0, j1);
-    });
-}
-
-void
-gemmColBiasD(const float *a, const float *b, const float *col_bias,
-             float *c, int64_t m, int64_t k, int64_t n)
-{
-    const KernelOps &o = ops();
-    forEachColumnPanel(n, m * k * n, [&](int64_t j0, int64_t j1) {
-        o.gemmRowBiasDPanel(a, b, nullptr, col_bias, c, m, k, n, j0,
-                            j1);
     });
 }
 

@@ -12,11 +12,11 @@
  * is — so the fast paths are bit-identical to the naive ones and
  * thread-count invariant (goldens do not move).
  *
- * Dispatch: the float-chain kernel sgemm and the double-chain
- * kernels gemmRowBiasD / gemmColBiasD run their column
- * panels through the ISA-selected KernelOps table (dispatch.hh), so
- * both chains follow SE_KERNEL_ISA and every variant is bit-identical.
- * gemmABtColBiasD stays a single scalar panel.
+ * Dispatch: the float-chain kernel sgemm and the double-chain kernel
+ * gemmDChain run their column panels through the ISA-selected
+ * KernelOps table (dispatch.hh), so both chains follow SE_KERNEL_ISA
+ * and every variant is bit-identical. gemmABtColBiasD stays a single
+ * scalar panel.
  *
  * Parallelism: the output columns are split into register-tile-aligned
  * panels fanned over kernels::pool() once a matrix is big enough to
@@ -27,6 +27,7 @@
 #ifndef SE_KERNELS_GEMM_HH
 #define SE_KERNELS_GEMM_HH
 
+#include "kernels/dispatch.hh"
 #include "tensor/tensor.hh"
 
 namespace se {
@@ -41,33 +42,39 @@ void sgemm(const float *a, const float *b, float *c, int64_t m,
            int64_t k, int64_t n, bool accumulate);
 
 /**
- * C (m x n) = (float)(rowBias[i] + sum_p A[i][p] * B[p][j]) with a
- * double accumulator per element in ascending-p order — the conv
+ * C (m x n) = (float)(bias + sum_p A[i][p] * B[p][j]) with A (m x k)
+ * row-major, B, C and the bias described by `op`, and a double
+ * accumulator per element in ascending-p order — the conv and Linear
  * forward rounding sequence (bias first, round once on store).
- * row_bias may be null for a zero start.
  */
-void gemmRowBiasD(const float *a, const float *b, const float *row_bias,
-                  float *c, int64_t m, int64_t k, int64_t n);
+void gemmDChain(const float *a, const DChainOperands &op, int64_t m,
+                int64_t k, int64_t n);
+
+/** Offsets denseOperands(k, n) writes: k + (n + 1) / 2 + n. */
+constexpr int64_t
+denseOffsetCount(int64_t k, int64_t n)
+{
+    return k + (n + 1) / 2 + n;
+}
+
+/**
+ * Operands for row-major B (k x n) and C (m x n), with their offsets
+ * written to `offsets` (denseOffsetCount(k, n) entries, which must
+ * outlive the returned value). Both biases start out null.
+ */
+DChainOperands denseOperands(const float *b, float *c, int64_t k,
+                             int64_t n, int64_t *offsets);
 
 /**
  * C (m x n) = (float)(colBias[j] + sum_p A[i][p] * B[j][p]) with B
  * given (n x k) row-major and a double accumulator per element — the
  * Linear forward y = x W^T + b rounding sequence. col_bias may be
  * null. Dot-product form: no transpose, but the per-p loads scatter
- * across B rows, so prefer gemmColBiasD on batched inputs.
+ * across B rows, so prefer gemmDChain over B^T on batched inputs.
  */
 void gemmABtColBiasD(const float *a, const float *b,
                      const float *col_bias, float *c, int64_t m,
                      int64_t k, int64_t n);
-
-/**
- * C (m x n) = (float)(colBias[j] + sum_p A[i][p] * B[p][j]) with B
- * (k x n) row-major — the same rounding sequence as gemmABtColBiasD
- * (ascending-p double chain per element), taken when the caller has
- * materialized B^T so the inner loop streams contiguously.
- */
-void gemmColBiasD(const float *a, const float *b, const float *col_bias,
-                  float *c, int64_t m, int64_t k, int64_t n);
 
 /** dst (cols x rows) = src^T for a row-major (rows x cols) block. */
 void transposeF(const float *src, int64_t rows, int64_t cols,

@@ -2,11 +2,14 @@
  * @file
  * im2col: lower a convolution's sliding-window geometry onto a dense
  * column matrix so the conv forward of a whole chunk of samples
- * becomes one GEMM.
+ * becomes one GEMM. Only the shapes the double-chain panel cannot
+ * read in place take it: stride > 1, or an odd output width, where a
+ * column pair is not two adjacent input floats (see conv.hh).
  *
- * The input is padded once per chunk (padSamples), so every tap of
- * every window lies inside the buffer and each column row is a plain
- * strided copy with no bounds logic. Padding taps read exact +0.0f.
+ * The input is padded once per chunk (padSamples), which every conv
+ * shape needs, so every tap of every window lies inside the buffer
+ * and each column row is a plain strided copy with no bounds logic.
+ * Padding taps read exact +0.0f.
  *
  * Layout contract (shared with the conv lowering and the reference
  * loop's accumulation order): for ns samples the column matrix is

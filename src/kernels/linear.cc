@@ -18,10 +18,14 @@ linearForwardGemm(const Tensor &x, const Tensor &w, const Tensor *bias)
         // Batched: materializing W^T lets the inner loop stream B
         // contiguously (SIMD-friendly); the transpose amortizes over
         // the batch. Same ascending-input double chain either way.
-        float *wt = threadScratch().buffer(in_f * out_f);
+        ScratchArena &arena = threadScratch();
+        float *wt = arena.buffer(in_f * out_f);
         transposeF(w.data(), out_f, in_f, wt);
-        gemmColBiasD(x.data(), wt, bias ? bias->data() : nullptr,
-                     y.data(), n, in_f, out_f);
+        DChainOperands op = denseOperands(
+            wt, y.data(), in_f, out_f,
+            arena.offsets(denseOffsetCount(in_f, out_f)));
+        op.colBias = bias ? bias->data() : nullptr;
+        gemmDChain(x.data(), op, n, in_f, out_f);
     } else {
         gemmABtColBiasD(x.data(), w.data(),
                         bias ? bias->data() : nullptr, y.data(), n,

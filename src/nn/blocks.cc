@@ -24,8 +24,21 @@ Tensor
 Sequential::forward(const Tensor &x, bool train)
 {
     Tensor h = x;
-    for (auto &l : children)
-        h = l->forward(h, train);
+    for (size_t i = 0; i < children.size(); ++i) {
+        // Eval mode: a BatchNorm2d and the ReLU after it are one pass
+        // over h in place.
+        auto *bn = train ? nullptr
+                         : dynamic_cast<BatchNorm2d *>(children[i].get());
+        auto *relu = bn && i + 1 < children.size()
+                         ? dynamic_cast<ReLU *>(children[i + 1].get())
+                         : nullptr;
+        if (relu) {
+            bn->evalReluInPlace(h, relu->clampMax());
+            ++i;
+        } else {
+            h = children[i]->forward(h, train);
+        }
+    }
     return h;
 }
 

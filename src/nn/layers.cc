@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "base/random.hh"
 #include "kernels/conv.hh"
@@ -18,6 +20,11 @@ Conv2d::Conv2d(int64_t in_ch, int64_t out_ch, int64_t kernel,
     : inCh(in_ch), outCh(out_ch), kern(kernel), strd(stride), pad_(pad),
       grps(groups), dil(dilation), hasBias(bias)
 {
+    SE_ASSERT(kernel >= 1 && stride >= 1 && dilation >= 1 &&
+                  groups >= 1 && pad >= 0,
+              "conv geometry kernel ", kernel, " stride ", stride,
+              " dilation ", dilation, " groups ", groups, " pad ", pad,
+              ": each must be >= 1, pad >= 0");
     SE_ASSERT(in_ch % groups == 0 && out_ch % groups == 0,
               "channels not divisible by groups");
     const int64_t cpg = in_ch / groups;
@@ -212,6 +219,47 @@ BatchNorm2d::forward(const Tensor &x, bool train)
     return y;
 }
 
+void
+BatchNorm2d::evalReluInPlace(Tensor &x, float relu_max) const
+{
+    SE_ASSERT(x.ndim() == 4 && x.dim(1) == ch, "bn input shape mismatch");
+    const int64_t n = x.dim(0), plane = x.dim(2) * x.dim(3);
+    // The clamp as a select; with no clamp, hi = +Inf keeps every
+    // value.
+    const float hi = relu_max > 0.0f
+                         ? relu_max
+                         : std::numeric_limits<float>::infinity();
+    for (int64_t c = 0; c < ch; ++c) {
+        // forward()'s eval expression, term for term.
+        const double mean = runningMean[c], var = runningVar[c];
+        const double inv_std = 1.0 / std::sqrt(var + eps);
+        const double g = gamma[c], bt = beta[c];
+        auto apply = [&](float v) {
+            const float bn =
+                (float)(g * (((double)v - mean) * inv_std) + bt);
+            // ReLU, bn > 0 ? bn : +0, as a bit mask: compilers branch
+            // on that select, and the branch mispredicts on real
+            // activations.
+            uint32_t bits;
+            std::memcpy(&bits, &bn, sizeof bits);
+            bits &= 0u - (uint32_t)(bn > 0.0f);
+            float r;
+            std::memcpy(&r, &bits, sizeof r);
+            return r > hi ? hi : r;
+        };
+        for (int64_t b = 0; b < n; ++b) {
+            float *v = x.data() + (b * ch + c) * plane;
+            int64_t i = 0;
+            // Fixed blocks of 4, which the compiler vectorizes.
+            for (; i + 4 <= plane; i += 4)
+                for (int t = 0; t < 4; ++t)
+                    v[i + t] = apply(v[i + t]);
+            for (; i < plane; ++i)
+                v[i] = apply(v[i]);
+        }
+    }
+}
+
 Tensor
 BatchNorm2d::backward(const Tensor &gy)
 {
@@ -304,6 +352,13 @@ Sigmoid::backward(const Tensor &gy)
 }
 
 // ------------------------------------------------------------- MaxPool2d
+
+MaxPool2d::MaxPool2d(int64_t kernel, int64_t stride)
+    : kern(kernel), strd(stride)
+{
+    SE_ASSERT(kernel >= 1 && stride >= 1, "maxpool kernel ", kernel,
+              " stride ", stride, ": each must be >= 1");
+}
 
 Tensor
 MaxPool2d::forward(const Tensor &x, bool train)

@@ -17,12 +17,13 @@ namespace nn {
 /**
  * 2-D convolution in NCHW with square kernels, zero padding and groups.
  * groups == inChannels == outChannels gives a depth-wise convolution.
+ * Kernel, stride, dilation and groups must be >= 1 and pad >= 0.
  *
- * Forward lowers onto im2col + blocked GEMM with the batch folded into
- * the GEMM columns (bit-identical to the legacy loop in
- * tests/reference), staging in the calling thread's scratch arena
- * instead of per-call or per-layer buffers, so a layer holds no
- * scratch of its own. Backward is the legacy loop itself:
+ * Forward runs the offset-addressed double-chain GEMM with the batch
+ * folded into its columns (kernels/conv.hh; bit-identical to the
+ * legacy loop in tests/reference), staging in the calling thread's
+ * scratch arena instead of per-call or per-layer buffers, so a layer
+ * holds no scratch of its own. Backward is the legacy loop itself:
  * the golden-pinned retrain benches depend on its float accumulation
  * order, which no GEMM lowering reproduces for gx.
  */
@@ -104,6 +105,8 @@ class Linear : public Layer
 /**
  * Batch normalization over NCHW channels. gamma is exposed because the
  * SmartExchange channel pruning step thresholds BN scaling factors.
+ * In eval mode nn::Sequential runs a BatchNorm2d and the ReLU after it
+ * as one evalReluInPlace pass.
  */
 class BatchNorm2d : public Layer
 {
@@ -115,6 +118,14 @@ class BatchNorm2d : public Layer
     Tensor backward(const Tensor &gy) override;
     std::vector<Param> params() override;
     std::string name() const override { return "bn"; }
+
+    /**
+     * x = ReLU(forward(x, false)) in place, with ReLU's clamp at
+     * relu_max when that is > 0: the eval expression in double
+     * (rounded once to float), then the ReLU as selects, so every
+     * byte matches the two layers (NaN and -0 go to +0).
+     */
+    void evalReluInPlace(Tensor &x, float relu_max) const;
     LayerPtr
     clone() const override
     {
@@ -158,6 +169,9 @@ class ReLU : public Layer
         return std::make_unique<ReLU>(*this);
     }
 
+    /** The clamp, or 0 for none. */
+    float clampMax() const { return maxVal; }
+
   private:
     float maxVal;  ///< 0 => unbounded.
     Tensor mask;
@@ -184,13 +198,12 @@ class Sigmoid : public Layer
  * Max pooling with square window. Each window's max is seeded from its
  * own first tap, so all -Inf windows, or windows below any sentinel,
  * still return (and route the gradient to) one of their own inputs.
+ * Kernel and stride must be >= 1.
  */
 class MaxPool2d : public Layer
 {
   public:
-    MaxPool2d(int64_t kernel, int64_t stride)
-        : kern(kernel), strd(stride)
-    {}
+    MaxPool2d(int64_t kernel, int64_t stride);
 
     Tensor forward(const Tensor &x, bool train) override;
     Tensor backward(const Tensor &gy) override;

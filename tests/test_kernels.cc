@@ -334,11 +334,17 @@ TEST(Kernels, FoldedConvForwardWallAgainstReference)
     // Batches that leave a partial last chunk on every map size
     // (chunks of 64 columns: 64 samples of 1x1, 16 of 2x2, 4 of 4x4,
     // 1 of 8x8), across stride, dilation, depth-wise groups and pad.
+    // Output widths 2, 4, 6 and 8 at stride 1 take the panel's direct
+    // read of the padded input; widths 1, 7 and 9 and stride 2 take
+    // the column matrix. Out-channel counts 1, 5, 7 and 13 leave every
+    // row remainder of the 6-row AVX2 tile; a grouped geometry
+    // multiplies a count that its groups do not divide by the group
+    // count.
     struct Geo
     {
         int64_t k, stride, pad, dil, groups;
     };
-    const int64_t c = 6, m = 12;
+    const int64_t c = 6;
     const Geo geos[] = {
         {3, 1, 1, 1, 1}, {3, 2, 1, 1, 1}, {3, 1, 3, 2, 1},
         {3, 1, 1, 1, c}, {1, 1, 0, 1, 1}, {3, 1, 0, 1, 1},
@@ -346,30 +352,35 @@ TEST(Kernels, FoldedConvForwardWallAgainstReference)
     };
     const int64_t maps[][2] = {{1, 1}, {2, 2}, {4, 4}, {8, 8}, {11, 9}};
     int checked = 0;
-    for (int64_t batch : {1, 2, 3, 5, 8, 17})
-        for (const auto &hw : maps)
-            for (const Geo &g : geos) {
-                const int64_t kext = g.dil * (g.k - 1) + 1;
-                if (hw[0] + 2 * g.pad < kext || hw[1] + 2 * g.pad < kext)
-                    continue;
-                const kernels::ConvSpec sp{c,     m,        g.k, g.stride,
-                                           g.pad, g.groups, g.dil};
-                Rng rng(900 + checked);
-                const ConvParams p = convParams(sp, rng);
-                const Tensor x = saltedTensor({batch, c, hw[0], hw[1]}, rng);
-                expectFoldedMatchesReference(
-                    x, p, sp,
-                    "batch " + std::to_string(batch) + " " +
-                        std::to_string(hw[0]) + "x" +
-                        std::to_string(hw[1]) + " k=" +
-                        std::to_string(g.k) + " stride=" +
-                        std::to_string(g.stride) + " pad=" +
-                        std::to_string(g.pad) + " dil=" +
-                        std::to_string(g.dil) + " groups=" +
-                        std::to_string(g.groups));
-                ++checked;
-            }
-    EXPECT_GT(checked, 150);
+    for (int64_t out_ch : {12, 1, 5, 7, 13})
+        for (int64_t batch : {1, 2, 3, 5, 8, 17})
+            for (const auto &hw : maps)
+                for (const Geo &g : geos) {
+                    const int64_t kext = g.dil * (g.k - 1) + 1;
+                    if (hw[0] + 2 * g.pad < kext || hw[1] + 2 * g.pad < kext)
+                        continue;
+                    const int64_t m =
+                        out_ch % g.groups == 0 ? out_ch : out_ch * g.groups;
+                    const kernels::ConvSpec sp{c,     m,        g.k, g.stride,
+                                               g.pad, g.groups, g.dil};
+                    Rng rng(900 + checked);
+                    const ConvParams p = convParams(sp, rng);
+                    const Tensor x =
+                        saltedTensor({batch, c, hw[0], hw[1]}, rng);
+                    expectFoldedMatchesReference(
+                        x, p, sp,
+                        std::to_string(m) + " out, batch " +
+                            std::to_string(batch) + " " +
+                            std::to_string(hw[0]) + "x" +
+                            std::to_string(hw[1]) + " k=" +
+                            std::to_string(g.k) + " stride=" +
+                            std::to_string(g.stride) + " pad=" +
+                            std::to_string(g.pad) + " dil=" +
+                            std::to_string(g.dil) + " groups=" +
+                            std::to_string(g.groups));
+                    ++checked;
+                }
+    EXPECT_GT(checked, 750);
 }
 
 TEST(Kernels, FoldedConvArenaNeverLeaksStaleBytes)
@@ -445,8 +456,10 @@ TEST(KernelsConcurrency, ThreadArenaHoldsOnlyTheLargestConvChunk)
 {
     // peak_rss guard: after a batch-8 VGG19-sim forward, a fresh
     // thread's arena holds no more than the largest single conv's
-    // chunk (padded input + column matrix + folded GEMM output), not
-    // the sum over the layers.
+    // chunk (padded input + column matrix, the latter only for shapes
+    // the panel cannot address directly), the most panel offsets and
+    // the widest 6 A rows the AVX2 panel widens to double, each block
+    // sized by its own largest need, not the sum over the layers.
     const models::SimConfig cfg = servedVgg19Config();
     const int64_t n = 8;
     auto net = models::buildSim(models::ModelId::VGG19, cfg);
@@ -454,7 +467,8 @@ TEST(KernelsConcurrency, ThreadArenaHoldsOnlyTheLargestConvChunk)
     const Tensor x =
         randn({n, cfg.inChannels, cfg.inHeight, cfg.inWidth}, rng);
 
-    int64_t largest = 0, sum = 0, h = cfg.inHeight, w = cfg.inWidth;
+    int64_t largest = 0, most_offsets = 0, widest = 0, sum = 0;
+    int64_t h = cfg.inHeight, w = cfg.inWidth;
     for (size_t i = 0; i < net->size(); ++i) {
         nn::Layer *l = net->layer(i);
         if (auto *pool = dynamic_cast<nn::MaxPool2d *>(l)) {
@@ -475,19 +489,28 @@ TEST(KernelsConcurrency, ThreadArenaHoldsOnlyTheLargestConvChunk)
         const int64_t cols = oh * ow;
         const int64_t per = std::min(
             n, (kernels::kConvFoldCols + cols - 1) / cols);
-        const int64_t cpg = conv->inChannels() / conv->groupCount();
-        const int64_t mpg = conv->outChannels() / conv->groupCount();
+        const int64_t patch =
+            conv->inChannels() / conv->groupCount() * k * k;
+        const bool direct = conv->strideLen() == 1 && ow % 2 == 0;
+        const int64_t offsets =
+            2 * (patch + (per * cols + 1) / 2 + per * cols);
         const int64_t need =
             (p > 0 ? per * conv->inChannels() * (h + 2 * p) * (w + 2 * p)
                    : 0) +
-            cpg * k * k * per * cols + (per > 1 ? mpg * per * cols : 0);
+            (direct ? 0 : patch * per * cols);
         largest = std::max(largest, need);
-        sum += need;
+        most_offsets = std::max(most_offsets, offsets);
+        widest = std::max(widest, 2 * 6 * patch);
+        sum += need + offsets + 2 * 6 * patch;
         h = oh;
         w = ow;
     }
+    const int64_t bound = largest + most_offsets + widest;
     ASSERT_GT(largest, 0);
-    ASSERT_LT(largest, sum);
+    ASSERT_LT(bound, sum);
+    // No more than the arena held before the panel read the padded
+    // input directly (padded input + column matrix + GEMM output).
+    EXPECT_LE(bound, 21504);
 
     size_t reserved = 0;
     std::thread([&] {
@@ -495,7 +518,7 @@ TEST(KernelsConcurrency, ThreadArenaHoldsOnlyTheLargestConvChunk)
         reserved = kernels::threadScratch().floatsReserved();
     }).join();
     EXPECT_GT(reserved, 0u);
-    EXPECT_LE(reserved, (size_t)largest);
+    EXPECT_LE(reserved, (size_t)bound);
 }
 
 // ------------------------------------------------------------- Linear
@@ -790,6 +813,51 @@ TEST(KernelsDeathTest, MaxPoolRejectsInputSmallerThanWindow)
               (Shape{1, 2, 1, 1}));
 }
 
+/**
+ * Stride, kernel, dilation or groups below 1 and pad below 0 describe
+ * no convolution: stride 0 divides by zero in windowOutExtent, and
+ * pad -1 or kernel 0 return a wrongly sized map without complaint.
+ * The layers reject them when built, and the lowering (whose panel
+ * offsets are built from them) at its ConvSpec.
+ */
+TEST(KernelsDeathTest, ConvAndPoolRejectMalformedGeometry)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    Rng rng(63);
+    EXPECT_DEATH(nn::Conv2d(2, 2, 3, /*stride=*/0, 1, 1, rng),
+                 "stride 0 ");
+    EXPECT_DEATH(nn::Conv2d(2, 2, 1, 1, /*pad=*/-1, 1, rng), "pad -1");
+    EXPECT_DEATH(nn::Conv2d(2, 2, /*kernel=*/0, 1, 0, 1, rng),
+                 "kernel 0 ");
+    EXPECT_DEATH(nn::Conv2d(2, 2, 3, 1, 1, /*groups=*/0, rng),
+                 "groups 0 ");
+    EXPECT_DEATH(nn::Conv2d(2, 2, 3, 1, 1, 1, rng, true, /*dil=*/0),
+                 "dilation 0 ");
+    EXPECT_DEATH(nn::MaxPool2d(2, /*stride=*/0), "stride 0");
+    EXPECT_DEATH(nn::MaxPool2d(/*kernel=*/0, 2), "kernel 0 ");
+
+    const Tensor x = randn({1, 2, 6, 6}, rng);
+    const Tensor w = randn({2, 2, 1, 1}, rng);
+    const kernels::ConvSpec good{2, 2, 1, 1, 0, 1, 1};
+    EXPECT_EQ(kernels::conv2dForwardGemm(x, w, nullptr, good).shape(),
+              (Shape{1, 2, 6, 6}));
+    struct Bad
+    {
+        kernels::ConvSpec spec;
+        const char *what;
+    };
+    const Bad bad[] = {
+        {{2, 2, 1, 0, 0, 1, 1}, "stride 0 "},
+        {{2, 2, 1, 1, -1, 1, 1}, "pad -1"},
+        {{2, 2, 0, 1, 0, 1, 1}, "kernel 0 "},
+        {{2, 2, 1, 1, 0, 1, 0}, "dilation 0 "},
+        {{2, 2, 1, 1, 0, 0, 1}, "groups 0 "},
+    };
+    for (const Bad &b : bad)
+        EXPECT_DEATH(kernels::conv2dForwardGemm(x, w, nullptr, b.spec),
+                     b.what);
+}
+
 TEST(Dispatch, ForcedSelectionSticks)
 {
     for (kernels::KernelIsa isa : kernels::supportedIsas()) {
@@ -905,64 +973,121 @@ doubleChainOperand(Rng &rng, int64_t rows, int64_t cols, int64_t k)
     return t;
 }
 
-TEST(Dispatch, GemmRowBiasDEveryIsaBitIdenticalToScalar)
+/**
+ * A (k x n) B and an (m x n) C addressed the way a conv chunk is:
+ * B rows spread apart, column pairs at uneven gaps (so some 4-column
+ * groups are one contiguous run and others two separate pairs, as on
+ * 2- and 6-wide maps) and C columns stored reversed with a stride.
+ */
+struct ScatteredOperands
+{
+    std::vector<float> b, c;
+    std::vector<int64_t> bRow, bPair, cCol;
+    kernels::DChainOperands op;
+
+    ScatteredOperands(Rng &rng, const Tensor &dense_b, int64_t m)
+    {
+        const int64_t k = dense_b.dim(0), n = dense_b.dim(1);
+        int64_t span = 0;
+        for (int64_t h = 0; h < (n + 1) / 2; ++h) {
+            bPair.push_back(span);
+            span += 2 + (rng.chance(0.5) ? rng.integer(1, 5) : 0);
+        }
+        for (int64_t p = 0; p < k; ++p)
+            bRow.push_back(p * (span + 3) + 1);
+        b.assign((size_t)(k * (span + 3) + 1), std::nanf(""));
+        for (int64_t p = 0; p < k; ++p)
+            for (int64_t j = 0; j < n; ++j)
+                b[(size_t)(bRow[(size_t)p] + bPair[(size_t)(j / 2)] +
+                           j % 2)] = dense_b.at(p, j);
+        for (int64_t j = 0; j < n; ++j)
+            cCol.push_back(2 * (n - 1 - j));
+        c.assign((size_t)(m * (2 * n + 1)), 7.0f);
+        op.b = b.data();
+        op.bRow = bRow.data();
+        op.bPair = bPair.data();
+        op.c = c.data();
+        op.cRow = 2 * n + 1;
+        op.cCol = cCol.data();
+    }
+
+    /** C read back into an (m x n) tensor. */
+    Tensor
+    result(int64_t m, int64_t n) const
+    {
+        Tensor t({m, n});
+        for (int64_t i = 0; i < m; ++i)
+            for (int64_t j = 0; j < n; ++j)
+                t.at(i, j) = c[(size_t)(i * op.cRow + cCol[(size_t)j])];
+        return t;
+    }
+};
+
+TEST(Dispatch, GemmDChainEveryIsaBitIdenticalToScalar)
 {
     Rng rng(204);
     int64_t outputs = 0, non_finite = 0;
     for (int64_t k : {0, 1, 27, 432})
-        for (int64_t m : {1, 2, 3, 4, 5, 7, 12, 13})
+        for (int64_t m : {1, 2, 3, 4, 5, 6, 7, 11, 12, 13, 19})
             for (int64_t n :
                  {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 33, 64}) {
                 const Tensor a = doubleChainOperand(rng, m, k, k);
                 const Tensor b = doubleChainOperand(rng, k, n, k);
                 const Tensor row_bias = doubleChainOperand(rng, 1, m, 0);
                 const Tensor col_bias = doubleChainOperand(rng, 1, n, 0);
+                std::vector<int64_t> offs(
+                    (size_t)kernels::denseOffsetCount(k, n));
                 // Bias modes: none, per row (conv), per column
                 // (batched Linear).
                 for (int mode = 0; mode < 3; ++mode) {
                     const float *rb = mode == 1 ? row_bias.data() : nullptr;
                     const float *cb = mode == 2 ? col_bias.data() : nullptr;
-                    auto run = [&](float *c) {
-                        if (cb)
-                            kernels::gemmColBiasD(a.data(), b.data(), cb,
-                                                  c, m, k, n);
-                        else
-                            kernels::gemmRowBiasD(a.data(), b.data(), rb,
-                                                  c, m, k, n);
+                    auto dense = [&](Tensor &c) {
+                        kernels::DChainOperands op = kernels::denseOperands(
+                            b.data(), c.data(), k, n, offs.data());
+                        op.rowBias = rb;
+                        op.colBias = cb;
+                        return op;
                     };
+                    const std::string what =
+                        std::to_string(m) + "x" + std::to_string(k) + "x" +
+                        std::to_string(n) + " bias mode " +
+                        std::to_string(mode);
                     Tensor want({m, n});
                     {
                         ScopedIsa isa(kernels::KernelIsa::Scalar);
-                        run(want.data());
+                        kernels::gemmDChain(a.data(), dense(want), m, k, n);
                     }
                     outputs += want.size();
                     for (int64_t i = 0; i < want.size(); ++i)
                         non_finite += !std::isfinite(want[i]);
                     for (kernels::KernelIsa isa :
                          kernels::supportedIsas()) {
+                        SCOPED_TRACE(std::string(kernels::isaName(isa)) +
+                                     " " + what);
                         Tensor got({m, n});
                         {
                             ScopedIsa forced(isa);
-                            run(got.data());
+                            kernels::gemmDChain(a.data(), dense(got), m, k,
+                                                n);
                         }
-                        EXPECT_TRUE(bitEqual(want, got))
-                            << kernels::isaName(isa) << " " << m << "x"
-                            << k << "x" << n << " bias mode " << mode;
+                        EXPECT_TRUE(bitEqual(want, got)) << "dense";
                         // Column panels that start off zero, as the
-                        // pool splits them.
-                        const int64_t split = n > 8 ? 8 : n / 2;
+                        // pool splits them (at an even column).
+                        const int64_t split = n > 8 ? 8 : (n / 2) & ~int64_t{1};
                         Tensor halves({m, n});
                         const kernels::KernelOps &o = kernels::opsFor(isa);
-                        o.gemmRowBiasDPanel(a.data(), b.data(), rb, cb,
-                                            halves.data(), m, k, n, 0,
-                                            split);
-                        o.gemmRowBiasDPanel(a.data(), b.data(), rb, cb,
-                                            halves.data(), m, k, n,
-                                            split, n);
-                        EXPECT_TRUE(bitEqual(want, halves))
-                            << kernels::isaName(isa) << " split " << m
-                            << "x" << k << "x" << n << " bias mode "
-                            << mode;
+                        const kernels::DChainOperands op = dense(halves);
+                        o.gemmDChainPanel(a.data(), op, m, k, 0, split);
+                        o.gemmDChainPanel(a.data(), op, m, k, split, n);
+                        EXPECT_TRUE(bitEqual(want, halves)) << "split";
+                        // The same product through scattered offsets.
+                        ScatteredOperands sc(rng, b, m);
+                        sc.op.rowBias = rb;
+                        sc.op.colBias = cb;
+                        o.gemmDChainPanel(a.data(), sc.op, m, k, 0, n);
+                        EXPECT_TRUE(bitEqual(want, sc.result(m, n)))
+                            << "scattered";
                     }
                 }
             }

@@ -2,8 +2,10 @@
  * @file
  * Unit tests for the NN framework: layer forward semantics against
  * hand-computed references and finite-difference gradient checks for
- * every layer's backward pass, and the clone wall: Layer::clone() is
- * an exact, storage-disjoint deep copy of every zoo architecture.
+ * every layer's backward pass, the clone wall: Layer::clone() is
+ * an exact, storage-disjoint deep copy of every zoo architecture, and
+ * the fused eval wall: Sequential's in-place BatchNorm2d + ReLU pass
+ * writes the bytes the two layers write one after the other.
  */
 
 #include <gtest/gtest.h>
@@ -493,6 +495,131 @@ TEST(CloneWall, EveryZooNetClonesExactlyAndIndependently)
         EXPECT_EQ(snapshot(*src), before);
         EXPECT_NE(snapshot(*clone), before);
     }
+}
+
+/**
+ * The eval forward of `l` with every child of every Sequential run on
+ * its own, recursing into the paths of residual and inverted-residual
+ * blocks (the Sequentials that fuse BatchNorm2d + ReLU).
+ */
+Tensor
+childByChild(nn::Layer &l, const Tensor &x, int &pairs)
+{
+    if (auto *seq = dynamic_cast<Sequential *>(&l)) {
+        Tensor h = x;
+        for (size_t i = 0; i < seq->size(); ++i) {
+            pairs += i + 1 < seq->size() &&
+                     dynamic_cast<BatchNorm2d *>(seq->layer(i)) &&
+                     dynamic_cast<ReLU *>(seq->layer(i + 1));
+            h = childByChild(*seq->layer(i), h, pairs);
+        }
+        return h;
+    }
+    if (auto *res = dynamic_cast<Residual *>(&l)) {
+        Tensor sum = childByChild(res->main(), x, pairs);
+        const Tensor skip =
+            res->shortcut() ? childByChild(*res->shortcut(), x, pairs) : x;
+        for (int64_t i = 0; i < sum.size(); ++i)
+            sum[i] += skip[i];
+        return ReLU().forward(sum, false);
+    }
+    if (auto *inv = dynamic_cast<InvertedResidual *>(&l)) {
+        Tensor y = childByChild(inv->body(), x, pairs);
+        if (inv->hasSkip())
+            for (int64_t i = 0; i < y.size(); ++i)
+                y[i] += x[i];
+        return y;
+    }
+    return l.forward(x, false);
+}
+
+/** Gaussians salted with +-0, +-Inf and NaN at rate `rate`. */
+Tensor
+saltedInput(const Shape &shape, Rng &rng, double rate)
+{
+    volatile float inf = std::numeric_limits<float>::infinity();
+    const float specials[] = {0.0f, -0.0f, inf, -inf, inf - inf};
+    Tensor t = randn(shape, rng);
+    for (int64_t i = 0; i < t.size(); ++i)
+        if (rng.chance(rate))
+            t[i] = specials[rng.integer(0, 4)];
+    return t;
+}
+
+/**
+ * Running stats and affine terms off their init: small and large
+ * variances, zero and negative gammas, -0 betas.
+ */
+void
+perturbBatchNorm(BatchNorm2d &bn, Rng &rng)
+{
+    for (int64_t c = 0; c < bn.gammaTensor().size(); ++c) {
+        bn.runningMeanTensor()[c] = rng.gaussian(0.0f, 1.0f);
+        bn.runningVarTensor()[c] =
+            rng.chance(0.2) ? 0.0f : rng.uniform(0.01f, 9.0f);
+        bn.gammaTensor()[c] =
+            rng.chance(0.1) ? 0.0f : rng.gaussian(0.0f, 2.0f);
+        bn.betaTensor()[c] =
+            rng.chance(0.2) ? -0.0f : rng.gaussian(0.0f, 1.0f);
+    }
+}
+
+TEST(FusedEvalWall, BatchNormReluPairMatchesTwoLayers)
+{
+    // Every special the pass must map as the two layers do, through
+    // the plain ReLU and the ReLU6 clamp.
+    Rng rng(41);
+    for (float relu_max : {0.0f, 6.0f}) {
+        Sequential net;
+        BatchNorm2d *bn = net.add<BatchNorm2d>(3);
+        perturbBatchNorm(*bn, rng);
+        // Channel 0 normalizes to +-0 (0 * xhat + -0), which the ReLU
+        // must turn into +0.
+        bn->gammaTensor()[0] = 0.0f;
+        bn->betaTensor()[0] = -0.0f;
+        net.add<ReLU>(relu_max);
+        // 15-float planes: three blocks of 4 and a tail of 3.
+        Tensor x = saltedInput({2, 3, 5, 3}, rng, 0.3);
+        x[0] = 1e-40f;  // a denormal
+        x[1] = 3e38f;   // overflows once normalized
+        int pairs = 0;
+        EXPECT_TRUE(bitEqual(childByChild(net, x, pairs),
+                             net.forward(x, false)))
+            << "relu max " << relu_max;
+        EXPECT_EQ(pairs, 1);
+    }
+}
+
+TEST(FusedEvalWall, EveryZooNetMatchesAChildByChildWalk)
+{
+    using models::ModelId;
+    const ModelId ids[] = {ModelId::VGG11,        ModelId::VGG19,
+                           ModelId::ResNet50,     ModelId::ResNet164,
+                           ModelId::MobileNetV2,  ModelId::EfficientNetB0,
+                           ModelId::DeepLabV3Plus, ModelId::MLP1,
+                           ModelId::MLP2};
+    models::SimConfig cfg;
+    int fused = 0;
+    for (ModelId id : ids) {
+        SCOPED_TRACE(models::modelName(id));
+        auto net = models::buildSim(id, cfg);
+        Rng rng(43);
+        net->visit([&](nn::Layer &l) {
+            if (auto *bn = dynamic_cast<BatchNorm2d *>(&l))
+                perturbBatchNorm(*bn, rng);
+        });
+        for (int64_t batch : {1, 3, 8}) {
+            const Tensor x = saltedInput(
+                {batch, cfg.inChannels, cfg.inHeight, cfg.inWidth}, rng,
+                0.02);
+            int pairs = 0;
+            const Tensor want = childByChild(*net, x, pairs);
+            EXPECT_TRUE(bitEqual(want, net->forward(x, false)))
+                << "batch " << batch;
+            fused += pairs;
+        }
+    }
+    EXPECT_GT(fused, 100);  // the CNNs really run fused pairs
 }
 
 TEST(Loss, SoftmaxCrossEntropyGradientSumsToZero)

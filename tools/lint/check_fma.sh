@@ -14,11 +14,14 @@
 # AVX2 table also runs for its remainder columns), the ALS refits
 # (src/linalg/linalg.cc), the decomposition loop
 # (src/core/smart_exchange.cc), the dense Ce*B install kernel
-# (src/core/ce_basis.cc) and the seeded normal draws
+# (src/core/ce_basis.cc), the seeded normal draws
 # (src/base/random.cc: the polar method's x*x + y*y and its
-# ret*stddev + mean) keep their own float chains, pinned by the
-# decomposition digests, the install wall against the reference
-# matmul, the goldens and the Rng identity walls. The se target compiles them with -ffp-contract=off, so even
+# ret*stddev + mean) and the eval BatchNorm2d expression
+# (src/nn/layers.cc: gamma * xhat + beta in double, which the fused
+# BN+ReLU pass must repeat byte for byte) keep their own float
+# chains, pinned by the decomposition digests, the install wall
+# against the reference matmul, the goldens, the Rng identity walls
+# and the fused eval wall. The se target compiles them with -ffp-contract=off, so even
 # an FMA-capable -march cannot fuse them; the gate compiles each with
 # that flag at -O2 -march=x86-64-v3 (FMA enabled) and fails on any
 # fused instruction.
@@ -39,7 +42,7 @@ cd "$(dirname "$0")/../.."
 CXX="${CXX:-c++}"
 TU=src/kernels/dispatch_avx2.cc
 CHAIN_TUS="src/kernels/dispatch.cc src/linalg/linalg.cc src/core/smart_exchange.cc
-src/core/ce_basis.cc src/base/random.cc"
+src/core/ce_basis.cc src/base/random.cc src/nn/layers.cc"
 # The se target's contraction flag (CMakeLists.txt); checked below so
 # the gate and the build cannot drift apart.
 NO_CONTRACT=-ffp-contract=off
