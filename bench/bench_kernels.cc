@@ -497,8 +497,8 @@ main(int argc, char **argv)
     // --- gemmCeB at the serve pieces' real shapes, per ISA -------
     //
     // A 3x3 conv piece is (Cg*3) x 3 with rank 3, an FC piece
-    // ceil(C/4) x 4 with rank 4: these rows time the small-n panel
-    // those shapes route to. Bit-identity against the staged
+    // ceil(C/4) x 4 with rank 4: these rows time the one-strip Ce
+    // body those shapes run. Bit-identity against the staged
     // reference joins all_bit_identical; no speed gate reads them.
     {
         struct RealShape

@@ -6,6 +6,7 @@
 #include <random>
 
 #include "base/mutex.hh"
+#include "base/random.hh"
 
 namespace se {
 namespace failpoint {
@@ -24,7 +25,7 @@ struct State
     bool armed = false;
     uint64_t hits = 0;
     uint64_t fires = 0;
-    std::mt19937_64 rng;  ///< Prob policies only
+    Mt19937_64 rng;  ///< Prob policies only
 };
 
 base::Mutex g_mu;
@@ -146,7 +147,7 @@ arm(const std::string &name, const Policy &policy)
     s.armed = true;
     s.hits = 0;
     s.fires = 0;
-    s.rng.seed(policy.seed);
+    s.rng = Mt19937_64(policy.seed);
     for (const auto &n : g_armOrder)
         if (n == name)
             return;

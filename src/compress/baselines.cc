@@ -200,85 +200,5 @@ quantizePow2(nn::Sequential &net, int bits)
     return rep;
 }
 
-namespace {
-
-/** Lloyd's 1-D k-means over a weight tensor; snaps in place. */
-void
-kmeansSnap(Tensor &w, int clusters, int iterations)
-{
-    if (w.size() == 0)
-        return;
-    float lo = w[0], hi = w[0];
-    for (int64_t i = 0; i < w.size(); ++i) {
-        lo = std::min(lo, w[i]);
-        hi = std::max(hi, w[i]);
-    }
-    std::vector<double> centroid((size_t)clusters);
-    for (int c = 0; c < clusters; ++c)
-        centroid[(size_t)c] =
-            lo + (hi - lo) * (c + 0.5) / clusters;
-
-    std::vector<int> assign((size_t)w.size(), 0);
-    for (int it = 0; it < iterations; ++it) {
-        // Assignment step.
-        for (int64_t i = 0; i < w.size(); ++i) {
-            int best = 0;
-            double best_d = 1e30;
-            for (int c = 0; c < clusters; ++c) {
-                const double d =
-                    std::abs((double)w[i] - centroid[(size_t)c]);
-                if (d < best_d) {
-                    best_d = d;
-                    best = c;
-                }
-            }
-            assign[(size_t)i] = best;
-        }
-        // Update step.
-        std::vector<double> sum((size_t)clusters, 0.0);
-        std::vector<int64_t> cnt((size_t)clusters, 0);
-        for (int64_t i = 0; i < w.size(); ++i) {
-            sum[(size_t)assign[(size_t)i]] += w[i];
-            ++cnt[(size_t)assign[(size_t)i]];
-        }
-        for (int c = 0; c < clusters; ++c)
-            if (cnt[(size_t)c] > 0)
-                centroid[(size_t)c] =
-                    sum[(size_t)c] / (double)cnt[(size_t)c];
-    }
-    for (int64_t i = 0; i < w.size(); ++i)
-        w[i] = (float)centroid[(size_t)assign[(size_t)i]];
-}
-
-} // namespace
-
-BaselineReport
-clusterKMeans(nn::Sequential &net, int clusters, int iterations)
-{
-    auto wl = collect(net);
-    BaselineReport rep;
-    rep.technique = "KMeans-" + std::to_string(clusters);
-    const int64_t total = totalWeights(wl);
-    rep.originalBits = total * 32;
-
-    int code_bits = 1;
-    while ((1 << code_bits) < clusters)
-        ++code_bits;
-
-    int64_t codebooks = 0;
-    for (auto *c : wl.convs) {
-        kmeansSnap(c->weightTensor(), clusters, iterations);
-        ++codebooks;
-    }
-    for (auto *l : wl.linears) {
-        kmeansSnap(l->weightTensor(), clusters, iterations);
-        ++codebooks;
-    }
-
-    rep.sparsity = (double)countZeros(wl) / (double)total;
-    rep.storedBits = total * code_bits + codebooks * clusters * 32;
-    return rep;
-}
-
 } // namespace compress
 } // namespace se

@@ -60,14 +60,6 @@ BaselineReport quantizeKBit(nn::Sequential &net, int bits);
  */
 BaselineReport quantizePow2(nn::Sequential &net, int bits);
 
-/**
- * Deep-Compression-style weight clustering [15]/[48]: 1-D k-means
- * over each layer's weights; every weight snaps to its centroid and
- * is stored as a log2(k)-bit code plus a per-layer FP32 codebook.
- */
-BaselineReport clusterKMeans(nn::Sequential &net, int clusters,
-                             int iterations = 15);
-
 } // namespace compress
 } // namespace se
 

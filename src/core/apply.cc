@@ -36,23 +36,6 @@ sliceRows(int64_t rows, int64_t max_rows, int64_t min_rows)
     return slices;
 }
 
-/** Decompose one tall matrix, slicing if requested. */
-std::vector<SeMatrix>
-decomposeTall(const Tensor &mat, const SeOptions &se_opts,
-              int64_t max_slice_rows)
-{
-    std::vector<SeMatrix> pieces;
-    const int64_t rows = mat.dim(0), cols = mat.dim(1);
-    for (auto [at, len] : sliceRows(rows, max_slice_rows, cols)) {
-        Tensor slice({len, cols});
-        for (int64_t i = 0; i < len; ++i)
-            for (int64_t j = 0; j < cols; ++j)
-                slice.at(i, j) = mat.at(at + i, j);
-        pieces.push_back(decomposeMatrix(slice, se_opts));
-    }
-    return pieces;
-}
-
 /**
  * A layer's report sums over its pieces. The zero rows and zero
  * elements of each Ce come from one pass and give exactly the counts
@@ -176,51 +159,6 @@ CompressionReport::prunedParamRatio() const
     return den > 0 ? num / (double)den : 0.0;
 }
 
-std::vector<SeMatrix>
-decomposeConvWeight(const Tensor &weight, const SeOptions &se_opts,
-                    const ApplyOptions &apply_opts)
-{
-    // weight is (M, Cg, R, S). R == S > 1 assumed by the caller;
-    // each filter reshapes to (Cg*R, S).
-    const int64_t m = weight.dim(0), cg = weight.dim(1);
-    const int64_t r = weight.dim(2), s = weight.dim(3);
-    std::vector<SeMatrix> pieces;
-    for (int64_t f = 0; f < m; ++f) {
-        Tensor mat({cg * r, s});
-        for (int64_t c = 0; c < cg; ++c)
-            for (int64_t kr = 0; kr < r; ++kr)
-                for (int64_t ks = 0; ks < s; ++ks)
-                    mat.at(c * r + kr, ks) = weight.at(f, c, kr, ks);
-        auto filter_pieces =
-            decomposeTall(mat, se_opts, apply_opts.maxSliceRows);
-        for (auto &p : filter_pieces)
-            pieces.push_back(std::move(p));
-    }
-    return pieces;
-}
-
-std::vector<SeMatrix>
-decomposeFcWeight(const Tensor &weight, const SeOptions &se_opts,
-                  const ApplyOptions &apply_opts)
-{
-    // weight is (M, C); each row reshapes to (ceil(C/S) x S), padded.
-    const int64_t m = weight.dim(0), c = weight.dim(1);
-    const int64_t s = apply_opts.fcGroupSize;
-    const int64_t rows = (c + s - 1) / s;
-    SE_ASSERT(rows >= s, "FC layer too narrow for group size ", s);
-    std::vector<SeMatrix> pieces;
-    for (int64_t i = 0; i < m; ++i) {
-        Tensor mat({rows, s});
-        for (int64_t j = 0; j < c; ++j)
-            mat.at(j / s, j % s) = weight.at(i, j);
-        auto row_pieces =
-            decomposeTall(mat, se_opts, apply_opts.maxSliceRows);
-        for (auto &p : row_pieces)
-            pieces.push_back(std::move(p));
-    }
-    return pieces;
-}
-
 namespace {
 
 /**
@@ -276,6 +214,23 @@ fcRowMatrix(const Tensor &w, int64_t f, int64_t row_length, int64_t s)
 }
 
 } // namespace
+
+std::vector<SeMatrix>
+decomposeConvWeight(const Tensor &weight, const SeOptions &se_opts,
+                    const ApplyOptions &apply_opts)
+{
+    // R == S > 1 assumed by the caller: the plan's per-filter
+    // (Cg*R, S) reshape and slicing, decomposed unit by unit.
+    CompressionPlan plan;
+    for (int64_t f = 0; f < weight.dim(0); ++f)
+        planUnits(plan, convFilterMatrix(weight, f), 0, f,
+                  apply_opts.maxSliceRows);
+    std::vector<SeMatrix> pieces;
+    pieces.reserve(plan.units.size());
+    for (const DecompUnit &u : plan.units)
+        pieces.push_back(decomposeMatrix(u.matrix, se_opts));
+    return pieces;
+}
 
 CompressionPlan
 planCompression(nn::Sequential &net, const SeOptions &se_opts,

@@ -179,13 +179,6 @@ std::vector<SeMatrix> decomposeConvWeight(const Tensor &weight,
                                           const SeOptions &se_opts,
                                           const ApplyOptions &apply_opts);
 
-/**
- * Decompose an FC weight (per-row C/S x S reshape with zero padding).
- */
-std::vector<SeMatrix> decomposeFcWeight(const Tensor &weight,
-                                        const SeOptions &se_opts,
-                                        const ApplyOptions &apply_opts);
-
 } // namespace core
 } // namespace se
 

@@ -32,13 +32,15 @@ gemmCeB(const uint8_t *row_mask, const uint8_t *nibbles, int64_t m,
     buildCeDecodeLut(alpha, lut);
     const KernelOps &o = ops();
     if (n <= kCeSmallN) {
-        o.gemmCeSmallN(row_mask, nibbles, m, r, basis, n, lut, out,
+        o.gemmCeSmallN(row_mask, nibbles, m, r, basis, n, n, lut, out,
                        nullptr);
         return;
     }
     forEachColumnPanel(n, m * r * n, [&](int64_t j0, int64_t j1) {
-        o.gemmCePanel(row_mask, nibbles, m, r, basis, n, lut, out, j0,
-                      j1);
+        for (int64_t j = j0; j < j1; j += kCeSmallN)
+            o.gemmCeSmallN(row_mask, nibbles, m, r, basis + j,
+                           std::min(kCeSmallN, j1 - j), n, lut, out + j,
+                           nullptr);
     });
 }
 
@@ -46,31 +48,25 @@ void
 gemmCeBLayer(const CeBPiece *pieces, size_t count, float *weight)
 {
     const KernelOps &o = ops();
-    float last[kCeSmallN];  // the padded last row of a small-n piece
+    float last[kCeSmallN];  // one strip of a padded piece's last row
     for (size_t k = 0; k < count; ++k) {
         const CeBPiece &pc = pieces[k];
         if (pc.rows <= 0 || pc.cols <= 0)
             continue;
         float *out = weight + pc.offset;
+        float *tail = out + (pc.rows - 1) * pc.cols;
         const bool padded = pc.lastRowCols < pc.cols;
-        if (pc.cols <= kCeSmallN) {
+        for (int64_t j = 0; j < pc.cols; j += kCeSmallN) {
+            const int64_t w = std::min(kCeSmallN, pc.cols - j);
             o.gemmCeSmallN(pc.rowMask, pc.nibbles, pc.rows, pc.rank,
-                           pc.basis, pc.cols, pc.lut, out,
+                           pc.basis + j, w, pc.cols, pc.lut, out + j,
                            padded ? last : nullptr);
             if (padded)
-                std::copy(last, last + pc.lastRowCols,
-                          out + (pc.rows - 1) * pc.cols);
-            continue;
+                std::copy(last,
+                          last + std::clamp<int64_t>(
+                                     pc.lastRowCols - j, 0, w),
+                          tail + j);
         }
-        // A wide piece takes the column-panel body. Padded, its
-        // columns before lastRowCols run over every row and the rest
-        // over all rows but the last (a row prefix keeps its codes).
-        o.gemmCePanel(pc.rowMask, pc.nibbles, pc.rows, pc.rank, pc.basis,
-                      pc.cols, pc.lut, out, 0, pc.lastRowCols);
-        if (padded)
-            o.gemmCePanel(pc.rowMask, pc.nibbles, pc.rows - 1, pc.rank,
-                          pc.basis, pc.cols, pc.lut, out,
-                          pc.lastRowCols, pc.cols);
     }
 }
 

@@ -19,15 +19,13 @@
  * at every ISA level. The staged decode-then-sgemm baseline it is
  * gated against lives in tests/reference.
  *
- * Real pieces are narrow: every (Cg*R) x S conv slice has n = S (3 for
- * a 3x3 conv) and every FC slice n = fcGroupSize (4). For n <=
- * kCeSmallN the kernel takes KernelOps::gemmCeSmallN, which decodes
- * each row's r codes once and accumulates all n columns in one
- * register tile (one YMM on AVX2, acc[8] on scalar); the
- * column-panel body would run such widths in its per-column scalar
- * tail, decoding every code once per column. Wider outputs
- * keep the column-panel body. Both are bit-identical to the same
- * reference.
+ * Every width runs through one body, KernelOps::gemmCeSmallN: an
+ * 8-column strip that decodes each row's r codes once and accumulates
+ * the strip's columns in one register tile (one YMM on AVX2, acc[8]
+ * on scalar). Real pieces are narrow — every (Cg*R) x S conv slice has
+ * n = S (3 for a 3x3 conv) and every FC slice n = fcGroupSize (4) — so
+ * each is one strip and one call. A wider output runs as strips of at
+ * most kCeSmallN columns, fanned over forEachColumnPanel by gemmCeB.
  *
  * gemmCeBLayer is the serve rebuild's entry: one call per layer writes
  * every piece straight into the layer's weight tensor. A piece's rows
@@ -35,10 +33,9 @@
  * an FC / 1x1 piece at filter*C + rowOffset*s — so no per-piece output
  * tensor or scatter exists. The one exception is the zero-padded last
  * row of an FC piece when s does not divide C: only its leading
- * columns belong to the weight, so that row alone is staged and its
- * valid prefix copied in (a piece wider than kCeSmallN instead skips
- * the row in its trailing column panel). Decode LUTs are built once
- * by the caller (buildCeDecodeLut) and reused across calls.
+ * columns belong to the weight, so that row alone is staged, one strip
+ * at a time, and its valid prefix copied in. Decode LUTs are built
+ * once by the caller (buildCeDecodeLut) and reused across calls.
  *
  * Model-file v4 (adaptive per-column bit widths) feeds this kernel
  * through a transcode shim rather than a second decode path: the v4

@@ -72,77 +72,28 @@ detail::sgemmPanelScalar(const float *__restrict a,
     }
 }
 
-/**
- * Fused Ce-code panel: the sgemm row body with the A-side element
- * load replaced by nibble-extract + alphabet-LUT lookup, so no
- * decoded row is ever staged. Masked-off rows write zeros, exactly
- * like a decoded zero row under accumulate=false.
- */
-void
-detail::gemmCePanelScalar(const uint8_t *row_mask,
-                          const uint8_t *nibbles, int64_t m, int64_t r,
-                          const float *__restrict basis, int64_t n,
-                          const float *__restrict lut,
-                          float *__restrict out, int64_t j0, int64_t j1)
-{
-    int64_t nz_seen = 0;  // non-zero rows before the current row
-    for (int64_t row = 0; row < m; ++row) {
-        float *crow = out + row * n;
-        if (!detail::ceRowSet(row_mask, row)) {
-            std::fill(crow + j0, crow + j1, 0.0f);
-            continue;
-        }
-        const int64_t code0 = nz_seen * r;
-        ++nz_seen;
-        int64_t jt = j0;
-        for (; jt + kPanelCols <= j1; jt += kPanelCols) {
-            float acc[kPanelCols] = {};
-            const float *bp = basis + jt;
-            for (int64_t p = 0; p < r; ++p, bp += n) {
-                const float av = lut[nibbleAt(nibbles, code0 + p)];
-                if (av == 0.0f)
-                    continue;
-                for (int jj = 0; jj < kPanelCols; ++jj)
-                    acc[jj] += av * bp[jj];
-            }
-            float *ci = crow + jt;
-            for (int jj = 0; jj < kPanelCols; ++jj)
-                ci[jj] = acc[jj];
-        }
-        for (; jt < j1; ++jt) {
-            float acc = 0.0f;
-            for (int64_t p = 0; p < r; ++p) {
-                const float av = lut[nibbleAt(nibbles, code0 + p)];
-                if (av != 0.0f)
-                    acc += av * basis[p * n + jt];
-            }
-            crow[jt] = acc;
-        }
-    }
-}
-
 namespace {
 
 using detail::nibbleAt;
 
 /**
- * Small-n fused Ce-code body: each row's codes are decoded once and
- * applied to all n <= kCeSmallN columns of acc[] — the row body of
- * gemmCePanelScalar's 8-column tile, cut to n columns.
+ * Fused Ce-code strip: each row's codes are decoded once and applied
+ * to all n <= kCeSmallN columns of acc[], a float chain per column in
+ * ascending p with zero codes skipped.
  */
 void
 gemmCeSmallNScalar(const uint8_t *row_mask, const uint8_t *nibbles,
                    int64_t m, int64_t r, const float *__restrict basis,
-                   int64_t n, const float *__restrict lut, float *out,
-                   float *last_row)
+                   int64_t n, int64_t ld, const float *__restrict lut,
+                   float *out, float *last_row)
 {
     detail::forEachCeRow(
-        row_mask, m, r, n, out, last_row,
+        row_mask, m, r, ld, out, last_row,
         [&](float *crow) { std::fill(crow, crow + n, 0.0f); },
         [&](float *crow, int64_t code) {
             float acc[kCeSmallN] = {};
             const float *bp = basis;
-            for (int64_t p = 0; p < r; ++p, bp += n) {
+            for (int64_t p = 0; p < r; ++p, bp += ld) {
                 const float av = lut[nibbleAt(nibbles, code + p)];
                 if (av == 0.0f)
                     continue;
@@ -153,8 +104,7 @@ gemmCeSmallNScalar(const uint8_t *row_mask, const uint8_t *nibbles,
         });
 }
 
-const KernelOps kScalarOps{detail::sgemmPanelScalar,
-                           detail::gemmCePanelScalar, gemmCeSmallNScalar,
+const KernelOps kScalarOps{detail::sgemmPanelScalar, gemmCeSmallNScalar,
                            detail::gemmDChainPanelScalar};
 
 bool

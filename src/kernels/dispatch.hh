@@ -3,7 +3,7 @@
  * Runtime CPU-feature dispatch for the float- and double-chain
  * micro-kernels.
  *
- * The sgemm column-panel kernel, the fused Ce-code panels and the
+ * The sgemm column-panel kernel, the fused Ce-code strip and the
  * offset-addressed double-chain panel behind the conv and Linear
  * forwards exist in two explicitly register-tiled variants — scalar
  * (the one reference, byte-for-byte the legacy rounding sequence) and
@@ -80,7 +80,7 @@ void setActiveIsa(KernelIsa isa);
 /** Register-tile width the GEMM column panels are aligned to. */
 constexpr int64_t kPanelCols = 8;
 
-/** Widest Ce*B output KernelOps::gemmCeSmallN handles (one YMM). */
+/** Widest Ce*B strip one KernelOps::gemmCeSmallN call runs (one YMM). */
 constexpr int64_t kCeSmallN = 8;
 
 /**
@@ -107,9 +107,10 @@ struct DChainOperands
 };
 
 /**
- * One micro-kernel variant: the column-panel bodies dispatched by
- * sgemm / gemmCeB / gemmDChain. Panels are [j0, j1) output-column
- * ranges; both variants compute bit-identical bytes.
+ * One micro-kernel variant: the bodies dispatched by sgemm /
+ * gemmCeB / gemmDChain. The sgemm and double-chain panels take
+ * [j0, j1) output-column ranges, the Ce-code strip a column pointer
+ * and a row stride; both variants compute bit-identical bytes.
  */
 struct KernelOps
 {
@@ -118,29 +119,22 @@ struct KernelOps
                        int64_t m, int64_t k, int64_t n, bool accumulate,
                        int64_t j0, int64_t j1);
     /**
-     * Fused Ce-code body: out(m x n) = decode(Ce)(m x r) * basis over
-     * [j0,j1), decoding packed nibbles through the 16-entry alphabet
-     * LUT as part of the A-side load — no decoded panel is ever
-     * staged. Masked-off rows write zeros.
-     */
-    void (*gemmCePanel)(const uint8_t *row_mask, const uint8_t *nibbles,
-                        int64_t m, int64_t r, const float *basis,
-                        int64_t n, const float *lut, float *out,
-                        int64_t j0, int64_t j1);
-    /**
-     * Small-n fused Ce-code body (n <= kCeSmallN): the whole m x n
-     * output, one Ce row per step. A row's r codes are decoded once
-     * for all n columns, which accumulate side by side in one
-     * register tile; the zero-code skip (a branch or a blend, never a
-     * multiply by zero), the ascending-p order and every stored byte
-     * match gemmCePanel. Row m - 1 goes to `last_row` when it is
-     * non-null (the staging row of a padded FC piece), else to its
-     * place in `out`. Nothing past column n of a row is stored.
+     * Fused Ce-code strip: rows i < m, columns j < n <= kCeSmallN of
+     * decode(Ce)(m x r) * basis, with basis row p at basis + p * ld
+     * and output row i at out + i * ld. A row's r codes are decoded
+     * once for all n columns, which accumulate side by side in one
+     * register tile, in ascending p with the zero-code skip (a branch
+     * or a blend, never a multiply by zero); masked-off rows write
+     * zeros. A wider output runs as 8-column strips, basis and out
+     * advanced to each strip's first column. Row m - 1 goes to
+     * `last_row` (n floats) when it is non-null — the staging row of
+     * a padded FC piece — else to its place in `out`. Nothing past
+     * column n of a row is read or stored.
      */
     void (*gemmCeSmallN)(const uint8_t *row_mask, const uint8_t *nibbles,
                          int64_t m, int64_t r, const float *basis,
-                         int64_t n, const float *lut, float *out,
-                         float *last_row);
+                         int64_t n, int64_t ld, const float *lut,
+                         float *out, float *last_row);
     /**
      * Double-chain body: C[i][j] = (float)(bias + sum_p a[i][p] *
      * B[p][j]) for every row i < m and column j in [j0, j1), with a

@@ -3,10 +3,10 @@
  * AVX2 micro-kernel variants: 256-bit register tiles (16 columns as
  * two YMM accumulators, two A rows per pass — 4 live accumulator
  * registers plus broadcasts and B loads, sized for FMA-class cores)
- * for the float chains, one YMM per Ce row for the small-n Ce panel
- * (n <= 8), and 6 A rows x 8 columns of double accumulators (12 YMM)
- * for the offset-addressed double chain, whose A rows are widened to
- * double once per row block and broadcast from memory.
+ * for the float chains, one YMM per Ce row for the Ce-code strip
+ * (n <= 8 columns), and 6 A rows x 8 columns of double accumulators
+ * (12 YMM) for the offset-addressed double chain, whose A rows are
+ * widened to double once per row block and broadcast from memory.
  *
  * This TU is compiled with -mavx2 and deliberately WITHOUT -mfma:
  * a fused multiply-add rounds once where the bit-identity contract
@@ -17,9 +17,9 @@
  * order, and the float chains keep the A-side zero-skip per row (the
  * double chain has none, like its scalar reference).
  *
- * The sgemm, Ce-code and double-chain panels run their remainder
- * columns (narrower than a register tile) through the scalar
- * reference panels themselves.
+ * The sgemm and double-chain panels run their remainder columns
+ * (narrower than a register tile) through the scalar reference panels
+ * themselves; the Ce-code strip masks its loads and stores instead.
  *
  * When the build lacks -mavx2 support (non-x86 target, old compiler),
  * avx2Ops() returns nullptr and dispatch falls back to scalar.
@@ -140,61 +140,8 @@ sgemmPanelAvx2(const float *__restrict a, const float *__restrict b,
     sgemmPanelScalar(a, b, c, m, k, n, accumulate, jt, j1);
 }
 
-void
-gemmCePanelAvx2(const uint8_t *row_mask, const uint8_t *nibbles,
-                int64_t m, int64_t r, const float *__restrict basis,
-                int64_t n, const float *__restrict lut,
-                float *__restrict out, int64_t j0, int64_t j1)
-{
-    // Columns [j0, jr) in 16- and 8-wide tiles, the rest in scalar.
-    const int64_t jr = j0 + (j1 - j0) / kHalf * kHalf;
-    int64_t nz_seen = 0;
-    for (int64_t row = 0; row < m; ++row) {
-        float *crow = out + row * n;
-        if (!ceRowSet(row_mask, row)) {
-            std::fill(crow + j0, crow + jr, 0.0f);
-            continue;
-        }
-        const int64_t code0 = nz_seen * r;
-        ++nz_seen;
-        int64_t jt = j0;
-        for (; jt + kTile <= jr; jt += kTile) {
-            __m256 acc0 = _mm256_setzero_ps();
-            __m256 acc1 = _mm256_setzero_ps();
-            const float *bp = basis + jt;
-            for (int64_t p = 0; p < r; ++p, bp += n) {
-                const float av = lut[nibbleAt(nibbles, code0 + p)];
-                if (av == 0.0f)
-                    continue;
-                const __m256 va = _mm256_set1_ps(av);
-                acc0 = _mm256_add_ps(
-                    acc0, _mm256_mul_ps(va, _mm256_loadu_ps(bp)));
-                acc1 = _mm256_add_ps(
-                    acc1, _mm256_mul_ps(va, _mm256_loadu_ps(bp + 8)));
-            }
-            _mm256_storeu_ps(crow + jt, acc0);
-            _mm256_storeu_ps(crow + jt + 8, acc1);
-        }
-        if (jt < jr) {
-            __m256 acc = _mm256_setzero_ps();
-            const float *bp = basis + jt;
-            for (int64_t p = 0; p < r; ++p, bp += n) {
-                const float av = lut[nibbleAt(nibbles, code0 + p)];
-                if (av == 0.0f)
-                    continue;
-                acc = _mm256_add_ps(
-                    acc, _mm256_mul_ps(_mm256_set1_ps(av),
-                                       _mm256_loadu_ps(bp)));
-            }
-            _mm256_storeu_ps(crow + jt, acc);
-        }
-    }
-    gemmCePanelScalar(row_mask, nibbles, m, r, basis, n, lut, out, jr,
-                      j1);
-}
-
 /**
- * Small-n fused Ce-code body: one Ce row per step, its n <= 8 output
+ * Fused Ce-code strip: one Ce row per step, its n <= 8 output
  * columns side by side in one YMM. Masked loads keep every basis read
  * inside the r x n matrix and masked stores keep every write inside
  * the row. The zero-code skip is a blend that keeps the old
@@ -209,7 +156,8 @@ template <int R>
 void
 ceSmallNAvx2(const uint8_t *row_mask, const uint8_t *nibbles, int64_t m,
              int64_t r, const float *__restrict basis, int64_t n,
-             const float *__restrict lut, float *out, float *last_row)
+             int64_t ld, const float *__restrict lut, float *out,
+             float *last_row)
 {
     static_assert(R == 0 || R == 3 || R == 4,
                   "the two-byte code word needs R = 3 or 4");
@@ -219,10 +167,10 @@ ceSmallNAvx2(const uint8_t *row_mask, const uint8_t *nibbles, int64_t m,
     const __m256 zero = _mm256_setzero_ps();
     __m256 held[R > 0 ? R : 1];
     for (int p = 0; p < R; ++p)
-        held[p] = _mm256_maskload_ps(basis + p * n, cols);
+        held[p] = _mm256_maskload_ps(basis + p * ld, cols);
     const int64_t rank = R > 0 ? R : r;
     forEachCeRow(
-        row_mask, m, r, n, out, last_row,
+        row_mask, m, r, ld, out, last_row,
         [&](float *crow) { _mm256_maskstore_ps(crow, cols, zero); },
         [&](float *crow, int64_t code) {
             const uint8_t *nb = nibbles + (code >> 1);
@@ -234,7 +182,7 @@ ceSmallNAvx2(const uint8_t *row_mask, const uint8_t *nibbles, int64_t m,
             for (int64_t p = 0; p < rank; ++p) {
                 const __m256 bp =
                     R > 0 ? held[p]
-                          : _mm256_maskload_ps(basis + p * n, cols);
+                          : _mm256_maskload_ps(basis + p * ld, cols);
                 const __m256 va = _mm256_set1_ps(
                     lut[R > 0 ? (word >> (4 * p)) & 0xFu
                               : nibbleAt(nibbles, code + p)]);
@@ -251,18 +199,19 @@ ceSmallNAvx2(const uint8_t *row_mask, const uint8_t *nibbles, int64_t m,
 void
 gemmCeSmallNAvx2(const uint8_t *row_mask, const uint8_t *nibbles,
                  int64_t m, int64_t r, const float *basis, int64_t n,
-                 const float *lut, float *out, float *last_row)
+                 int64_t ld, const float *lut, float *out,
+                 float *last_row)
 {
     switch (r) {
     case 3:
-        return ceSmallNAvx2<3>(row_mask, nibbles, m, r, basis, n, lut,
-                               out, last_row);
+        return ceSmallNAvx2<3>(row_mask, nibbles, m, r, basis, n, ld,
+                               lut, out, last_row);
     case 4:
-        return ceSmallNAvx2<4>(row_mask, nibbles, m, r, basis, n, lut,
-                               out, last_row);
+        return ceSmallNAvx2<4>(row_mask, nibbles, m, r, basis, n, ld,
+                               lut, out, last_row);
     default:
-        return ceSmallNAvx2<0>(row_mask, nibbles, m, r, basis, n, lut,
-                               out, last_row);
+        return ceSmallNAvx2<0>(row_mask, nibbles, m, r, basis, n, ld,
+                               lut, out, last_row);
     }
 }
 
@@ -407,7 +356,7 @@ gemmDChainPanelAvx2(const float *__restrict a, const DChainOperands &op,
     gemmDChainPanelScalar(a, op, m, k, jv, j1);
 }
 
-const KernelOps kAvx2Ops{sgemmPanelAvx2, gemmCePanelAvx2, gemmCeSmallNAvx2,
+const KernelOps kAvx2Ops{sgemmPanelAvx2, gemmCeSmallNAvx2,
                          gemmDChainPanelAvx2};
 
 } // namespace

@@ -30,16 +30,9 @@ nibbleAt(const uint8_t *nibbles, int64_t idx)
     return (nibbles[idx >> 1] >> ((idx & 1) << 2)) & 0xFu;
 }
 
-/** True when Ce row `row` is set in the LSB-first row mask. */
-inline bool
-ceRowSet(const uint8_t *row_mask, int64_t row)
-{
-    return (row_mask[row >> 3] >> (row & 7)) & 1u;
-}
-
 /**
- * The row walk of every gemmCeSmallN variant over an m-row piece with
- * n columns. Per 8-row mask byte, `zero_row(crow)` runs for each
+ * The row walk of every gemmCeSmallN variant over an m-row piece whose
+ * output rows are ld floats apart. Per 8-row mask byte, `zero_row(crow)` runs for each
  * clear row, then `set_row(crow, code)` for each set row in ascending
  * order, with `code` the index of its first of r packed codes. Row
  * m - 1 goes to `last_row` when it is non-null. Walking the bits of
@@ -48,12 +41,12 @@ ceRowSet(const uint8_t *row_mask, int64_t row)
  */
 template <class ZeroRow, class SetRow>
 inline void
-forEachCeRow(const uint8_t *row_mask, int64_t m, int64_t r, int64_t n,
+forEachCeRow(const uint8_t *row_mask, int64_t m, int64_t r, int64_t ld,
              float *out, float *last_row, ZeroRow &&zero_row,
              SetRow &&set_row)
 {
     auto rowOut = [&](int64_t row) {
-        return last_row && row == m - 1 ? last_row : out + row * n;
+        return last_row && row == m - 1 ? last_row : out + row * ld;
     };
     int64_t code = 0;  // first code of the next set row
     for (int64_t row0 = 0; row0 < m; row0 += 8) {
@@ -72,20 +65,13 @@ forEachCeRow(const uint8_t *row_mask, int64_t m, int64_t r, int64_t n,
 /** AVX2 variant table, or nullptr when not compiled in. */
 const KernelOps *avx2Ops();
 
-// Scalar reference panels. The AVX2 sgemm, Ce-code and double-chain
-// panels run their remainder columns (fewer than one register tile)
-// through them.
+// Scalar reference panels. The AVX2 sgemm and double-chain panels run
+// their remainder columns (fewer than one register tile) through them.
 
 /** Scalar KernelOps::sgemmPanel. */
 void sgemmPanelScalar(const float *a, const float *b, float *c,
                       int64_t m, int64_t k, int64_t n, bool accumulate,
                       int64_t j0, int64_t j1);
-
-/** Scalar KernelOps::gemmCePanel. */
-void gemmCePanelScalar(const uint8_t *row_mask, const uint8_t *nibbles,
-                       int64_t m, int64_t r, const float *basis,
-                       int64_t n, const float *lut, float *out,
-                       int64_t j0, int64_t j1);
 
 /** Scalar KernelOps::gemmDChainPanel. */
 void gemmDChainPanelScalar(const float *a, const DChainOperands &op,

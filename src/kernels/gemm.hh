@@ -35,8 +35,8 @@ namespace kernels {
 
 /**
  * C (m x n) = [C +] A (m x k) * B (k x n), float accumulator chain in
- * ascending-k order with zero entries of A skipped — the legacy
- * linalg::matmul rounding sequence. accumulate=false overwrites C.
+ * ascending-k order with zero entries of A skipped — the rounding
+ * sequence of tests/reference's matmul. accumulate=false overwrites C.
  */
 void sgemm(const float *a, const float *b, float *c, int64_t m,
            int64_t k, int64_t n, bool accumulate);
@@ -81,9 +81,9 @@ void transposeF(const float *src, int64_t rows, int64_t cols,
                 float *dst);
 
 /**
- * Tensor wrapper with linalg::matmul semantics (2-D inputs, inner
- * dims must agree) on the blocked kernel; bit-identical to the legacy
- * triple loop.
+ * C = A * B for 2-D tensors (m x k) * (k x n), inner dims checked, on
+ * the blocked kernel; bit-identical to the legacy triple loop
+ * (tests/reference's matmul).
  */
 Tensor gemm(const Tensor &a, const Tensor &b);
 

@@ -10,16 +10,6 @@ namespace se {
 namespace linalg {
 
 Tensor
-matmul(const Tensor &a, const Tensor &b)
-{
-    // The blocked kernel (which checks the shapes) keeps the textbook
-    // rounding sequence — ascending-k float chain per element, zero
-    // entries of A skipped — of the loop tests/reference diffs it
-    // against.
-    return kernels::gemm(a, b);
-}
-
-Tensor
 transpose(const Tensor &a)
 {
     SE_ASSERT(a.ndim() == 2, "transpose needs a 2-D input");

@@ -22,9 +22,6 @@
 namespace se {
 namespace linalg {
 
-/** C = A * B for 2-D tensors (m x k) * (k x n). */
-Tensor matmul(const Tensor &a, const Tensor &b);
-
 /** Transpose of a 2-D tensor. */
 Tensor transpose(const Tensor &a);
 
@@ -63,8 +60,8 @@ void choleskySolveInPlace(float *a, int64_t n, float *x, int64_t count);
  * the live rows, fitCoefficients builds B B^T and B W^T for the live
  * rows only. Each entry keeps the float chain of the transposed-GEMM
  * formulation (ascending inner index, a round after every add, zero
- * left-operand entries skipped), so both equal transpose / matmul /
- * choleskySolve bit for bit under every kernel ISA. For square
+ * left-operand entries skipped), so both equal transpose /
+ * kernels::gemm / choleskySolve bit for bit under every kernel ISA. For square
  * problems up to 4 x 4 (every conv and fc piece) the accumulators are
  * register-resident.
  */

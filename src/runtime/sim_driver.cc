@@ -44,24 +44,5 @@ SimDriver::sweep(const std::vector<accel::AcceleratorPtr> &accs,
     return sweep(raw, workloads, include_fc, skip);
 }
 
-sim::RunStats
-SimDriver::runLayers(const accel::Accelerator &acc,
-                     const std::vector<sim::LayerShape> &layers) const
-{
-    const int64_t n = (int64_t)layers.size();
-    std::vector<sim::RunStats> per((size_t)n);
-    auto run_one = [&](int64_t i) {
-        per[(size_t)i] = acc.runLayer(layers[(size_t)i]);
-    };
-    kernels::parallelFor(n, run_one, opts_.resolvedThreads());
-
-    // Reduce in layer order: deterministic and equal to the serial
-    // accumulation.
-    sim::RunStats total;
-    for (const auto &st : per)
-        total += st;
-    return total;
-}
-
 } // namespace runtime
 } // namespace se

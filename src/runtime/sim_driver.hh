@@ -59,14 +59,6 @@ class SimDriver
           const std::function<bool(size_t, size_t)> &skip = nullptr)
         const;
 
-    /**
-     * Aggregate a batch of layers on one accelerator (layer order
-     * preserved, so the sum equals serial runLayer accumulation).
-     */
-    sim::RunStats
-    runLayers(const accel::Accelerator &acc,
-              const std::vector<sim::LayerShape> &layers) const;
-
     const RuntimeOptions &options() const { return opts_; }
 
   private:

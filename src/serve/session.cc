@@ -229,8 +229,8 @@ void
 InferenceSession::ensureRebuilt()
 {
     // Layers rebuild inline, one after another: a CeDirect layer is
-    // one small-n gemmCeBLayer call, too short to pay for a fan-out
-    // over the executor the other replicas share.
+    // one gemmCeBLayer call of one-strip pieces, too short to pay for
+    // a fan-out over the executor the other replicas share.
     const auto t0 = SteadyClock::now();
     bool rebuilt = false;
     for (size_t i = 0; i < layers_.size(); ++i) {

@@ -21,13 +21,4 @@ randn(const Shape &shape, Rng &rng, float mean, float stddev)
     return t;
 }
 
-Tensor
-randu(const Shape &shape, Rng &rng, float lo, float hi)
-{
-    Tensor t(shape);
-    for (int64_t i = 0; i < t.size(); ++i)
-        t[i] = rng.uniform(lo, hi);
-    return t;
-}
-
 } // namespace se

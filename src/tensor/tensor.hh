@@ -176,10 +176,6 @@ Tensor eye(int64_t n);
 Tensor randn(const Shape &shape, class Rng &rng, float mean = 0.0f,
              float stddev = 1.0f);
 
-/** Tensor with i.i.d. U[lo, hi) entries. */
-Tensor randu(const Shape &shape, class Rng &rng, float lo = 0.0f,
-             float hi = 1.0f);
-
 } // namespace se
 
 #endif // SE_TENSOR_TENSOR_HH

@@ -22,7 +22,6 @@ namespace {
 using core::ApplyOptions;
 using core::applySmartExchange;
 using core::decomposeConvWeight;
-using core::decomposeFcWeight;
 using core::SeOptions;
 
 TEST(ConvReshape, OnePiecePerFilterWithoutSlicing)
@@ -49,16 +48,32 @@ TEST(ConvReshape, SlicingSplitsTallFilters)
     EXPECT_EQ(pieces.size(), 2u * 4u);
 }
 
+/** The plan of a one-Linear net whose weight is `w` (out x in). */
+core::CompressionPlan
+planLinear(nn::Sequential &net, const Tensor &w, const ApplyOptions &ao)
+{
+    Rng rng(0);
+    auto *fc = net.add<nn::Linear>(w.dim(1), w.dim(0), rng, false);
+    fc->weightTensor() = w;
+    return core::planCompression(net, SeOptions{}, ao);
+}
+
 TEST(FcReshape, RowsBecomeGroupedMatrices)
 {
     Rng rng(3);
     Tensor w = randn({5, 32}, rng, 0.0f, 0.1f);
     ApplyOptions ao;
     ao.fcGroupSize = 4;
-    auto pieces = decomposeFcWeight(w, SeOptions{}, ao);
-    EXPECT_EQ(pieces.size(), 5u);
-    EXPECT_EQ(pieces[0].ce.dim(0), 8);  // 32/4
-    EXPECT_EQ(pieces[0].ce.dim(1), 4);
+    nn::Sequential net;
+    const auto plan = planLinear(net, w, ao);
+    ASSERT_EQ(plan.units.size(), 5u);
+    for (const auto &u : plan.units) {
+        EXPECT_EQ(u.matrix.dim(0), 8);  // 32/4
+        EXPECT_EQ(u.matrix.dim(1), 4);
+        EXPECT_EQ(u.rowOffset, 0);
+        for (int64_t j = 0; j < 32; ++j)
+            EXPECT_EQ(u.matrix.at(j / 4, j % 4), w.at(u.filter, j));
+    }
 }
 
 TEST(FcReshape, PadsWhenNotDivisible)
@@ -67,8 +82,16 @@ TEST(FcReshape, PadsWhenNotDivisible)
     Tensor w = randn({2, 30}, rng, 0.0f, 0.1f);  // 30 not /4
     ApplyOptions ao;
     ao.fcGroupSize = 4;
-    auto pieces = decomposeFcWeight(w, SeOptions{}, ao);
-    EXPECT_EQ(pieces[0].ce.dim(0), 8);  // ceil(30/4)
+    nn::Sequential net;
+    const auto plan = planLinear(net, w, ao);
+    ASSERT_EQ(plan.units.size(), 2u);
+    for (const auto &u : plan.units) {
+        EXPECT_EQ(u.matrix.dim(0), 8);  // ceil(30/4)
+        for (int64_t j = 0; j < 30; ++j)
+            EXPECT_EQ(u.matrix.at(j / 4, j % 4), w.at(u.filter, j));
+        EXPECT_EQ(u.matrix.at(7, 2), 0.0f);  // the zero padding
+        EXPECT_EQ(u.matrix.at(7, 3), 0.0f);
+    }
 }
 
 TEST(Apply, ReplacesWeightsWithReconstruction)

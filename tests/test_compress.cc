@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "base/random.hh"
 #include "compress/baselines.hh"
 #include "quant/quant.hh"
@@ -121,59 +119,6 @@ TEST(Pow2Quant, WeightsBecomePowersOfTwo)
             const float frac = std::frexp(v, &e);
             EXPECT_FLOAT_EQ(frac, 0.5f) << "not a power of two: " << v;
         }
-}
-
-TEST(KMeansCluster, WeightsSnapToKCentroids)
-{
-    auto net = makeNet(9);
-    compress::clusterKMeans(net, 8);
-    std::vector<nn::Conv2d *> convs;
-    net.visit([&](nn::Layer &l) {
-        if (auto *c = dynamic_cast<nn::Conv2d *>(&l))
-            convs.push_back(c);
-    });
-    for (auto *c : convs) {
-        std::set<float> distinct;
-        for (int64_t i = 0; i < c->weightTensor().size(); ++i)
-            distinct.insert(c->weightTensor()[i]);
-        EXPECT_LE(distinct.size(), 8u);
-        EXPECT_GE(distinct.size(), 2u);
-    }
-}
-
-TEST(KMeansCluster, StorageCountsCodesPlusCodebook)
-{
-    auto net = makeNet(10);
-    auto rep = compress::clusterKMeans(net, 16);
-    // 4-bit codes: CR close to 8x, minus codebook overhead.
-    EXPECT_GT(rep.compressionRate(), 6.0);
-    EXPECT_LT(rep.compressionRate(), 8.0 + 1e-9);
-}
-
-TEST(KMeansCluster, MoreClustersLowerError)
-{
-    auto reference = makeNet(11);
-    std::vector<float> orig;
-    reference.visit([&](nn::Layer &l) {
-        if (auto *c = dynamic_cast<nn::Conv2d *>(&l))
-            for (int64_t i = 0; i < c->weightTensor().size(); ++i)
-                orig.push_back(c->weightTensor()[i]);
-    });
-    auto err_for = [&](int k) {
-        auto net = makeNet(11);
-        compress::clusterKMeans(net, k);
-        double err = 0.0;
-        size_t at = 0;
-        net.visit([&](nn::Layer &l) {
-            if (auto *c = dynamic_cast<nn::Conv2d *>(&l))
-                for (int64_t i = 0; i < c->weightTensor().size();
-                     ++i)
-                    err += std::abs(c->weightTensor()[i] -
-                                    orig[at++]);
-        });
-        return err;
-    };
-    EXPECT_LT(err_for(32), err_for(4));
 }
 
 TEST(Baselines, OriginalBitsIdenticalAcrossTechniques)

@@ -169,6 +169,19 @@ TEST_F(FailpointTrigger, ProbIsDeterministicPerSeed)
     EXPECT_LT(fires, 54u);
 }
 
+TEST_F(FailpointTrigger, ProbFirePatternIsPinned)
+{
+    // The fire pattern of p0.5@42 over 64 hits, bit i for hit i: a
+    // re-armed site replays the run it made before, whichever engine
+    // draws the policy's numbers.
+    failpoint::arm("fp", "p0.5@42");
+    uint64_t fired = 0;
+    for (int i = 0; i < 64; ++i)
+        if (failpoint::evaluate("fp"))
+            fired |= uint64_t{1} << i;
+    EXPECT_EQ(fired, 0xa0dedae4abee07a8ULL);
+}
+
 TEST_F(FailpointTrigger, DisarmStopsFiringAndKeepsCounters)
 {
     failpoint::arm("fp", "after0");  // fires on every evaluation

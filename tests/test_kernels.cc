@@ -137,14 +137,6 @@ TEST(Kernels, GemmSparseInputsKeepZeroSkipSemantics)
     EXPECT_TRUE(bitEqual(reference::matmul(a, b), kernels::gemm(a, b)));
 }
 
-TEST(Kernels, MatmulRoutesThroughBlockedKernel)
-{
-    Rng rng(104);
-    Tensor a = randn({19, 33}, rng);
-    Tensor b = randn({33, 21}, rng);
-    EXPECT_TRUE(bitEqual(linalg::matmul(a, b), reference::matmul(a, b)));
-}
-
 TEST(Kernels, GemmThreadCountInvariant)
 {
     Rng rng(105);
@@ -646,7 +638,7 @@ TEST(CeGemm, BitIdenticalToDenseGemmOnDecodedCodes)
             << rows << "x" << cols << "x" << n;
 
         // The Tensor-level dense path (reconstruct ==
-        // linalg::matmul) and the reference matmul agree too.
+        // kernels::gemm) and the reference matmul agree too.
         core::SeMatrix m;
         m.ce = ce;
         m.basis = basis;
@@ -1187,7 +1179,7 @@ specialBasis(Rng &rng, int64_t r, int64_t n)
     return t;
 }
 
-TEST(Dispatch, GemmCeSmallNEveryIsaBitIdenticalToScalarPanel)
+TEST(Dispatch, GemmCeSmallNEveryIsaBitIdenticalToStagedDecode)
 {
     Rng rng(206);
     quant::Pow2Alphabet a;
@@ -1196,8 +1188,12 @@ TEST(Dispatch, GemmCeSmallNEveryIsaBitIdenticalToScalarPanel)
     float lut[16];
     kernels::buildCeDecodeLut(a, lut);
     const float sentinel = -12345.0f;
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    auto same = [](float x, float y) {
+        return std::memcmp(&x, &y, sizeof(float)) == 0;
+    };
     bool seen[16] = {};
-    for (int64_t n = 1; n <= 9; ++n)
+    for (int64_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 33})
         for (int64_t r = 1; r <= 9; ++r)
             for (int64_t m : {1, 7, 13, 67})
                 for (int pattern = 0; pattern < 4; ++pattern) {
@@ -1210,11 +1206,6 @@ TEST(Dispatch, GemmCeSmallNEveryIsaBitIdenticalToScalarPanel)
                         "x" + std::to_string(n) + " mask " +
                         std::to_string(pattern);
 
-                    Tensor want({m, n});
-                    kernels::opsFor(kernels::KernelIsa::Scalar)
-                        .gemmCePanel(ce.mask.data(), ce.nibbles.data(),
-                                     m, r, basis.data(), n, lut,
-                                     want.data(), 0, n);
                     // The staged reference decodes 0x8 as invalid;
                     // the kernels treat it as the 0x0 it stands for.
                     std::vector<uint8_t> canon = ce.nibbles;
@@ -1224,12 +1215,21 @@ TEST(Dispatch, GemmCeSmallNEveryIsaBitIdenticalToScalarPanel)
                         if ((b >> 4) == 0x8)
                             b &= 0x0F;
                     }
-                    Tensor staged({m, n});
+                    Tensor want({m, n});
                     kernels::ScratchArena arena;
                     reference::gemmCeBPanelDecode(
                         ce.mask.data(), canon.data(), m, r, basis.data(),
-                        n, a, staged.data(), arena);
-                    EXPECT_TRUE(bitEqual(want, staged)) << where;
+                        n, a, want.data(), arena);
+
+                    // B and the output at a row stride ld > n, with
+                    // NaN between B's rows: a strip that read past
+                    // its columns or ignored ld would show it.
+                    const int64_t ld = n + 3;
+                    std::vector<float> strided((size_t)(r * ld), nan);
+                    for (int64_t p = 0; p < r; ++p)
+                        std::copy(basis.data() + p * n,
+                                  basis.data() + (p + 1) * n,
+                                  strided.begin() + p * ld);
 
                     for (kernels::KernelIsa isa :
                          kernels::supportedIsas()) {
@@ -1245,32 +1245,40 @@ TEST(Dispatch, GemmCeSmallNEveryIsaBitIdenticalToScalarPanel)
                                              got.data(), arena);
                             EXPECT_TRUE(bitEqual(want, got)) << at;
                         }
-                        if (n > kernels::kCeSmallN)
-                            continue;
-                        // The panel itself, with the last row sent to
-                        // a staging row: nothing may land past column
-                        // n of any row, nor in the last row's place.
-                        std::vector<float> out((size_t)(m * n + 8),
+                        // The strips themselves, each with its last
+                        // row sent to a staging row: nothing may land
+                        // between rows, past the matrix, in the last
+                        // row's place or past the strip's columns.
+                        std::vector<float> out((size_t)(m * ld + 8),
                                                sentinel);
-                        std::vector<float> last(8, sentinel);
-                        kernels::opsFor(isa).gemmCeSmallN(
-                            ce.mask.data(), ce.nibbles.data(), m, r,
-                            basis.data(), n, lut, out.data(),
-                            last.data());
-                        const size_t body = (size_t)((m - 1) * n);
-                        EXPECT_EQ(std::memcmp(out.data(), want.data(),
-                                              body * sizeof(float)),
-                                  0)
-                            << at;
-                        EXPECT_EQ(std::memcmp(last.data(),
-                                              want.data() + body,
-                                              (size_t)n * sizeof(float)),
-                                  0)
-                            << at;
-                        for (size_t i = body; i < out.size(); ++i)
-                            EXPECT_EQ(out[i], sentinel) << at;
-                        for (size_t i = (size_t)n; i < last.size(); ++i)
-                            EXPECT_EQ(last[i], sentinel) << at;
+                        for (int64_t j = 0; j < n;
+                             j += kernels::kCeSmallN) {
+                            const int64_t w =
+                                std::min(kernels::kCeSmallN, n - j);
+                            std::vector<float> last(9, sentinel);
+                            kernels::opsFor(isa).gemmCeSmallN(
+                                ce.mask.data(), ce.nibbles.data(), m, r,
+                                strided.data() + j, w, ld, lut,
+                                out.data() + j, last.data());
+                            for (int64_t jj = 0; jj < w; ++jj)
+                                EXPECT_TRUE(same(
+                                    last[(size_t)jj],
+                                    want.at(m - 1, j + jj)))
+                                    << at << " last row col " << j + jj;
+                            for (size_t i = (size_t)w; i < last.size();
+                                 ++i)
+                                EXPECT_EQ(last[i], sentinel) << at;
+                        }
+                        for (int64_t i = 0; i < m * ld + 8; ++i) {
+                            const int64_t row = i / ld, col = i % ld;
+                            if (row < m - 1 && col < n)
+                                EXPECT_TRUE(same(out[(size_t)i],
+                                                 want.at(row, col)))
+                                    << at << " at " << row << "," << col;
+                            else
+                                EXPECT_EQ(out[(size_t)i], sentinel)
+                                    << at << " at " << row << "," << col;
+                        }
                     }
                 }
     for (int code = 0; code < 16; ++code)
@@ -1280,8 +1288,8 @@ TEST(Dispatch, GemmCeSmallNEveryIsaBitIdenticalToScalarPanel)
 TEST(Dispatch, GemmCeBLayerMatchesPerPieceCalls)
 {
     // One layer of pieces written straight into a weight buffer —
-    // conv-like (full rows), FC-like with a padded last row, and a
-    // wide padded piece past the small-n panel — must equal per-piece
+    // conv-like (full rows), FC-like with a padded last row, and wide
+    // padded pieces that run as several strips — must equal per-piece
     // gemmCeB outputs copied into place, and touch nothing else.
     Rng rng(207);
     quant::Pow2Alphabet a;
@@ -1294,8 +1302,8 @@ TEST(Dispatch, GemmCeBLayerMatchesPerPieceCalls)
         int64_t m, r, n, lastRowCols;
     };
     const std::vector<Spec> specs{
-        {9, 3, 3, 3}, {13, 3, 3, 3}, {5, 4, 4, 2},
-        {6, 4, 4, 4}, {4, 9, 9, 5},  {3, 2, 8, 1},
+        {9, 3, 3, 3}, {13, 3, 3, 3}, {5, 4, 4, 2},   {6, 4, 4, 4},
+        {4, 9, 9, 5}, {3, 2, 8, 1},  {5, 4, 16, 11}, {6, 3, 33, 20},
     };
     std::vector<RawCe> ces;
     std::vector<Tensor> bases;

@@ -15,18 +15,19 @@
 
 #include "base/random.hh"
 #include "kernels/dispatch.hh"
+#include "kernels/gemm.hh"
 #include "linalg/linalg.hh"
 #include "reference/reference.hh"
 
 namespace se {
 namespace {
 
+using kernels::gemm;
 using linalg::AlsSolver;
 using linalg::choleskySolve;
 using linalg::fitCoefficientsMasked;
 using linalg::frobDiff;
 using linalg::frobNorm;
-using linalg::matmul;
 using linalg::transpose;
 
 /** 0..m-1: every row live. */
@@ -139,7 +140,7 @@ TEST(Linalg, AlsSolverMatchesTensorFormulationBitForBit)
     const kernels::KernelIsa prev = kernels::activeIsa();
     for (kernels::KernelIsa isa : kernels::supportedIsas()) {
         kernels::setActiveIsa(isa);
-        for (auto matmul : {&linalg::matmul, &reference::matmul}) {
+        for (auto matmul : {&kernels::gemm, &reference::matmul}) {
             for (int64_t r = 1; r <= 8; ++r) {
                 for (int64_t n : {r, r % 4 + 1}) {
                     for (int64_t m :
@@ -236,7 +237,7 @@ TEST(Linalg, MatmulSmall)
 {
     Tensor a({2, 3}, std::vector<float>{1, 2, 3, 4, 5, 6});
     Tensor b({3, 2}, std::vector<float>{7, 8, 9, 10, 11, 12});
-    Tensor c = matmul(a, b);
+    Tensor c = gemm(a, b);
     EXPECT_FLOAT_EQ(c.at(0, 0), 58.0f);
     EXPECT_FLOAT_EQ(c.at(0, 1), 64.0f);
     EXPECT_FLOAT_EQ(c.at(1, 0), 139.0f);
@@ -247,7 +248,7 @@ TEST(Linalg, MatmulIdentity)
 {
     Rng rng(1);
     Tensor a = randn({5, 5}, rng);
-    Tensor c = matmul(a, eye(5));
+    Tensor c = gemm(a, eye(5));
     EXPECT_LT(frobDiff(a, c), 1e-6);
 }
 
@@ -255,7 +256,7 @@ TEST(Linalg, MatmulDimMismatchDies)
 {
     Tensor a({2, 3});
     Tensor b({2, 3});
-    EXPECT_DEATH(matmul(a, b), "inner dim");
+    EXPECT_DEATH(gemm(a, b), "inner dim");
 }
 
 TEST(Linalg, TransposeRoundTrip)
@@ -277,11 +278,11 @@ TEST(Linalg, CholeskySolvesSpdSystem)
     // A = M^T M + I is SPD.
     Rng rng(3);
     Tensor m = randn({6, 6}, rng);
-    Tensor a = matmul(transpose(m), m);
+    Tensor a = gemm(transpose(m), m);
     for (int64_t i = 0; i < 6; ++i)
         a.at(i, i) += 1.0f;
     Tensor x_true = randn({6, 2}, rng);
-    Tensor b = matmul(a, x_true);
+    Tensor b = gemm(a, x_true);
     Tensor x = choleskySolve(a, b);
     EXPECT_LT(frobDiff(x, x_true), 1e-3);
 }
@@ -299,7 +300,7 @@ TEST(Linalg, FitBasisRecoversExactFactorization)
     Rng rng(4);
     Tensor ce = randn({40, 3}, rng);
     Tensor b_true = randn({3, 3}, rng);
-    Tensor w = matmul(ce, b_true);
+    Tensor w = gemm(ce, b_true);
     Tensor b = fitBasis(w, ce);
     EXPECT_LT(frobDiff(b, b_true), 1e-3);
 }
@@ -312,7 +313,7 @@ TEST(Linalg, FitCoefficientsRecoversExactFactorization)
     // Make B well-conditioned.
     for (int64_t i = 0; i < 3; ++i)
         b.at(i, i) += 2.0f;
-    Tensor w = matmul(ce_true, b);
+    Tensor w = gemm(ce_true, b);
     Tensor ce = fitCoefficients(w, b);
     EXPECT_LT(frobDiff(ce, ce_true), 1e-2);
 }
@@ -339,11 +340,11 @@ TEST(Linalg, FitReducesResidualMonotonically)
     Tensor w = randn({30, 3}, rng);
     Tensor ce = w;
     Tensor b = eye(3);
-    double prev = frobDiff(w, matmul(ce, b));
+    double prev = frobDiff(w, gemm(ce, b));
     for (int it = 0; it < 5; ++it) {
         b = fitBasis(w, ce);
         ce = fitCoefficients(w, b);
-        const double err = frobDiff(w, matmul(ce, b));
+        const double err = frobDiff(w, gemm(ce, b));
         // Slack covers the adaptive ridge bias (~1e-5 relative).
         EXPECT_LE(err, prev + 5e-4);
         prev = err;
@@ -388,8 +389,8 @@ TEST(Linalg, MaskedFitBeatsZeroedUnmaskedFit)
     for (int64_t i = 0; i < zeroed.size(); ++i)
         zeroed[i] *= mask[i];
     Tensor refit = fitCoefficientsMasked(w, b, mask);
-    const double err_zeroed = frobDiff(w, matmul(zeroed, b));
-    const double err_refit = frobDiff(w, matmul(refit, b));
+    const double err_zeroed = frobDiff(w, gemm(zeroed, b));
+    const double err_refit = frobDiff(w, gemm(refit, b));
     EXPECT_LE(err_refit, err_zeroed + 1e-5);
 }
 
@@ -439,10 +440,10 @@ TEST_P(AlsSweep, ExactFactorizationsAreFixedPoints)
     Tensor b = randn({3, 3}, rng);
     for (int64_t i = 0; i < 3; ++i)
         b.at(i, i) += 2.0f;
-    Tensor w = matmul(ce, b);
+    Tensor w = gemm(ce, b);
     Tensor b2 = fitBasis(w, ce);
     Tensor ce2 = fitCoefficients(w, b2);
-    EXPECT_LT(frobDiff(w, matmul(ce2, b2)) /
+    EXPECT_LT(frobDiff(w, gemm(ce2, b2)) /
                   std::max(1e-12, frobNorm(w)),
               1e-3);
 }

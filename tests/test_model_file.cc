@@ -1082,12 +1082,19 @@ edgeRecords()
     zero_basis.basis = Tensor({3, 4});
     layers.push_back({"edges", {dead_col, zero_ce, zero_basis}});
 
+    // Two 18-feature rows, each planned as a 5 x 4 matrix whose last
+    // row is half padding.
     core::SeOptions o;
     o.minVectorSparsity = 0.3;
-    layers.push_back(
-        {"fc_padded",
-         core::decomposeFcWeight(randn({2, 18}, rng, 0.0f, 0.1f), o,
-                                 core::ApplyOptions{})});
+    const Tensor fc_w = randn({2, 18}, rng, 0.0f, 0.1f);
+    nn::Sequential fc_net;
+    Rng fc_rng(0);
+    fc_net.add<nn::Linear>(18, 2, fc_rng, false)->weightTensor() = fc_w;
+    core::SeLayerRecord fc_padded{"fc_padded", {}};
+    for (const core::DecompUnit &u :
+         core::planCompression(fc_net, o, core::ApplyOptions{}).units)
+        fc_padded.pieces.push_back(core::decomposeMatrix(u.matrix, o));
+    layers.push_back(std::move(fc_padded));
     core::quantizeBasisAtCompress(layers);
     return layers;
 }

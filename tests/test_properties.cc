@@ -11,7 +11,7 @@
 #include "accel/smartexchange_accel.hh"
 #include "base/random.hh"
 #include "core/smart_exchange.hh"
-#include "linalg/linalg.hh"
+#include "kernels/gemm.hh"
 #include "models/zoo.hh"
 #include "quant/quant.hh"
 
@@ -71,7 +71,7 @@ TEST(Properties, TrainedWeightsDecomposeBetterThanRandom)
     // "Trained-like": low-rank structure plus small noise.
     Tensor u = randn({96, 2}, rng, 0.0f, 0.3f);
     Tensor v = randn({2, 3}, rng, 0.0f, 0.3f);
-    Tensor structured = linalg::matmul(u, v);
+    Tensor structured = kernels::gemm(u, v);
     for (int64_t i = 0; i < structured.size(); ++i)
         structured[i] += rng.gaussian(0.0f, 0.005f);
 

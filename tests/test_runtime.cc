@@ -589,27 +589,6 @@ TEST(CompressionPipeline, CacheAnswersRepeatedSweeps)
 
 // -------------------------------------------------------------- SimDriver
 
-TEST(SimDriver, LayerBatchEqualsSerialAccumulation)
-{
-    accel::SmartExchangeAccel acc;
-    auto w = accel::annotatedWorkload(models::ModelId::MobileNetV2);
-
-    sim::RunStats serial;
-    for (const auto &l : w.layers)
-        serial += acc.runLayer(l);
-
-    runtime::RuntimeOptions ro;
-    ro.threads = 4;
-    runtime::SimDriver driver(ro);
-    auto batched = driver.runLayers(acc, w.layers);
-
-    EXPECT_EQ(batched.cycles, serial.cycles);
-    EXPECT_EQ(batched.dramTrafficBits, serial.dramTrafficBits);
-    for (size_t c = 0; c < sim::kNumComponents; ++c)
-        EXPECT_EQ(batched.energyPj[c], serial.energyPj[c])
-            << sim::componentName((sim::Component)c);
-}
-
 TEST(SimDriver, SweepIsBitIdenticalAcrossThreadCounts)
 {
     auto make_accs = [] {

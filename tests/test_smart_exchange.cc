@@ -17,7 +17,7 @@
 #include "core/apply.hh"
 #include "core/smart_exchange.hh"
 #include "kernels/dispatch.hh"
-#include "linalg/linalg.hh"
+#include "kernels/gemm.hh"
 #include "models/zoo.hh"
 
 namespace se {
@@ -70,7 +70,7 @@ TEST(SmartExchange, ExactlyRepresentableMatrixHasTinyError)
     Tensor b = randn({3, 3}, rng, 0.0f, 0.5f);
     for (int64_t i = 0; i < 3; ++i)
         b.at(i, i) += 1.0f;
-    Tensor w = linalg::matmul(ce, b);
+    Tensor w = kernels::gemm(ce, b);
     SeOptions opts;
     opts.vectorThreshold = 0.0;  // don't prune anything
     SeMatrix se = decomposeMatrix(w, opts);

@@ -88,16 +88,6 @@ TEST(Tensor, RandnStatistics)
     EXPECT_NEAR(s / (double)t.size(), 0.0, 0.15);
 }
 
-TEST(Tensor, RanduRange)
-{
-    Rng rng(3);
-    Tensor t = randu({500}, rng, -1.0f, 1.0f);
-    for (int64_t i = 0; i < t.size(); ++i) {
-        EXPECT_GE(t[i], -1.0f);
-        EXPECT_LT(t[i], 1.0f);
-    }
-}
-
 TEST(Tensor, BoundsCheckedAt)
 {
     Tensor t({4});
