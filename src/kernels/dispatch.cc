@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 
@@ -107,15 +108,44 @@ gemmCeSmallNScalar(const uint8_t *row_mask, const uint8_t *nibbles,
 const KernelOps kScalarOps{detail::sgemmPanelScalar, gemmCeSmallNScalar,
                            detail::gemmDChainPanelScalar};
 
+/** True when the running CPU (and its OS) can execute `isa`. */
 bool
-cpuHasAvx2()
+cpuHas(KernelIsa isa)
 {
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-    return __builtin_cpu_supports("avx2");
-#else
+    switch (isa) {
+    case KernelIsa::Scalar:
+        return true;
+    case KernelIsa::Avx2:
+        return __builtin_cpu_supports("avx2");
+    case KernelIsa::Avx512:
+        return __builtin_cpu_supports("avx2") &&
+               __builtin_cpu_supports("avx512f");
+    }
     return false;
+#else
+    return isa == KernelIsa::Scalar;
 #endif
 }
+
+/** The compiled-in table for `isa`, or nullptr. */
+const KernelOps *
+compiledOps(KernelIsa isa)
+{
+    switch (isa) {
+    case KernelIsa::Scalar:
+        return &kScalarOps;
+    case KernelIsa::Avx2:
+        return detail::avx2Ops();
+    case KernelIsa::Avx512:
+        return detail::avx512Ops();
+    }
+    return nullptr;
+}
+
+/** Every level, narrowest first. */
+constexpr KernelIsa kIsas[] = {KernelIsa::Scalar, KernelIsa::Avx2,
+                               KernelIsa::Avx512};
 
 KernelIsa
 initialIsa()
@@ -224,6 +254,8 @@ isaName(KernelIsa isa)
         return "scalar";
     case KernelIsa::Avx2:
         return "avx2";
+    case KernelIsa::Avx512:
+        return "avx512";
     }
     return "?";
 }
@@ -231,20 +263,14 @@ isaName(KernelIsa isa)
 bool
 isaSupported(KernelIsa isa)
 {
-    switch (isa) {
-    case KernelIsa::Scalar:
-        return true;
-    case KernelIsa::Avx2:
-        return detail::avx2Ops() != nullptr && cpuHasAvx2();
-    }
-    return false;
+    return compiledOps(isa) != nullptr && cpuHas(isa);
 }
 
 std::vector<KernelIsa>
 supportedIsas()
 {
     std::vector<KernelIsa> out;
-    for (KernelIsa isa : {KernelIsa::Scalar, KernelIsa::Avx2})
+    for (KernelIsa isa : kIsas)
         if (isaSupported(isa))
             out.push_back(isa);
     return out;
@@ -253,8 +279,11 @@ supportedIsas()
 KernelIsa
 detectBestIsa()
 {
-    return isaSupported(KernelIsa::Avx2) ? KernelIsa::Avx2
-                                         : KernelIsa::Scalar;
+    KernelIsa best = KernelIsa::Scalar;
+    for (KernelIsa isa : kIsas)
+        if (isaSupported(isa))
+            best = isa;
+    return best;
 }
 
 KernelIsa
@@ -262,20 +291,18 @@ parseKernelIsa(const char *s)
 {
     if (!s || !*s || !std::strcmp(s, "auto"))
         return detectBestIsa();
-    KernelIsa isa;
-    if (!std::strcmp(s, "scalar"))
-        isa = KernelIsa::Scalar;
-    else if (!std::strcmp(s, "avx2"))
-        isa = KernelIsa::Avx2;
-    else
+    const KernelIsa *isa = std::find_if(
+        std::begin(kIsas), std::end(kIsas),
+        [&](KernelIsa i) { return !std::strcmp(s, isaName(i)); });
+    if (isa == std::end(kIsas))
         throw std::invalid_argument(
-            "SE_KERNEL_ISA must be auto|scalar|avx2, got '" +
+            "SE_KERNEL_ISA must be auto|scalar|avx2|avx512, got '" +
             std::string(s) + "'");
-    if (!isaSupported(isa))
+    if (!isaSupported(*isa))
         throw std::invalid_argument(
-            std::string("SE_KERNEL_ISA=") + isaName(isa) +
+            std::string("SE_KERNEL_ISA=") + isaName(*isa) +
             " is not supported by this build/CPU");
-    return isa;
+    return *isa;
 }
 
 KernelIsa
@@ -297,14 +324,8 @@ setActiveIsa(KernelIsa isa)
 const KernelOps &
 opsFor(KernelIsa isa)
 {
-    switch (isa) {
-    case KernelIsa::Scalar:
-        return kScalarOps;
-    case KernelIsa::Avx2:
-        if (const KernelOps *o = detail::avx2Ops())
-            return *o;
-        break;
-    }
+    if (const KernelOps *o = compiledOps(isa))
+        return *o;
     throw std::invalid_argument(std::string("kernel ISA ") +
                                 isaName(isa) + " is not compiled in");
 }

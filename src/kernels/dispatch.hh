@@ -5,25 +5,30 @@
  *
  * The sgemm column-panel kernel, the fused Ce-code strip and the
  * offset-addressed double-chain panel behind the conv and Linear
- * forwards exist in two explicitly register-tiled variants — scalar
- * (the one reference, byte-for-byte the legacy rounding sequence) and
- * AVX2 (8 floats or 4 doubles per YMM). The best variant the CPU
- * supports is detected once, and both preserve the bit-identity
- * contract: SIMD lanes are *different output elements*, never partial
- * sums of one element, so each element is still accumulated over the
- * inner dimension in ascending order. Float chains round after every
- * multiply and every add, and zero entries of A keep the legacy skip
- * so signed zeros and NaN propagation cannot diverge. The double
+ * forwards exist in explicitly register-tiled tiers — scalar (the one
+ * reference, byte-for-byte the legacy rounding sequence), AVX2 (8
+ * floats or 4 doubles per YMM) and AVX-512 (a double-chain panel at 8
+ * doubles per ZMM; its float chains are the AVX2 bodies). The best
+ * tier the CPU supports is detected once, and all preserve the
+ * bit-identity contract: SIMD lanes are *different output elements*,
+ * never partial sums of one element, so each element is still
+ * accumulated over the inner dimension in ascending order. Float
+ * chains round after every multiply and every add, and zero entries
+ * of A keep the legacy skip so signed zeros and NaN propagation
+ * cannot diverge. The double
  * chain adds float products widened to double, which are exact (24 +
  * 24 significand bits fit in 53), and rounds to float once on store.
- * Fused multiply-add is deliberately never emitted — the AVX2
- * translation unit is compiled with AVX2 but *not* FMA, because a
- * fused mul+add rounds once where the float chain rounds twice.
+ * Fused multiply-add is deliberately never emitted, because a fused
+ * mul+add rounds once where the float chain rounds twice: the AVX2
+ * translation unit is compiled with AVX2 but *not* FMA, and the
+ * AVX-512 one (whose ISA includes FMA) switches FP contraction off in
+ * its own source.
  *
- * Selection order: SE_KERNEL_ISA (scalar | avx2 | auto) if set —
- * rejected loudly when unrecognized or not supported by the running
- * CPU — else AVX2 when the CPU has it, scalar otherwise. Both
- * variants being bit-identical, the knob only ever moves wall-clock.
+ * Selection order: SE_KERNEL_ISA (scalar | avx2 | avx512 | auto) if
+ * set — rejected loudly when unrecognized or not supported by the
+ * running CPU — else the widest tier the CPU has: AVX-512 (which
+ * needs AVX-512F and AVX2), then AVX2, then scalar. Every tier being
+ * bit-identical, the knob only ever moves wall-clock.
  */
 
 #ifndef SE_KERNELS_DISPATCH_HH
@@ -40,9 +45,10 @@ namespace kernels {
 enum class KernelIsa {
     Scalar,  ///< plain C++ register tiles (the bit-exact reference)
     Avx2,    ///< 256-bit tiles (no FMA — see file comment)
+    Avx512,  ///< 512-bit double-chain tiles, AVX2 float chains
 };
 
-/** Stable lowercase name ("scalar" | "avx2"). */
+/** Stable lowercase name ("scalar" | "avx2" | "avx512"). */
 const char *isaName(KernelIsa isa);
 
 /**
@@ -56,10 +62,10 @@ KernelIsa parseKernelIsa(const char *s);
 /** True when this build + CPU can execute the given variant. */
 bool isaSupported(KernelIsa isa);
 
-/** Every supported level, scalar first (for differential sweeps). */
+/** Every supported level, narrowest first (for differential sweeps). */
 std::vector<KernelIsa> supportedIsas();
 
-/** Best level the running CPU supports (never throws). */
+/** Widest level the running CPU supports (never throws). */
 KernelIsa detectBestIsa();
 
 /**
@@ -110,7 +116,7 @@ struct DChainOperands
  * One micro-kernel variant: the bodies dispatched by sgemm /
  * gemmCeB / gemmDChain. The sgemm and double-chain panels take
  * [j0, j1) output-column ranges, the Ce-code strip a column pointer
- * and a row stride; both variants compute bit-identical bytes.
+ * and a row stride; every variant computes bit-identical bytes.
  */
 struct KernelOps
 {

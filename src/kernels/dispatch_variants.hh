@@ -1,10 +1,11 @@
 /**
  * @file
- * Internal registry hooks between dispatch.cc and the AVX2
- * translation unit. The AVX2 TU is compiled unconditionally but
- * returns nullptr when AVX2 was not available at compile time
- * (non-x86 target, or the compiler lacking -mavx2), so dispatch
- * degrades to the scalar table instead of breaking the link.
+ * Internal registry hooks between dispatch.cc and the AVX2 and
+ * AVX-512 translation units. Both are compiled unconditionally but
+ * return nullptr when their ISA was not available at compile time
+ * (non-x86 target, the compiler lacking -mavx2, or a compiler without
+ * GCC's target pragma), so dispatch degrades to a narrower table
+ * instead of breaking the link.
  */
 
 #ifndef SE_KERNELS_DISPATCH_VARIANTS_HH
@@ -64,6 +65,12 @@ forEachCeRow(const uint8_t *row_mask, int64_t m, int64_t r, int64_t ld,
 
 /** AVX2 variant table, or nullptr when not compiled in. */
 const KernelOps *avx2Ops();
+
+/**
+ * AVX-512 variant table, or nullptr when not compiled in. Its sgemm
+ * and Ce-code bodies are avx2Ops()'s, so it needs the AVX2 tier too.
+ */
+const KernelOps *avx512Ops();
 
 // Scalar reference panels. The AVX2 sgemm and double-chain panels run
 // their remainder columns (fewer than one register tile) through them.

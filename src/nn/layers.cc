@@ -353,6 +353,38 @@ Sigmoid::backward(const Tensor &gy)
 
 // ------------------------------------------------------------- MaxPool2d
 
+namespace {
+
+/**
+ * Eval MaxPool2d over `planes` (h x w) planes. It keeps no argmax, so
+ * each tap is the training loop's update without its index, as a
+ * select: best = v > best ? v : best, one maxss. That is the loop's
+ * value bit for bit (a NaN tap never replaces best, a ±0 tie keeps
+ * the earlier tap) with no branch to mispredict on random taps. K > 0
+ * fixes the kernel size at compile time; K == 0 reads it from kern.
+ */
+template <int K>
+void
+maxPoolEval(const float *x, float *y, int64_t planes, int64_t h,
+            int64_t w, int64_t kern, int64_t strd, int64_t oh, int64_t ow)
+{
+    const int64_t k = K > 0 ? K : kern;
+    for (int64_t pl = 0; pl < planes; ++pl)
+        for (int64_t e = 0; e < oh; ++e)
+            for (int64_t f = 0; f < ow; ++f) {
+                const float *xt = x + (pl * h + e * strd) * w + f * strd;
+                float best = xt[0];
+                for (int64_t kr = 0; kr < k; ++kr)
+                    for (int64_t ks = 0; ks < k; ++ks) {
+                        const float v = xt[kr * w + ks];
+                        best = v > best ? v : best;
+                    }
+                *y++ = best;
+            }
+}
+
+} // namespace
+
 MaxPool2d::MaxPool2d(int64_t kernel, int64_t stride)
     : kern(kernel), strd(stride)
 {
@@ -368,9 +400,15 @@ MaxPool2d::forward(const Tensor &x, bool train)
     const int64_t ow = kernels::windowOutExtent(w, 0, kern, strd);
     inShape = x.shape();
     Tensor y({n, c, oh, ow});
-    if (train)
-        argmax.assign((size_t)y.size(), 0);
     const float *xd = x.data();
+    if (!train) {
+        // Every zoo net pools 2x2, so that size gets its own unrolled
+        // instance.
+        (kern == 2 ? maxPoolEval<2> : maxPoolEval<0>)(
+            xd, y.data(), n * c, h, w, kern, strd, oh, ow);
+        return y;
+    }
+    argmax.assign((size_t)y.size(), 0);
     int64_t oi = 0;
     for (int64_t b = 0; b < n; ++b)
         for (int64_t cc = 0; cc < c; ++cc)
@@ -391,8 +429,7 @@ MaxPool2d::forward(const Tensor &x, bool train)
                             }
                         }
                     y[oi] = best;
-                    if (train)
-                        argmax[(size_t)oi] = best_idx;
+                    argmax[(size_t)oi] = best_idx;
                 }
     return y;
 }

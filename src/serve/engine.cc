@@ -51,8 +51,7 @@ ServeEngine::ServeEngine(
         opts_.maxBatch = 1;
     if (opts_.flushDeadlineMs < 0.0)
         opts_.flushDeadlineMs = 0.0;
-    const int threads = opts_.resolvedThreads();
-    const int nrep = threads > 0 ? threads : 1;
+    const int nrep = std::max(1, opts_.resolvedThreads());
     // One factory call and one bind per model: the bound template net
     // becomes replica 0 and every other replica is a deep copy of it,
     // taken after the bind so it carries the installed dense state.
@@ -68,11 +67,14 @@ ServeEngine::ServeEngine(
     for (auto &n : nets)
         replicas_.push_back(std::make_unique<InferenceSession>(
             std::move(n), bound, opts_.session));
-    for (size_t i = 0; i < replicas_.size(); ++i)
-        freeReplicas_.push_back(i);
-    if (threads > 0)
-        pool_ = std::make_unique<ThreadPool>(threads);
-    dispatcher_ = std::thread([this] { dispatchLoop(); });
+    workers_.reserve(replicas_.size());
+    try {
+        for (size_t i = 0; i < replicas_.size(); ++i)
+            workers_.emplace_back([this, i] { replicaLoop(i); });
+    } catch (...) {
+        stop();  // join the threads already started
+        throw;
+    }
 }
 
 ServeEngine::~ServeEngine()
@@ -88,13 +90,13 @@ ServeEngine::stop()
         base::LockGuard lk(mu_);
         stopping_ = true;
     }
-    cv_.notifyAll();
-    if (dispatcher_.joinable())
-        dispatcher_.join();
-    // The pool destructor runs every already-submitted batch; it must
-    // happen here, while the queue/stats members the batches touch
-    // are still alive.
-    pool_.reset();
+    work_cv_.notifyAll();
+    // Each replica thread empties the queue and finishes its batch
+    // before it returns, so this answers every accepted request while
+    // the members the batches touch are still alive.
+    for (std::thread &t : workers_)
+        if (t.joinable())
+            t.join();
 }
 
 std::future<Tensor>
@@ -156,31 +158,29 @@ ServeEngine::submit(Tensor sample)
         ++rejected_;
         return fut;
     }
-    cv_.notifyAll();
+    work_cv_.notifyOne();
     return fut;
 }
 
 void
-ServeEngine::dispatchLoop()
+ServeEngine::replicaLoop(size_t replica)
 {
+    // Replicas already occupy one core each; keep the kernel layer
+    // from fanning GEMM panels out under them and doubling up.
+    kernels::SerialScope serial;
     for (;;) {
         std::vector<Request> batch;
-        size_t replica;
+        bool more;
         {
             base::LockGuard lk(mu_);
-            // Wait for work AND a free replica before forming the
-            // batch: while every replica is busy the queue keeps
-            // growing, so the batch popped at dispatch time is as
-            // large as the backlog allows (adaptive batching).
+            // Only a free replica forms a batch: while every replica
+            // is busy the queue keeps growing, so the batch taken is
+            // as large as the backlog allows (adaptive batching).
             for (;;) {
                 if (queue_.empty()) {
                     if (stopping_)
                         return;  // nothing left to serve
-                    cv_.wait(lk);
-                    continue;
-                }
-                if (freeReplicas_.empty()) {
-                    cv_.wait(lk);
+                    work_cv_.wait(lk);
                     continue;
                 }
                 if (stopping_ || drainers_ > 0 ||
@@ -191,7 +191,7 @@ ServeEngine::dispatchLoop()
                     // Close the batch when the oldest queued request
                     // has aged past the deadline; otherwise sleep at
                     // most until that moment (a notify on new work or
-                    // a freed replica re-evaluates sooner).
+                    // a drain re-evaluates sooner).
                     const auto flushAt =
                         queue_.front().enqueued +
                         std::chrono::duration_cast<Clock::duration>(
@@ -200,13 +200,11 @@ ServeEngine::dispatchLoop()
                                 opts_.flushDeadlineMs));
                     if (Clock::now() >= flushAt)
                         break;
-                    cv_.waitUntil(lk, flushAt);
+                    work_cv_.waitUntil(lk, flushAt);
                     continue;
                 }
-                cv_.wait(lk);  // Full: hold for a complete batch
+                work_cv_.wait(lk);  // Full: hold for a complete batch
             }
-            replica = freeReplicas_.back();
-            freeReplicas_.pop_back();
             const size_t k =
                 std::min(queue_.size(), opts_.maxBatch);
             batch.reserve(k);
@@ -214,36 +212,19 @@ ServeEngine::dispatchLoop()
                 batch.push_back(std::move(queue_.front()));
                 queue_.pop_front();
             }
+            more = !queue_.empty();
         }
-        if (pool_) {
-            pool_->submit([this, replica,
-                           b = std::move(batch)]() mutable {
-                runBatch(replica, b);
-                releaseReplica(replica);
-            });
-        } else {
-            runBatch(replica, batch);
-            releaseReplica(replica);
-        }
+        // A submit wakes one replica; pass what this batch left on
+        // to another idle one.
+        if (more)
+            work_cv_.notifyOne();
+        runBatch(replica, batch);
     }
-}
-
-void
-ServeEngine::releaseReplica(size_t idx)
-{
-    {
-        base::LockGuard lk(mu_);
-        freeReplicas_.push_back(idx);
-    }
-    cv_.notifyAll();
 }
 
 void
 ServeEngine::runBatch(size_t replica, std::vector<Request> &batch)
 {
-    // Replicas already occupy one core each; keep the kernel layer
-    // from fanning GEMM panels out under them and doubling up.
-    kernels::SerialScope serial;
     const size_t n = batch.size();
     size_t fulfilled = 0;  // promises already satisfied
     try {
@@ -328,11 +309,14 @@ ServeEngine::runBatch(size_t replica, std::vector<Request> &batch)
         base::LockGuard lk(stats_mu_);
         failed_ += n - fulfilled;
     }
+    bool idle;
     {
         base::LockGuard lk(mu_);
         pending_ -= n;
+        idle = pending_ == 0;
     }
-    cv_.notifyAll();
+    if (idle)
+        done_cv_.notifyAll();
 }
 
 void
@@ -343,9 +327,9 @@ ServeEngine::drain()
     // would be reset by whichever caller wakes first, leaving the
     // other stuck behind a Full/Deadline hold.
     ++drainers_;
-    cv_.notifyAll();
+    work_cv_.notifyAll();
     while (pending_ != 0)
-        cv_.wait(lk);
+        done_cv_.wait(lk);
     --drainers_;
 }
 

@@ -3,18 +3,17 @@
  * ServeEngine — an async micro-batching front end over
  * InferenceSession replicas.
  *
- * submit() validates and admits one sample and returns a future. A
- * dispatcher thread groups queued requests into batches (up to
- * maxBatch, per the flush policy) and hands each batch to a free
- * session replica; with threads > 0 batches run concurrently on the
- * engine's own replica workers (one replica per worker, so sessions
- * are never shared across threads), with threads == 0 they run
- * inline on the dispatcher. The replica workers are not the process
- * executor: each runs exactly one batch on its own replica at a time,
- * and stop() drains every batch already handed to them, which a FIFO
- * shared with the rest of the process could not promise. Batches run
- * under a kernels::SerialScope, so they never fan out onto the
- * executor either.
+ * submit() validates and admits one sample, wakes one idle replica
+ * thread and returns a future. Each session replica has one thread
+ * of its own, and nothing else: a replica thread that is free takes
+ * the next batch off the shared queue itself (up to maxBatch, per the
+ * flush policy) and runs it on its replica, so sessions are never
+ * shared across threads and no dispatcher hop sits between a request
+ * and the forward. The replica threads are not the process executor:
+ * stop() lets each of them empty the queue and finish its batch,
+ * which a FIFO shared with the rest of the process could not promise.
+ * Batches run under a kernels::SerialScope, so they never fan out
+ * onto the executor either.
  *
  * Responses are bit-identical regardless of thread count, batch size
  * or flush policy: every replica rebuilds the same dense weights from
@@ -55,7 +54,6 @@
 #include <vector>
 
 #include "base/mutex.hh"
-#include "base/thread_pool.hh"
 #include "kernels/kernels.hh"
 #include "serve/latency.hh"
 #include "serve/session.hh"
@@ -77,10 +75,10 @@ class EngineStoppedError : public std::runtime_error
     using std::runtime_error::runtime_error;
 };
 
-/** When the dispatcher closes a batch. */
+/** When a free replica closes a batch. */
 enum class FlushPolicy
 {
-    /** Dispatch whatever is queued as soon as a replica frees up. */
+    /** Take whatever is queued as soon as a replica frees up. */
     Greedy,
     /** Hold until maxBatch requests queue up (drain() flushes). */
     Full,
@@ -100,11 +98,11 @@ constexpr double kMaxFlushDeadlineMs = 3.6e6;
 struct ServeOptions
 {
     /**
-     * Replica workers == session replicas; 0 runs batches inline on
-     * the dispatcher (single replica). Negative (the default) means
-     * one replica per unit of the thread budget,
-     * kernels::threadBudget() — SE_THREADS, else one per core.
-     * ServeFront splits this count across its models.
+     * Session replicas, each with one thread that serves it; 0 means
+     * one replica thread, like 1. Negative (the default) means one
+     * replica per unit of the thread budget, kernels::threadBudget()
+     * — SE_THREADS, else one per core. ServeFront splits this count
+     * across its models.
      */
     int threads = -1;
     /** Micro-batch size cap. */
@@ -117,7 +115,7 @@ struct ServeOptions
      */
     double flushDeadlineMs = 5.0;
     /**
-     * Admission cap on queued-but-undispatched requests; submit()
+     * Admission cap on queued requests no replica has taken; submit()
      * beyond it throws AdmissionError. 0 = unbounded (accept all).
      */
     size_t queueCap = 0;
@@ -242,17 +240,15 @@ class ServeEngine
         std::chrono::steady_clock::time_point enqueued;
     };
 
-    void dispatchLoop() SE_EXCLUDES(mu_);
+    /** Replica `replica`'s thread: take batches until stopped. */
+    void replicaLoop(size_t replica) SE_EXCLUDES(mu_);
     void runBatch(size_t replica, std::vector<Request> &batch)
         SE_EXCLUDES(mu_, stats_mu_);
-    void releaseReplica(size_t idx) SE_EXCLUDES(mu_);
 
     ServeOptions opts_;
-    /** Immutable after construction; each replica is used by at most
-     *  one in-flight batch at a time (the freeReplicas_ protocol). */
+    /** Immutable after construction; replica i is used only by
+     *  replica thread i. */
     std::vector<std::unique_ptr<InferenceSession>> replicas_;
-    /** Replica workers; null when threads == 0. */
-    std::unique_ptr<ThreadPool> pool_;
 
     /** Serializes stop() callers. House lock order:
      *  stop_mu_ -> mu_ -> stats_mu_ (documented here, spot-enforced
@@ -262,7 +258,10 @@ class ServeEngine
     base::Mutex stop_mu_;
 
     mutable base::Mutex mu_ SE_ACQUIRED_AFTER(stop_mu_);
-    base::CondVar cv_;
+    /** Replica threads wait here for work, a flush or stop(). */
+    base::CondVar work_cv_;
+    /** drain() waits here for pending_ to reach 0. */
+    base::CondVar done_cv_;
     std::deque<Request> queue_ SE_GUARDED_BY(mu_);
     /** Locked per-sample shape. */
     Shape expected_ SE_GUARDED_BY(mu_);
@@ -271,7 +270,6 @@ class ServeEngine
     /** Concurrent drain() callers. */
     int drainers_ SE_GUARDED_BY(mu_) = 0;
     bool stopping_ SE_GUARDED_BY(mu_) = false;
-    std::vector<size_t> freeReplicas_ SE_GUARDED_BY(mu_);
 
     mutable base::Mutex stats_mu_ SE_ACQUIRED_AFTER(mu_);
     LatencyReservoir latency_ SE_GUARDED_BY(stats_mu_);
@@ -285,7 +283,8 @@ class ServeEngine
     double completeMs_ SE_GUARDED_BY(stats_mu_) = 0.0;
     double stallMs_ SE_GUARDED_BY(stats_mu_) = 0.0;
 
-    std::thread dispatcher_;  ///< set in ctor, joined under stop_mu_
+    /** One per replica; set in ctor, joined under stop_mu_. */
+    std::vector<std::thread> workers_;
 };
 
 } // namespace serve

@@ -106,7 +106,7 @@ ServeFront::ServeFront(const ModelRegistry &registry,
             "ServeFront needs at least one registered model");
     // Split the worker budget across models instead of multiplying
     // it: N models on a T-thread budget get max(1, T/N) replicas
-    // each (threads == 0 keeps every engine inline). Streamed models
+    // each (threads == 0 gives every engine one). Streamed models
     // count toward the split even while unbuilt, so a late first
     // submit can't change anyone else's replica count.
     const int total = opts.resolvedThreads();

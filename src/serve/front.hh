@@ -34,8 +34,8 @@
  *
  * Thread budget: a front splits ServeOptions::threads evenly across
  * its engines (at least one replica each) so registering more models
- * doesn't multiply the worker count; pass threads == 0 for inline
- * engines.
+ * doesn't multiply the worker count; threads == 0 gives every engine
+ * one replica thread.
  *
  * Failure semantics are ServeEngine's, plus: submit() with an
  * unregistered model id throws UnknownModelError, and submit() to a

@@ -450,8 +450,9 @@ TEST(KernelsConcurrency, ThreadArenaHoldsOnlyTheLargestConvChunk)
     // thread's arena holds no more than the largest single conv's
     // chunk (padded input + column matrix, the latter only for shapes
     // the panel cannot address directly), the most panel offsets and
-    // the widest 6 A rows the AVX2 panel widens to double, each block
-    // sized by its own largest need, not the sum over the layers.
+    // the widest row block a panel widens to double (12 A rows on the
+    // AVX-512 tier, 6 on AVX2), each block sized by its own largest
+    // need, not the sum over the layers.
     const models::SimConfig cfg = servedVgg19Config();
     const int64_t n = 8;
     auto net = models::buildSim(models::ModelId::VGG19, cfg);
@@ -492,8 +493,8 @@ TEST(KernelsConcurrency, ThreadArenaHoldsOnlyTheLargestConvChunk)
             (direct ? 0 : patch * per * cols);
         largest = std::max(largest, need);
         most_offsets = std::max(most_offsets, offsets);
-        widest = std::max(widest, 2 * 6 * patch);
-        sum += need + offsets + 2 * 6 * patch;
+        widest = std::max(widest, 2 * 12 * patch);
+        sum += need + offsets + 2 * 12 * patch;
         h = oh;
         w = ow;
     }
@@ -705,7 +706,15 @@ TEST(Dispatch, ParseKernelIsaStrict)
     EXPECT_EQ(kernels::parseKernelIsa(""), kernels::detectBestIsa());
     EXPECT_EQ(kernels::parseKernelIsa("scalar"),
               kernels::KernelIsa::Scalar);
-    EXPECT_THROW(kernels::parseKernelIsa("avx512"),
+    // A real tier parses where the CPU runs it and is refused loudly
+    // where it does not.
+    if (kernels::isaSupported(kernels::KernelIsa::Avx512))
+        EXPECT_EQ(kernels::parseKernelIsa("avx512"),
+                  kernels::KernelIsa::Avx512);
+    else
+        EXPECT_THROW(kernels::parseKernelIsa("avx512"),
+                     std::invalid_argument);
+    EXPECT_THROW(kernels::parseKernelIsa("AVX512"),
                  std::invalid_argument);
     EXPECT_THROW(kernels::parseKernelIsa("sse2"),  // no such tier
                  std::invalid_argument);
@@ -967,9 +976,13 @@ doubleChainOperand(Rng &rng, int64_t rows, int64_t cols, int64_t k)
 
 /**
  * A (k x n) B and an (m x n) C addressed the way a conv chunk is:
- * B rows spread apart, column pairs at uneven gaps (so some 4-column
- * groups are one contiguous run and others two separate pairs, as on
- * 2- and 6-wide maps) and C columns stored reversed with a stride.
+ * B rows spread apart, column pairs at uneven gaps, and C columns at
+ * gaps too. With b_run == 0 a gap follows each pair at random (so
+ * some 4-column groups are one contiguous run and others two separate
+ * pairs, as on 2- and 6-wide maps); else one follows every b_run
+ * pairs, so b_run = 4, 2 and 1 give 8-float runs, 4-float runs and
+ * lone pairs (8-, 4- and 2-wide maps). With c_run == 0 the C columns
+ * are stored reversed with a stride; else forward, in runs of c_run.
  */
 struct ScatteredOperands
 {
@@ -977,13 +990,16 @@ struct ScatteredOperands
     std::vector<int64_t> bRow, bPair, cCol;
     kernels::DChainOperands op;
 
-    ScatteredOperands(Rng &rng, const Tensor &dense_b, int64_t m)
+    ScatteredOperands(Rng &rng, const Tensor &dense_b, int64_t m,
+                      int64_t b_run = 0, int64_t c_run = 0)
     {
         const int64_t k = dense_b.dim(0), n = dense_b.dim(1);
         int64_t span = 0;
         for (int64_t h = 0; h < (n + 1) / 2; ++h) {
             bPair.push_back(span);
-            span += 2 + (rng.chance(0.5) ? rng.integer(1, 5) : 0);
+            const bool gap = b_run > 0 ? (h + 1) % b_run == 0
+                                       : rng.chance(0.5);
+            span += 2 + (gap ? rng.integer(1, 5) : 0);
         }
         for (int64_t p = 0; p < k; ++p)
             bRow.push_back(p * (span + 3) + 1);
@@ -993,7 +1009,7 @@ struct ScatteredOperands
                 b[(size_t)(bRow[(size_t)p] + bPair[(size_t)(j / 2)] +
                            j % 2)] = dense_b.at(p, j);
         for (int64_t j = 0; j < n; ++j)
-            cCol.push_back(2 * (n - 1 - j));
+            cCol.push_back(c_run > 0 ? j + j / c_run : 2 * (n - 1 - j));
         c.assign((size_t)(m * (2 * n + 1)), 7.0f);
         op.b = b.data();
         op.bRow = bRow.data();
@@ -1019,10 +1035,12 @@ TEST(Dispatch, GemmDChainEveryIsaBitIdenticalToScalar)
 {
     Rng rng(204);
     int64_t outputs = 0, non_finite = 0;
+    // m and n reach past the widest tile (12 rows x 16 columns) and
+    // its remainders, on both sides of each edge.
     for (int64_t k : {0, 1, 27, 432})
-        for (int64_t m : {1, 2, 3, 4, 5, 6, 7, 11, 12, 13, 19})
-            for (int64_t n :
-                 {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17, 33, 64}) {
+        for (int64_t m : {1, 2, 3, 4, 5, 6, 7, 11, 12, 13, 19, 24, 25})
+            for (int64_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17,
+                              20, 24, 31, 32, 33, 48, 64}) {
                 const Tensor a = doubleChainOperand(rng, m, k, k);
                 const Tensor b = doubleChainOperand(rng, k, n, k);
                 const Tensor row_bias = doubleChainOperand(rng, 1, m, 0);
@@ -1066,20 +1084,31 @@ TEST(Dispatch, GemmDChainEveryIsaBitIdenticalToScalar)
                         EXPECT_TRUE(bitEqual(want, got)) << "dense";
                         // Column panels that start off zero, as the
                         // pool splits them (at an even column).
-                        const int64_t split = n > 8 ? 8 : (n / 2) & ~int64_t{1};
+                        const int64_t split = n >= 32 ? 16
+                                              : n > 8 ? 8
+                                                      : (n / 2) & ~int64_t{1};
                         Tensor halves({m, n});
                         const kernels::KernelOps &o = kernels::opsFor(isa);
                         const kernels::DChainOperands op = dense(halves);
                         o.gemmDChainPanel(a.data(), op, m, k, 0, split);
                         o.gemmDChainPanel(a.data(), op, m, k, split, n);
                         EXPECT_TRUE(bitEqual(want, halves)) << "split";
-                        // The same product through scattered offsets.
-                        ScatteredOperands sc(rng, b, m);
-                        sc.op.rowBias = rb;
-                        sc.op.colBias = cb;
-                        o.gemmDChainPanel(a.data(), sc.op, m, k, 0, n);
-                        EXPECT_TRUE(bitEqual(want, sc.result(m, n)))
-                            << "scattered";
+                        // The same product through scattered offsets:
+                        // random gaps, then each way a wide tile loads
+                        // an 8-column group (8-float runs, 4-float
+                        // runs, lone pairs) and stores it (a run of
+                        // 8, runs of 4, reversed).
+                        for (const auto &[b_run, c_run] :
+                             {std::pair<int64_t, int64_t>{0, 0},
+                              {4, 8}, {4, 0}, {2, 4}, {1, 8}}) {
+                            ScatteredOperands sc(rng, b, m, b_run, c_run);
+                            sc.op.rowBias = rb;
+                            sc.op.colBias = cb;
+                            o.gemmDChainPanel(a.data(), sc.op, m, k, 0, n);
+                            EXPECT_TRUE(bitEqual(want, sc.result(m, n)))
+                                << "scattered, B runs of " << b_run
+                                << " pairs, C runs of " << c_run;
+                        }
                     }
                 }
             }

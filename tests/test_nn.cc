@@ -314,6 +314,67 @@ TEST(MaxPool, WindowsBelowMinusOneE30KeepTheirOwnMax)
     EXPECT_EQ(total, 7.0f);
 }
 
+/**
+ * The branchy per-window loop MaxPool2d ran in both modes before eval
+ * got its select: seeded from the window's first tap, a later tap
+ * replaces the max only when it compares greater.
+ */
+Tensor
+maxPoolByBranch(const Tensor &x, int64_t kern, int64_t strd)
+{
+    const int64_t n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+    const int64_t oh = (h - kern) / strd + 1, ow = (w - kern) / strd + 1;
+    Tensor y({n, c, oh, ow});
+    int64_t oi = 0;
+    for (int64_t pl = 0; pl < n * c; ++pl)
+        for (int64_t e = 0; e < oh; ++e)
+            for (int64_t f = 0; f < ow; ++f, ++oi) {
+                const int64_t first = (pl * h + e * strd) * w + f * strd;
+                float best = x[first];
+                for (int64_t kr = 0; kr < kern; ++kr)
+                    for (int64_t ks = 0; ks < kern; ++ks)
+                        if (x[first + kr * w + ks] > best)
+                            best = x[first + kr * w + ks];
+                y[oi] = best;
+            }
+    return y;
+}
+
+TEST(MaxPool, EvalSelectMatchesTheBranchyLoopBitForBit)
+{
+    // Taps drawn mostly from a small set of specials, so windows hold
+    // NaNs (the hardware's, a payload one and a negative one) in
+    // every position, ±0 ties, ±Inf and repeated equal values.
+    const float inf = std::numeric_limits<float>::infinity();
+    volatile float vinf = inf;
+    float payload, neg_nan;
+    const uint32_t payload_bits = 0x7fc12345u, neg_bits = 0xffc00001u;
+    std::memcpy(&payload, &payload_bits, 4);
+    std::memcpy(&neg_nan, &neg_bits, 4);
+    const float specials[] = {vinf - vinf, payload, neg_nan, 0.0f, -0.0f,
+                              inf,         -inf,    1.0f,    1.0f, -2.0f};
+    Rng rng(71);
+    for (const auto &[kern, strd] :
+         std::vector<std::pair<int64_t, int64_t>>{
+             {2, 2}, {2, 1}, {3, 1}, {3, 2}, {1, 1}}) {
+        Tensor x = randn({2, 3, 7, 9}, rng);
+        for (int64_t i = 0; i < x.size(); ++i)
+            if (rng.chance(0.6))
+                x[i] = specials[rng.integer(0, 9)];
+        const Tensor want = maxPoolByBranch(x, kern, strd);
+        for (bool train : {false, true}) {
+            MaxPool2d pool(kern, strd);
+            const Tensor got = pool.forward(x, train);
+            ASSERT_EQ(got.shape(), want.shape());
+            EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                  (size_t)want.size() * sizeof(float)),
+                      0)
+                << "kernel " << kern << " stride " << strd
+                << (train ? " train" : " eval");
+        }
+    }
+}
+
 TEST(GlobalAvgPool, ForwardAndGradient)
 {
     GlobalAvgPool gap;

@@ -125,8 +125,8 @@ TEST(RuntimeOptions, FromEnvRejectsMalformedValues)
         {"SE_STREAM_LOADER", "lazy"},
         {"SE_STREAM_LOADER", "MMAP"},  // case-sensitive
         {"SE_STREAM_LOADER", ""},
-        {"SE_KERNEL_ISA", "avx512"},
-        {"SE_KERNEL_ISA", "sse2"},  // scalar and avx2 are the tiers
+        {"SE_KERNEL_ISA", "AVX512"},
+        {"SE_KERNEL_ISA", "sse2"},  // scalar, avx2, avx512: the tiers
         {"SE_KERNEL_ISA", "fast"},
         {"SE_KERNEL_ISA", "AVX2"},  // case-sensitive like the others
     };
@@ -755,12 +755,12 @@ TEST(ThreadBudgetDeathTest, EveryFanOutSharesOneBudget)
             std::fprintf(stderr,
                          "threads %d standup %d drained %d replicas %d\n",
                          peak, standup, drained, replicas);
-            // Main + executor + one thread per replica + dispatcher:
-            // serving starts none of its own.
+            // Main + executor + one thread per replica, with no
+            // dispatcher beside them: serving starts none of its own.
             const bool ok = peak <= 1 + 3 + kRuntimeThreads &&
                             replicas == 3 && served &&
                             drained <= standup &&
-                            standup <= 1 + 3 + 3 + 1 + kRuntimeThreads;
+                            standup <= 1 + 3 + 3 + kRuntimeThreads;
             std::_Exit(ok ? 0 : 1);
         },
         ::testing::ExitedWithCode(0), "replicas 3");

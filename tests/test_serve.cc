@@ -310,7 +310,7 @@ TEST(ServeEngine, MalformedShapeFailsOnlyItselfNotItsNeighbors)
     // the malformed request.
     auto shipped = shipModel(64);
     serve::ServeOptions opts;
-    opts.threads = 0;  // inline: everything lands in one batch
+    opts.threads = 0;  // one replica: everything lands in one batch
     opts.maxBatch = 64;
     opts.flush = serve::FlushPolicy::Full;
     serve::ServeEngine engine(

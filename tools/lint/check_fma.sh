@@ -26,11 +26,20 @@
 # that flag at -O2 -march=x86-64-v3 (FMA enabled) and fails on any
 # fused instruction.
 #
+# The AVX-512 TU (src/kernels/dispatch_avx512.cc) gets no ISA flag
+# from either build: it enables AVX-512F, which includes FMA, in its
+# own source, and must switch contraction off there too. The gate
+# compiles it the way the benchmark build does (plain -O2, no
+# -ffp-contract=off) and fails on any fused mnemonic, or when the
+# object holds no zmm vmulpd (the double-chain panel was not checked).
+#
 #   tools/lint/check_fma.sh              # the gate (CI, ctest -L lint)
 #   tools/lint/check_fma.sh --self-test  # seed violations (-mfma
 #                                        # -ffp-contract=fast for the
 #                                        # AVX2 TU, no -ffp-contract=off
-#                                        # for the others) and assert
+#                                        # for the others, the AVX-512
+#                                        # TU with its contraction
+#                                        # pragma deleted) and assert
 #                                        # the detector fires on each
 #
 # Exit 0 = clean (or self-test detector fired); non-zero otherwise.
@@ -41,6 +50,10 @@ set -eu
 cd "$(dirname "$0")/../.."
 CXX="${CXX:-c++}"
 TU=src/kernels/dispatch_avx2.cc
+TU512=src/kernels/dispatch_avx512.cc
+# The line of $TU512 that switches contraction off; the self-test
+# deletes it to seed fused zmm instructions.
+NO_CONTRACT_PRAGMA='^#pragma GCC optimize("fp-contract=off")$'
 CHAIN_TUS="src/kernels/dispatch.cc src/linalg/linalg.cc src/core/smart_exchange.cc
 src/core/ce_basis.cc src/base/random.cc src/nn/layers.cc"
 # The se target's contraction flag (CMakeLists.txt); checked below so
@@ -68,6 +81,14 @@ count_ymm() {
 # moved out of this TU (or compiled away) and escaped the FMA scan.
 count_ymm_mulpd() {
     objdump -d "$1" | grep -E 'vmulpd' | grep -c '%ymm' || true
+}
+
+# The same two counts restricted to zmm operands, for the AVX-512 TU.
+count_zmm_fma() {
+    objdump -d "$1" | grep -E "$FMA_RE" | grep -c '%zmm' || true
+}
+count_zmm_mulpd() {
+    objdump -d "$1" | grep -E 'vmulpd' | grep -c '%zmm' || true
 }
 
 # Count of scalar/packed float multiplies in $1.o: a chain TU whose
@@ -114,6 +135,24 @@ if [ "${1:-}" = "--self-test" ]; then
         fi
         n="$n, $m in $tu"
     done
+    # The AVX-512 TU as the benchmark compiles it, minus the pragma
+    # that keeps GCC from contracting its mul+add pairs.
+    grep -q "$NO_CONTRACT_PRAGMA" "$TU512" || {
+        echo "check_fma SELF-TEST FAILED: $TU512 has no line" \
+             "matching $NO_CONTRACT_PRAGMA to delete" >&2
+        exit 1
+    }
+    mkdir -p "$WORK/src/kernels"
+    grep -v "$NO_CONTRACT_PRAGMA" "$TU512" >"$WORK/$TU512"
+    compile_tu "$WORK/$TU512" "$WORK/seeded.o" -O2
+    m=$(count_zmm_fma "$WORK/seeded.o")
+    if [ "$m" -eq 0 ]; then
+        echo "check_fma SELF-TEST FAILED: $TU512 without its" \
+             "contraction pragma yet found 0 fused zmm instructions" \
+             "— the detector is blind" >&2
+        exit 1
+    fi
+    n="$n, $m zmm in $TU512"
     echo "check_fma self-test OK: detector fired ($n fused" \
          "instructions in the seeded builds)"
     exit 0
@@ -173,6 +212,29 @@ for flags in "-O2 -mavx2" "-O2 -DNDEBUG -mavx2" "-O3 -DNDEBUG -mavx2"; do
     else
         echo "check_fma: [$flags] clean ($ymm ymm refs," \
              "$mulpd ymm vmulpd, 0 fused)"
+    fi
+done
+for flags in "-O2" "-O2 -DNDEBUG" "-O3 -DNDEBUG"; do
+    # shellcheck disable=SC2086
+    compile_tu "$TU512" "$WORK/gate512.o" $flags
+    mulpd=$(count_zmm_mulpd "$WORK/gate512.o")
+    if [ "$mulpd" -eq 0 ]; then
+        echo "check_fma: [$flags] produced no zmm vmulpd in $TU512 —" \
+             "the AVX-512 double chain compiled away or moved, so" \
+             "nothing was checked" >&2
+        status=1
+        continue
+    fi
+    n=$(count_fma "$WORK/gate512.o")
+    if [ "$n" -ne 0 ]; then
+        echo "check_fma: [$flags] emitted $n fused multiply-add" \
+             "instruction(s) in $TU512 — its contraction pragma no" \
+             "longer holds:" >&2
+        objdump -d "$WORK/gate512.o" | grep -E "$FMA_RE" | head -5 >&2
+        status=1
+    else
+        echo "check_fma: $TU512 [$flags] clean ($mulpd zmm vmulpd," \
+             "0 fused)"
     fi
 done
 exit $status
