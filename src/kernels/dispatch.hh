@@ -18,11 +18,12 @@
  * cannot diverge. The double
  * chain adds float products widened to double, which are exact (24 +
  * 24 significand bits fit in 53), and rounds to float once on store.
- * Fused multiply-add is deliberately never emitted, because a fused
+ * No float chain ever fuses a multiply and an add, because a fused
  * mul+add rounds once where the float chain rounds twice: the AVX2
- * translation unit is compiled with AVX2 but *not* FMA, and the
- * AVX-512 one (whose ISA includes FMA) switches FP contraction off in
- * its own source.
+ * translation unit is compiled with AVX2 but *not* FMA. The AVX-512
+ * one holds only the double chain, where the product never rounds,
+ * so a fused step rounds exactly where the scalar add does: it issues
+ * explicit zmm FMAs and switches FP contraction off for the rest.
  *
  * Selection order: SE_KERNEL_ISA (scalar | avx2 | avx512 | auto) if
  * set — rejected loudly when unrecognized or not supported by the
@@ -45,7 +46,7 @@ namespace kernels {
 enum class KernelIsa {
     Scalar,  ///< plain C++ register tiles (the bit-exact reference)
     Avx2,    ///< 256-bit tiles (no FMA — see file comment)
-    Avx512,  ///< 512-bit double-chain tiles, AVX2 float chains
+    Avx512,  ///< 512-bit exact-FMA double-chain tiles, AVX2 float chains
 };
 
 /** Stable lowercase name ("scalar" | "avx2" | "avx512"). */

@@ -10,9 +10,9 @@
  * A lowering takes one float block and one offsets block per call
  * and calls no other lowering while it holds them, so uses on one
  * thread never overlap. Pool workers running one of its GEMM panels
- * read the caller's blocks. The AVX2 double-chain panel widens A rows
- * into the widened() block of whichever thread runs it, which leaves
- * the other two valid.
+ * read the caller's blocks. The AVX2 and AVX-512 double-chain panels
+ * widen A rows into the widened() block of whichever thread runs
+ * them, which leaves the other two valid.
  */
 
 #ifndef SE_KERNELS_SCRATCH_HH
@@ -40,7 +40,7 @@ class ScratchArena
     int64_t *offsets(int64_t count) { return grow(offs_, count); }
 
     /**
-     * A third block, for the A rows the AVX2 double-chain panel
+     * A third block, for the A rows a SIMD double-chain panel
      * widens on whichever thread runs it; as buffer().
      */
     double *widened(int64_t doubles) { return grow(wide_, doubles); }

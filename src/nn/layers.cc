@@ -173,45 +173,37 @@ BatchNorm2d::forward(const Tensor &x, bool train)
     const int64_t n = x.dim(0), h = x.dim(2), w = x.dim(3);
     const int64_t count = n * h * w;
     Tensor y(x.shape());
-
-    if (train) {
-        cachedXhat = Tensor(x.shape());
-        cachedInvStd.assign((size_t)ch, 0.0);
-        cachedCount = count;
+    if (!train) {
+        evalPass<false>(x, y, 0.0f);
+        return y;
     }
+    cachedXhat = Tensor(x.shape());
+    cachedInvStd.assign((size_t)ch, 0.0);
+    cachedCount = count;
 
     for (int64_t c = 0; c < ch; ++c) {
-        double mean, var;
-        if (train) {
-            double s = 0.0, s2 = 0.0;
-            for (int64_t b = 0; b < n; ++b)
-                for (int64_t i = 0; i < h; ++i)
-                    for (int64_t j = 0; j < w; ++j) {
-                        double v = x.at(b, c, i, j);
-                        s += v;
-                        s2 += v * v;
-                    }
-            mean = s / (double)count;
-            var = s2 / (double)count - mean * mean;
-            var = std::max(var, 0.0);
-            runningMean[c] = (1.0f - momentum) * runningMean[c] +
-                             momentum * (float)mean;
-            runningVar[c] = (1.0f - momentum) * runningVar[c] +
-                            momentum * (float)var;
-        } else {
-            mean = runningMean[c];
-            var = runningVar[c];
-        }
+        double s = 0.0, s2 = 0.0;
+        for (int64_t b = 0; b < n; ++b)
+            for (int64_t i = 0; i < h; ++i)
+                for (int64_t j = 0; j < w; ++j) {
+                    double v = x.at(b, c, i, j);
+                    s += v;
+                    s2 += v * v;
+                }
+        const double mean = s / (double)count;
+        const double var = std::max(s2 / (double)count - mean * mean, 0.0);
+        runningMean[c] = (1.0f - momentum) * runningMean[c] +
+                         momentum * (float)mean;
+        runningVar[c] = (1.0f - momentum) * runningVar[c] +
+                        momentum * (float)var;
         const double inv_std = 1.0 / std::sqrt(var + eps);
-        if (train)
-            cachedInvStd[(size_t)c] = inv_std;
+        cachedInvStd[(size_t)c] = inv_std;
         for (int64_t b = 0; b < n; ++b)
             for (int64_t i = 0; i < h; ++i)
                 for (int64_t j = 0; j < w; ++j) {
                     const double xh =
                         ((double)x.at(b, c, i, j) - mean) * inv_std;
-                    if (train)
-                        cachedXhat.at(b, c, i, j) = (float)xh;
+                    cachedXhat.at(b, c, i, j) = (float)xh;
                     y.at(b, c, i, j) =
                         (float)(gamma[c] * xh + beta[c]);
                 }
@@ -222,6 +214,13 @@ BatchNorm2d::forward(const Tensor &x, bool train)
 void
 BatchNorm2d::evalReluInPlace(Tensor &x, float relu_max) const
 {
+    evalPass<true>(x, x, relu_max);
+}
+
+template <bool Relu>
+void
+BatchNorm2d::evalPass(const Tensor &x, Tensor &y, float relu_max) const
+{
     SE_ASSERT(x.ndim() == 4 && x.dim(1) == ch, "bn input shape mismatch");
     const int64_t n = x.dim(0), plane = x.dim(2) * x.dim(3);
     // The clamp as a select; with no clamp, hi = +Inf keeps every
@@ -230,13 +229,16 @@ BatchNorm2d::evalReluInPlace(Tensor &x, float relu_max) const
                          ? relu_max
                          : std::numeric_limits<float>::infinity();
     for (int64_t c = 0; c < ch; ++c) {
-        // forward()'s eval expression, term for term.
+        // The training loop's expression, term for term, on the
+        // running stats.
         const double mean = runningMean[c], var = runningVar[c];
         const double inv_std = 1.0 / std::sqrt(var + eps);
         const double g = gamma[c], bt = beta[c];
         auto apply = [&](float v) {
             const float bn =
                 (float)(g * (((double)v - mean) * inv_std) + bt);
+            if (!Relu)
+                return bn;
             // ReLU, bn > 0 ? bn : +0, as a bit mask: compilers branch
             // on that select, and the branch mispredicts on real
             // activations.
@@ -248,14 +250,15 @@ BatchNorm2d::evalReluInPlace(Tensor &x, float relu_max) const
             return r > hi ? hi : r;
         };
         for (int64_t b = 0; b < n; ++b) {
-            float *v = x.data() + (b * ch + c) * plane;
+            const float *u = x.data() + (b * ch + c) * plane;
+            float *v = y.data() + (b * ch + c) * plane;
             int64_t i = 0;
             // Fixed blocks of 4, which the compiler vectorizes.
             for (; i + 4 <= plane; i += 4)
                 for (int t = 0; t < 4; ++t)
-                    v[i + t] = apply(v[i + t]);
+                    v[i + t] = apply(u[i + t]);
             for (; i < plane; ++i)
-                v[i] = apply(v[i]);
+                v[i] = apply(u[i]);
         }
     }
 }

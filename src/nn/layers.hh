@@ -106,7 +106,8 @@ class Linear : public Layer
  * Batch normalization over NCHW channels. gamma is exposed because the
  * SmartExchange channel pruning step thresholds BN scaling factors.
  * In eval mode nn::Sequential runs a BatchNorm2d and the ReLU after it
- * as one evalReluInPlace pass.
+ * as one evalReluInPlace pass; a BatchNorm2d with no ReLU after it
+ * runs the same pass with the ReLU off.
  */
 class BatchNorm2d : public Layer
 {
@@ -144,6 +145,14 @@ class BatchNorm2d : public Layer
     Tensor &runningVarTensor() { return runningVar; }
 
   private:
+    /**
+     * The eval expression on the running stats, in double and rounded
+     * once to float, from x into y (which may be x); then, when Relu,
+     * the ReLU and its clamp at relu_max (> 0) as selects.
+     */
+    template <bool Relu>
+    void evalPass(const Tensor &x, Tensor &y, float relu_max) const;
+
     int64_t ch;
     float eps, momentum;
     Tensor gamma, beta, gradGamma, gradBeta;

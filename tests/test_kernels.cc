@@ -373,6 +373,20 @@ TEST(Kernels, FoldedConvForwardWallAgainstReference)
                     ++checked;
                 }
     EXPECT_GT(checked, 750);
+    // The served model's 2x2-map conv at odd batches, where every row
+    // block ends in a 4-column tail (4, 8 + 4 and 16 + 4 columns):
+    // more out channels than one 12-row block, and a row remainder.
+    for (int64_t out_ch : {24, 25})
+        for (int64_t batch : {1, 3, 5}) {
+            const kernels::ConvSpec sp{12, out_ch, 3, 1, 1, 1, 1};
+            Rng rng(1900 + 10 * out_ch + batch);
+            const ConvParams p = convParams(sp, rng);
+            const Tensor x = saltedTensor({batch, 12, 2, 2}, rng);
+            expectFoldedMatchesReference(
+                x, p, sp,
+                std::to_string(out_ch) + " out, batch " +
+                    std::to_string(batch) + " 2x2");
+        }
 }
 
 TEST(Kernels, FoldedConvArenaNeverLeaksStaleBytes)
@@ -1011,6 +1025,10 @@ struct ScatteredOperands
         for (int64_t j = 0; j < n; ++j)
             cCol.push_back(c_run > 0 ? j + j / c_run : 2 * (n - 1 - j));
         c.assign((size_t)(m * (2 * n + 1)), 7.0f);
+        // One more pair and C column offset, far out of range: a panel
+        // that reads either past its last column faults.
+        bPair.push_back(int64_t{1} << 40);
+        cCol.push_back(int64_t{1} << 40);
         op.b = b.data();
         op.bRow = bRow.data();
         op.bPair = bPair.data();
@@ -1039,8 +1057,8 @@ TEST(Dispatch, GemmDChainEveryIsaBitIdenticalToScalar)
     // its remainders, on both sides of each edge.
     for (int64_t k : {0, 1, 27, 432})
         for (int64_t m : {1, 2, 3, 4, 5, 6, 7, 11, 12, 13, 19, 24, 25})
-            for (int64_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 15, 16, 17,
-                              20, 24, 31, 32, 33, 48, 64}) {
+            for (int64_t n : {1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 15, 16,
+                              17, 20, 24, 31, 32, 33, 48, 64}) {
                 const Tensor a = doubleChainOperand(rng, m, k, k);
                 const Tensor b = doubleChainOperand(rng, k, n, k);
                 const Tensor row_bias = doubleChainOperand(rng, 1, m, 0);
@@ -1093,6 +1111,19 @@ TEST(Dispatch, GemmDChainEveryIsaBitIdenticalToScalar)
                         o.gemmDChainPanel(a.data(), op, m, k, 0, split);
                         o.gemmDChainPanel(a.data(), op, m, k, split, n);
                         EXPECT_TRUE(bitEqual(want, halves)) << "split";
+                        // A first panel that ends 4 columns into a
+                        // register group (the AVX-512 masked tail),
+                        // run after the panel to its right, so a tail
+                        // that stores past its end shows.
+                        if (n > 4) {
+                            const int64_t at = (n - 5) / 8 * 8 + 4;
+                            Tensor tails({m, n});
+                            const kernels::DChainOperands ot = dense(tails);
+                            o.gemmDChainPanel(a.data(), ot, m, k, at, n);
+                            o.gemmDChainPanel(a.data(), ot, m, k, 0, at);
+                            EXPECT_TRUE(bitEqual(want, tails))
+                                << "4-column tail split at " << at;
+                        }
                         // The same product through scattered offsets:
                         // random gaps, then each way a wide tile loads
                         // an 8-column group (8-float runs, 4-float

@@ -651,6 +651,53 @@ TEST(FusedEvalWall, BatchNormReluPairMatchesTwoLayers)
     }
 }
 
+/** BatchNorm2d's eval forward as a plain per-element loop. */
+Tensor
+elementLoopEval(BatchNorm2d &bn, const Tensor &x)
+{
+    const int64_t n = x.dim(0), ch = x.dim(1), h = x.dim(2), w = x.dim(3);
+    const float eps = 1e-5f;
+    Tensor y(x.shape());
+    for (int64_t c = 0; c < ch; ++c) {
+        const double mean = bn.runningMeanTensor()[c];
+        const double var = bn.runningVarTensor()[c];
+        const double inv_std = 1.0 / std::sqrt(var + eps);
+        for (int64_t b = 0; b < n; ++b)
+            for (int64_t i = 0; i < h; ++i)
+                for (int64_t j = 0; j < w; ++j) {
+                    const double xh =
+                        ((double)x.at(b, c, i, j) - mean) * inv_std;
+                    y.at(b, c, i, j) = (float)(bn.gammaTensor()[c] * xh +
+                                               bn.betaTensor()[c]);
+                }
+    }
+    return y;
+}
+
+TEST(FusedEvalWall, BatchNormEvalMatchesTheElementLoop)
+{
+    // A BatchNorm2d that no ReLU follows runs the pass with the ReLU
+    // off: NaN, +-0, +-Inf, denormals and overflow must come out as
+    // the per-element loop wrote them, on planes with and without a
+    // tail after the blocks of 4.
+    Rng rng(45);
+    const Shape shapes[] = {{2, 3, 5, 3}, {3, 4, 1, 1}, {1, 2, 8, 8}};
+    for (const Shape &shape : shapes) {
+        BatchNorm2d bn(shape[1]);
+        perturbBatchNorm(bn, rng);
+        // Channel 0 normalizes to +-0 (0 * xhat + -0).
+        bn.gammaTensor()[0] = 0.0f;
+        bn.betaTensor()[0] = -0.0f;
+        Tensor x = saltedInput(shape, rng, 0.3);
+        for (int64_t i = 0; i < x.size(); i += 7)
+            x[i] = rng.chance(0.5) ? 1e-40f : -3e-42f;  // denormals
+        x[1] = 3e38f;  // overflows once normalized
+        EXPECT_TRUE(bitEqual(elementLoopEval(bn, x), bn.forward(x, false)))
+            << shape[0] << "x" << shape[1] << "x" << shape[2] << "x"
+            << shape[3];
+    }
+}
+
 TEST(FusedEvalWall, EveryZooNetMatchesAChildByChildWalk)
 {
     using models::ModelId;

@@ -26,21 +26,30 @@
 # that flag at -O2 -march=x86-64-v3 (FMA enabled) and fails on any
 # fused instruction.
 #
-# The AVX-512 TU (src/kernels/dispatch_avx512.cc) gets no ISA flag
-# from either build: it enables AVX-512F, which includes FMA, in its
-# own source, and must switch contraction off there too. The gate
-# compiles it the way the benchmark build does (plain -O2, no
-# -ffp-contract=off) and fails on any fused mnemonic, or when the
-# object holds no zmm vmulpd (the double-chain panel was not checked).
+# The AVX-512 TU (src/kernels/dispatch_avx512.cc) holds only the
+# double chain, whose steps are explicit zmm fused multiply-adds: both
+# factors are floats widened to double, so the product is exact and
+# the fused step rounds once, at the add, as the scalar chain does. It
+# gets no ISA flag from either build: it enables AVX-512F (which
+# includes FMA) in its own source, and switches contraction off there
+# so the compiler fuses nothing else. The gate compiles it the way the
+# benchmark build does (plain -O2, no -ffp-contract=off) and allows
+# only packed-double zmm fused steps: it fails on any fused ps, ss or
+# sd mnemonic, on any fused instruction on xmm or ymm registers, and
+# when the object holds no zmm vfmadd...pd (the double-chain panel was
+# not checked).
 #
 #   tools/lint/check_fma.sh              # the gate (CI, ctest -L lint)
 #   tools/lint/check_fma.sh --self-test  # seed violations (-mfma
 #                                        # -ffp-contract=fast for the
 #                                        # AVX2 TU, no -ffp-contract=off
-#                                        # for the others, the AVX-512
-#                                        # TU with its contraction
-#                                        # pragma deleted) and assert
-#                                        # the detector fires on each
+#                                        # for the others, a float and
+#                                        # a ymm fused step appended to
+#                                        # the AVX-512 TU) and assert
+#                                        # the detector fires on each;
+#                                        # and assert that deleting the
+#                                        # AVX-512 TU's contraction
+#                                        # pragma adds no fused step
 #
 # Exit 0 = clean (or self-test detector fired); non-zero otherwise.
 # Runs from the repo root. $CXX overrides the compiler (default c++).
@@ -83,12 +92,35 @@ count_ymm_mulpd() {
     objdump -d "$1" | grep -E 'vmulpd' | grep -c '%ymm' || true
 }
 
-# The same two counts restricted to zmm operands, for the AVX-512 TU.
-count_zmm_fma() {
-    objdump -d "$1" | grep -E "$FMA_RE" | grep -c '%zmm' || true
-}
-count_zmm_mulpd() {
-    objdump -d "$1" | grep -E 'vmulpd' | grep -c '%zmm' || true
+# The AVX-512 TU's rule on object $1: its fused instructions must all
+# be packed-double zmm steps, and there must be some. Prints the
+# count of those; on a violation it says why on stderr and returns 1.
+check_zmm_pd_only() {
+    fused="$(objdump -d "$1" | grep -E "$FMA_RE" || true)"
+    not_pd=$(printf '%s\n' "$fused" | grep -E "$FMA_RE" |
+             grep -cvE '(vfmadd|vfmsub|vfnmadd|vfnmsub)[a-z0-9]*pd[[:space:]]' ||
+             true)
+    narrow=$(printf '%s\n' "$fused" | grep -cE '%[xy]mm' || true)
+    zmm_pd=$(printf '%s\n' "$fused" | grep -E 'pd[[:space:]]' |
+             grep -c '%zmm' || true)
+    if [ "$not_pd" -ne 0 ]; then
+        echo "$not_pd fused ps/ss/sd instruction(s) — only the exact" \
+             "double chain may fuse:" >&2
+        printf '%s\n' "$fused" | grep -vE 'pd[[:space:]]' | head -5 >&2
+        return 1
+    fi
+    if [ "$narrow" -ne 0 ]; then
+        echo "$narrow fused instruction(s) on xmm or ymm registers —" \
+             "only zmm steps may fuse:" >&2
+        printf '%s\n' "$fused" | grep -E '%[xy]mm' | head -5 >&2
+        return 1
+    fi
+    if [ "$zmm_pd" -eq 0 ]; then
+        echo "no zmm vfmadd...pd — the AVX-512 double chain compiled" \
+             "away or moved, so nothing was checked" >&2
+        return 1
+    fi
+    echo "$zmm_pd"
 }
 
 # Count of scalar/packed float multiplies in $1.o: a chain TU whose
@@ -135,26 +167,51 @@ if [ "${1:-}" = "--self-test" ]; then
         fi
         n="$n, $m in $tu"
     done
-    # The AVX-512 TU as the benchmark compiles it, minus the pragma
-    # that keeps GCC from contracting its mul+add pairs.
+    # The AVX-512 TU with a float fused step, then with a ymm fused
+    # step, appended: the rule must refuse each, for its own reason.
+    mkdir -p "$WORK/src/kernels"
+    seed_refused() {
+        # $1 = the code to append, $2 = the reason the rule must give
+        { cat "$TU512"; echo '#include <immintrin.h>'; echo "$1"; } \
+            >"$WORK/$TU512"
+        compile_tu "$WORK/$TU512" "$WORK/seeded.o" -O2
+        if check_zmm_pd_only "$WORK/seeded.o" >/dev/null 2>"$WORK/why" ||
+           ! grep -q "$2" "$WORK/why"; then
+            echo "check_fma SELF-TEST FAILED: $TU512 with a seeded" \
+                 "fused step was not refused for \"$2\" — the" \
+                 "detector is blind:" >&2
+            echo "$1" >&2
+            exit 1
+        fi
+    }
+    seed_refused '__attribute__((target("avx512f"))) __m512
+        seededFusedPs(__m512 a, __m512 b, __m512 c)
+        { return _mm512_fmadd_ps(a, b, c); }' 'ps/ss/sd'
+    seed_refused '__attribute__((target("avx2,fma"))) __m256d
+        seededFusedYmm(__m256d a, __m256d b, __m256d c)
+        { return _mm256_fmadd_pd(a, b, c); }' 'xmm or ymm'
+    # The same TU minus the pragma that switches contraction off: it
+    # must fuse exactly as often as with it, so every fused step in
+    # the file is an explicit one.
     grep -q "$NO_CONTRACT_PRAGMA" "$TU512" || {
         echo "check_fma SELF-TEST FAILED: $TU512 has no line" \
              "matching $NO_CONTRACT_PRAGMA to delete" >&2
         exit 1
     }
-    mkdir -p "$WORK/src/kernels"
+    compile_tu "$TU512" "$WORK/gate512.o" -O2
     grep -v "$NO_CONTRACT_PRAGMA" "$TU512" >"$WORK/$TU512"
     compile_tu "$WORK/$TU512" "$WORK/seeded.o" -O2
-    m=$(count_zmm_fma "$WORK/seeded.o")
-    if [ "$m" -eq 0 ]; then
-        echo "check_fma SELF-TEST FAILED: $TU512 without its" \
-             "contraction pragma yet found 0 fused zmm instructions" \
-             "— the detector is blind" >&2
+    with=$(count_fma "$WORK/gate512.o")
+    without=$(count_fma "$WORK/seeded.o")
+    if [ "$with" -ne "$without" ]; then
+        echo "check_fma SELF-TEST FAILED: $TU512 fuses $with steps" \
+             "with its contraction pragma and $without without it —" \
+             "some mul+add pair is left for the compiler to contract" >&2
         exit 1
     fi
-    n="$n, $m zmm in $TU512"
-    echo "check_fma self-test OK: detector fired ($n fused" \
-         "instructions in the seeded builds)"
+    n="$n; float and ymm seeds refused in $TU512, which fuses $with"
+    n="$n steps with or without its pragma"
+    echo "check_fma self-test OK: detector fired ($n)"
     exit 0
 fi
 
@@ -217,24 +274,12 @@ done
 for flags in "-O2" "-O2 -DNDEBUG" "-O3 -DNDEBUG"; do
     # shellcheck disable=SC2086
     compile_tu "$TU512" "$WORK/gate512.o" $flags
-    mulpd=$(count_zmm_mulpd "$WORK/gate512.o")
-    if [ "$mulpd" -eq 0 ]; then
-        echo "check_fma: [$flags] produced no zmm vmulpd in $TU512 —" \
-             "the AVX-512 double chain compiled away or moved, so" \
-             "nothing was checked" >&2
-        status=1
-        continue
-    fi
-    n=$(count_fma "$WORK/gate512.o")
-    if [ "$n" -ne 0 ]; then
-        echo "check_fma: [$flags] emitted $n fused multiply-add" \
-             "instruction(s) in $TU512 — its contraction pragma no" \
-             "longer holds:" >&2
-        objdump -d "$WORK/gate512.o" | grep -E "$FMA_RE" | head -5 >&2
-        status=1
+    if zmm=$(check_zmm_pd_only "$WORK/gate512.o" 2>"$WORK/why"); then
+        echo "check_fma: $TU512 [$flags] clean ($zmm zmm vfmadd...pd," \
+             "no other fused instruction)"
     else
-        echo "check_fma: $TU512 [$flags] clean ($mulpd zmm vmulpd," \
-             "0 fused)"
+        echo "check_fma: [$flags] $TU512: $(cat "$WORK/why")" >&2
+        status=1
     fi
 done
 exit $status
